@@ -16,10 +16,11 @@
 // artifacts (triangle index enumerated once, at registration) with a keyed
 // LRU of local results, so repeated queries against a registered graph skip
 // enumeration entirely and hot (θ, mode) pairs skip peeling too. /graphs
-// lists and creates graphs (409 on a duplicate name), /graphs/{name} reads
-// or deletes one (404 when unknown), and /graphs/{name}/local and
-// /graphs/{name}/nuclei are the per-graph query routes. The startup dataset
-// is registered under its own name.
+// lists and creates graphs (409 on a duplicate name, 413 on an edge-list
+// body over 64 MiB), /graphs/{name} reads or deletes one (404 when
+// unknown), and /graphs/{name}/local and /graphs/{name}/nuclei are the
+// per-graph query routes. The startup dataset is registered under its own
+// name.
 //
 // -artifacts makes the registry durable: every registered graph's prepared
 // artifact is persisted into the directory (versioned binary format, see the
@@ -27,6 +28,10 @@
 // from it — every graph found on disk is served again without re-enumerating
 // a single triangle, including the startup dataset when its name is already
 // persisted. Artifact save/load counters appear in /metrics.
+//
+// Every connection is bounded in time as well: the server drops a client
+// that takes too long to send its headers or its whole request, or idles
+// too long between keep-alive requests.
 //
 // Run it and issue concurrent queries:
 //
@@ -71,6 +76,37 @@ type server struct {
 	reg     *pn.Registry
 	metrics *pn.EngineMetrics
 	timeout time.Duration
+	// maxBody bounds a POST /graphs edge-list body in bytes; larger bodies
+	// are refused with 413 before they are parsed.
+	maxBody int64
+}
+
+// defaultMaxBody is the edge-list body bound of the production server.
+const defaultMaxBody = 64 << 20
+
+// timeouts bound how long one client may hold a connection: sending the
+// request headers, sending the whole request (headers and body), and idling
+// between keep-alive requests. They do not bound handler run time, which
+// the per-request timeout alone bounds: once a request has arrived in full
+// (at entry for a bodiless one, at its body's EOF otherwise), net/http
+// clears the connection's read deadline before it starts watching the
+// connection for a client disconnect, so the read timeout passing later
+// neither cancels the request context nor cuts the handler off.
+type timeouts struct {
+	readHeader, read, idle time.Duration
+}
+
+var defaultTimeouts = timeouts{readHeader: 5 * time.Second, read: time.Minute, idle: 2 * time.Minute}
+
+// newHTTPServer wraps h in an http.Server with the connection timeouts set,
+// so a slow or stalled client cannot hold a connection open indefinitely.
+func newHTTPServer(h http.Handler, t timeouts) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		IdleTimeout:       t.idle,
+	}
 }
 
 func main() {
@@ -99,6 +135,7 @@ func main() {
 		reg:     pn.NewRegistry(eng, regOpts...),
 		metrics: metrics,
 		timeout: *timeout,
+		maxBody: defaultMaxBody,
 	}
 	if warm := srv.reg.List(); len(warm) > 0 {
 		log.Printf("warm start: %d graph(s) loaded from %s, no enumeration", len(warm), *artDir)
@@ -121,7 +158,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, &http.Server{Handler: srv.handler()}, ln, srv.eng); err != nil {
+	if err := run(ctx, newHTTPServer(srv.handler(), defaultTimeouts), ln, srv.eng); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("drained and closed")
@@ -168,7 +205,8 @@ var graphName = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // handleGraphs serves the collection routes: GET lists the registered
 // graphs, POST registers a new one — from a named simulated dataset
 // (?dataset=krogan&scale=0.04) or from a `u v p` edge list in the request
-// body — answering 409 when the name is taken.
+// body of at most maxBody bytes — answering 409 when the name is taken and
+// 413 when the body is too large.
 func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -203,7 +241,12 @@ func (s *server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		pg = pn.GenerateDataset(cfg)
 	} else {
 		var err error
-		if pg, err = pn.ReadEdgeList(r.Body); err != nil {
+		if pg, err = pn.ReadEdgeList(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, fmt.Sprintf("edge-list body exceeds %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, fmt.Sprintf("edge-list body: %v (or pass ?dataset=)", err), http.StatusBadRequest)
 			return
 		}

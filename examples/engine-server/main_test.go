@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +42,7 @@ func newTestServer(t *testing.T, shards, maxQueue int) *server {
 		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m)),
 		metrics: m,
 		timeout: 10 * time.Second,
+		maxBody: defaultMaxBody,
 	}
 	if _, err := s.reg.Put(context.Background(), "k5", pg); err != nil {
 		t.Fatal(err)
@@ -483,4 +485,140 @@ func TestArtifactDirWarmStart(t *testing.T) {
 	if doc.ArtifactLoads == 0 {
 		t.Error("warm server reported no artifact loads in /metrics")
 	}
+}
+
+// TestCreateGraphBodyLimit: an edge-list body over the server's bound is
+// refused with 413 and registers nothing; a body within it registers.
+func TestCreateGraphBodyLimit(t *testing.T) {
+	s := newTestServer(t, 1, -1)
+	s.maxBody = 64
+	h := s.handler()
+	w := do(t, h, "POST", "/graphs?name=big", strings.Repeat("0 1 0.9\n", 100))
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "exceeds 64 bytes") {
+		t.Fatalf("oversized body: %d %q, want 413", w.Code, w.Body.String())
+	}
+	if _, err := s.reg.Get("big"); err == nil {
+		t.Fatal("oversized body was registered")
+	}
+	w = do(t, h, "POST", "/graphs?name=small", "0 1 0.9\n1 2 0.8\n0 2 0.7\n")
+	if w.Code != http.StatusCreated {
+		t.Fatalf("body within the bound: %d %q, want 201", w.Code, w.Body.String())
+	}
+}
+
+// TestServerTimeouts: the production server sets every connection timeout,
+// and they hold on a live server — a client that stalls mid-headers, stalls
+// mid-body, or idles on a kept-alive connection is disconnected once its
+// bound passes, instead of holding the connection until it gives up — while
+// a handler that runs past the read timeout, once its request has arrived,
+// keeps its context and answers.
+func TestServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler(), defaultTimeouts)
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("server timeouts unset: header %v, read %v, idle %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+
+	s := newTestServer(t, 1, -1)
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer(s.handler(), timeouts{
+		readHeader: 100 * time.Millisecond,
+		read:       300 * time.Millisecond,
+		idle:       200 * time.Millisecond,
+	})
+	ts.Start()
+	defer ts.Close()
+	const patience = 5 * time.Second
+
+	// dropped reports whether the server closes conn (after sending whatever
+	// response it sends) within patience, returning what it sent.
+	dropped := func(t *testing.T, conn net.Conn) string {
+		t.Helper()
+		if err := conn.SetReadDeadline(time.Now().Add(patience)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("connection still open after %v: %v", patience, err)
+		}
+		return string(got)
+	}
+	dial := func(t *testing.T, req string) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	t.Run("stalled headers", func(t *testing.T) {
+		dropped(t, dial(t, "GET /healthz HTTP/1.1\r\nHost: x\r\n"))
+	})
+	t.Run("stalled body", func(t *testing.T) {
+		got := dropped(t, dial(t, "POST /graphs?name=slow HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n0 1 0.9\n"))
+		if strings.Contains(got, "201 Created") {
+			t.Fatalf("stalled body registered a graph: %q", got)
+		}
+		if _, err := s.reg.Get("slow"); err == nil {
+			t.Fatal("stalled body was registered")
+		}
+	})
+	t.Run("handler outlives read timeout", func(t *testing.T) {
+		const read = 100 * time.Millisecond
+		slow := httptest.NewUnstartedServer(nil)
+		slow.Config = newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			select {
+			case <-time.After(4 * read):
+				w.Write(body)
+			case <-r.Context().Done():
+				http.Error(w, "request context cancelled", http.StatusGatewayTimeout)
+			}
+		}), timeouts{readHeader: read, read: read, idle: read})
+		slow.Start()
+		defer slow.Close()
+		for _, body := range []string{"", "0 1 0.9\n"} {
+			var rd io.Reader
+			if body != "" {
+				rd = strings.NewReader(body)
+			}
+			resp, err := http.Post(slow.URL, "text/plain", rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || string(got) != body {
+				t.Fatalf("body %q: %d %q; want 200 echoing the body", body, resp.StatusCode, got)
+			}
+		}
+	})
+	t.Run("idle keep-alive", func(t *testing.T) {
+		conn := dial(t, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("first request: %d, close=%v; want a kept-alive 200", resp.StatusCode, resp.Close)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(patience)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("idle connection read %v, %v; want EOF once the idle timeout passes", n, err)
+		}
+	})
 }

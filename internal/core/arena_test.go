@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"probnucleus/internal/dataset"
@@ -10,9 +11,10 @@ import (
 	"probnucleus/internal/par"
 )
 
-// arenaFixture builds a candidate space plus warmed scratch over the krogan
-// dataset, the setup shared by the steady-state allocation tests below.
-func arenaFixture(t testing.TB) (*candidateSpace, []graph.Edge) {
+// arenaFixture builds a candidate space with warmed closure scratch over the
+// krogan dataset, the setup shared by the steady-state allocation tests
+// below.
+func arenaFixture(t testing.TB) *candidateSpace {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
 	if err != nil {
@@ -22,27 +24,25 @@ func arenaFixture(t testing.TB) (*candidateSpace, []graph.Edge) {
 	if len(cs.triangles) < 4 {
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
 	}
-	var edges []graph.Edge
 	for _, seed := range cs.triangles { // warm every scratch buffer
-		edges = appendTriangleEdges(edges[:0], cs.ti, cs.closure(seed, 1))
+		cs.closure(seed, 1)
 	}
-	return cs, edges
+	return cs
 }
 
 // TestClosureGrowthAllocationFree: growing candidates (Algorithm 2 lines
-// 5-7) and assembling their sorted edge sets must not allocate once the
-// per-space scratch has reached steady state — the arena discipline the
-// PR-2 peeling loop established, extended to the global pipeline.
+// 5-7) must not allocate once the per-space scratch has reached steady
+// state — the arena discipline of the peeling loop, extended to the global
+// pipeline.
 func TestClosureGrowthAllocationFree(t *testing.T) {
-	cs, edges := arenaFixture(t)
+	cs := arenaFixture(t)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		seed := cs.triangles[i%len(cs.triangles)]
-		edges = appendTriangleEdges(edges[:0], cs.ti, cs.closure(seed, 1))
+		cs.closure(cs.triangles[i%len(cs.triangles)], 1)
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("closure growth + edge-set assembly allocates %v per seed, want 0", allocs)
+		t.Errorf("closure growth allocates %v per seed, want 0", allocs)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestClosureGrowthAllocationFree(t *testing.T) {
 // triangle set (the common case — most seeds grow an already-seen closure)
 // must not allocate.
 func TestTriSetDedupLookupAllocationFree(t *testing.T) {
-	cs, _ := arenaFixture(t)
+	cs := arenaFixture(t)
 	var seen triSetDedup
 	for _, seed := range cs.triangles {
 		seen.insert(cs.closure(seed, 1))
@@ -93,13 +93,10 @@ func TestTriSetDedupSemantics(t *testing.T) {
 	}
 }
 
-// TestSharedWorldGlobalValidationAllocationFree: validating one more
-// candidate against the shared world stream — index restriction, per-world
-// predicate checks, count accumulation, and the min-tail reduction — must
-// not allocate once the estimator's scratch has reached steady state. This
-// is the allocation contract of the shared-world engine: the only per-call
-// allocations are the union worlds themselves, sampled once.
-func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
+// globalArenaFixture builds the estimator of a krogan candidate space over a
+// 16-world shared bank at θ = 0.001 (so the θ-prune never short-cuts the
+// scan), the setup shared by the global-kernel allocation tests below.
+func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalEstimator) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
 	if err != nil {
@@ -109,8 +106,6 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	if len(cs.triangles) < 4 {
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
 	}
-	pool := par.NewPool(1)
-	defer pool.Close()
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), 16, 1)
 	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, 16, 0.001)
@@ -118,29 +113,30 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 		t.Fatalf("estimator words %d != bank words %d", est.words, words)
 	}
 	est.setWindow(masks, 16)
-	var hs []*graph.Graph
-	var ess [][]graph.Edge
-	var seen triSetDedup
-	for _, seed := range cs.triangles {
-		closure := cs.closure(seed, 1)
-		if !seen.insert(closure) {
-			continue
-		}
-		edges := appendTriangleEdges(nil, cs.ti, closure)
-		ess = append(ess, edges)
-		hs = append(hs, graph.FromSortedEdges(pg.NumVertices(), edges))
-	}
-	for i, h := range hs { // warm every scratch buffer
-		est.estimate(h, ess[i], cs.ti, 1)
+	return cs, est
+}
+
+// TestSharedWorldGlobalValidationAllocationFree: one whole kernel step per
+// candidate — closure growth, seeding the candidate from the union tables,
+// the per-world predicate scan, count accumulation, and the min-tail
+// reduction — must not allocate once the estimator's scratch has reached
+// steady state. This is the allocation contract of the shared-world engine:
+// the only per-call allocations are the union tables and the union worlds,
+// built once.
+func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
+	pool := par.NewPool(1)
+	defer pool.Close()
+	cs, est := globalArenaFixture(t, pool)
+	for _, seed := range cs.triangles { // warm every scratch buffer
+		est.estimate(cs.closure(seed, 1), 1)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		j := i % len(hs)
-		est.estimate(hs[j], ess[j], cs.ti, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		est.estimate(cs.closure(cs.triangles[i%len(cs.triangles)], 1), 1)
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("shared-world candidate validation allocates %v per candidate, want 0", allocs)
+		t.Errorf("closure + seed + scan allocates %v per candidate, want 0", allocs)
 	}
 }
 
@@ -166,13 +162,12 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	var bank mc.Bank
 	const n, win = 64, 16
 	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, 0.001)
-	edges := appendTriangleEdges(nil, cs.ti, cs.closure(cs.triangles[0], 1))
-	h := graph.FromSortedEdges(pg.NumVertices(), edges)
+	closure := slices.Clone(cs.closure(cs.triangles[0], 1))
 	var totals []int32
 	for lo := 0; lo < n; lo += win { // warm every scratch buffer
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, lo+win, 1)
 		est.setWindow(masks, win)
-		m := est.seedCandidate(h, edges, cs.ti, 1)
+		m := est.seedCandidate(closure, 1)
 		totals = resizeCleared(totals, m)
 		est.scanInto(totals)
 	}
@@ -180,7 +175,7 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, lo+win, 1)
 		est.setWindow(masks, win)
-		est.seedCandidate(h, edges, cs.ti, 1)
+		est.seedCandidate(closure, 1)
 		est.scanInto(totals)
 		lo = (lo + win) % n
 	})
@@ -189,45 +184,27 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAlivenessRebindAllocationFree: rebinding the shared-aliveness seed
-// across candidates of different shapes — Seed plus BindAliveness plus the
-// alive-bit scan — must not allocate once the seed's uid scratch has grown
-// to the largest candidate.
+// TestAlivenessRebindAllocationFree: rebinding the seed across candidates of
+// different shapes — cutting each from the union tables — plus the
+// alive-count reads of the θ-prune must not allocate once the seed's scratch
+// has grown to the largest candidate.
 func TestAlivenessRebindAllocationFree(t *testing.T) {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
-	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := newCandidateSpace(local, 1)
-	if len(cs.triangles) < 4 {
-		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
-	}
 	pool := par.NewPool(1)
 	defer pool.Close()
-	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
-	masks, _ := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), 16, 1)
-	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, 16, 0.001)
-	est.setWindow(masks, 16)
-	var hs []*graph.Graph
-	var ess [][]graph.Edge
+	cs, est := globalArenaFixture(t, pool)
+	var closures [][]int32
 	var seen triSetDedup
 	for _, seed := range cs.triangles {
-		closure := cs.closure(seed, 1)
-		if !seen.insert(closure) {
-			continue
+		if closure := cs.closure(seed, 1); seen.insert(closure) {
+			closures = append(closures, slices.Clone(closure))
 		}
-		edges := appendTriangleEdges(nil, cs.ti, closure)
-		ess = append(ess, edges)
-		hs = append(hs, graph.FromSortedEdges(pg.NumVertices(), edges))
 	}
-	for i, h := range hs { // warm every scratch buffer
-		est.seedCandidate(h, ess[i], cs.ti, 1)
+	for _, closure := range closures { // warm every scratch buffer
+		est.seedCandidate(closure, 1)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		j := i % len(hs)
-		m := est.seedCandidate(hs[j], ess[j], cs.ti, 1)
+		m := est.seedCandidate(closures[i%len(closures)], 1)
 		for t := 0; t < m; t++ {
 			_ = est.aliveCnt[est.seed.AliveUID(t)]
 		}
@@ -288,16 +265,15 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkClosureEdgeSet measures the per-seed candidate growth of
-// GlobalNuclei in isolation: clique closure over the stamped scratch plus
-// sorted-edge-set assembly. ReportAllocs is the regression gate — the
-// steady state is allocation-free (see TestClosureGrowthAllocationFree).
-func BenchmarkClosureEdgeSet(b *testing.B) {
-	cs, edges := arenaFixture(b)
+// BenchmarkClosure measures the per-seed candidate growth of GlobalNuclei in
+// isolation: clique closure over the stamped scratch. ReportAllocs is the
+// regression gate — the steady state is allocation-free (see
+// TestClosureGrowthAllocationFree).
+func BenchmarkClosure(b *testing.B) {
+	cs := arenaFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seed := cs.triangles[i%len(cs.triangles)]
-		edges = appendTriangleEdges(edges[:0], cs.ti, cs.closure(seed, 1))
+		cs.closure(cs.triangles[i%len(cs.triangles)], 1)
 	}
 }

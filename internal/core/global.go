@@ -219,11 +219,13 @@ type ProbNucleus struct {
 // the per-candidate sampler, which is why the golden snapshot was
 // deliberately regenerated when the shared stream landed.
 //
-// The per-seed pipeline is allocation-lean: candidate growth runs on stamp
-// arrays over a CSR clique layout, candidate subgraphs are assembled from a
-// sorted scratch edge slice, deduplication hashes sorted triangle-id sets,
-// and each world is checked against a reusable restriction of the parent
-// triangle index instead of a per-world rebuild.
+// The per-seed pipeline is allocation-free at steady state and proportional
+// to the candidate, not the graph: candidate growth runs on stamp arrays
+// over a CSR clique layout, deduplication hashes sorted triangle-id sets,
+// and each candidate's world-check seed is cut from tables built once per
+// call over the union view (decomp.WorldCheckUnion) by marking the
+// candidate's edges — no per-candidate graph, index restriction or
+// triangle-id lookup.
 //
 // With no caller-owned MCOptions.Pool, the call is a thin wrapper over a
 // one-shot one-shard Engine, so the package-level path and the served path
@@ -275,7 +277,6 @@ func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 	est := newGlobalEstimator(pool, cand.ti, pg.NumVertices(), union, n, theta)
 	var out []ProbNucleus
 	var seen triSetDedup
-	var edges []graph.Edge
 
 	if window == n {
 		masks, _ := bank.WorldMasks(pool, upg, n, opts.Seed)
@@ -297,9 +298,7 @@ func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 			if opts.Obs != nil {
 				opts.Obs.Candidate(len(closure))
 			}
-			edges = appendTriangleEdges(edges[:0], cand.ti, closure)
-			h := graph.FromSortedEdges(pg.NumVertices(), edges)
-			minProb, ok := est.estimate(h, edges, cand.ti, k)
+			minProb, ok := est.estimate(closure, k)
 			if !ok {
 				continue
 			}
@@ -355,10 +354,7 @@ func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 			if err := pool.Err(); err != nil {
 				return nil, err
 			}
-			closure := closFlat[closOff[c]:closOff[c+1]]
-			edges = appendTriangleEdges(edges[:0], cand.ti, closure)
-			h := graph.FromSortedEdges(pg.NumVertices(), edges)
-			m := est.seedCandidate(h, edges, cand.ti, k)
+			m := est.seedCandidate(closFlat[closOff[c]:closOff[c+1]], k)
 			if lo == 0 {
 				for i := 0; i < m; i++ {
 					cntFlat = append(cntFlat, 0)
@@ -596,32 +592,31 @@ func (d *triSetDedup) insert(ids []int32) bool {
 }
 
 // globalEstimator holds the per-candidate Monte-Carlo validation state of
-// Algorithm 2: the current window of the shared world-mask bank, the shared
-// per-world triangle-aliveness bank over the candidate union's view, one
-// WorldChecker and count slice per pool worker, the candidate's world-check
-// seed and vertex list, the scratch behind the candidate's index view, and
-// the min-tail reduction scratch. All of it is reused across candidates, so
+// Algorithm 2: the current window of the shared world-mask bank, the union
+// tables every candidate's world-check seed is cut from, the shared
+// per-world triangle-aliveness bank over the union view, one WorldChecker
+// and count slice per pool worker, the current candidate's seed, and the
+// min-tail reduction scratch. All of it is reused across candidates, so
 // validating one more candidate allocates nothing at steady state.
 //
-// The aliveness bank (useAlive) is the shared-scan optimization: each
-// world's per-union-triangle aliveness — its three edges present — is
-// computed once per world when the window is bound, and every candidate
-// scanned against that world reads one aliveness bit per triangle and three
-// per 4-clique completion instead of re-testing edge bits (candidates
-// overlap heavily, so the same triangles were re-scanned per candidate).
-// The accumulated per-triangle alive-world counts also bound any candidate
-// triangle's qualifying count from above, which is what the θ-prune (prune)
-// uses to fail a candidate before scanning a single world: a triangle alive
-// in fewer than `need` worlds cannot qualify in enough. Both knobs default
-// on and never change a verdict — aliveness tests are equivalent to the edge
-// tests, and the prune only fails candidates the scan would fail.
+// The aliveness bank is the shared-scan optimization: each world's
+// per-union-triangle aliveness — its three edges present — is computed once
+// per world when the window is bound, and every candidate scanned against
+// that world reads one aliveness bit per triangle and three per 4-clique
+// completion instead of re-testing edge bits (candidates overlap heavily, so
+// the same triangles were re-scanned per candidate). The accumulated
+// per-triangle alive-world counts also bound any candidate triangle's
+// qualifying count from above, which is what the θ-prune (prune) uses to
+// fail a candidate before scanning a single world: a triangle alive in fewer
+// than `need` worlds cannot qualify in enough. The prune defaults on and
+// never changes a verdict — it only fails candidates the scan would fail.
 type globalEstimator struct {
 	pool  *par.Pool
-	union []graph.Edge
 	words int
 	n     int // total sampled worlds (across all windows)
 	theta float64
 	need  int32 // smallest count c with c/n ≥ θ
+	prune bool
 	// Current window: masks holds winWorlds consecutive worlds of the bank,
 	// one row per world (the whole bank on the full-bank path).
 	masks     []uint64
@@ -629,19 +624,17 @@ type globalEstimator struct {
 
 	checkers []decomp.WorldChecker
 	counts   [][]int32
-	verts    []int32
-	sub      graph.SubIndexScratch
 	seed     decomp.WorldCheckSeed
+	cuids    []int32 // the current closure's union-view ids
 
-	// Shared aliveness state: the union view's triangle count and per-
-	// triangle union edge ids, the per-world aliveness rows for the current
-	// window, and the alive-world totals accumulated across windows.
-	useAlive bool
-	prune    bool
+	// Union view state: the view itself (usub), the parent → union id
+	// translation, and the per-call seeding tables.
+	usub    graph.SubIndexScratch
+	uSubIDs []int32
+	wu      *decomp.WorldCheckUnion
+	// Shared aliveness state: the per-world aliveness rows for the current
+	// window and the alive-world totals accumulated across windows.
 	uT       int
-	usub     graph.SubIndexScratch
-	uSubIDs  []int32
-	utriEdge []int32
 	aw       int // aliveness words per world
 	alive    []uint64
 	aliveCnt []int32
@@ -665,12 +658,10 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 	w := pool.Workers()
 	ge := &globalEstimator{
 		pool:     pool,
-		union:    union,
 		words:    (len(union) + 63) / 64,
 		n:        n,
 		theta:    theta,
 		need:     thetaNeed(theta, n),
-		useAlive: true,
 		prune:    true,
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
@@ -680,42 +671,21 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		failP:    make([]float64, w),
 	}
 	// The union view: every triangle the union's edges span, with dense ids
-	// the aliveness bank is indexed by. Candidate views restrict the same
-	// parent, so their triangles all appear here (BindAliveness translates
-	// candidate view ids through the parent into this id space).
+	// in parent order. Candidates are edge-subgraphs of the union, so their
+	// triangles all appear here; the aliveness bank is indexed by these ids
+	// and every candidate seed is cut from the tables built over them.
 	uview := parent.SubIndex(graph.FromSortedEdges(nv, union), &ge.usub)
-	ge.uT = uview.Len()
 	ge.uSubIDs = ge.usub.SubIDs()
+	ge.wu = decomp.NewWorldCheckUnion(uview, union)
+	ge.uT = ge.wu.Len()
 	ge.aw = (ge.uT + 63) / 64
-	ge.utriEdge = make([]int32, 3*ge.uT)
-	for u := 0; u < ge.uT; u++ {
-		tri := uview.Tris[u]
-		ge.utriEdge[3*u] = unionEdgeIndex(union, tri.A, tri.B)
-		ge.utriEdge[3*u+1] = unionEdgeIndex(union, tri.A, tri.C)
-		ge.utriEdge[3*u+2] = unionEdgeIndex(union, tri.B, tri.C)
-	}
 	ge.aliveCnt = make([]int32, ge.uT)
 	ge.aliveFn = func(worker, i int) {
-		row := ge.alive[i*ge.aw : (i+1)*ge.aw]
-		clear(row)
-		mask := ge.masks[i*ge.words : (i+1)*ge.words]
-		cnt := ge.aliveW[worker]
-		for u, b := 0, 0; u < ge.uT; u, b = u+1, b+3 {
-			if maskBitSet(mask, ge.utriEdge[b]) && maskBitSet(mask, ge.utriEdge[b+1]) && maskBitSet(mask, ge.utriEdge[b+2]) {
-				row[u>>6] |= 1 << (uint(u) & 63)
-				cnt[u]++
-			}
-		}
+		ge.wu.FillAlive(ge.alive[i*ge.aw:(i+1)*ge.aw], ge.masks[i*ge.words:(i+1)*ge.words], ge.aliveW[worker])
 	}
 	ge.worldFn = func(worker, i int) {
-		var ids []int32
-		var ok bool
-		if ge.useAlive {
-			ids, ok = ge.checkers[worker].MaskQualifyingAlive(&ge.seed,
-				ge.masks[i*ge.words:(i+1)*ge.words], ge.alive[i*ge.aw:(i+1)*ge.aw])
-		} else {
-			ids, ok = ge.checkers[worker].MaskQualifying(&ge.seed, ge.masks[i*ge.words:(i+1)*ge.words])
-		}
+		ids, ok := ge.checkers[worker].MaskQualifyingAlive(&ge.seed,
+			ge.masks[i*ge.words:(i+1)*ge.words], ge.alive[i*ge.aw:(i+1)*ge.aw])
 		if !ok {
 			return
 		}
@@ -744,17 +714,14 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 }
 
 // setWindow binds the estimator to the next window of the shared bank —
-// masks holds `worlds` consecutive world rows — and, when the aliveness
-// fast path is on, computes each window world's union-triangle aliveness
-// row once (shared by every candidate scanned against the window) while
-// accumulating the per-triangle alive-world totals the θ-prune reads. The
-// per-worker count slices are summed in worker order, so the totals are the
-// exact integers a serial fill would produce.
+// masks holds `worlds` consecutive world rows — and computes each window
+// world's union-triangle aliveness row once (shared by every candidate
+// scanned against the window) while accumulating the per-triangle
+// alive-world totals the θ-prune reads. The per-worker count slices are
+// summed in worker order, so the totals are the exact integers a serial fill
+// would produce.
 func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 	ge.masks, ge.winWorlds = masks, worlds
-	if !ge.useAlive {
-		return
-	}
 	if total := worlds * ge.aw; cap(ge.alive) < total {
 		ge.alive = make([]uint64, total)
 	}
@@ -770,18 +737,18 @@ func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 	}
 }
 
-// seedCandidate binds the estimator to candidate h: restrict the parent
-// index (no re-enumeration), pin the union edge ids of the candidate's
-// triangles and cliques, bind the aliveness translation, and clear the
+// seedCandidate binds the estimator to the candidate grown as closure (its
+// sorted parent triangle ids): translate the closure into union-view ids,
+// cut the candidate's world-check seed from the union tables, and clear the
 // per-worker counts. Returns the candidate view's triangle count.
-func (ge *globalEstimator) seedCandidate(h *graph.Graph, edges []graph.Edge, parent *graph.TriangleIndex, k int) int {
-	hti := parent.SubIndex(h, &ge.sub)
-	m := hti.Len()
-	ge.verts = appendPositiveDegree(ge.verts[:0], h)
-	ge.seed.Seed(hti, edges, ge.union, ge.verts, k)
-	if ge.useAlive {
-		ge.seed.BindAliveness(ge.sub.ParentIDs(), ge.uSubIDs)
+func (ge *globalEstimator) seedCandidate(closure []int32, k int) int {
+	cuids := ge.cuids[:0]
+	for _, t := range closure {
+		cuids = append(cuids, ge.uSubIDs[t])
 	}
+	ge.cuids = cuids
+	ge.seed.Seed(ge.wu, cuids, k)
+	m := ge.seed.Len()
 	for w := range ge.counts {
 		ge.counts[w] = resizeCleared(ge.counts[w], m)
 	}
@@ -789,22 +756,22 @@ func (ge *globalEstimator) seedCandidate(h *graph.Graph, edges []graph.Edge, par
 	return m
 }
 
-// estimate evaluates the candidate h against the full shared world bank and
-// estimates Pr(X_{H,△,g} ≥ k) for every triangle of h; it reports the
-// minimum estimate and whether all triangles pass θ. Every shared world — a
-// world of the candidate union, of which h is a subgraph — is evaluated by
-// per-worker checkers with O(1) bit tests, connectivity walked over h's own
-// adjacency so union edges outside the candidate never connect it. Each
-// worker counts into its own per-triangle slice and the counts are summed
-// afterwards, so the estimates are exactly the serial ones for every worker
-// count. With the prune on, a candidate with a triangle alive in fewer than
-// `need` worlds fails without scanning — its qualifying count is bounded by
-// its alive count, so the scan could only confirm the failure (the failing
-// estimate reported alongside ok=false is not meaningful in that case;
-// callers discard it).
-func (ge *globalEstimator) estimate(h *graph.Graph, edges []graph.Edge, parent *graph.TriangleIndex, k int) (float64, bool) {
-	m := ge.seedCandidate(h, edges, parent, k)
-	if ge.useAlive && ge.prune {
+// estimate evaluates the candidate grown as closure against the full shared
+// world bank and estimates Pr(X_{H,△,g} ≥ k) for every triangle of its view;
+// it reports the minimum estimate and whether all triangles pass θ. Every
+// shared world — a world of the candidate union, of which the candidate is
+// a subgraph — is evaluated by per-worker checkers with O(1) bit tests,
+// connectivity walked over the candidate's own adjacency so union edges
+// outside the candidate never connect it. Each worker counts into its own
+// per-triangle slice and the counts are summed afterwards, so the estimates
+// are exactly the serial ones for every worker count. With the prune on, a
+// candidate with a triangle alive in fewer than `need` worlds fails without
+// scanning — its qualifying count is bounded by its alive count, so the scan
+// could only confirm the failure (the failing estimate reported alongside
+// ok=false is not meaningful in that case; callers discard it).
+func (ge *globalEstimator) estimate(closure []int32, k int) (float64, bool) {
+	m := ge.seedCandidate(closure, k)
+	if ge.prune {
 		for t := 0; t < m; t++ {
 			if ge.aliveCnt[ge.seed.AliveUID(t)] < ge.need {
 				return 0, false
@@ -862,31 +829,6 @@ func thetaNeed(theta float64, n int) int32 {
 		c++
 	}
 	return int32(c)
-}
-
-// maskBitSet reports whether edge id e is set in a world mask row.
-func maskBitSet(mask []uint64, e int32) bool {
-	return mask[e>>6]&(1<<(uint(e)&63)) != 0
-}
-
-// unionEdgeIndex locates the canonical edge (u,v), u < v, in the sorted
-// union edge list (it must be present: union-view triangles span union
-// edges by construction).
-func unionEdgeIndex(edges []graph.Edge, u, v int32) int32 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := edges[mid]
-		if e.U < u || (e.U == u && e.V < v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(edges) || edges[lo].U != u || edges[lo].V != v {
-		panic("core: union triangle edge missing from union edge list")
-	}
-	return int32(lo)
 }
 
 // minTailParallelCutoff is the minimum number of candidate triangles for
@@ -952,18 +894,6 @@ func resizeCleared(s []int32, n int) []int32 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// appendPositiveDegree appends the vertices of g with at least one incident
-// edge, in increasing order — the vertex set the global world predicate
-// requires to be connected.
-func appendPositiveDegree(dst []int32, g *graph.Graph) []int32 {
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if g.Degree(v) > 0 {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 func buildProbNucleus(ti *graph.TriangleIndex, tris []int32, k int, theta, minProb float64) ProbNucleus {

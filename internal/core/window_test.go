@@ -2,9 +2,11 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"probnucleus/internal/dataset"
+	"probnucleus/internal/decomp"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
@@ -123,11 +125,13 @@ func TestWeaklyGlobalNucleiWindowedDifferential(t *testing.T) {
 }
 
 // TestGlobalEstimatorAliveAndPruneDifferential: the shared-aliveness scan
-// must report exactly the same (estimate, ok) as the plain edge-bit scan for
+// must report exactly the (estimate, ok) the materialized-world predicate
+// reports — every union world built as a graph and checked with
+// QualifyingTriangles on the candidate's SubIndex view of the parent — for
 // every candidate, and the θ-prune may only change how a failing candidate
-// fails — never a verdict, never a passing estimate. This pins the two
-// estimator fast paths to the reference scan independently of the end-to-end
-// golden snapshot.
+// fails — never a verdict, never a passing estimate. This pins the
+// estimator's fast paths to the reference predicate independently of the
+// end-to-end golden snapshot.
 func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
@@ -142,38 +146,64 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	defer pool.Close()
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	const n = 64
-	masks, _ := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 7)
+	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 7)
+	worlds := make([]*graph.Graph, n)
+	for i := range worlds {
+		var es []graph.Edge
+		for e, edge := range union {
+			if masks[i*words+(e>>6)]&(1<<(uint(e)&63)) != 0 {
+				es = append(es, edge)
+			}
+		}
+		worlds[i] = graph.FromSortedEdges(pg.NumVertices(), es)
+	}
+	// Reference per-triangle qualifying-world counts, per candidate.
+	var closures [][]int32
+	var refCounts [][]int32
+	var seen triSetDedup
+	var wc decomp.WorldChecker
+	for _, seedT := range cs.triangles {
+		closure := cs.closure(seedT, 1)
+		if !seen.insert(closure) {
+			continue
+		}
+		closures = append(closures, slices.Clone(closure))
+		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
+		wc.Reset(ref.hti, ref.h)
+		counts := make([]int32, ref.hti.Len())
+		for _, world := range worlds {
+			ids, ok := wc.QualifyingTriangles(world, ref.verts, 1)
+			if !ok {
+				continue
+			}
+			for _, id := range ids {
+				counts[id]++
+			}
+		}
+		refCounts = append(refCounts, counts)
+	}
 	passed, failed, pruned := 0, 0, 0
 	for _, theta := range []float64{0.05, 0.3, 0.8} {
-		mk := func(alive, prune bool) *globalEstimator {
+		mk := func(prune bool) *globalEstimator {
 			est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, theta)
-			est.useAlive, est.prune = alive, prune
+			est.prune = prune
 			est.setWindow(masks, n)
 			return est
 		}
-		plain := mk(false, false)
-		aliveOnly := mk(true, false)
-		alivePrune := mk(true, true)
-		var seen triSetDedup
-		for _, seedT := range cs.triangles {
-			closure := cs.closure(seedT, 1)
-			if !seen.insert(closure) {
-				continue
-			}
-			edges := appendTriangleEdges(nil, cs.ti, closure)
-			h := graph.FromSortedEdges(pg.NumVertices(), edges)
-			p0, ok0 := plain.estimate(h, edges, cs.ti, 1)
-			p1, ok1 := aliveOnly.estimate(h, edges, cs.ti, 1)
+		scan, prune := mk(false), mk(true)
+		for c, closure := range closures {
+			p0, ok0 := scan.tailVerdict(refCounts[c])
+			p1, ok1 := scan.estimate(closure, 1)
 			if p0 != p1 || ok0 != ok1 {
-				t.Errorf("θ=%v seed=%d: aliveness scan (%v,%v) != plain scan (%v,%v)",
-					theta, seedT, p1, ok1, p0, ok0)
+				t.Errorf("θ=%v candidate %d: aliveness scan (%v,%v) != materialized-world predicate (%v,%v)",
+					theta, c, p1, ok1, p0, ok0)
 			}
-			p2, ok2 := alivePrune.estimate(h, edges, cs.ti, 1)
+			p2, ok2 := prune.estimate(closure, 1)
 			if ok2 != ok0 {
-				t.Errorf("θ=%v seed=%d: prune changed the verdict: %v != %v", theta, seedT, ok2, ok0)
+				t.Errorf("θ=%v candidate %d: prune changed the verdict: %v != %v", theta, c, ok2, ok0)
 			}
 			if ok0 && p2 != p0 {
-				t.Errorf("θ=%v seed=%d: prune changed a passing estimate: %v != %v", theta, seedT, p2, p0)
+				t.Errorf("θ=%v candidate %d: prune changed a passing estimate: %v != %v", theta, c, p2, p0)
 			}
 			switch {
 			case ok0:
@@ -186,8 +216,8 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 			}
 		}
 	}
-	if passed == 0 || failed == 0 {
-		t.Fatalf("fixture vacuous: %d passed, %d failed", passed, failed)
+	if passed == 0 || failed == 0 || pruned == 0 {
+		t.Fatalf("fixture vacuous: %d passed, %d failed (%d via prune)", passed, failed, pruned)
 	}
 	t.Logf("differential corpus: %d passed, %d failed (%d via prune)", passed, failed, pruned)
 }

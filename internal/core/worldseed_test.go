@@ -1,0 +1,232 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"probnucleus/internal/dataset"
+	"probnucleus/internal/decomp"
+	"probnucleus/internal/graph"
+	"probnucleus/internal/mc"
+	"probnucleus/internal/par"
+	"probnucleus/internal/probgraph"
+)
+
+// refSeed is the reference form of a candidate's world-check seed, built the
+// way the global kernel built it before seeds were cut from per-call union
+// tables: assemble the candidate graph from the closure's sorted edge set,
+// restrict the full parent index to it with SubIndex, take the
+// positive-degree vertices, resolve every completion's other triangles by
+// triangle-id lookup in the view. Translating view ids into union-view ids
+// through the parent (union ids) completes what WorldCheckSeed.Seed plus
+// BindAliveness did.
+type refSeed struct {
+	h     *graph.Graph
+	hti   *graph.TriangleIndex
+	pids  []int32 // parent id of each view triangle
+	verts []int32
+	// other[t]: three entries per completion of view triangle t, the view
+	// ids of the clique's other three triangles.
+	other [][]int32
+}
+
+// unionIDs translates the reference view's triangle ids into union-view ids
+// through uSubIDs, the parent → union-view id map.
+func (r *refSeed) unionIDs(uSubIDs []int32) []int32 {
+	uid := make([]int32, len(r.pids))
+	for t, pid := range r.pids {
+		uid[t] = uSubIDs[pid]
+	}
+	return uid
+}
+
+func referenceSeed(parent *graph.TriangleIndex, nv int, closure []int32) *refSeed {
+	edges := appendTriangleEdges(nil, parent, closure)
+	r := &refSeed{h: graph.FromSortedEdges(nv, edges)}
+	sub := new(graph.SubIndexScratch) // owned by this seed, so the view stays valid
+	view := parent.SubIndex(r.h, sub)
+	r.hti = view
+	for v := int32(0); int(v) < nv; v++ {
+		if r.h.Degree(v) > 0 {
+			r.verts = append(r.verts, v)
+		}
+	}
+	r.pids = sub.ParentIDs()
+	for t := 0; t < view.Len(); t++ {
+		tri := view.Tris[t]
+		var other []int32
+		for _, z := range view.Comps[t] {
+			for _, o := range [3]graph.Triangle{
+				graph.MakeTriangle(tri.A, tri.B, z),
+				graph.MakeTriangle(tri.A, tri.C, z),
+				graph.MakeTriangle(tri.B, tri.C, z),
+			} {
+				id, ok := view.ID(o)
+				if !ok {
+					panic("reference seed: 4-clique triangle missing from candidate view")
+				}
+				other = append(other, id)
+			}
+		}
+		r.other = append(r.other, other)
+	}
+	return r
+}
+
+// withSortedIDIndex rebuilds a prepared graph's triangle index as an
+// artifact loader does — the same triangles and completions, with no hash
+// map, answering ID by binary search over the lexicographic id permutation.
+func withSortedIDIndex(pre *Prepared) *Prepared {
+	ti := pre.Index()
+	byTri := make([]int32, ti.Len())
+	for i := range byTri {
+		byTri[i] = int32(i)
+	}
+	slices.SortFunc(byTri, func(a, b int32) int { return ti.Tris[a].Compare(ti.Tris[b]) })
+	return NewPreparedFromParts(pre.Graph(), graph.IndexFromParts(ti.Tris, ti.Comps, byTri), nil)
+}
+
+// checkSeedsAgainstReference grows every deduplicated candidate of the
+// level-k candidate space of local, seeds it through the estimator, and
+// requires the seed to equal the reference seed — view triangles in order,
+// union ids, completion lists, completion view and union ids, vertex set —
+// and MaskQualifyingAlive to return the verdict and triangle ids the
+// materialized-world QualifyingTriangles returns on the reference view, for
+// every world of a shared bank. It returns the number of candidates checked.
+func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, local *LocalResult, k int, pool *par.Pool) int {
+	t.Helper()
+	cs := newCandidateSpace(local, k)
+	if len(cs.triangles) == 0 {
+		return 0
+	}
+	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
+	const n = 4
+	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 5)
+	worlds := make([]*graph.Graph, n)
+	for i := range worlds {
+		var es []graph.Edge
+		for e, edge := range union {
+			if masks[i*words+(e>>6)]&(1<<(uint(e)&63)) != 0 {
+				es = append(es, edge)
+			}
+		}
+		worlds[i] = graph.FromSortedEdges(pg.NumVertices(), es)
+	}
+	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, 0.5)
+	est.setWindow(masks, n)
+	uview := cs.ti.SubIndex(graph.FromSortedEdges(pg.NumVertices(), union), new(graph.SubIndexScratch))
+	var seen triSetDedup
+	var viaMask, viaGraph decomp.WorldChecker
+	checked := 0
+	for _, seedT := range cs.triangles {
+		closure := cs.closure(seedT, k)
+		if !seen.insert(closure) {
+			continue
+		}
+		checked++
+		m := est.seedCandidate(closure, k)
+		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
+		refUID := ref.unionIDs(est.uSubIDs)
+		where := fmt.Sprintf("%s k=%d seed=%d", name, k, seedT)
+		if m != ref.hti.Len() {
+			t.Fatalf("%s: seed view has %d triangles, reference %d", where, m, ref.hti.Len())
+		}
+		for j := 0; j < m; j++ {
+			uid := est.seed.AliveUID(j)
+			if uid != refUID[j] || uview.Tris[uid] != ref.hti.Tris[j] {
+				t.Fatalf("%s: view triangle %d is union %d %v, reference union %d %v",
+					where, j, uid, uview.Tris[uid], refUID[j], ref.hti.Tris[j])
+			}
+			other, otherUID := est.seed.Completions(j)
+			refOtherUID := make([]int32, len(ref.other[j]))
+			for i, o := range ref.other[j] {
+				refOtherUID[i] = refUID[o]
+			}
+			if !slices.Equal(other, ref.other[j]) || !slices.Equal(otherUID, refOtherUID) {
+				t.Fatalf("%s: triangle %d completions (%v, %v), reference (%v, %v)",
+					where, j, other, otherUID, ref.other[j], refOtherUID)
+			}
+			// The completion vertex is the one the first other triangle
+			// (tri.A, tri.B, z) adds to the triangle.
+			tri := ref.hti.Tris[j]
+			var zs []int32
+			for i := 0; i < len(otherUID); i += 3 {
+				o := uview.Tris[otherUID[i]]
+				for _, v := range [3]int32{o.A, o.B, o.C} {
+					if v != tri.A && v != tri.B {
+						zs = append(zs, v)
+					}
+				}
+			}
+			if !slices.Equal(zs, ref.hti.Comps[j]) {
+				t.Fatalf("%s: triangle %d completion list %v, reference %v", where, j, zs, ref.hti.Comps[j])
+			}
+		}
+		verts := est.seed.AppendVertices(nil)
+		slices.Sort(verts)
+		if !slices.Equal(verts, ref.verts) {
+			t.Fatalf("%s: seed vertices %v, reference %v", where, verts, ref.verts)
+		}
+		viaGraph.Reset(ref.hti, ref.h)
+		for i, world := range worlds {
+			gotIDs, gotOK := viaMask.MaskQualifyingAlive(&est.seed,
+				masks[i*words:(i+1)*words], est.alive[i*est.aw:(i+1)*est.aw])
+			got := slices.Clone(gotIDs)
+			wantIDs, wantOK := viaGraph.QualifyingTriangles(world, ref.verts, k)
+			if gotOK != wantOK || (wantOK && !slices.Equal(got, wantIDs)) {
+				t.Fatalf("%s world %d: mask predicate (%v, %v), reference (%v, %v)",
+					where, i, gotOK, got, wantOK, wantIDs)
+			}
+		}
+	}
+	return checked
+}
+
+// TestWorldCheckSeedMatchesReference: the candidate-proportional seed cut
+// from per-call union tables must equal the reference seed built from a
+// SubIndex of the full parent index, for every candidate of small named
+// datasets (levels 0 and 1) and of dense random graphs (levels 0 to 3, where
+// level-2 and level-3 candidates exist), on both a freshly prepared index
+// (hash-map triangle ids) and an artifact-style one (sorted-id binary
+// search).
+func TestWorldCheckSeedMatchesReference(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	type input struct {
+		name  string
+		pg    *probgraph.Graph
+		theta float64
+		maxK  int
+	}
+	inputs := []input{
+		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.03))), 0.1, 1},
+		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.02))), 0.3, 1},
+		{"flickr", dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.01))), 0.1, 1},
+	}
+	rng := rand.New(rand.NewSource(131))
+	for i := 0; i < 8; i++ {
+		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomProbGraph(rng, 10, 0.9), 0.001, 3})
+	}
+	total := 0
+	for _, in := range inputs {
+		fresh, err := Prepare(in.pg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pre := range []*Prepared{fresh, withSortedIDIndex(fresh)} {
+			local, err := localDecompose(pre, in.theta, Options{Mode: ModeDP, Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k <= in.maxK; k++ {
+				total += checkSeedsAgainstReference(t, in.name, in.pg, local, k, pool)
+			}
+		}
+	}
+	if total < 50 {
+		t.Fatalf("differential corpus too small: %d candidates", total)
+	}
+	t.Logf("checked %d candidates against the reference seed", total)
+}

@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"slices"
+
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/uf"
@@ -8,12 +10,12 @@ import (
 
 // WorldChecker evaluates the global-semantics world predicate (Definition 4,
 // see IsGlobalNucleusWorld) for many sampled worlds of one candidate
-// subgraph. It is bound to the candidate's triangle index and restricts it to
-// each world with a reusable SubIndex view instead of enumerating the world's
-// triangles from scratch, and it keeps its BFS and union-find scratch across
-// worlds — so the steady-state per-world cost is a filtering scan with no
-// index rebuild. One checker serves one worker; Reset rebinds it to the next
-// candidate.
+// subgraph, in two forms: QualifyingTriangles on a materialized world graph,
+// restricting the candidate's triangle index (bound by Reset) to the world
+// with a reusable SubIndex view instead of enumerating the world's triangles
+// from scratch; and MaskQualifyingAlive on a shared union-world mask, against
+// a WorldCheckSeed. It keeps its BFS and union-find scratch across worlds, so
+// neither form rebuilds anything per world. One checker serves one worker.
 type WorldChecker struct {
 	hti     *graph.TriangleIndex
 	cand    *graph.Graph
@@ -22,11 +24,8 @@ type WorldChecker struct {
 	visited []int32
 	stamp   int32
 	queue   []int32
-	// Mask-path scratch (see MaskQualifying): per-triangle aliveness stamps
-	// and the qualifying-id output.
-	tstamp []int32
-	tgen   int32
-	out    []int32
+	// Qualifying-id output of the mask path (see MaskQualifyingAlive).
+	out []int32
 }
 
 // Reset binds the checker to the triangle index of a candidate subgraph and,
@@ -144,87 +143,80 @@ func (wc *WorldChecker) connectedOver(world *graph.Graph, verts []int32) bool {
 	return true
 }
 
-// WorldCheckSeed precomputes, for one candidate of the global algorithm,
-// everything the Definition 4 world predicate needs to be evaluated from a
-// shared union-world bitmask alone: the union edge ids of every candidate
-// triangle's edges and of every 4-clique completion's edges, the view ids of
-// each completion's other three triangles (for 4-clique connectivity), and
-// the candidate's adjacency annotated with union edge ids (for vertex
-// connectivity). Built once per candidate — the binary searches and
-// triangle-id lookups it amortizes are exactly the per-world costs of
-// restricting the candidate view by a materialized world graph — and then
-// shared read-only by per-worker checkers.
-type WorldCheckSeed struct {
-	k int
-	m int // candidate view triangle count
-	// verts aliases the caller's positive-degree vertex list; the predicate
-	// requires the world to connect all of them.
-	verts []int32
-	// triEdge[3t..3t+2]: union edge ids of view triangle t's three edges.
+// WorldCheckUnion holds the tables every candidate's WorldCheckSeed is cut
+// from, computed once per global-algorithm call over the union view — the
+// restriction of the parent triangle index to the union of all candidate
+// edges, which the shared world masks are drawn over. Every candidate is an
+// edge-subgraph of the union, so its triangles and 4-clique completions are
+// exactly the union ones whose edges all lie in the candidate; the tables
+// below let WorldCheckSeed.Seed find them from the candidate's own edges,
+// with O(1) mark tests and no lookup into the parent index or the vertex
+// space. Union-view ids follow parent order, so a candidate's triangles
+// sorted by union id are in the order a SubIndex view of the parent would
+// list them. Read-only after construction, so one union serves any number of
+// seeds.
+type WorldCheckUnion struct {
+	// triEdge[3u..3u+2]: union edge ids of union triangle u's three edges.
 	triEdge []int32
-	// Completions, CSR per triangle: completion j of triangle t occupies
-	// slot compOff[t]+j; compEdge[3s..3s+2] are the union ids of its three
-	// z-edges and compOther[3s..3s+2] the view ids of the clique's other
-	// three triangles.
+	// byEdge[byEdgeOff[e]:byEdgeOff[e+1]]: the union triangles whose lowest
+	// union edge id is e, ascending. A triangle lies in a candidate only if
+	// its lowest edge does, so each one is reached from exactly one edge.
+	byEdgeOff []int32
+	byEdge    []int32
+	// Completions, CSR per union triangle in the view's (ascending-z) order:
+	// slot s of triangle u is compOff[u]+j; compEdge[3s..3s+2] are the union
+	// ids of its three z-edges and compOther[3s..3s+2] the union ids of the
+	// clique's other three triangles.
 	compOff   []int32
 	compEdge  []int32
 	compOther []int32
-	// Candidate adjacency (both directions) with the union edge id of every
-	// entry, for the BFS connectivity walk.
-	adjOff  []int32
-	adjVert []int32
-	adjBit  []int32
-	nv      int // vertex-space bound of the adjacency (max vertex id + 1)
-	// Aliveness fast path, filled by BindAliveness: triUID[t] is view
-	// triangle t's id in the shared union view the per-world aliveness
-	// bitmasks are computed over, and compOtherUID[3s..3s+2] the union-view
-	// ids of completion slot s's other three triangles. Empty until bound.
-	triUID       []int32
-	compOtherUID []int32
-	// Fill-cursor scratch reused across Seed calls.
-	cursor []int32
+	// vert lists the union's vertices ascending; edgeEnd[2e] and
+	// edgeEnd[2e+1] are union edge e's endpoints as indexes into vert.
+	vert    []int32
+	edgeEnd []int32
 }
 
-// Seed binds the seed to a candidate: view is the candidate's triangle index
-// view, edges its canonical sorted edge list, union the edge list the world
-// masks are drawn over (the candidate must be a subgraph of it), verts its
-// positive-degree vertices (aliased, not copied), and k the nucleus level.
-// All storage is reused across candidates of any size.
-func (s *WorldCheckSeed) Seed(view *graph.TriangleIndex, edges, union []graph.Edge, verts []int32, k int) {
-	m := view.Len()
-	s.k, s.m, s.verts = k, m, verts
-	// A previous candidate's aliveness binding is meaningless for this one;
-	// drop it until BindAliveness is called again.
-	s.triUID, s.compOtherUID = s.triUID[:0], s.compOtherUID[:0]
-	if cap(s.triEdge) < 3*m {
-		s.triEdge = make([]int32, 3*m)
+// NewWorldCheckUnion builds the union tables from the union view (a view of
+// the parent index restricted to the union graph, or any index over it) and
+// the canonical sorted union edge list the world masks are drawn over.
+func NewWorldCheckUnion(view *graph.TriangleIndex, union []graph.Edge) *WorldCheckUnion {
+	uT := view.Len()
+	u := &WorldCheckUnion{
+		triEdge:   make([]int32, 3*uT),
+		byEdgeOff: make([]int32, len(union)+1),
+		byEdge:    make([]int32, uT),
+		compOff:   make([]int32, uT+1),
 	}
-	s.triEdge = s.triEdge[:3*m]
-	s.compOff = resizeCleared32(s.compOff, m+1)
-	total := 0
-	for t := 0; t < m; t++ {
+	for t := 0; t < uT; t++ {
 		tri := view.Tris[t]
-		s.triEdge[3*t] = edgeIndexOf(union, tri.A, tri.B)
-		s.triEdge[3*t+1] = edgeIndexOf(union, tri.A, tri.C)
-		s.triEdge[3*t+2] = edgeIndexOf(union, tri.B, tri.C)
-		total += len(view.Comps[t])
-		s.compOff[t+1] = int32(total)
+		e := u.triEdge[3*t : 3*t+3]
+		e[0] = edgeIndexOf(union, tri.A, tri.B)
+		e[1] = edgeIndexOf(union, tri.A, tri.C)
+		e[2] = edgeIndexOf(union, tri.B, tri.C)
+		u.byEdgeOff[min(e[0], e[1], e[2])+1]++
+		u.compOff[t+1] = u.compOff[t] + int32(len(view.Comps[t]))
 	}
-	if cap(s.compEdge) < 3*total {
-		s.compEdge = make([]int32, 3*total)
-		s.compOther = make([]int32, 3*total)
+	for e := range union {
+		u.byEdgeOff[e+1] += u.byEdgeOff[e]
 	}
-	s.compEdge = s.compEdge[:3*total]
-	s.compOther = s.compOther[:3*total]
-	for t := 0; t < m; t++ {
+	fill := make([]int32, len(union))
+	for t := 0; t < uT; t++ {
+		lo := min(u.triEdge[3*t], u.triEdge[3*t+1], u.triEdge[3*t+2])
+		u.byEdge[u.byEdgeOff[lo]+fill[lo]] = int32(t)
+		fill[lo]++
+	}
+	slots := 3 * int(u.compOff[uT])
+	u.compEdge = make([]int32, slots)
+	u.compOther = make([]int32, slots)
+	for t := 0; t < uT; t++ {
 		tri := view.Tris[t]
 		for j, z := range view.Comps[t] {
-			base := 3 * (int(s.compOff[t]) + j)
+			b := 3 * (int(u.compOff[t]) + j)
 			for i, e := range [3]graph.Edge{
 				{U: tri.A, V: z}, {U: tri.B, V: z}, {U: tri.C, V: z},
 			} {
 				e = e.Canon()
-				s.compEdge[base+i] = edgeIndexOf(union, e.U, e.V)
+				u.compEdge[b+i] = edgeIndexOf(union, e.U, e.V)
 			}
 			for i, o := range [3]graph.Triangle{
 				graph.MakeTriangle(tri.A, tri.B, z),
@@ -233,107 +225,245 @@ func (s *WorldCheckSeed) Seed(view *graph.TriangleIndex, edges, union []graph.Ed
 			} {
 				id, ok := view.ID(o)
 				if !ok {
-					panic("decomp: 4-clique triangle missing from candidate view")
+					panic("decomp: 4-clique triangle missing from union view")
 				}
-				s.compOther[base+i] = id
+				u.compOther[b+i] = id
 			}
 		}
 	}
-	// Candidate adjacency with union edge ids, assembled CSR-style from the
-	// sorted edge list.
-	nv := 0
-	if len(verts) > 0 {
-		nv = int(verts[len(verts)-1]) + 1
+	u.vert = make([]int32, 0, 2*len(union))
+	for _, e := range union {
+		u.vert = append(u.vert, e.U, e.V)
 	}
-	s.nv = nv
+	slices.Sort(u.vert)
+	u.vert = slices.Clip(slices.Compact(u.vert))
+	u.edgeEnd = make([]int32, 2*len(union))
+	for i, e := range union {
+		a, _ := slices.BinarySearch(u.vert, e.U)
+		b, _ := slices.BinarySearch(u.vert, e.V)
+		u.edgeEnd[2*i], u.edgeEnd[2*i+1] = int32(a), int32(b)
+	}
+	return u
+}
+
+// Len returns the number of union-view triangles: the width of an aliveness
+// row and of any per-union-triangle accumulator.
+func (u *WorldCheckUnion) Len() int { return len(u.byEdge) }
+
+// FillAlive computes one world's union-triangle aliveness row from its
+// world mask: bit t of row is set iff union triangle t's three edges are all
+// present, and cnt[t] is incremented for every such triangle. row must hold
+// ⌈Len()/64⌉ words; it is overwritten.
+func (u *WorldCheckUnion) FillAlive(row, mask []uint64, cnt []int32) {
+	clear(row)
+	for t, b := 0, 0; b < len(u.triEdge); t, b = t+1, b+3 {
+		if maskHas(mask, u.triEdge[b]) && maskHas(mask, u.triEdge[b+1]) && maskHas(mask, u.triEdge[b+2]) {
+			row[t>>6] |= 1 << (uint(t) & 63)
+			cnt[t]++
+		}
+	}
+}
+
+// WorldCheckSeed precomputes, for one candidate of the global algorithm,
+// everything the Definition 4 world predicate needs to be evaluated from a
+// shared union-world mask and the world's union-triangle aliveness row
+// alone: the union ids of the candidate's triangles, each 4-clique
+// completion's other three triangles (as candidate view ids for
+// 4-clique connectivity and as union ids for the aliveness test), and the
+// candidate's adjacency over candidate-local vertex ids annotated with union
+// edge ids (for vertex connectivity). Seed cuts it from a WorldCheckUnion in
+// time proportional to the candidate; it is then shared read-only by
+// per-worker checkers.
+type WorldCheckSeed struct {
+	k int
+	u *WorldCheckUnion
+	// triUID[t]: view triangle t's union id, ascending — view ids are the
+	// candidate's triangles in parent order.
+	triUID []int32
+	// Completions, CSR per view triangle: completion j of triangle t occupies
+	// slot compOff[t]+j; compOther[3s..3s+2] are the view ids of the clique's
+	// other three triangles and compOtherUID[3s..3s+2] their union ids.
+	compOff      []int32
+	compOther    []int32
+	compOtherUID []int32
+	// verts[i] is candidate-local vertex i as an index into the union's
+	// vertex list; the predicate requires the world to connect all of them.
+	// The adjacency (both directions, candidate-local ids) carries the union
+	// edge id of every entry, for the BFS connectivity walk.
+	verts   []int32
+	adjOff  []int32
+	adjVert []int32
+	adjBit  []int32
+	// Per-union scratch reused across Seed calls: edgeStamp marks the
+	// current candidate's union edges and vertStamp its vertices (current iff
+	// equal to gen), local maps a marked vertex to its candidate-local id,
+	// viewID a candidate triangle's union id to its view id.
+	gen       int32
+	edgeStamp []int32
+	vertStamp []int32
+	local     []int32
+	viewID    []int32
+	edges     []int32
+	cursor    []int32
+}
+
+// Seed binds the seed to the candidate spanned by the union triangles tris
+// (union ids, in any order; its edges are the triangles' edges) at nucleus
+// level k. The candidate's view holds every union triangle whose three edges
+// are candidate edges — the closure's own triangles and any others they
+// span — and its completions are the union completions whose z-edges are
+// candidate edges. No step touches the parent index or more of the union
+// than the candidate's edges and their triangles; all storage is reused
+// across candidates of any size.
+func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
+	s.u, s.k = u, k
+	if ne := len(u.edgeEnd) / 2; len(s.edgeStamp) < ne {
+		s.edgeStamp = make([]int32, ne)
+	}
+	if nv := len(u.vert); len(s.vertStamp) < nv {
+		s.vertStamp = make([]int32, nv)
+		s.local = make([]int32, nv)
+	}
+	if len(s.viewID) < u.Len() {
+		s.viewID = make([]int32, u.Len())
+	}
+	s.gen++
+	gen := s.gen
+	marked := func(e int32) bool { return s.edgeStamp[e] == gen }
+
+	edges := s.edges[:0]
+	for _, t := range tris {
+		for _, e := range u.triEdge[3*t : 3*t+3] {
+			if !marked(e) {
+				s.edgeStamp[e] = gen
+				edges = append(edges, e)
+			}
+		}
+	}
+	s.edges = edges
+
+	uids := s.triUID[:0]
+	for _, e := range edges {
+		for _, t := range u.byEdge[u.byEdgeOff[e]:u.byEdgeOff[e+1]] {
+			b := 3 * t
+			if marked(u.triEdge[b]) && marked(u.triEdge[b+1]) && marked(u.triEdge[b+2]) {
+				uids = append(uids, t)
+			}
+		}
+	}
+	slices.Sort(uids)
+	s.triUID = uids
+	for i, t := range uids {
+		s.viewID[t] = int32(i)
+	}
+
+	// A union completion survives iff its z-edges are candidate edges; its
+	// other three triangles are then candidate triangles too.
+	compOff := append(s.compOff[:0], 0)
+	other, otherUID := s.compOther[:0], s.compOtherUID[:0]
+	for _, t := range uids {
+		for j := u.compOff[t]; j < u.compOff[t+1]; j++ {
+			b := 3 * j
+			if marked(u.compEdge[b]) && marked(u.compEdge[b+1]) && marked(u.compEdge[b+2]) {
+				o := u.compOther[b : b+3]
+				otherUID = append(otherUID, o...)
+				other = append(other, s.viewID[o[0]], s.viewID[o[1]], s.viewID[o[2]])
+			}
+		}
+		compOff = append(compOff, int32(len(other)/3))
+	}
+	s.compOff, s.compOther, s.compOtherUID = compOff, other, otherUID
+
+	verts := s.verts[:0]
+	for _, e := range edges {
+		for _, v := range u.edgeEnd[2*e : 2*e+2] {
+			if s.vertStamp[v] != gen {
+				s.vertStamp[v] = gen
+				s.local[v] = int32(len(verts))
+				verts = append(verts, v)
+			}
+		}
+	}
+	s.verts = verts
+	nv := len(verts)
 	s.adjOff = resizeCleared32(s.adjOff, nv+1)
 	for _, e := range edges {
-		s.adjOff[e.U+1]++
-		s.adjOff[e.V+1]++
+		s.adjOff[s.local[u.edgeEnd[2*e]]+1]++
+		s.adjOff[s.local[u.edgeEnd[2*e+1]]+1]++
 	}
 	for v := 0; v < nv; v++ {
 		s.adjOff[v+1] += s.adjOff[v]
 	}
-	deg := s.adjOff[nv]
-	if cap(s.adjVert) < int(deg) {
+	deg := 2 * len(edges)
+	if cap(s.adjVert) < deg {
 		s.adjVert = make([]int32, deg)
 		s.adjBit = make([]int32, deg)
 	}
-	s.adjVert = s.adjVert[:deg]
-	s.adjBit = s.adjBit[:deg]
+	s.adjVert, s.adjBit = s.adjVert[:deg], s.adjBit[:deg]
 	cursor := resizeCleared32(s.cursor, nv)
 	s.cursor = cursor
 	for _, e := range edges {
-		bit := edgeIndexOf(union, e.U, e.V)
-		pu, pv := s.adjOff[e.U]+cursor[e.U], s.adjOff[e.V]+cursor[e.V]
-		s.adjVert[pu], s.adjBit[pu] = e.V, bit
-		s.adjVert[pv], s.adjBit[pv] = e.U, bit
-		cursor[e.U]++
-		cursor[e.V]++
+		a, b := s.local[u.edgeEnd[2*e]], s.local[u.edgeEnd[2*e+1]]
+		pa, pb := s.adjOff[a]+cursor[a], s.adjOff[b]+cursor[b]
+		s.adjVert[pa], s.adjBit[pa] = b, e
+		s.adjVert[pb], s.adjBit[pb] = a, e
+		cursor[a]++
+		cursor[b]++
 	}
 }
 
-// BindAliveness binds the seed to a shared per-world triangle-aliveness
-// bank computed over a union view of the parent index: parentIDs maps the
-// candidate view's dense ids to parent ids (graph.SubIndexScratch.ParentIDs
-// of the candidate view), and unionSubIDs maps parent ids to union-view ids
-// (graph.SubIndexScratch.SubIDs of the union view). Every candidate triangle
-// — and every other triangle of its surviving 4-cliques — lies in the union
-// view by construction, since candidates are edge-subgraphs of the union the
-// aliveness bank is computed over; BindAliveness panics if not.
-//
-// After binding, MaskQualifyingAlive can test a triangle's aliveness in a
-// world with one bit load into the world's shared aliveness row instead of
-// three edge-bit tests, and a 4-clique's aliveness with three (the clique is
-// alive iff all four member triangles are — their edge sets union to the
-// clique's six edges — and the scanned member is alive already). Call after
-// Seed; Seed drops any previous binding.
-func (s *WorldCheckSeed) BindAliveness(parentIDs, unionSubIDs []int32) {
-	if cap(s.triUID) < s.m {
-		s.triUID = make([]int32, s.m)
-	}
-	s.triUID = s.triUID[:s.m]
-	for t := 0; t < s.m; t++ {
-		uid := unionSubIDs[parentIDs[t]]
-		if uid < 0 {
-			panic("decomp: candidate triangle missing from union aliveness view")
-		}
-		s.triUID[t] = uid
-	}
-	total := len(s.compOther)
-	if cap(s.compOtherUID) < total {
-		s.compOtherUID = make([]int32, total)
-	}
-	s.compOtherUID = s.compOtherUID[:total]
-	for i, o := range s.compOther {
-		s.compOtherUID[i] = s.triUID[o]
-	}
-}
+// Len returns the candidate view's triangle count: view ids are 0..Len()-1.
+func (s *WorldCheckSeed) Len() int { return len(s.triUID) }
 
-// AliveUID returns candidate view triangle t's id in the shared union
-// aliveness view bound by BindAliveness — the index of its bit in each
-// world's aliveness row and of its slot in any per-union-triangle
-// alive-count accumulator.
+// AliveUID returns candidate view triangle t's union id — the index of its
+// bit in each world's aliveness row and of its slot in any per-union-
+// triangle alive-count accumulator.
 func (s *WorldCheckSeed) AliveUID(t int) int32 { return s.triUID[t] }
 
-// MaskQualifyingAlive is MaskQualifying with the per-triangle edge tests
-// replaced by lookups into a shared per-world aliveness row: alive must have
-// bit u set iff union-view triangle u's three edges are all present in the
-// world mask (the caller computes one such row per world, shared by every
-// candidate scanned against that world). The predicate decisions and the
-// returned qualifying-id set are identical to MaskQualifying's — triangle
-// survival reads one aliveness bit instead of three edge bits, and 4-clique
-// survival three member-aliveness bits instead of three z-edge bits (see
-// BindAliveness for why those are equivalent). Connectivity still walks the
-// candidate adjacency over the world mask itself. The seed must have been
-// bound with BindAliveness since its last Seed call.
+// Completions and AppendVertices are test-support accessors: they expose
+// the seed's completion tables and vertex set so tests in other packages
+// can compare a seed against a reference construction. The global kernel
+// does not call them; it reads the seed only through Len, AliveUID and
+// MaskQualifyingAlive.
+
+// Completions returns the surviving 4-clique completions of view triangle t,
+// three entries per completion: the view ids and the union ids of the
+// clique's other three triangles. The slices alias the seed. Test support
+// only.
+func (s *WorldCheckSeed) Completions(t int) (other, otherUID []int32) {
+	lo, hi := 3*s.compOff[t], 3*s.compOff[t+1]
+	return s.compOther[lo:hi], s.compOtherUID[lo:hi]
+}
+
+// AppendVertices appends the candidate's vertices (original vertex ids, in
+// candidate-local id order) to dst. Test support only.
+func (s *WorldCheckSeed) AppendVertices(dst []int32) []int32 {
+	for _, v := range s.verts {
+		dst = append(dst, s.u.vert[v])
+	}
+	return dst
+}
+
+// MaskQualifyingAlive is QualifyingTriangles over a shared union world: it
+// evaluates the same Definition 4 predicate — connectivity over the
+// candidate's vertices, support ≥ k for every surviving triangle, pairwise
+// 4-clique connectivity — from the world's edge mask and its union-triangle
+// aliveness row (see WorldCheckUnion.FillAlive, computed once per world and
+// shared by every candidate scanned against it), instead of per-world
+// adjacency binary searches and a per-world index restriction. A triangle's
+// survival is one aliveness bit; a 4-clique's is three more — the clique
+// survives iff all four of its triangles do, since their edge sets union to
+// the clique's six edges. Connectivity walks the candidate adjacency over the
+// mask itself. When the predicate holds it returns the candidate view ids of
+// the world's triangles; the slice aliases the checker's scratch and is
+// valid until the next call.
 func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []uint64) ([]int32, bool) {
 	if !wc.maskConnected(seed, mask) {
 		return nil, false
 	}
 	out := wc.out[:0]
-	for t := 0; t < seed.m; t++ {
-		if maskHas(alive, seed.triUID[t]) {
+	for t, uid := range seed.triUID {
+		if maskHas(alive, uid) {
 			out = append(out, int32(t))
 		}
 	}
@@ -361,7 +491,7 @@ func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []
 		}
 	}
 	// Triangle 4-clique-connectivity over the surviving triangles.
-	wc.u.Reset(seed.m)
+	wc.u.Reset(seed.Len())
 	for _, t := range out {
 		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
 			b := 3 * j
@@ -381,109 +511,37 @@ func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []
 	return out, true
 }
 
-// MaskQualifying is QualifyingTriangles over a shared union-world bitmask:
-// it evaluates the same Definition 4 predicate — connectivity over the
-// candidate's vertices, support ≥ k for every surviving triangle, pairwise
-// 4-clique connectivity — with O(1) bit tests against the seed's
-// precomputed union edge ids, instead of per-world adjacency binary
-// searches and a per-world index restriction. When the predicate holds it
-// returns the candidate-view ids of the world's triangles; the slice
-// aliases the checker's scratch and is valid until the next call.
-func (wc *WorldChecker) MaskQualifying(seed *WorldCheckSeed, mask []uint64) ([]int32, bool) {
-	if !wc.maskConnected(seed, mask) {
-		return nil, false
-	}
-	if len(wc.tstamp) < seed.m {
-		wc.tstamp = make([]int32, seed.m)
-	}
-	wc.tgen++
-	gen := wc.tgen
-	out := wc.out[:0]
-	for t := 0; t < seed.m; t++ {
-		b := 3 * t
-		if maskHas(mask, seed.triEdge[b]) && maskHas(mask, seed.triEdge[b+1]) && maskHas(mask, seed.triEdge[b+2]) {
-			wc.tstamp[t] = gen
-			out = append(out, int32(t))
-		}
-	}
-	wc.out = out
-	if seed.k == 0 {
-		// Connectivity is the whole predicate (Lemma 2); the scan above only
-		// supplies the triangle list for counting.
-		return out, true
-	}
-	if len(out) == 0 {
-		// No triangles at all: there is nothing whose support can reach
-		// k ≥ 1, and a k-nucleus must contain triangles.
-		return nil, false
-	}
-	for _, t := range out {
-		cnt := 0
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(mask, seed.compEdge[b]) && maskHas(mask, seed.compEdge[b+1]) && maskHas(mask, seed.compEdge[b+2]) {
-				cnt++
-			}
-		}
-		if cnt < seed.k {
-			return nil, false
-		}
-	}
-	// Triangle 4-clique-connectivity over the surviving triangles.
-	wc.u.Reset(seed.m)
-	for _, t := range out {
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(mask, seed.compEdge[b]) && maskHas(mask, seed.compEdge[b+1]) && maskHas(mask, seed.compEdge[b+2]) {
-				wc.u.Union(t, seed.compOther[b])
-				wc.u.Union(t, seed.compOther[b+1])
-				wc.u.Union(t, seed.compOther[b+2])
-			}
-		}
-	}
-	root := wc.u.Find(out[0])
-	for _, t := range out[1:] {
-		if wc.u.Find(t) != root {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// maskConnected is connectedOver for the mask path: BFS over the seed's
-// candidate adjacency, following an edge iff its union bit is set in the
-// world mask.
+// maskConnected is connectedOver for the mask path: BFS from candidate-local
+// vertex 0 over the seed's adjacency, following an edge iff its union bit is
+// set in the world mask, until every candidate vertex is reached.
 func (wc *WorldChecker) maskConnected(seed *WorldCheckSeed, mask []uint64) bool {
-	verts := seed.verts
-	if len(verts) <= 1 {
+	nv := len(seed.verts)
+	if nv <= 1 {
 		return true
 	}
-	if len(wc.visited) < seed.nv {
-		wc.visited = make([]int32, seed.nv)
+	if len(wc.visited) < nv {
+		wc.visited = make([]int32, nv)
 		wc.stamp = 0
 	}
 	wc.stamp++
 	stamp := wc.stamp
-	queue := append(wc.queue[:0], verts[0])
-	wc.visited[verts[0]] = stamp
-	for len(queue) > 0 {
+	queue := append(wc.queue[:0], 0)
+	wc.visited[0] = stamp
+	reached := 1
+	for len(queue) > 0 && reached < nv {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for idx := seed.adjOff[v]; idx < seed.adjOff[v+1]; idx++ {
 			w := seed.adjVert[idx]
 			if wc.visited[w] != stamp && maskHas(mask, seed.adjBit[idx]) {
 				wc.visited[w] = stamp
+				reached++
 				queue = append(queue, w)
 			}
 		}
 	}
 	wc.queue = queue
-	for _, v := range verts[1:] {
-		if wc.visited[v] != stamp {
-			return false
-		}
-	}
-	return true
+	return reached == nv
 }
 
 // IsGlobalNucleusWorld reports whether a possible world qualifies as a

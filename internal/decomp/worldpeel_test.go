@@ -207,55 +207,89 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestMaskQualifyingMatchesGraphChecker: the bitmask form of the global
-// world predicate must agree with the candidate-restricted graph checker —
-// same verdict and same credited triangle ids — for worlds sampled over a
-// union larger than the candidate.
+// TestMaskQualifyingMatchesGraphChecker: the mask form of the global world
+// predicate — a WorldCheckSeed cut from union tables, evaluated by
+// MaskQualifyingAlive on a union-world mask and its aliveness row — must
+// agree with the candidate-restricted graph checker on the materialized
+// world: same verdict and same credited triangles, for candidates spanned by
+// a random subset of the union's triangles and worlds sampled over a union
+// larger than the candidate.
 func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
-	for trial := 0; trial < 40; trial++ {
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
 		g := randomGraph(rng, 10, 0.6)
-		ti := graph.NewTriangleIndex(g)
-		edges := g.Edges()
-		if len(edges) == 0 {
+		union := unionWith(rng, g)
+		uti := graph.NewTriangleIndex(graph.FromSortedEdges(g.NumVertices(), union))
+		wu := NewWorldCheckUnion(uti, union)
+		var tris []int32
+		var es []graph.Edge
+		for u, tri := range uti.Tris {
+			if g.HasEdge(tri.A, tri.B) && g.HasEdge(tri.A, tri.C) && g.HasEdge(tri.B, tri.C) && rng.Float64() < 0.7 {
+				tris = append(tris, int32(u))
+				es = append(es, graph.Edge{U: tri.A, V: tri.B}, graph.Edge{U: tri.A, V: tri.C}, graph.Edge{U: tri.B, V: tri.C})
+			}
+		}
+		if len(tris) == 0 {
 			continue
 		}
-		union := unionWith(rng, g)
+		h := graph.FromEdges(g.NumVertices(), es)
+		hti := graph.NewTriangleIndex(h)
 		var verts []int32
-		for v := int32(0); int(v) < g.NumVertices(); v++ {
-			if g.Degree(v) > 0 {
+		for v := int32(0); int(v) < h.NumVertices(); v++ {
+			if h.Degree(v) > 0 {
 				verts = append(verts, v)
 			}
 		}
 		var seed WorldCheckSeed
 		var viaGraph, viaMask WorldChecker
-		viaGraph.Reset(ti, g)
+		viaGraph.Reset(hti, h)
+		row := make([]uint64, (wu.Len()+63)/64)
+		cnt := make([]int32, wu.Len())
 		for k := 0; k <= 2; k++ {
-			seed.Seed(ti, edges, union, verts, k)
+			seed.Seed(wu, tris, k)
+			if seed.Len() != hti.Len() {
+				t.Fatalf("trial %d k=%d: seed view has %d triangles, candidate has %d", trial, k, seed.Len(), hti.Len())
+			}
+			got := seed.AppendVertices(nil)
+			slices.Sort(got)
+			if !slices.Equal(got, verts) {
+				t.Fatalf("trial %d k=%d: seed vertices %v, candidate vertices %v", trial, k, got, verts)
+			}
 			for w := 0; w < 8; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.8)
+				wu.FillAlive(row, mask, cnt)
 				wantIDs, wantOK := viaGraph.QualifyingTriangles(world, verts, k)
-				gotIDs, gotOK := viaMask.MaskQualifying(&seed, mask)
+				gotIDs, gotOK := viaMask.MaskQualifyingAlive(&seed, mask, row)
 				if gotOK != wantOK {
 					t.Fatalf("trial %d k=%d world %d: mask verdict %v, graph verdict %v",
 						trial, k, w, gotOK, wantOK)
 				}
+				checked++
 				if !wantOK {
 					continue
 				}
-				// The graph checker reports parent ids of its own world view;
-				// both id spaces are the candidate view's, so the sets must
-				// match exactly.
-				want := slices.Clone(wantIDs)
-				got := slices.Clone(gotIDs)
-				slices.Sort(want)
-				slices.Sort(got)
+				// The two id spaces differ (seed view vs the candidate's own
+				// index), so compare the credited triangles themselves.
+				var want, got []graph.Triangle
+				for _, id := range wantIDs {
+					want = append(want, hti.Tris[id])
+				}
+				for _, id := range gotIDs {
+					got = append(got, uti.Tris[seed.AliveUID(int(id))])
+				}
+				cmpTri := func(a, b graph.Triangle) int { return a.Compare(b) }
+				slices.SortFunc(want, cmpTri)
+				slices.SortFunc(got, cmpTri)
 				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d k=%d world %d: mask ids %v, graph ids %v",
+					t.Fatalf("trial %d k=%d world %d: mask triangles %v, graph triangles %v",
 						trial, k, w, got, want)
 				}
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no worlds checked")
 	}
 }
 

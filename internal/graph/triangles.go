@@ -435,9 +435,10 @@ func (ti *TriangleIndex) ID(t Triangle) (int32, bool) {
 
 // SubIndexScratch holds the reusable buffers behind TriangleIndex.SubIndex.
 // One scratch serves one view at a time: building a new view on the same
-// scratch invalidates the previous one. Hot loops (per-candidate and
-// per-sampled-world restrictions) keep one scratch per worker so repeated
-// views allocate nothing once the buffers have grown to steady state.
+// scratch invalidates the previous one. Callers that restrict repeatedly —
+// the weak kernel's per-candidate views, per-world restrictions of a
+// materialized world — keep one scratch per worker so repeated views
+// allocate nothing once the buffers have grown to steady state.
 type SubIndexScratch struct {
 	view  TriangleIndex
 	pids  []int32
@@ -475,11 +476,17 @@ func (scr *SubIndexScratch) SubIDs() []int32 { return scr.subID }
 // instead of a fresh enumeration, hash map, and degeneracy ordering.
 //
 // The view lives in scr and is valid until the next SubIndex call on the
-// same scratch. Views stack: restricting a view (e.g. a per-candidate view
-// of the full index refined per sampled world) chains id translation through
-// each level. The supergraph tolerance is what lets the shared-world engine
-// restrict one candidate view by worlds sampled over the whole candidate
-// union instead of resampling per candidate.
+// same scratch. Views stack: restricting a view (e.g. a candidate view of the
+// full index refined per materialized world) chains id translation through
+// each level. The supergraph tolerance is what lets a candidate view be
+// restricted by worlds sampled over the whole candidate union instead of
+// resampling per candidate.
+//
+// The cost is a scan of every triangle of ti with three edge lookups each,
+// so SubIndex suits restrictions made once per call or per candidate of a
+// small index: the global kernel restricts the full index once per call, to
+// the candidate union (the union view its per-candidate world-check seeds
+// are cut from, see decomp.WorldCheckUnion), rather than once per candidate.
 func (ti *TriangleIndex) SubIndex(g *Graph, scr *SubIndexScratch) *TriangleIndex {
 	n := ti.Len()
 	if cap(scr.subID) < n {

@@ -13,10 +13,10 @@
 # panics/delays/cancels, shard quarantine/rebuild, goroutine-leak gate).
 #
 # The test suite includes the shared-world steady-state allocation gates
-# (internal/core/arena_test.go: validating one more candidate — index
-# restriction, per-world predicate, min-tail reduction, weak seed rebind +
-# loss cascade — must allocate nothing), so a single `go test` run asserts
-# them. `goldendump -check` then verifies the global/weak golden snapshot
+# (internal/core/arena_test.go: validating one more candidate — closure
+# growth, seeding from the per-call union tables, per-world predicate,
+# min-tail reduction, weak seed rebind + loss cascade — must allocate
+# nothing), so a single `go test` run asserts them. `goldendump -check` then verifies the global/weak golden snapshot
 # through the same command that regenerates it (drop -check after an
 # intentional semantic change).
 #
@@ -44,6 +44,12 @@ go test "$pkgs"
 
 echo "==> go test -race $pkgs"
 go test -race "$pkgs"
+
+# perfbench/ is a nested module (it builds the library from the sources next
+# to it through a replace directive), so the root ./... above never builds,
+# vets or tests it.
+echo "==> go vet + go test (perfbench module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 # The serving engine's concurrency contract gets extra scheduling variation
 # beyond the one -race pass above: repeated runs of the stress test (N
