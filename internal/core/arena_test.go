@@ -1,7 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"probnucleus/internal/dataset"
@@ -9,6 +14,7 @@ import (
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
+	"probnucleus/internal/probgraph"
 )
 
 // arenaFixture builds a candidate space with warmed closure scratch over the
@@ -277,3 +283,168 @@ func BenchmarkClosure(b *testing.B) {
 		cs.closure(cs.triangles[i%len(cs.triangles)], 1)
 	}
 }
+
+// TestLocalScratchReuse: a shard's local-peel scratch carries nothing from
+// one peel into the next. Two clients share two engine shards and peel
+// graphs of different sizes, each query twice in a row, at thresholds and
+// modes that change from one query to the next, so each shard's scratch
+// grows, is reused by the same peel, by smaller graphs and by other
+// thresholds, and is dropped by the Prepare and Weak requests in between;
+// every answer must equal a fresh one-shot serial run.
+func TestLocalScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pgs := []*probgraph.Graph{
+		dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.02))),
+		dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.05))),
+		randomProbGraph(rng, 14, 0.9),
+	}
+	type query struct {
+		g     int
+		theta float64
+		mode  Mode
+	}
+	var queries []query
+	for _, g := range []int{0, 1, 0, 2, 1, 2} {
+		for _, mode := range []Mode{ModeDP, ModeAP} {
+			queries = append(queries, query{g, []float64{0.1, 0.3, 0.05}[len(queries)%3], mode})
+		}
+	}
+	want := make([][]int, len(queries))
+	for i, q := range queries {
+		res, err := LocalDecompose(pgs[q.g], q.theta, Options{Mode: q.mode, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Nucleusness
+	}
+	ctx := context.Background()
+	eng := NewEngine(2, 2)
+	defer eng.Close()
+	pres := make([]*Prepared, len(pgs))
+	for g, pg := range pgs {
+		var err error
+		if pres[g], err = eng.Prepare(ctx, pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < 2; r++ {
+				for j := range queries {
+					i := (j + c*len(queries)/2) % len(queries)
+					q := queries[i]
+					// Twice: a repeat retraces the peel it follows, the case
+					// where stale per-round state would collide.
+					for rep := 0; rep < 2; rep++ {
+						res, err := eng.LocalPrepared(ctx, pres[q.g], LocalRequest{Theta: q.theta, Mode: q.mode})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !slices.Equal(res.Nucleusness, want[i]) {
+							t.Errorf("graph %d, θ=%v, mode %v, client %d round %d: nucleusness differs from a fresh run", q.g, q.theta, q.mode, c, r)
+						}
+					}
+					if j%5 == 4 {
+						if _, err := eng.Prepare(ctx, pgs[2]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if j%7 == 6 {
+						if _, err := eng.WeakPrepared(ctx, pres[2], NucleiRequest{K: 1, Theta: 0.2, Samples: 20}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestLocalWarmPeelAllocatesLittle: a local request on a shard whose last
+// request was a local peel reuses that peel's scratch — the clique
+// adjacency, distributions and their arenas — and allocates a small part of
+// what a peel on a fresh shard allocates.
+func TestLocalWarmPeelAllocatesLittle(t *testing.T) {
+	pg := dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.02)))
+	ctx := context.Background()
+	eng := NewEngine(1, 2)
+	defer eng.Close()
+	pre, err := eng.Prepare(ctx, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := LocalRequest{Theta: 0.1}
+	bytes := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := eng.LocalPrepared(ctx, pre, req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	bytes() // derives the incidence
+	// Prepare releases the shard's scratch, so the next peel starts fresh.
+	if _, err := eng.Prepare(ctx, pg); err != nil {
+		t.Fatal(err)
+	}
+	first := bytes()
+	warm := bytes()
+	if warm*4 > first {
+		t.Errorf("a warm peel allocates %s, a peel on a shard without scratch %s; want under a quarter", mb(warm), mb(first))
+	}
+}
+
+// TestShardDropsLocalScratch: a shard keeps its local-peel scratch only
+// until it serves a request that is not a local peel.
+func TestShardDropsLocalScratch(t *testing.T) {
+	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.05)))
+	ctx := context.Background()
+	eng := NewEngine(1, 1)
+	defer eng.Close()
+	held := func() bool {
+		s := <-eng.free
+		defer func() { eng.free <- s }()
+		return cap(s.local.psFlat) > 0
+	}
+	pre, err := eng.Prepare(ctx, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Prepare", func() error { _, err := eng.Prepare(ctx, pg); return err }},
+		{"Global", func() error {
+			_, err := eng.GlobalPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.2, Samples: 20})
+			return err
+		}},
+		{"Weak", func() error {
+			_, err := eng.WeakPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.2, Samples: 20})
+			return err
+		}},
+	} {
+		if _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		if !held() {
+			t.Fatal("a local peel left no scratch on its shard")
+		}
+		if err := other.run(); err != nil {
+			t.Fatal(err)
+		}
+		if held() {
+			t.Errorf("the shard still holds local scratch after a %s request", other.name)
+		}
+	}
+}
+
+func mb(b uint64) string { return fmt.Sprintf("%.2f MB", float64(b)/1e6) }

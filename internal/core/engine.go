@@ -201,7 +201,17 @@ type latencySource interface {
 type engineShard struct {
 	pool *par.Pool
 	bank mc.Bank
+	// local is the working memory of the shard's last local peel, kept for
+	// as long as the shard goes on serving local requests (see dropLocal).
+	local localScratch
 }
+
+// dropLocal releases the shard's local-peel working memory. Every request
+// that is not a local peel calls it, so a shard serving a run of local
+// queries reuses one set of arenas, while one serving mixed traffic holds
+// them no longer than until its next other request — its peak is then the
+// larger of a peel's memory and a Monte-Carlo kernel's, not their sum.
+func (s *engineShard) dropLocal() { s.local = localScratch{} }
 
 // NewEngine creates an engine with the given number of shards (values < 1
 // mean one) of workersPerShard workers each (0 = all cores, 1 = serial).
@@ -486,7 +496,7 @@ func (e *Engine) now() time.Time {
 	return time.Now()
 }
 
-// Prepare builds the immutable prepare-stage artifact for pg on a free
+// Prepare builds the read-only prepare-stage artifact for pg on a free
 // shard: the triangle index and 4-clique completion lists every query needs,
 // enumerated once. The returned Prepared is safe to share across concurrent
 // requests and shards; hand it to the *Prepared request variants (or a
@@ -499,6 +509,7 @@ func (e *Engine) Prepare(ctx context.Context, pg *probgraph.Graph) (*Prepared, e
 	if err != nil {
 		return nil, err
 	}
+	s.dropLocal()
 	var pre *Prepared
 	err = e.guarded(s, obs.SemPrepare, func() error {
 		var kerr error
@@ -552,6 +563,7 @@ func (e *Engine) local(ctx context.Context, pg *probgraph.Graph, pre *Prepared, 
 			MethodCounts: req.MethodCounts,
 			Pool:         s.pool,
 			Obs:          e.obs,
+			scratch:      &s.local,
 		})
 		return kerr
 	})
@@ -604,6 +616,7 @@ func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared,
 	if err != nil {
 		return nil, err
 	}
+	s.dropLocal()
 	var out []ProbNucleus
 	err = e.guarded(s, sem, func() error {
 		var kerr error

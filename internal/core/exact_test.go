@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"probnucleus/internal/decomp"
 	"probnucleus/internal/exact"
 	"probnucleus/internal/fixtures"
+	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
@@ -151,6 +153,148 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			}
 		}
 		for c := range closures {
+			for j, f := range fails[c] {
+				pairs++
+				if pv := binomialUpperTail(seeds, f, delta); pv < alpha {
+					t.Errorf("%s k=%d candidate %d triangle %d: |p̂ − exact %.4f| > ε in %d/%d seeds (p = %.2g < %g)",
+						in.name, in.k, c, j, exactTail[c][j], f, seeds, pv, alpha)
+				}
+			}
+		}
+	}
+	if pairs < 20 {
+		t.Fatalf("conformance corpus too small: %d (candidate, triangle) pairs", pairs)
+	}
+	t.Logf("%d (candidate, triangle) pairs within (ε=%v, δ=%v) over %d seeds of %d worlds", pairs, eps, delta, seeds, n)
+}
+
+// weakEstimates mirrors the w-NuDecomp kernel's scoring loop: worlds are
+// drawn over the candidate union window by window, each candidate's peel
+// seed is rebound per window and its per-triangle losses accumulated, and a
+// candidate triangle's estimate is its share of worlds without a loss — 0
+// outside the candidate's level-k core. full, when set, draws the whole bank
+// in one WorldMasks call instead of windows.
+func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k, n, window int, full bool, seed int64) [][]float64 {
+	union := unionEdges(cands)
+	upg := local.PG.SubgraphOfEdges(union)
+	var bank mc.Bank
+	var sub graph.SubIndexScratch
+	var ps decomp.WorldPeelSeed
+	var scorer decomp.WorldMembershipScorer
+	if full {
+		window = n
+	}
+	totals := make([][]int32, len(cands))
+	out := make([][]float64, len(cands))
+	for lo := 0; lo < n; lo += window {
+		hi := min(lo+window, n)
+		var masks []uint64
+		var words int
+		if full {
+			masks, words = bank.WorldMasks(pool, upg, n, seed)
+		} else {
+			masks, words = bank.WorldMasksWindow(pool, upg, n, lo, hi, seed)
+		}
+		for c, cand := range cands {
+			hti := local.TI.SubIndex(graph.FromSortedEdges(local.PG.NumVertices(), cand.Edges), &sub)
+			if totals[c] == nil {
+				totals[c] = make([]int32, hti.Len())
+			}
+			ps.Seed(hti, cand.Edges, k)
+			ps.MapUnion(union)
+			for w := 0; w < hi-lo; w++ {
+				for _, id := range scorer.NonQualifyingMask(&ps, masks[w*words:(w+1)*words]) {
+					totals[c][id]++
+				}
+			}
+			if hi < n {
+				continue
+			}
+			for _, tri := range cand.Triangles {
+				p := 0.0
+				if id, ok := hti.ID(tri); ok && ps.InCore(id) {
+					p = float64(int32(n)-totals[c][id]) / float64(n)
+				}
+				out[c] = append(out[c], p)
+			}
+		}
+	}
+	return out
+}
+
+// TestWeakEstimatorExactConformance is TestGlobalEstimatorExactConformance
+// for w-NuDecomp: for every local candidate and every triangle of it, the
+// estimate p̂ from n = ⌈ln(2/δ)/(2ε²)⌉ shared worlds must satisfy
+// |p̂ − Pr(X_{H,△,w} ≥ k)| ≤ ε — the exact weak tail of exact.Tail on the
+// candidate subgraph H — in at least a (1−δ) fraction of Monte-Carlo seeds,
+// under the same one-sided binomial test. The full-bank and windowed scans
+// read the same worlds, so their estimates must agree exactly. This is the
+// end-to-end check of the weak seed's peel (decomp.WorldPeelSeed) and its
+// per-world loss cascade.
+func TestWeakEstimatorExactConformance(t *testing.T) {
+	const (
+		eps, delta = 0.1, 0.1
+		seeds      = 30
+		window     = 37
+		alpha      = 1e-4
+	)
+	n := mc.SampleSize(eps, delta)
+	type input struct {
+		name  string
+		pg    *probgraph.Graph
+		theta float64
+		k     int
+	}
+	inputs := []input{
+		{"fig1", fixtures.Fig1(), 0.2, 1},
+		{"fig1", fixtures.Fig1(), 0.2, 0},
+		{"fig3c-k5", fixtures.Fig3cK5(), 0.01, 0},
+		{"fig3c-k5", fixtures.Fig3cK5(), 0.01, 1},
+		{"fig3c-k5", fixtures.Fig3cK5(), 0.01, 2},
+	}
+	rng := rand.New(rand.NewSource(137))
+	for len(inputs) < 20 {
+		pg := randomProbGraph(rng, 7, 0.6)
+		if pg.NumEdges() > 16 {
+			continue
+		}
+		inputs = append(inputs, input{fmt.Sprintf("random%d", len(inputs)), pg, 0.05, len(inputs) % 3})
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	pairs := 0
+	for _, in := range inputs {
+		local, err := LocalDecompose(in.pg, in.theta, Options{Mode: ModeDP, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := local.NucleiForK(in.k)
+		exactTail := make([][]float64, len(cands))
+		fails := make([][]int, len(cands))
+		for c, cand := range cands {
+			h := in.pg.SubgraphOfEdges(cand.Edges)
+			for _, tri := range cand.Triangles {
+				exactTail[c] = append(exactTail[c], exact.Tail(h, tri, in.k).Weak)
+			}
+			fails[c] = make([]int, len(cand.Triangles))
+		}
+		for s := int64(1); s <= seeds; s++ {
+			fullP := weakEstimates(pool, local, cands, in.k, n, 0, true, s)
+			winP := weakEstimates(pool, local, cands, in.k, n, window, false, s)
+			for c := range cands {
+				for j, want := range exactTail[c] {
+					p := fullP[c][j]
+					if winP[c][j] != p {
+						t.Fatalf("%s k=%d seed %d candidate %d triangle %d: windowed estimate %v != full-bank %v",
+							in.name, in.k, s, c, j, winP[c][j], p)
+					}
+					if math.Abs(p-want) > eps {
+						fails[c][j]++
+					}
+				}
+			}
+		}
+		for c := range cands {
 			for j, f := range fails[c] {
 				pairs++
 				if pv := binomialUpperTail(seeds, f, delta); pv < alpha {

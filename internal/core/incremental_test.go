@@ -8,7 +8,6 @@ import (
 
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/decomp"
-	"probnucleus/internal/graph"
 	"probnucleus/internal/pbd"
 	"probnucleus/internal/probgraph"
 )
@@ -21,8 +20,8 @@ import (
 // guard.
 func referenceLocalNucleusness(pg *probgraph.Graph, theta float64, mode Mode) []int {
 	hyper := pbd.DefaultHyper
-	ti := graph.NewTriangleIndex(pg.G)
-	ca := decomp.NewCliqueAdjFromIndex(ti)
+	ca := decomp.NewCliqueAdj(pg.G)
+	ti := ca.TI
 	n := ti.Len()
 
 	triProb := make([]float64, n)

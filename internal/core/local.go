@@ -60,6 +60,10 @@ type Options struct {
 	// engine plumbing, set by Engine.Local from WithObserver. A nil observer
 	// adds zero allocations to the decomposition path.
 	Obs obs.Observer
+	// scratch, when non-nil, is working memory kept from earlier peels (an
+	// engine shard's, see localScratch) for this one to reuse; nil gives the
+	// call fresh memory.
+	scratch *localScratch
 }
 
 // pool resolves the worker pool to run on: the caller-owned one when set, or
@@ -82,6 +86,39 @@ const rescoreParallelCutoff = 16
 type scoreScratch struct {
 	probs []float64
 	dp    pbd.Scratch
+}
+
+// localScratch is the working memory of a local decomposition: the clique
+// adjacency, every triangle's support distribution with the flat factor and
+// pmf arenas behind them, the per-worker scoring scratch, and the peel's
+// queue and bookkeeping. An engine shard keeps one from one local request
+// to the next (see engineShard), so a run of local queries allocates
+// little more than their results instead of tens of MB each on a large
+// graph. Every call re-initialises all of it that it reads.
+type localScratch struct {
+	ca      decomp.CliqueAdj
+	q       bucket.Queue
+	triProb []float64
+	dists   []pbd.Dist
+	off     []int
+	psFlat  []float64
+	pmfFlat []float64
+	scr     []scoreScratch
+	initK   []int
+	initM   []pbd.Method
+	stamp   []int32
+	todo    []int32
+	nks     []int
+	nms     []pbd.Method
+}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // LocalResult is the outcome of ℓ-NuDecomp: the triangle index of the graph
@@ -158,7 +195,12 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	pg, ti := pre.pg, pre.ti
 	pool := opts.Pool
 	workers := pool.Workers()
-	ca := decomp.NewCliqueAdjFromIndex(ti)
+	sx := opts.scratch
+	if sx == nil {
+		sx = new(localScratch)
+	}
+	ca := &sx.ca
+	ca.Reset(ti, pre.incidence())
 	n := ti.Len()
 
 	// Per-triangle existence probability Pr(△) and the support distribution
@@ -166,24 +208,24 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	// held as an incrementally-maintained Poisson binomial whose slot order
 	// matches the completion order of ti.Comps[t]. Each slot is written by
 	// exactly one worker.
-	triProb := make([]float64, n)
-	dists := make([]pbd.Dist, n)
+	sx.triProb = resize(sx.triProb, n)
+	sx.dists = resize(sx.dists, n)
+	triProb, dists := sx.triProb, sx.dists
 	// Factor probabilities and pmf buffers live in two flat arenas sliced
 	// per triangle (the truncation bound never exceeds the live factor
 	// count, so a pmf span of the completion count never reallocates).
-	off := make([]int, n+1)
+	sx.off = resize(sx.off, n+1)
+	off := sx.off
+	off[0] = 0
 	for t := 0; t < n; t++ {
 		off[t+1] = off[t] + len(ti.Comps[t])
 	}
-	psFlat := make([]float64, off[n])
-	pmfFlat := make([]float64, off[n])
+	sx.psFlat = resize(sx.psFlat, off[n])
+	sx.pmfFlat = resize(sx.pmfFlat, off[n])
+	psFlat, pmfFlat := sx.psFlat, sx.pmfFlat
 	pool.For(n, func(t int) {
-		tri := ti.Tris[t]
-		triProb[t] = pg.TriangleProb(tri)
-		ps := psFlat[off[t]:off[t]:off[t+1]]
-		for _, z := range ti.Comps[t] {
-			ps = append(ps, pg.Prob(tri.A, z)*pg.Prob(tri.B, z)*pg.Prob(tri.C, z))
-		}
+		var ps []float64
+		triProb[t], ps = cliqueFactors(pg, ti.Tris[t], ti.Comps[t], psFlat[off[t]:off[t]:off[t+1]])
 		dists[t].InitBuffered(ps, pmfFlat[off[t]:off[t]:off[t+1]])
 	})
 	if err := pool.Err(); err != nil {
@@ -191,7 +233,8 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	}
 
 	nu := make([]int, n)
-	scr := make([]scoreScratch, workers)
+	sx.scr = resize(sx.scr, workers)
+	scr := sx.scr
 
 	// Score evaluates max{k : Pr(△)·Pr[ζ ≥ k] ≥ θ} over the live cliques of
 	// triangle t. It touches only triangle t's distribution and the caller's
@@ -235,8 +278,9 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	// Phase 1: initial κ scores for the surviving triangles, evaluated in
 	// parallel (every support query is independent) and pushed serially in
 	// ascending id order so the queue layout matches the serial run.
-	initK := make([]int, n)
-	initM := make([]pbd.Method, n)
+	sx.initK = resize(sx.initK, n)
+	sx.initM = resize(sx.initM, n)
+	initK, initM := sx.initK, sx.initM
 	pool.ForWorker(n, func(w, idx int) {
 		t := int32(idx)
 		if nu[t] == -1 {
@@ -247,7 +291,8 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	if err := pool.Err(); err != nil {
 		return nil, err
 	}
-	q := bucket.New(n, maxAliveCount(ca))
+	q := &sx.q
+	q.Reset(n, maxAliveCount(ca))
 	for t := int32(0); int(t) < n; t++ {
 		if nu[t] == -1 {
 			continue
@@ -263,11 +308,14 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	// worker pool, since all clique removals happen before any re-score — so
 	// queue updates land in a deterministic order for every worker count.
 	floor := 0
-	stamp := make([]int32, n) // last peel round that queued the triangle
+	sx.stamp = resizeCleared(sx.stamp, n)
+	stamp := sx.stamp // last peel round that queued the triangle
 	round := int32(0)
-	var todo []int32
-	var nks []int
-	var nms []pbd.Method
+	todo, nks, nms := sx.todo, sx.nks, sx.nms
+	// One re-score closure for the whole peel: a func literal handed to the
+	// pool escapes, so building it per round would allocate once per
+	// parallel round and make allocations depend on the worker count.
+	rescore := func(w, i int) { nks[i], nms[i] = score(todo[i], &scr[w]) }
 	for q.Len() > 0 {
 		// One cancellation check per peeling step: cheap next to the
 		// re-scoring it gates, and it bounds a cancelled call's overrun by a
@@ -303,9 +351,7 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 		nks = nks[:len(todo)]
 		nms = nms[:len(todo)]
 		if workers > 1 && len(todo) >= rescoreParallelCutoff {
-			pool.ForWorker(len(todo), func(w, i int) {
-				nks[i], nms[i] = score(todo[i], &scr[w])
-			})
+			pool.ForWorker(len(todo), rescore)
 		} else {
 			for i, o := range todo {
 				nks[i], nms[i] = score(o, &scr[0])
@@ -325,7 +371,54 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 			opts.Obs.PeelRound(len(todo))
 		}
 	}
+	sx.todo, sx.nks, sx.nms = todo, nks, nms
 	return &LocalResult{PG: pg, TI: ti, Theta: theta, Nucleusness: nu}, nil
+}
+
+// cliqueFactors returns a triangle's existence probability Pr(△) and
+// appends to ps the Bernoulli factor Pr(E_z) = p(A,z)·p(B,z)·p(C,z) of each
+// of its completions zs (ascending, all 4-clique completions in pg), in
+// order. It reads the probabilities by CSR position through forward cursors
+// over the sorted adjacency lists of A, B and C, each galloping from its
+// previous hit, instead of a binary search per edge; the products are the
+// ones pg.TriangleProb and pg.Prob give, bit for bit.
+func cliqueFactors(pg *probgraph.Graph, tri graph.Triangle, zs []int32, ps []float64) (float64, []float64) {
+	offs, adj := pg.G.CSR()
+	prob := pg.Probs()
+	oa, ob, oc := offs[tri.A], offs[tri.B], offs[tri.C]
+	na, nb, nc := adj[oa:offs[tri.A+1]], adj[ob:offs[tri.B+1]], adj[oc:offs[tri.C+1]]
+	ab := seekNeighbor(na, 0, tri.B)
+	ac := seekNeighbor(na, ab+1, tri.C)
+	bc := seekNeighbor(nb, 0, tri.C)
+	pTri := prob[oa+int32(ab)] * prob[oa+int32(ac)] * prob[ob+int32(bc)]
+	// Each cursor rests just past its last hit: the next, larger z is at or
+	// after it.
+	ia, ib, ic := 0, 0, 0
+	for _, z := range zs {
+		a, b, c := seekNeighbor(na, ia, z), seekNeighbor(nb, ib, z), seekNeighbor(nc, ic, z)
+		ps = append(ps, prob[oa+int32(a)]*prob[ob+int32(b)]*prob[oc+int32(c)])
+		ia, ib, ic = a+1, b+1, c+1
+	}
+	return pTri, ps
+}
+
+// seekNeighbor returns the position of v in the sorted adjacency list ns,
+// searching forward from position from; v must be present at or after it.
+// The common case, v right at from, is answered inline; otherwise it
+// gallops (gallopNeighbor).
+func seekNeighbor(ns []int32, from int, v int32) int {
+	if from < len(ns) && ns[from] == v {
+		return from
+	}
+	return gallopNeighbor(ns, from, v)
+}
+
+func gallopNeighbor(ns []int32, from int, v int32) int {
+	i := from + graph.Gallop(ns[from:], v)
+	if i == len(ns) || ns[i] != v {
+		panic("core: 4-clique edge missing from graph")
+	}
+	return i
 }
 
 func maxAliveCount(ca *decomp.CliqueAdj) int {
@@ -377,12 +470,7 @@ func InitialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.Tria
 	scr := make([]scoreScratch, workers)
 	pool.ForWorker(ti.Len(), func(w, t int) {
 		sc := &scr[w]
-		tri := ti.Tris[t]
-		pTri := pg.TriangleProb(tri)
-		probs := sc.probs[:0]
-		for _, z := range ti.Comps[t] {
-			probs = append(probs, pg.Prob(tri.A, z)*pg.Prob(tri.B, z)*pg.Prob(tri.C, z))
-		}
+		pTri, probs := cliqueFactors(pg, ti.Tris[t], ti.Comps[t], sc.probs[:0])
 		sc.probs = probs
 		thr := theta / pTri
 		if opts.Mode == ModeAP {

@@ -1,25 +1,34 @@
 package core
 
 import (
+	"sync/atomic"
+
+	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/obs"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
 
-// Prepared is the immutable prepare-stage artifact of the split request
-// path: the probabilistic graph (CSR adjacency plus its cached canonical
-// edge list) together with its fully-enumerated triangle index and 4-clique
-// completion lists — the dominant fixed cost of every (θ,k)-nucleus query,
-// paid once instead of per call.
+// Prepared is the prepare-stage artifact of the split request path: the
+// probabilistic graph (CSR adjacency plus its cached canonical edge list)
+// together with its fully-enumerated triangle index and 4-clique completion
+// lists — the dominant fixed cost of every (θ,k)-nucleus query, paid once
+// instead of per call. It also holds the index's edge→triangle incidence
+// (decomp.TriIncidence) that clique peels resolve 4-clique siblings
+// through. The incidence is derived from the index lazily, on the first
+// peel, and is never persisted: artifacts carry only the graph and the
+// index, so loading one stays a zero-enumeration, zero-derivation step.
 //
 // A Prepared is safe to share across concurrent requests and engine shards:
-// every field is read-only after construction, and the kernels consume the
-// index through read-only walks or id-translating SubIndex views whose
-// mutable scratch is caller-owned (see graph.TriangleIndex). Queries served
-// from a Prepared never re-enumerate triangles, so they never fire the
-// obs.IndexBuilt counter — which is how the registry's differential tests
-// prove the cached path skips enumeration entirely.
+// every field is read-only after construction — the incidence read-only
+// after its one-time derivation, which is published atomically — and the
+// kernels consume the index through read-only walks or id-translating
+// SubIndex views whose mutable scratch is caller-owned (see
+// graph.TriangleIndex). Queries served from a Prepared never re-enumerate
+// triangles, so they never fire the obs.IndexBuilt counter — which is how
+// the registry's differential tests prove the cached path skips
+// enumeration entirely.
 //
 // Lifetime: on a Prepared loaded zero-copy from an artifact file, the
 // structures handed out by Graph, Index, and Edges alias a memory mapping
@@ -37,6 +46,27 @@ type Prepared struct {
 	// reachable — and therefore mapped — for exactly as long as the Prepared
 	// itself is.
 	pin any
+	// inc is ti's incidence once a peel has derived it (see incidence).
+	inc atomic.Pointer[decomp.TriIncidence]
+}
+
+// newIncidence derives a Prepared's incidence. It is a variable so tests can
+// count builds and inject a failing one.
+var newIncidence = decomp.NewTriIncidence
+
+// incidence returns the index's edge→triangle incidence, deriving it on the
+// first call. The build runs before anything is published and a
+// CompareAndSwap installs it, so concurrent first callers may each build one
+// but all of them return the single winner, and a build that panics
+// publishes nothing: the next call simply builds again. (A sync.Once would
+// mark a panicking build done and leave the Prepared without an incidence
+// for good.)
+func (p *Prepared) incidence() *decomp.TriIncidence {
+	if inc := p.inc.Load(); inc != nil {
+		return inc
+	}
+	p.inc.CompareAndSwap(nil, newIncidence(p.ti, p.pg.G))
+	return p.inc.Load()
 }
 
 // Graph returns the probabilistic graph the artifact was prepared from. On
@@ -86,7 +116,7 @@ func newPrepared(pg *probgraph.Graph, pool *par.Pool, o obs.Observer) (*Prepared
 }
 
 // Prepare enumerates pg's triangle index once, up front, on a fresh pool of
-// the given worker count (0 = all cores), returning the immutable artifact
+// the given worker count (0 = all cores), returning the read-only artifact
 // the *Prepared request variants accept. Use Engine.Prepare to build one on
 // a serving shard instead.
 func Prepare(pg *probgraph.Graph, workers int) (*Prepared, error) {

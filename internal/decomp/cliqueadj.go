@@ -16,21 +16,155 @@ import (
 	"probnucleus/internal/graph"
 )
 
+// TriIncidence is the edge→triangle incidence of a triangle index: every
+// triangle's three edge ids and, for every edge, the triangles containing it
+// ordered by their third vertex. It lets a clique peel resolve the other
+// three triangles of a 4-clique {A,B,C,z} — (A,B,z), (A,C,z) and (B,C,z) —
+// by walking the lists of edges AB, AC and BC forward in step with the
+// ascending completion list of (A,B,C) (see siblings), with no lookup by
+// vertex triple. It costs 36 B per triangle: three 4-byte edge ids plus one
+// 8-byte entry on each of its three edges. An incidence is read-only once
+// built, so one serves any number of concurrent peels over its index.
+type TriIncidence struct {
+	// triEdge[3t], triEdge[3t+1], triEdge[3t+2]: the ids of triangle t's
+	// edges AB, AC and BC.
+	triEdge []int32
+	// ent[off[e]:off[e+1]]: the triangles containing edge e, each packed as
+	// third vertex << 32 | triangle id, ascending — so by third vertex.
+	off []int32
+	ent []uint64
+}
+
+// NewTriIncidence builds the incidence of ti, every triangle edge of which
+// must be an edge of g: ti indexes g, or is a view of an index restricted to
+// g. Edge ids are g's CSR positions of the edges' canonical (u < v)
+// direction.
+func NewTriIncidence(ti *graph.TriangleIndex, g *graph.Graph) *TriIncidence {
+	inc := &TriIncidence{}
+	inc.resetGraph(ti, g)
+	return inc
+}
+
+// resetGraph is NewTriIncidence reusing inc's storage.
+func (inc *TriIncidence) resetGraph(ti *graph.TriangleIndex, g *graph.Graph) {
+	inc.reset(ti, 2*g.NumEdges(), func(u, v int32) int32 {
+		i := g.AdjIndex(u, v)
+		if i < 0 {
+			panic("decomp: triangle edge missing from graph")
+		}
+		return int32(i)
+	})
+}
+
+// resetEdges rebuilds inc over ti keyed by a canonical (U,V)-sorted edge list
+// holding every edge of ti's triangles: edge id e is edges[e]. It reuses
+// inc's storage and does work proportional to ti and the list only.
+func (inc *TriIncidence) resetEdges(ti *graph.TriangleIndex, edges []graph.Edge) {
+	inc.reset(ti, len(edges), func(u, v int32) int32 { return edgeIndexOf(edges, u, v) })
+}
+
+// reset lays the incidence out over ne edge ids, locating each triangle
+// edge through edgeID. The lists are filled by a counting sort on edge id —
+// counts go to off[e+2], so after the prefix sum off[e+1] is edge e's start
+// and the fill's post-increments leave it at e's end, the final CSR offset,
+// with no cursor array — and each list is then sorted by third vertex.
+func (inc *TriIncidence) reset(ti *graph.TriangleIndex, ne int, edgeID func(u, v int32) int32) {
+	n := ti.Len()
+	if cap(inc.triEdge) < 3*n {
+		inc.triEdge = make([]int32, 3*n)
+		inc.ent = make([]uint64, 3*n)
+	}
+	triEdge, ent := inc.triEdge[:3*n], inc.ent[:3*n]
+	off := resizeCleared32(inc.off, ne+2)
+	for t, tri := range ti.Tris {
+		e := triEdge[3*t : 3*t+3]
+		e[0], e[1], e[2] = edgeID(tri.A, tri.B), edgeID(tri.A, tri.C), edgeID(tri.B, tri.C)
+		off[e[0]+2]++
+		off[e[1]+2]++
+		off[e[2]+2]++
+	}
+	for e := 2; e < ne+2; e++ {
+		off[e] += off[e-1]
+	}
+	for t, tri := range ti.Tris {
+		for j, third := range [3]int32{tri.C, tri.B, tri.A} {
+			e := triEdge[3*t+j]
+			ent[off[e+1]] = uint64(uint32(third))<<32 | uint64(t)
+			off[e+1]++
+		}
+	}
+	off = off[:ne+1]
+	for e := 0; e < ne; e++ {
+		if lo, hi := off[e], off[e+1]; hi-lo > 1 {
+			slices.Sort(ent[lo:hi])
+		}
+	}
+	inc.triEdge, inc.off, inc.ent = triEdge, off, ent
+}
+
+// siblings returns a cursor over the incidence lists of triangle t's three
+// edges, positioned before their first entries.
+func (inc *TriIncidence) siblings(t int32) siblings {
+	e := inc.triEdge[3*t : 3*t+3]
+	return siblings{inc.edge(e[0]), inc.edge(e[1]), inc.edge(e[2])}
+}
+
+// edge returns the incidence list of edge e.
+func (inc *TriIncidence) edge(e int32) []uint64 { return inc.ent[inc.off[e]:inc.off[e+1]] }
+
+// siblings is the lockstep walk of one triangle (A,B,C): the unread tails of
+// the incidence lists of its edges AB, AC and BC.
+type siblings struct{ ab, ac, bc []uint64 }
+
+// next returns the ids of the other three triangles of the 4-clique
+// {A,B,C,z}: (A,B,z), (A,C,z) and (B,C,z), in that order. Successive calls
+// must pass strictly increasing completion vertices z, as a walk of the
+// triangle's sorted completion list does; each probe gallops forward from
+// where the previous one stopped.
+func (s *siblings) next(z int32) [3]int32 {
+	return [3]int32{seekThird(&s.ab, z), seekThird(&s.ac, z), seekThird(&s.bc, z)}
+}
+
+// seekThird advances an incidence-list tail past the entry whose third
+// vertex is z and returns that entry's triangle id. The common case, z at
+// the head, is answered inline; otherwise it gallops (gallopThird).
+func seekThird(list *[]uint64, z int32) int32 {
+	if l := *list; len(l) > 0 && l[0]>>32 == uint64(uint32(z)) {
+		*list = l[1:]
+		return int32(uint32(l[0]))
+	}
+	return gallopThird(list, z)
+}
+
+func gallopThird(list *[]uint64, z int32) int32 {
+	l := *list
+	i := graph.Gallop(l, uint64(uint32(z))<<32)
+	if i == len(l) || l[i]>>32 != uint64(uint32(z)) {
+		panic("decomp: 4-clique triangle missing from incidence")
+	}
+	*list = l[i+1:]
+	return int32(uint32(l[i]))
+}
+
 // CliqueAdj tracks, for every triangle of a graph, which 4-clique completion
 // vertices are still alive during a peeling computation. Removing a triangle
-// kills all 4-cliques containing it; CliqueAdj performs the bookkeeping in
-// O(log c) per (triangle, clique) pair.
+// kills all 4-cliques containing it. CliqueAdj resolves each killed clique's
+// three sibling triangles through a TriIncidence walked in step with the
+// removed triangle's completions (a gallop over the gap since the previous
+// clique, no lookup by vertex triple), and locates the clique's slot in each
+// sibling's completion list by an O(log c) binary search.
 //
 // The per-triangle state is laid out CSR-style: completion slot i of
 // triangle t (its completion vertex TI.Comps[t][i]) lives at flat index
-// off[t]+i of one shared liveness array. Completion lists are sorted, so a
-// completion vertex is located by binary search in its triangle's list —
-// no per-triangle hash maps, no per-triangle allocations.
+// off[t]+i of one shared liveness array — no per-triangle hash maps, no
+// per-triangle allocations.
 //
-// It is shared by the deterministic nucleus decomposition and by the
-// probabilistic local decomposition in package core.
+// It is shared by the deterministic nucleus decomposition, the weak
+// kernel's per-candidate peel and the probabilistic local decomposition in
+// package core.
 type CliqueAdj struct {
-	TI *graph.TriangleIndex
+	TI  *graph.TriangleIndex
+	inc *TriIncidence
 	// off[t] is the first flat index of triangle t's completion slots;
 	// off[Len()] is the total slot count.
 	off []int
@@ -46,24 +180,25 @@ type CliqueAdj struct {
 
 // NewCliqueAdj builds the adjacency for all triangles of g.
 func NewCliqueAdj(g *graph.Graph) *CliqueAdj {
-	return NewCliqueAdjFromIndex(graph.NewTriangleIndex(g))
+	ti := graph.NewTriangleIndex(g)
+	return NewCliqueAdjFromIndex(ti, NewTriIncidence(ti, g))
 }
 
-// NewCliqueAdjFromIndex builds the adjacency over an existing triangle
-// index.
-func NewCliqueAdjFromIndex(ti *graph.TriangleIndex) *CliqueAdj {
+// NewCliqueAdjFromIndex builds the adjacency over an existing triangle index
+// and its incidence, which it only reads.
+func NewCliqueAdjFromIndex(ti *graph.TriangleIndex, inc *TriIncidence) *CliqueAdj {
 	ca := &CliqueAdj{}
-	ca.Reset(ti)
+	ca.Reset(ti, inc)
 	return ca
 }
 
-// Reset rebinds ca to an index, reusing its slot storage from previous
-// rounds. It lets hot loops (per-sampled-world peeling) run many
+// Reset rebinds ca to an index and its incidence, reusing its slot storage
+// from previous rounds. It lets hot loops (per-candidate peeling) run many
 // decompositions on one adjacency without reallocating; the zero value of
 // CliqueAdj is ready for Reset.
-func (ca *CliqueAdj) Reset(ti *graph.TriangleIndex) {
+func (ca *CliqueAdj) Reset(ti *graph.TriangleIndex, inc *TriIncidence) {
 	n := ti.Len()
-	ca.TI = ti
+	ca.TI, ca.inc = ti, inc
 	if cap(ca.off) < n+1 {
 		ca.off = make([]int, n+1)
 		ca.AliveCount = make([]int, n)
@@ -95,29 +230,6 @@ func (ca *CliqueAdj) Len() int { return ca.TI.Len() }
 // Alive reports whether completion slot i of triangle t is still alive.
 func (ca *CliqueAdj) Alive(t int32, i int) bool { return ca.alive[ca.off[t]+i] }
 
-// CliqueTriangles returns the ids of the other three triangles of the
-// 4-clique formed by triangle t and completion vertex z, along with the
-// completion vertex each of them sees for this clique (the vertex of t they
-// do not contain).
-func (ca *CliqueAdj) CliqueTriangles(t int32, z int32) (ids [3]int32, theirZ [3]int32) {
-	tri := ca.TI.Tris[t]
-	others := [3]graph.Triangle{
-		graph.MakeTriangle(tri.A, tri.B, z),
-		graph.MakeTriangle(tri.A, tri.C, z),
-		graph.MakeTriangle(tri.B, tri.C, z),
-	}
-	missing := [3]int32{tri.C, tri.B, tri.A}
-	for i, o := range others {
-		id, ok := ca.TI.ID(o)
-		if !ok {
-			panic("decomp: 4-clique triangle missing from index")
-		}
-		ids[i] = id
-		theirZ[i] = missing[i]
-	}
-	return ids, theirZ
-}
-
 // RemoveCompletion kills the completion entry z of triangle t (the 4-clique
 // t ∪ {z}) if it is still alive. It returns z's slot index in TI.Comps[t]
 // and whether the completion was alive.
@@ -139,30 +251,34 @@ func (ca *CliqueAdj) RemoveCompletion(t int32, z int32) (int, bool) {
 // contains it, updating the other triangles of each clique. For every
 // affected live triangle it calls onUpdate with the triangle's id and the
 // slot index (within that triangle's completion list) of the clique that
-// died — once per killed clique, so a triangle sharing several cliques with
-// t is reported several times, each with a distinct slot.
+// died — once per killed clique, in ascending completion order and, within
+// a clique, in the order (A,B,z), (A,C,z), (B,C,z) — so a triangle sharing
+// several cliques with t is reported several times, each with a distinct
+// slot.
 func (ca *CliqueAdj) RemoveTriangle(t int32, onUpdate func(other int32, slot int)) {
 	if ca.Dead[t] {
 		return
 	}
 	ca.Dead[t] = true
-	zs := ca.TI.Comps[t]
+	tri := ca.TI.Tris[t]
+	// The vertex of t that each sibling lacks: its completion vertex for the
+	// shared clique.
+	missing := [3]int32{tri.C, tri.B, tri.A}
+	sib := ca.inc.siblings(t)
 	base := ca.off[t]
-	for i, z := range zs {
+	for i, z := range ca.TI.Comps[t] {
 		if !ca.alive[base+i] {
 			continue
 		}
 		ca.alive[base+i] = false
 		ca.AliveCount[t]--
-		ids, theirZ := ca.CliqueTriangles(t, z)
-		for j := 0; j < 3; j++ {
-			o := ids[j]
+		for j, o := range sib.next(z) {
 			if ca.Dead[o] {
 				// The clique should already have been removed from o when o
 				// died; nothing to do.
 				continue
 			}
-			if slot, ok := ca.RemoveCompletion(o, theirZ[j]); ok && onUpdate != nil {
+			if slot, ok := ca.RemoveCompletion(o, missing[j]); ok && onUpdate != nil {
 				onUpdate(o, slot)
 			}
 		}

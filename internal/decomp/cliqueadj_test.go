@@ -21,31 +21,19 @@ func TestCliqueAdjK5(t *testing.T) {
 
 func TestCliqueTrianglesMapping(t *testing.T) {
 	ca := NewCliqueAdj(completeGraph(4))
-	// Triangle (0,1,2) with completion 3: others are (0,1,3),(0,2,3),(1,2,3)
-	// completed by 2, 1, 0 respectively.
+	// Triangle (0,1,2) with completion 3: the sibling walk yields (0,1,3),
+	// (0,2,3), (1,2,3), in that order.
 	id, ok := ca.TI.ID(graph.Triangle{A: 0, B: 1, C: 2})
 	if !ok {
 		t.Fatal("triangle missing")
 	}
-	ids, theirZ := ca.CliqueTriangles(id, 3)
-	want := map[graph.Triangle]int32{
-		{A: 0, B: 1, C: 3}: 2,
-		{A: 0, B: 2, C: 3}: 1,
-		{A: 1, B: 2, C: 3}: 0,
-	}
+	sib := ca.inc.siblings(id)
+	ids := sib.next(3)
+	want := [3]graph.Triangle{{A: 0, B: 1, C: 3}, {A: 0, B: 2, C: 3}, {A: 1, B: 2, C: 3}}
 	for i, oid := range ids {
-		tri := ca.TI.Tris[oid]
-		z, exists := want[tri]
-		if !exists {
-			t.Fatalf("unexpected clique triangle %v", tri)
+		if tri := ca.TI.Tris[oid]; tri != want[i] {
+			t.Errorf("sibling %d = %v, want %v", i, tri, want[i])
 		}
-		if theirZ[i] != z {
-			t.Errorf("%v: completion vertex %d, want %d", tri, theirZ[i], z)
-		}
-		delete(want, tri)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing clique triangles: %v", want)
 	}
 }
 
@@ -102,7 +90,7 @@ func TestRemovalOrderInvariance(t *testing.T) {
 		}
 		kill := rng.Perm(ti.Len())[:ti.Len()/2]
 		run := func(order []int) []int {
-			ca := NewCliqueAdjFromIndex(ti)
+			ca := NewCliqueAdjFromIndex(ti, NewTriIncidence(ti, g))
 			for _, t2 := range order {
 				ca.RemoveTriangle(int32(t2), nil)
 			}
@@ -131,7 +119,7 @@ func TestRemoveTriangleReportsSlots(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		g := randomGraph(rng, 9, 0.7)
 		ti := graph.NewTriangleIndex(g)
-		ca := NewCliqueAdjFromIndex(ti)
+		ca := NewCliqueAdjFromIndex(ti, NewTriIncidence(ti, g))
 		// Shadow liveness matrix maintained from the callbacks only.
 		shadow := make([][]bool, ti.Len())
 		for i := range shadow {
@@ -178,7 +166,7 @@ func TestCliqueAdjResetReuses(t *testing.T) {
 	ca := NewCliqueAdj(g6) // big first, so g5 rounds reuse storage
 	for round := 0; round < 3; round++ {
 		ti := graph.NewTriangleIndex(g5)
-		ca.Reset(ti)
+		ca.Reset(ti, NewTriIncidence(ti, g5))
 		for t5 := 0; t5 < ti.Len(); t5++ {
 			if ca.AliveCount[t5] != len(ti.Comps[t5]) || ca.Dead[t5] {
 				t.Fatalf("round %d: triangle %d not fully alive after Reset", round, t5)

@@ -121,11 +121,6 @@ func NucleusNumbers(g *graph.Graph) (*graph.TriangleIndex, []int) {
 	return ca.TI, nucleusPeel(ca)
 }
 
-// NucleusNumbersFromIndex is NucleusNumbers over a pre-built triangle index.
-func NucleusNumbersFromIndex(ti *graph.TriangleIndex) []int {
-	return nucleusPeel(NewCliqueAdjFromIndex(ti))
-}
-
 func nucleusPeel(ca *CliqueAdj) []int {
 	var q bucket.Queue
 	return nucleusPeelInto(ca, &q, make([]int, ca.Len()))

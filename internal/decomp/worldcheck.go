@@ -582,10 +582,12 @@ type WorldMembershipScorer struct {
 	hti *graph.TriangleIndex
 	sub graph.SubIndexScratch
 	out []int32
-	// Reusable per-world peeling state (see nucleusPeelInto).
-	ca CliqueAdj
-	q  bucket.Queue
-	nu []int
+	// Reusable per-world peeling state (see nucleusPeelInto), over the
+	// view's incidence keyed by the world's edges.
+	inc TriIncidence
+	ca  CliqueAdj
+	q   bucket.Queue
+	nu  []int
 	// Incremental-peel scratch (see NonQualifying): generation-stamped
 	// deadness, lazily-copied supports, clique-kill marks, and the deletion
 	// worklist. gen only ever increases, so stale stamps from a previous
@@ -615,7 +617,8 @@ func (ws *WorldMembershipScorer) Qualifying(world *graph.Graph, k int) []int32 {
 		ws.out = out
 		return out
 	}
-	ws.ca.Reset(view)
+	ws.inc.resetGraph(view, world)
+	ws.ca.Reset(view, &ws.inc)
 	if cap(ws.nu) < view.Len() {
 		ws.nu = make([]int, view.Len())
 	}
@@ -665,6 +668,10 @@ type WorldPeelSeed struct {
 	clOff   []int32
 	clIDs   []int32
 	supBase []int32
+	// inc is the view's edge→triangle incidence keyed by edges: the
+	// candidate peel and the core-clique enumeration resolve 4-clique
+	// siblings through it, and its triangle edge ids lay out etOff/etIDs.
+	inc TriIncidence
 	// Candidate-peel and fill-cursor scratch, reused across Seed calls.
 	ca     CliqueAdj
 	q      bucket.Queue
@@ -688,9 +695,11 @@ func (s *WorldPeelSeed) InCore(t int32) bool { return s.inCore[t] }
 // sorted edge list. It peels the candidate once (the deterministic nucleus
 // decomposition worlds can only shrink), keeps the level-k core, and lays
 // out the edge→triangle and triangle→clique incidence the per-world cascade
-// consumes. For k = 0 the core is the whole candidate and no clique
-// structure is built: a triangle qualifies in a world iff its three edges
-// survive (Lemma 2 semantics).
+// consumes. Every step works from the view's TriIncidence keyed by edges,
+// built into the seed's scratch, so none looks a triangle up by vertex
+// triple or touches the vertex space. For k = 0 the core is the whole
+// candidate and no clique structure is built: a triangle qualifies in a
+// world iff its three edges survive (Lemma 2 semantics).
 func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k int) {
 	m := view.Len()
 	s.k, s.m = k, m
@@ -701,6 +710,7 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 	}
 	s.inCore = s.inCore[:m]
 	clear(s.inCore)
+	s.inc.resetEdges(view, edges)
 	if k == 0 {
 		for t := int32(0); int(t) < m; t++ {
 			s.inCore[t] = true
@@ -711,7 +721,7 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 		s.clIDs = s.clIDs[:0]
 		s.supBase = resizeCleared32(s.supBase, m)
 	} else {
-		s.ca.Reset(view)
+		s.ca.Reset(view, &s.inc)
 		if cap(s.nu) < m {
 			s.nu = make([]int, m)
 		}
@@ -723,20 +733,21 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 			}
 		}
 		// Enumerate the core's 4-cliques once (z > tri.C picks each clique at
-		// its lexicographically first triangle) and lay out per-triangle
+		// its lexicographically first triangle), keeping those whose other
+		// three triangles lie in the core too, and lay out per-triangle
 		// membership CSR-style.
 		s.cliques = s.cliques[:0]
 		for _, t := range s.core {
 			tri := view.Tris[t]
+			sib := s.inc.siblings(t)
 			for _, z := range view.Comps[t] {
 				if z <= tri.C {
 					continue
 				}
-				ids, ok := coreCliqueIDs(view, s.inCore, tri, z)
-				if !ok {
-					continue
+				ids := sib.next(z)
+				if s.inCore[ids[0]] && s.inCore[ids[1]] && s.inCore[ids[2]] {
+					s.cliques = append(s.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
 				}
-				s.cliques = append(s.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
 			}
 		}
 		s.clOff = resizeCleared32(s.clOff, m+1)
@@ -761,13 +772,12 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 		}
 	}
 	// Edge → core-triangle incidence: each core triangle contributes its
-	// three edges, located by binary search in the sorted candidate list.
+	// three edges, whose candidate-list ids the view's incidence holds.
 	s.etOff = resizeCleared32(s.etOff, len(edges)+1)
 	for _, t := range s.core {
-		tri := view.Tris[t]
-		s.etOff[edgeIndexOf(edges, tri.A, tri.B)+1]++
-		s.etOff[edgeIndexOf(edges, tri.A, tri.C)+1]++
-		s.etOff[edgeIndexOf(edges, tri.B, tri.C)+1]++
+		for _, e := range s.inc.triEdge[3*t : 3*t+3] {
+			s.etOff[e+1]++
+		}
 	}
 	for e := 0; e < len(edges); e++ {
 		s.etOff[e+1] += s.etOff[e]
@@ -779,12 +789,7 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 	cursor := resizeCleared32(s.cursor, len(edges))
 	s.cursor = cursor
 	for _, t := range s.core {
-		tri := view.Tris[t]
-		for _, e := range [3]int32{
-			edgeIndexOf(edges, tri.A, tri.B),
-			edgeIndexOf(edges, tri.A, tri.C),
-			edgeIndexOf(edges, tri.B, tri.C),
-		} {
+		for _, e := range s.inc.triEdge[3*t : 3*t+3] {
 			s.etIDs[s.etOff[e]+cursor[e]] = t
 			cursor[e]++
 		}
@@ -807,24 +812,6 @@ func (s *WorldPeelSeed) MapUnion(union []graph.Edge) {
 // maskHas reports whether edge id e is set in a world mask.
 func maskHas(mask []uint64, e int32) bool {
 	return mask[e>>6]&(1<<(uint(e)&63)) != 0
-}
-
-// coreCliqueIDs resolves the other three triangles of the clique tri ∪ {z}
-// in the view and reports whether all of them lie in the core mask.
-func coreCliqueIDs(view *graph.TriangleIndex, inCore []bool, tri graph.Triangle, z int32) ([3]int32, bool) {
-	var ids [3]int32
-	for i, o := range [3]graph.Triangle{
-		graph.MakeTriangle(tri.A, tri.B, z),
-		graph.MakeTriangle(tri.A, tri.C, z),
-		graph.MakeTriangle(tri.B, tri.C, z),
-	} {
-		id, ok := view.ID(o)
-		if !ok || !inCore[id] {
-			return ids, false
-		}
-		ids[i] = id
-	}
-	return ids, true
 }
 
 // edgeIndexOf locates the canonical edge (u,v), u < v, in a (U,V)-sorted

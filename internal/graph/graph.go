@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -96,6 +97,34 @@ func (g *Graph) Edges() []Edge {
 // u and v.
 func (g *Graph) CommonNeighbors(u, v int32) []int32 {
 	return IntersectSorted(g.Neighbors(u), g.Neighbors(v))
+}
+
+// Gallop returns the smallest index i with s[i] >= x in the ascending slice
+// s (len(s) when there is none), by exponential search from the front: it
+// costs O(log i), so a cursor that advances through a sorted list in
+// ascending probes — resliced past each hit — pays the log of every gap
+// rather than the log of the list, and one comparison when the target is at
+// the head.
+func Gallop[T cmp.Ordered](s []T, x T) int {
+	if len(s) == 0 || s[0] >= x {
+		return 0
+	}
+	// Invariant: s[lo] < x.
+	lo, step := 0, 1
+	for lo+step < len(s) && s[lo+step] < x {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(s))
+	for lo++; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // IntersectSorted returns the intersection of two sorted int32 slices as a

@@ -439,3 +439,23 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 	}
 	return b.Build()
 }
+
+// TestGallop: Gallop is a lower bound — the first index whose element is
+// ≥ x — for every probe on sorted lists short enough to stay in the linear
+// prefix and long enough to gallop, including probes past the end.
+func TestGallop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 3, 8, 9, 17, 100, 1000} {
+		s := make([]int32, n)
+		for i := range s {
+			s[i] = rng.Int31n(int32(3*n + 1))
+		}
+		slices.Sort(s)
+		for x := int32(-1); x <= int32(3*n+2); x++ {
+			want, _ := slices.BinarySearch(s, x)
+			if got := Gallop(s, x); got != want {
+				t.Fatalf("n=%d x=%d: Gallop = %d, want %d", n, x, got, want)
+			}
+		}
+	}
+}
