@@ -168,6 +168,32 @@ func BenchmarkWeak(b *testing.B) {
 	})
 }
 
+// BenchmarkWeakLevels is BenchmarkWeak above k = 1: at k ≥ 2 a world's
+// losses cascade through the candidate's 4-cliques instead of stopping at
+// the triangles that lost an edge, so these rows time the deep end of the
+// w-NuDecomp world scoring.
+func BenchmarkWeakLevels(b *testing.B) {
+	for _, name := range []string{"krogan", "dblp"} {
+		g := benchGraph(name, 0.04)
+		local, err := pn.LocalDecompose(g, 0.001, pn.Options{Mode: pn.ModeDP})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{2, 3} {
+			b.Run(fmt.Sprintf("%s/k=%d", name, k), func(b *testing.B) {
+				opts := pn.MCOptions{Samples: 100, Seed: 1, Local: local, Workers: 1}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pn.WeaklyGlobalNuclei(g, k, 0.001, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkEngineReuse measures what warm reuse buys a server over the cold
 // per-request path, for both the local and global request shapes. The cold
 // rows are the raw engine path: every iteration re-enumerates the triangle

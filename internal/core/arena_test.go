@@ -222,9 +222,11 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 }
 
 // TestSharedWorldWeakScoringAllocationFree: the weak-path steady state —
-// rebinding the peel seed to the next candidate and running the incremental
-// per-world loss cascade over the shared worlds — must not allocate either,
-// across candidates of different sizes.
+// rebinding the peel seed to the next candidate, reading each 64-world
+// block's lane columns and scoring the block with the word-parallel kernel
+// — must not allocate either, across candidates of different sizes. The
+// window's transposition is per window, not per candidate, and is gated
+// separately (mc's TestLanesTransposeReuseAllocationFree).
 func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
@@ -238,7 +240,10 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	union := unionEdges(cands)
-	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), 16, 1)
+	const n = 100 // two blocks, the second partial
+	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 1)
+	var lanes mc.Lanes
+	lanes.Transpose(masks, n, words)
 	hs := make([]*graph.Graph, len(cands))
 	for i, cand := range cands {
 		hs[i] = graph.FromSortedEdges(pg.NumVertices(), cand.Edges)
@@ -252,11 +257,7 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 		seed.Seed(hti, cands[i].Edges, 1)
 		seed.MapUnion(union)
 		losses = resizeCleared(losses, hti.Len())
-		for w := 0; w < 16; w++ {
-			for _, id := range scorer.NonQualifyingMask(&seed, masks[w*words:(w+1)*words]) {
-				losses[id]++
-			}
-		}
+		scoreLanesSerial(&scorer, &seed, &lanes, losses)
 	}
 	for i := range cands { // warm every scratch buffer
 		scoreCand(i)
@@ -268,6 +269,15 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("shared-world weak scoring allocates %v per candidate, want 0", allocs)
+	}
+}
+
+// scoreLanesSerial adds the seed's per-triangle losses over every block of
+// a transposed window to loss, on the calling goroutine: the w-NuDecomp
+// kernel's block loop without the worker pool.
+func scoreLanesSerial(ws *decomp.WorldMembershipScorer, seed *decomp.WorldPeelSeed, lanes *mc.Lanes, loss []int32) {
+	for b := 0; b < lanes.Blocks(); b++ {
+		ws.ScoreLanes(seed, lanes.Block(b), lanes.Valid(b), loss)
 	}
 }
 

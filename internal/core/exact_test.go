@@ -169,8 +169,9 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 }
 
 // weakEstimates mirrors the w-NuDecomp kernel's scoring loop: worlds are
-// drawn over the candidate union window by window, each candidate's peel
-// seed is rebound per window and its per-triangle losses accumulated, and a
+// drawn over the candidate union window by window and transposed into lane
+// blocks, each candidate's peel seed is rebound per window and its
+// per-triangle losses accumulated block by block, and a
 // candidate triangle's estimate is its share of worlds without a loss — 0
 // outside the candidate's level-k core. full, when set, draws the whole bank
 // in one WorldMasks call instead of windows.
@@ -181,6 +182,7 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 	var sub graph.SubIndexScratch
 	var ps decomp.WorldPeelSeed
 	var scorer decomp.WorldMembershipScorer
+	var lanes mc.Lanes
 	if full {
 		window = n
 	}
@@ -195,6 +197,7 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 		} else {
 			masks, words = bank.WorldMasksWindow(pool, upg, n, lo, hi, seed)
 		}
+		lanes.Transpose(masks, hi-lo, words)
 		for c, cand := range cands {
 			hti := local.TI.SubIndex(graph.FromSortedEdges(local.PG.NumVertices(), cand.Edges), &sub)
 			if totals[c] == nil {
@@ -202,11 +205,7 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 			}
 			ps.Seed(hti, cand.Edges, k)
 			ps.MapUnion(union)
-			for w := 0; w < hi-lo; w++ {
-				for _, id := range scorer.NonQualifyingMask(&ps, masks[w*words:(w+1)*words]) {
-					totals[c][id]++
-				}
-			}
+			scoreLanesSerial(&scorer, &ps, &lanes, totals[c])
 			if hi < n {
 				continue
 			}
@@ -230,7 +229,7 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 // under the same one-sided binomial test. The full-bank and windowed scans
 // read the same worlds, so their estimates must agree exactly. This is the
 // end-to-end check of the weak seed's peel (decomp.WorldPeelSeed) and its
-// per-world loss cascade.
+// word-parallel lane scoring.
 func TestWeakEstimatorExactConformance(t *testing.T) {
 	const (
 		eps, delta = 0.1, 0.1

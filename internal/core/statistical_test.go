@@ -55,8 +55,8 @@ func weakPerCandidateEstimates(t *testing.T, local *LocalResult, cand decomp.Nuc
 }
 
 // weakSharedWorldEstimates runs the production path: one world-mask bank
-// over the union of all candidates, restricted per candidate with the
-// seeded incremental peel.
+// over the union of all candidates, transposed into lane blocks and scored
+// per candidate by the word-parallel kernel from the candidate's peel seed.
 func weakSharedWorldEstimates(t *testing.T, local *LocalResult, cands []decomp.Nucleus, cand decomp.Nucleus, k int, seed int64) map[graph.Triangle]float64 {
 	t.Helper()
 	pool := par.NewPool(1)
@@ -70,12 +70,10 @@ func weakSharedWorldEstimates(t *testing.T, local *LocalResult, cands []decomp.N
 	ps.Seed(hti, cand.Edges, k)
 	ps.MapUnion(union)
 	losses := make([]int32, hti.Len())
+	var lanes mc.Lanes
+	lanes.Transpose(masks, statSamples, words)
 	var scorer decomp.WorldMembershipScorer
-	for w := 0; w < statSamples; w++ {
-		for _, id := range scorer.NonQualifyingMask(&ps, masks[w*words:(w+1)*words]) {
-			losses[id]++
-		}
-	}
+	scoreLanesSerial(&scorer, &ps, &lanes, losses)
 	out := make(map[graph.Triangle]float64, len(cand.Triangles))
 	for _, tri := range cand.Triangles {
 		id, ok := hti.ID(tri)

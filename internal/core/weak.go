@@ -7,6 +7,7 @@ import (
 
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/mc"
 	"probnucleus/internal/probgraph"
 	"probnucleus/internal/uf"
 )
@@ -23,18 +24,21 @@ import (
 // marginal world distribution is unchanged — edges are kept independently
 // with their probabilities either way — so each estimate keeps its (ε,δ)
 // guarantee; only the PRNG stream assignment differs from the per-candidate
-// sampler, hence the deliberate golden regeneration). Per world, membership
-// is scored incrementally: the candidate is peeled once, and each world —
-// which can only lose cliques relative to the candidate — subtracts a
-// deletion cascade seeded at its missing edges from the candidate's level-k
-// core (decomp.WorldPeelSeed), so the per-world cost is proportional to
-// what the world lost, not to a full bucket-queue peel of the candidate.
+// sampler, hence the deliberate golden regeneration). Membership is scored
+// 64 worlds at a time: the candidate is peeled once, and since a world can
+// only lose cliques relative to the candidate, its qualifying triangles are
+// the k-core of the candidate's level-k core (decomp.WorldPeelSeed) cut down
+// to the triangles whose edges the world keeps. Each window of the bank is
+// transposed once into per-edge lane words (mc.Lanes), and
+// decomp.WorldMembershipScorer.ScoreLanes runs that k-core fixpoint on
+// 64-bit words, one bit lane per world, for every 64-world block.
 //
 // The candidate pipeline reuses the parent triangle index throughout: each
 // candidate subgraph is indexed by restricting the local decomposition's
-// index (no re-enumeration), per-world losses are counted into flat
-// per-triangle slots by reusable per-worker scorers, and scores are
-// recovered as worlds-minus-losses over the candidate core.
+// index (no re-enumeration), the candidate's triangles are located in that
+// view by the parent ids the local nucleus carries, per-block losses are
+// counted into flat per-triangle slots by reusable per-worker scorers, and
+// scores are recovered as worlds-minus-losses over the candidate core.
 //
 // With no caller-owned MCOptions.Pool, the call is a thin wrapper over a
 // one-shot one-shard Engine, so the package-level path and the served path
@@ -90,23 +94,19 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 
 	var out []ProbNucleus
 	// losses[w][t]: number of window worlds in which candidate triangle t
-	// fell out of the candidate's level-k core, accumulated by worker w. The
-	// merge is a commutative sum, so the totals match the serial run for
-	// every worker count. The slices are reused and cleared between
-	// candidates.
+	// fell out of the candidate's level-k core, accumulated by worker w over
+	// the 64-world blocks it scored. The merge is a commutative integer sum,
+	// so the totals match the serial run for every worker count. The slices
+	// are reused and cleared between candidates.
 	losses := make([][]int32, workers)
 	scorers := make([]decomp.WorldMembershipScorer, workers)
 	var seed decomp.WorldPeelSeed
 	var sub graph.SubIndexScratch
+	var lanes mc.Lanes
 	var qual []float64
-	var masks []uint64
-	var words int
 	// One closure for the whole run, not one per candidate or window.
-	worldFn := func(worker, i int) {
-		cnt := losses[worker]
-		for _, id := range scorers[worker].NonQualifyingMask(&seed, masks[i*words:(i+1)*words]) {
-			cnt[id]++
-		}
+	blockFn := func(worker, b int) {
+		scorers[worker].ScoreLanes(&seed, lanes.Block(b), lanes.Valid(b), losses[worker])
 	}
 	// lostFlat[lostOff[c]:lostOff[c+1]]: candidate c's per-triangle loss
 	// totals, accumulated across windows (laid out on the first window).
@@ -117,10 +117,11 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 		if hi > n {
 			hi = n
 		}
-		masks, words = bank.WorldMasksWindow(pool, upg, n, lo, hi, opts.Seed)
+		masks, words := bank.WorldMasksWindow(pool, upg, n, lo, hi, opts.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
+		lanes.Transpose(masks, hi-lo, words)
 		for ci := range cands {
 			if err := pool.Err(); err != nil {
 				return nil, err
@@ -143,7 +144,7 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 			for w := range losses {
 				losses[w] = resizeCleared(losses[w], m)
 			}
-			pool.ForWorker(hi-lo, worldFn)
+			pool.ForWorker(lanes.Blocks(), blockFn)
 			tot := lostFlat[lostOff[ci]:lostOff[ci+1]]
 			for w := range losses {
 				for j, c := range losses[w] {
@@ -160,18 +161,21 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 			// candidate edge set may span extra triangles, which Algorithm 3
 			// never considers), and a triangle outside the candidate's level-k
 			// core qualifies in no world, so its score is 0 without consulting
-			// the losses.
+			// the losses. The nucleus's parent ids map into the view through
+			// the view's own id translation; every one is present, since the
+			// candidate spans its own triangles' edges.
 			qual = resizeFilled(qual, m, -1)
-			for _, tri := range cand.Triangles {
-				id, ok := hti.ID(tri)
-				if !ok || !seed.InCore(id) {
-					continue // absent ids cannot happen: the candidate spans its own edges
+			subIDs := sub.SubIDs()
+			for _, pid := range cand.TriIDs {
+				id := subIDs[pid]
+				if !seed.InCore(id) {
+					continue
 				}
 				if p := float64(int32(n)-tot[id]) / float64(n); p >= theta {
 					qual[id] = p
 				}
 			}
-			out = append(out, assembleWeakNuclei(hti, qual, k, theta)...)
+			out = append(out, assembleWeakNuclei(hti, &seed, qual, k, theta)...)
 		}
 	}
 	// The last candidate may have been scored against a half-filled world
@@ -220,10 +224,15 @@ func resizeFilled(s []float64, n int, v float64) []float64 {
 
 // assembleWeakNuclei groups the qualifying triangles into 4-clique-connected
 // components ("connected union of △'s", Algorithm 3 line 12). ti is the
-// candidate's triangle index and qual the per-id estimate (-1 for triangles
-// below θ); the candidate's index is reused directly, where the seed-era
-// path rebuilt a fresh TriangleIndex of the candidate subgraph per call.
-func assembleWeakNuclei(ti *graph.TriangleIndex, qual []float64, k int, theta float64) []ProbNucleus {
+// candidate's triangle index, seed the peel seed bound to it, and qual the
+// per-id estimate (-1 for triangles below θ). A qualifying triangle lies in
+// the candidate's level-k core, so every 4-clique of four qualifying
+// triangles is one of the seed's core cliques, whose siblings the seed
+// resolved once through its incidence walk: the components come from those
+// cliques alone, with no lookup by vertex triple. Groups lists each
+// component's members ascending, so the nuclei do not depend on the order
+// of the unions.
+func assembleWeakNuclei(ti *graph.TriangleIndex, seed *decomp.WorldPeelSeed, qual []float64, k int, theta float64) []ProbNucleus {
 	anyQual := false
 	for _, p := range qual {
 		if p >= 0 {
@@ -235,33 +244,11 @@ func assembleWeakNuclei(ti *graph.TriangleIndex, qual []float64, k int, theta fl
 		return nil
 	}
 	u := uf.New(ti.Len())
-	for t := int32(0); int(t) < ti.Len(); t++ {
-		if qual[t] < 0 {
-			continue
-		}
-		tri := ti.Tris[t]
-		for _, z := range ti.Comps[t] {
-			others := [3]graph.Triangle{
-				graph.MakeTriangle(tri.A, tri.B, z),
-				graph.MakeTriangle(tri.A, tri.C, z),
-				graph.MakeTriangle(tri.B, tri.C, z),
-			}
-			ok := true
-			var oids [3]int32
-			for i, o := range others {
-				id, exists := ti.ID(o)
-				if !exists || qual[id] < 0 {
-					ok = false
-					break
-				}
-				oids[i] = id
-			}
-			if !ok {
-				continue
-			}
-			for _, id := range oids {
-				u.Union(t, id)
-			}
+	for _, cl := range seed.Cliques() {
+		if qual[cl[0]] >= 0 && qual[cl[1]] >= 0 && qual[cl[2]] >= 0 && qual[cl[3]] >= 0 {
+			u.Union(cl[0], cl[1])
+			u.Union(cl[0], cl[2])
+			u.Union(cl[0], cl[3])
 		}
 	}
 	groups := u.Groups(1, func(t int32) bool { return qual[t] >= 0 })

@@ -164,17 +164,21 @@ func nucleusPeelInto(ca *CliqueAdj, q *bucket.Queue, nu []int) []int {
 
 // Nucleus is one maximal k-(3,4)-nucleus: a set of triangles pairwise
 // connected through 4-cliques whose triangles all have nucleusness ≥ k,
-// together with the vertices and edges they span.
+// together with the vertices and edges they span. TriIDs[i] is the id of
+// Triangles[i] in the triangle index the nucleus was assembled from (see
+// KNuclei), so callers holding that index need no lookup by vertex triple.
 type Nucleus struct {
 	K         int
 	Triangles []graph.Triangle
+	TriIDs    []int32
 	Vertices  []int32
 	Edges     []graph.Edge
 }
 
 // KNuclei assembles the maximal k-nuclei from precomputed nucleusness
 // values: connected components of {△ : ν(△) ≥ k} under the relation "share
-// a 4-clique all of whose triangles have ν ≥ k".
+// a 4-clique all of whose triangles have ν ≥ k". A nucleus lists its
+// triangles in ascending ti id, and carries those ids as TriIDs.
 func KNuclei(ti *graph.TriangleIndex, nu []int, k int) []Nucleus {
 	n := ti.Len()
 	u := uf.New(n)
@@ -222,7 +226,7 @@ func KNuclei(ti *graph.TriangleIndex, nu []int, k int) []Nucleus {
 	})
 	out := make([]Nucleus, 0, len(groups))
 	for _, grp := range groups {
-		nuc := Nucleus{K: k}
+		nuc := Nucleus{K: k, TriIDs: grp}
 		vs := make(map[int32]bool)
 		es := make(map[graph.Edge]bool)
 		for _, t := range grp {

@@ -213,7 +213,7 @@ func TestNucleusNumbersMatchesReference(t *testing.T) {
 
 // TestWorldPeelSeedMatchesReference: a seed bound to candidate after
 // candidate (one seed, scratch reused across sizes) must produce the core,
-// core cliques and edge→core-triangle lists the lookup-based construction
+// core cliques and per-core-triangle edge ids the lookup-based construction
 // produces, over views of both root index kinds.
 func TestWorldPeelSeedMatchesReference(t *testing.T) {
 	var seed WorldPeelSeed
@@ -228,7 +228,8 @@ func TestWorldPeelSeedMatchesReference(t *testing.T) {
 					h := graph.FromSortedEdges(g.NumVertices(), cand.Edges)
 					view := parent.SubIndex(h, &sub)
 					seed.Seed(view, cand.Edges, k)
-					core, cliques, etIDs := refSeed(view, cand.Edges, k)
+					seed.MapUnion(cand.Edges)
+					core, cliques, coreEdge := refSeed(view, cand.Edges, k)
 					where := fmt.Sprintf("%s k=%d candidate %d", name, k, ci)
 					if !slices.Equal(seed.Core(), core) {
 						t.Fatalf("%s: core %v, reference %v", where, seed.Core(), core)
@@ -236,10 +237,8 @@ func TestWorldPeelSeedMatchesReference(t *testing.T) {
 					if !slices.Equal(seed.cliques, cliques) {
 						t.Fatalf("%s: core cliques differ from the reference", where)
 					}
-					for e := range cand.Edges {
-						if got := seed.etIDs[seed.etOff[e]:seed.etOff[e+1]]; !slices.Equal(got, etIDs[e]) {
-							t.Fatalf("%s: edge %d core triangles %v, reference %v", where, e, got, etIDs[e])
-						}
+					if !slices.Equal(seed.coreEdge, coreEdge) {
+						t.Fatalf("%s: core triangle edge ids %v, reference %v", where, seed.coreEdge, coreEdge)
 					}
 					checked++
 				}
@@ -253,8 +252,8 @@ func TestWorldPeelSeedMatchesReference(t *testing.T) {
 
 // refSeed is the lookup-based WorldPeelSeed construction: the level-k core
 // of the view's reference peel, its cliques found by TriangleIndex.ID, and
-// each candidate edge's core triangles located by binary search.
-func refSeed(view *graph.TriangleIndex, edges []graph.Edge, k int) (core []int32, cliques [][4]int32, etIDs [][]int32) {
+// each core triangle's three edges located in edges by binary search.
+func refSeed(view *graph.TriangleIndex, edges []graph.Edge, k int) (core []int32, cliques [][4]int32, coreEdge []int32) {
 	nu := refNucleusPeel(view)
 	inCore := make([]bool, view.Len())
 	for t := range nu {
@@ -285,16 +284,12 @@ func refSeed(view *graph.TriangleIndex, edges []graph.Edge, k int) (core []int32
 			}
 		}
 	}
-	etIDs = make([][]int32, len(edges))
 	for _, t := range core {
 		tri := view.Tris[t]
-		for _, e := range [3]int32{
+		coreEdge = append(coreEdge,
 			edgeIndexOf(edges, tri.A, tri.B),
 			edgeIndexOf(edges, tri.A, tri.C),
-			edgeIndexOf(edges, tri.B, tri.C),
-		} {
-			etIDs[e] = append(etIDs[e], t)
-		}
+			edgeIndexOf(edges, tri.B, tri.C))
 	}
-	return core, cliques, etIDs
+	return core, cliques, coreEdge
 }

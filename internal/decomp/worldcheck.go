@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"math/bits"
 	"slices"
 
 	"probnucleus/internal/bucket"
@@ -571,13 +572,17 @@ func IsGlobalNucleusWorld(world *graph.Graph, verts []int32, k int) bool {
 	return ok
 }
 
-// WorldMembershipScorer evaluates, for many sampled worlds of one candidate
+// WorldMembershipScorer evaluates, for sampled worlds of one candidate
 // subgraph, which candidate triangles have deterministic nucleusness ≥ k in
 // the world — the predicate 1w(G, △, k) of Definition 4 for all triangles at
-// once. Like WorldChecker it restricts the candidate's index to each world
-// with a reusable view instead of re-enumerating, and reports results as
-// candidate-index ids so callers can count into flat per-triangle slots. One
-// scorer serves one worker; Reset rebinds it to the next candidate.
+// once — in two forms. Reset and Qualifying peel one materialized world in
+// full, restricting the candidate's index to it with a reusable view instead
+// of re-enumerating (the exact oracle's form, see WorldNucleusMembership).
+// ScoreLanes scores 64 shared union worlds at a time against a
+// WorldPeelSeed, one bit lane per world, and counts each core triangle's
+// losses into a flat per-triangle slot (the w-NuDecomp kernel's form). Both
+// name triangles by candidate-index ids. One scorer serves one worker; its
+// scratch is reused across candidates and worlds.
 type WorldMembershipScorer struct {
 	hti *graph.TriangleIndex
 	sub graph.SubIndexScratch
@@ -588,16 +593,12 @@ type WorldMembershipScorer struct {
 	ca  CliqueAdj
 	q   bucket.Queue
 	nu  []int
-	// Incremental-peel scratch (see NonQualifying): generation-stamped
-	// deadness, lazily-copied supports, clique-kill marks, and the deletion
-	// worklist. gen only ever increases, so stale stamps from a previous
-	// candidate bound to the same scorer can never collide.
-	gen       int32
-	deadStamp []int32
-	supStamp  []int32
-	clStamp   []int32
-	sup       []int32
-	work      []int32
+	// Word-parallel scratch (see ScoreLanes), indexed by view id: each core
+	// triangle's alive lanes, and the fixpoint worklist with its
+	// deduplication flags (all false between calls).
+	alive  []uint64
+	queued []bool
+	work   []int32
 }
 
 // Reset binds the scorer to the triangle index of a candidate subgraph.
@@ -632,14 +633,16 @@ func (ws *WorldMembershipScorer) Qualifying(world *graph.Graph, k int) []int32 {
 	return out
 }
 
-// WorldPeelSeed is the per-candidate precomputation behind incremental
-// per-world peeling: the candidate's own deterministic peel, restricted to
-// its level-k core, laid out as flat CSR incidence from candidate edges to
-// core triangles and from core triangles to core 4-cliques. A sampled world
-// can only lose cliques relative to the candidate, so its k-qualifying
-// triangle set is the candidate core minus a deletion cascade seeded at the
-// world's missing edges — WorldMembershipScorer.NonQualifying walks exactly
-// that cascade instead of re-running the full bucket-queue peel per world.
+// WorldPeelSeed is the per-candidate precomputation behind w-NuDecomp's
+// world scoring: the candidate's own deterministic peel, restricted to its
+// level-k core, with every core triangle's three edges as union edge ids
+// and the core's 4-cliques laid out as flat triangle→clique incidence. A
+// sampled world can only lose cliques relative to the candidate, so the
+// triangles that qualify in it are the k-core of the core triangles whose
+// three edges the world keeps: the greatest subset in which every triangle
+// lies in at least k 4-cliques of the subset.
+// WorldMembershipScorer.ScoreLanes computes that fixpoint for 64 worlds at
+// once, one bit lane per world.
 //
 // One seed is built per candidate (Seed reuses all storage across
 // candidates of any size) and is then shared read-only by per-worker
@@ -652,25 +655,21 @@ type WorldPeelSeed struct {
 	// in no world. inCore is the matching membership mask.
 	core   []int32
 	inCore []bool
-	// edges aliases the candidate's canonical sorted edge list;
-	// etIDs[etOff[e]:etOff[e+1]] are the core triangles containing edge e.
+	// edges aliases the candidate's canonical sorted edge list.
 	edges []graph.Edge
-	etOff []int32
-	etIDs []int32
-	// edgeBit[e], filled by MapUnion, is candidate edge e's id in the union
-	// edge list the shared world masks are drawn over (-1 before MapUnion).
-	edgeBit []int32
+	// coreEdge[3i:3i+3], filled by MapUnion, are the union edge ids of core
+	// triangle core[i]'s edges AB, AC and BC: the lanes its aliveness
+	// starts from. edgeBit is MapUnion's per-candidate-edge scratch.
+	coreEdge []int32
+	edgeBit  []int32
 	// cliques holds every 4-clique of the core once, as its four member view
-	// ids; clIDs[clOff[t]:clOff[t+1]] are the cliques containing triangle t,
-	// and supBase[t] their count — the support every world starts from
-	// before its losses are applied.
+	// ids; clIDs[clOff[t]:clOff[t+1]] are the cliques containing triangle t.
 	cliques [][4]int32
 	clOff   []int32
 	clIDs   []int32
-	supBase []int32
 	// inc is the view's edge→triangle incidence keyed by edges: the
 	// candidate peel and the core-clique enumeration resolve 4-clique
-	// siblings through it, and its triangle edge ids lay out etOff/etIDs.
+	// siblings through it, and its triangle edge ids give coreEdge.
 	inc TriIncidence
 	// Candidate-peel and fill-cursor scratch, reused across Seed calls.
 	ca     CliqueAdj
@@ -694,12 +693,13 @@ func (s *WorldPeelSeed) InCore(t int32) bool { return s.inCore[t] }
 // (or an id-translating view of a parent index) and edges its canonical
 // sorted edge list. It peels the candidate once (the deterministic nucleus
 // decomposition worlds can only shrink), keeps the level-k core, and lays
-// out the edge→triangle and triangle→clique incidence the per-world cascade
-// consumes. Every step works from the view's TriIncidence keyed by edges,
-// built into the seed's scratch, so none looks a triangle up by vertex
-// triple or touches the vertex space. For k = 0 the core is the whole
-// candidate and no clique structure is built: a triangle qualifies in a
-// world iff its three edges survive (Lemma 2 semantics).
+// out the core's 4-cliques and the triangle→clique incidence ScoreLanes'
+// fixpoint consumes. Every step works from the view's TriIncidence keyed by
+// edges, built into the seed's scratch, so none looks a triangle up by
+// vertex triple or touches the vertex space. For k = 0 the core is the
+// whole candidate without a peel, and a triangle qualifies in a world iff
+// its three edges survive (Lemma 2 semantics); the cliques are still laid
+// out, since w-NuDecomp assembles its nuclei from them.
 func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k int) {
 	m := view.Len()
 	s.k, s.m = k, m
@@ -716,10 +716,6 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 			s.inCore[t] = true
 			s.core = append(s.core, t)
 		}
-		s.cliques = s.cliques[:0]
-		s.clOff = resizeCleared32(s.clOff, m+1)
-		s.clIDs = s.clIDs[:0]
-		s.supBase = resizeCleared32(s.supBase, m)
 	} else {
 		s.ca.Reset(view, &s.inc)
 		if cap(s.nu) < m {
@@ -732,82 +728,79 @@ func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k in
 				s.core = append(s.core, t)
 			}
 		}
-		// Enumerate the core's 4-cliques once (z > tri.C picks each clique at
-		// its lexicographically first triangle), keeping those whose other
-		// three triangles lie in the core too, and lay out per-triangle
-		// membership CSR-style.
-		s.cliques = s.cliques[:0]
-		for _, t := range s.core {
-			tri := view.Tris[t]
-			sib := s.inc.siblings(t)
-			for _, z := range view.Comps[t] {
-				if z <= tri.C {
-					continue
-				}
-				ids := sib.next(z)
-				if s.inCore[ids[0]] && s.inCore[ids[1]] && s.inCore[ids[2]] {
-					s.cliques = append(s.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
-				}
-			}
-		}
-		s.clOff = resizeCleared32(s.clOff, m+1)
-		for _, cl := range s.cliques {
-			for _, id := range cl {
-				s.clOff[id+1]++
-			}
-		}
-		for t := 0; t < m; t++ {
-			s.clOff[t+1] += s.clOff[t]
-		}
-		if cap(s.clIDs) < int(s.clOff[m]) {
-			s.clIDs = make([]int32, s.clOff[m])
-		}
-		s.clIDs = s.clIDs[:s.clOff[m]]
-		s.supBase = resizeCleared32(s.supBase, m)
-		for ci, cl := range s.cliques {
-			for _, id := range cl {
-				s.clIDs[s.clOff[id]+s.supBase[id]] = int32(ci)
-				s.supBase[id]++
-			}
-		}
 	}
-	// Edge → core-triangle incidence: each core triangle contributes its
-	// three edges, whose candidate-list ids the view's incidence holds.
-	s.etOff = resizeCleared32(s.etOff, len(edges)+1)
+	// Enumerate the core's 4-cliques once (z > tri.C picks each clique at
+	// its lexicographically first triangle), keeping those whose other
+	// three triangles lie in the core too, and lay out per-triangle
+	// membership CSR-style. The completions above each core triangle's
+	// third vertex bound the clique count, so the list is sized once.
+	bound := 0
 	for _, t := range s.core {
-		for _, e := range s.inc.triEdge[3*t : 3*t+3] {
-			s.etOff[e+1]++
+		zs := view.Comps[t]
+		i, _ := slices.BinarySearch(zs, view.Tris[t].C+1)
+		bound += len(zs) - i
+	}
+	s.cliques = slices.Grow(s.cliques[:0], bound)
+	for _, t := range s.core {
+		tri := view.Tris[t]
+		sib := s.inc.siblings(t)
+		for _, z := range view.Comps[t] {
+			if z <= tri.C {
+				continue
+			}
+			ids := sib.next(z)
+			if s.inCore[ids[0]] && s.inCore[ids[1]] && s.inCore[ids[2]] {
+				s.cliques = append(s.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
+			}
 		}
 	}
-	for e := 0; e < len(edges); e++ {
-		s.etOff[e+1] += s.etOff[e]
+	s.clOff = resizeCleared32(s.clOff, m+1)
+	for _, cl := range s.cliques {
+		for _, id := range cl {
+			s.clOff[id+1]++
+		}
 	}
-	if cap(s.etIDs) < int(s.etOff[len(edges)]) {
-		s.etIDs = make([]int32, s.etOff[len(edges)])
+	for t := 0; t < m; t++ {
+		s.clOff[t+1] += s.clOff[t]
 	}
-	s.etIDs = s.etIDs[:s.etOff[len(edges)]]
-	cursor := resizeCleared32(s.cursor, len(edges))
+	if cap(s.clIDs) < int(s.clOff[m]) {
+		s.clIDs = make([]int32, s.clOff[m])
+	}
+	s.clIDs = s.clIDs[:s.clOff[m]]
+	cursor := resizeCleared32(s.cursor, m)
 	s.cursor = cursor
-	for _, t := range s.core {
-		for _, e := range s.inc.triEdge[3*t : 3*t+3] {
-			s.etIDs[s.etOff[e]+cursor[e]] = t
-			cursor[e]++
+	for ci, cl := range s.cliques {
+		for _, id := range cl {
+			s.clIDs[s.clOff[id]+cursor[id]] = int32(ci)
+			cursor[id]++
 		}
 	}
 }
 
 // MapUnion binds the seed to the union edge list the shared world masks are
-// drawn over: each candidate edge is located in union by binary search, so
-// NonQualifyingMask can test world membership with one bit load instead of
-// an adjacency binary search per edge per world. Call it after Seed; the
-// candidate's edges must all be present in union (candidates are subgraphs
-// of the union by construction).
+// drawn over: each candidate edge is located in union by binary search, and
+// every core triangle's three edges are recorded as union ids, so
+// ScoreLanes reads a triangle's edge lanes with three loads. Call it after
+// Seed; the candidate's edges must all be present in union (candidates are
+// subgraphs of the union by construction).
 func (s *WorldPeelSeed) MapUnion(union []graph.Edge) {
 	s.edgeBit = resizeCleared32(s.edgeBit, len(s.edges))
 	for ei, e := range s.edges {
 		s.edgeBit[ei] = edgeIndexOf(union, e.U, e.V)
 	}
+	s.coreEdge = resizeCleared32(s.coreEdge, 3*len(s.core))
+	for i, t := range s.core {
+		for j, e := range s.inc.triEdge[3*t : 3*t+3] {
+			s.coreEdge[3*i+j] = s.edgeBit[e]
+		}
+	}
 }
+
+// Cliques returns every 4-clique of the candidate's level-k core once, as
+// its four member view ids: the cliques whose four triangles all lie in the
+// core (for k = 0, every 4-clique of the candidate). The slice aliases the
+// seed and is valid until the next Seed call.
+func (s *WorldPeelSeed) Cliques() [][4]int32 { return s.cliques }
 
 // maskHas reports whether edge id e is set in a world mask.
 func maskHas(mask []uint64, e int32) bool {
@@ -845,111 +838,139 @@ func resizeCleared32(s []int32, n int) []int32 {
 	return s
 }
 
-// NonQualifying returns the view ids of the candidate-core triangles (see
-// WorldPeelSeed) that do NOT belong to a deterministic k-nucleus of the
-// given world: the core triangles that lost one of their own edges, plus the
-// support-starvation cascade those losses trigger through the core's
-// 4-cliques. It is the incremental complement of Qualifying — the two
-// partition the core exactly, but the work here is proportional to what the
-// world lost rather than to the candidate's size, which is the dominant-term
-// win of the shared-world engine when edge probabilities are high. The world
-// may carry edges outside the candidate (shared union worlds); only
-// candidate edges are consulted. The returned slice aliases the scorer's
-// scratch and is valid until the next call.
-func (ws *WorldMembershipScorer) NonQualifying(seed *WorldPeelSeed, world *graph.Graph) []int32 {
-	gen := ws.beginWorld(seed)
-	dead := ws.out[:0]
-	for ei := range seed.edges {
-		e := seed.edges[ei]
-		if seed.etOff[ei] == seed.etOff[ei+1] || world.HasEdge(e.U, e.V) {
-			continue
-		}
-		dead = ws.killEdge(seed, gen, int32(ei), dead)
+// ScoreLanes scores one block of up to 64 shared union worlds for the
+// candidate bound to seed (by Seed and MapUnion). lanes holds the block's
+// lane words indexed by union edge id — bit j of lanes[e] is set iff union
+// edge e exists in the block's world j (see mc.Lanes) — and valid marks the
+// lanes that hold a world. For every core triangle t it adds to loss[t]
+// (indexed by view id) the number of valid worlds in which t does not
+// belong to a deterministic k-nucleus of the world; triangles outside the
+// core qualify in no world and are not counted.
+//
+// Each core triangle starts alive in the lanes where its three edges are
+// present. For k ≥ 1 a deduplicated worklist then runs the k-core fixpoint
+// on all lanes at once: a clique's word is the AND of its four triangles'
+// words, a triangle keeps the lanes in which at least k of its clique words
+// are set (atLeastK), and a triangle that loses lanes re-queues the other
+// members of every clique that was alive in a lost lane — the only
+// triangles whose counts the loss changed. A triangle of a world's k-core
+// keeps at least k cliques inside that core, whose triangles it never
+// clears, so it never loses the world's lane; and once the worklist drains,
+// every triangle alive in a lane has k cliques alive in it. Each lane
+// therefore stops at the world's k-core, the greatest such set: exactly the
+// set a per-world deletion cascade from the world's missing edges leaves,
+// so the loss counts equal the cascade's. For k = 1
+// a triangle loses only lanes in which none of its cliques is alive, so
+// nothing is re-queued and one pass suffices; for k = 0 the edge test is
+// the whole predicate.
+func (ws *WorldMembershipScorer) ScoreLanes(seed *WorldPeelSeed, lanes []uint64, valid uint64, loss []int32) {
+	if cap(ws.alive) < seed.m {
+		ws.alive = make([]uint64, seed.m)
+		ws.queued = make([]bool, seed.m)
 	}
-	return ws.cascade(seed, gen, dead)
-}
-
-// NonQualifyingMask is NonQualifying over a shared union-world bitmask (see
-// mc.WorldMasksPool): the lost-edge scan tests one bit per candidate edge —
-// through the union ids bound by MapUnion — instead of a binary search in
-// the world's adjacency, which removes the dominant per-world lookup cost
-// on large unions. Masks and materialized worlds drawn from the same seed
-// describe the same worlds, so the two forms return identical sets.
-func (ws *WorldMembershipScorer) NonQualifyingMask(seed *WorldPeelSeed, mask []uint64) []int32 {
-	gen := ws.beginWorld(seed)
-	dead := ws.out[:0]
-	for ei := range seed.edges {
-		if seed.etOff[ei] == seed.etOff[ei+1] || maskHas(mask, seed.edgeBit[ei]) {
-			continue
-		}
-		dead = ws.killEdge(seed, gen, int32(ei), dead)
+	alive := ws.alive[:seed.m]
+	for i, t := range seed.core {
+		e := seed.coreEdge[3*i : 3*i+3 : 3*i+3]
+		alive[t] = valid & lanes[e[0]] & lanes[e[1]] & lanes[e[2]]
 	}
-	return ws.cascade(seed, gen, dead)
-}
-
-// beginWorld sizes the generation-stamped scratch for the seed's candidate
-// and opens a new world generation.
-func (ws *WorldMembershipScorer) beginWorld(seed *WorldPeelSeed) int32 {
-	if len(ws.deadStamp) < seed.m {
-		ws.deadStamp = make([]int32, seed.m)
-		ws.supStamp = make([]int32, seed.m)
-		ws.sup = make([]int32, seed.m)
-	}
-	if len(ws.clStamp) < len(seed.cliques) {
-		ws.clStamp = make([]int32, len(seed.cliques))
-	}
-	ws.work = ws.work[:0]
-	ws.gen++
-	return ws.gen
-}
-
-// killEdge marks the core triangles containing lost edge ei dead, appending
-// them to both the result and the cascade worklist.
-func (ws *WorldMembershipScorer) killEdge(seed *WorldPeelSeed, gen, ei int32, dead []int32) []int32 {
-	for _, t := range seed.etIDs[seed.etOff[ei]:seed.etOff[ei+1]] {
-		if ws.deadStamp[t] != gen {
-			ws.deadStamp[t] = gen
-			dead = append(dead, t)
-			ws.work = append(ws.work, t)
-		}
-	}
-	return dead
-}
-
-// cascade drains the deletion worklist: every clique of a dead triangle dies
-// once, decrementing the lazily-copied supports of its live members, and a
-// member starved below k dies in turn.
-func (ws *WorldMembershipScorer) cascade(seed *WorldPeelSeed, gen int32, dead []int32) []int32 {
-	work := ws.work
 	if seed.k > 0 {
-		for len(work) > 0 {
-			t := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, ci := range seed.clIDs[seed.clOff[t]:seed.clOff[t+1]] {
-				if ws.clStamp[ci] == gen {
-					continue // clique already killed by an earlier loss
-				}
-				ws.clStamp[ci] = gen
-				for _, o := range seed.cliques[ci] {
-					if ws.deadStamp[o] == gen {
-						continue
-					}
-					if ws.supStamp[o] != gen {
-						ws.supStamp[o] = gen
-						ws.sup[o] = seed.supBase[o]
-					}
-					ws.sup[o]--
-					if int(ws.sup[o]) < seed.k {
-						ws.deadStamp[o] = gen
-						dead = append(dead, o)
-						work = append(work, o)
-					}
+		ws.fixpoint(seed, alive)
+	}
+	for _, t := range seed.core {
+		loss[t] += int32(bits.OnesCount64(valid &^ alive[t]))
+	}
+}
+
+// fixpoint drives alive to the per-lane k-core (see ScoreLanes). The
+// worklist starts as the whole core, and queued keeps every triangle on it
+// at most once.
+func (ws *WorldMembershipScorer) fixpoint(seed *WorldPeelSeed, alive []uint64) {
+	queued := ws.queued[:seed.m]
+	work := append(ws.work[:0], seed.core...)
+	for _, t := range seed.core {
+		queued[t] = true
+	}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		queued[t] = false
+		live := alive[t]
+		if live == 0 {
+			continue
+		}
+		cls := seed.clIDs[seed.clOff[t]:seed.clOff[t+1]]
+		keep := atLeastK(seed.cliques, cls, alive, live, seed.k)
+		if keep == live {
+			continue
+		}
+		// Re-queue the other members of every clique that was alive in a
+		// lane t loses; alive[t] still holds live here, so a clique's word
+		// masked by lost is exactly those lanes.
+		lost := live &^ keep
+		for _, ci := range cls {
+			cl := &seed.cliques[ci]
+			if lost&alive[cl[0]]&alive[cl[1]]&alive[cl[2]]&alive[cl[3]] == 0 {
+				continue
+			}
+			for _, o := range cl {
+				if o != t && !queued[o] {
+					queued[o] = true
+					work = append(work, o)
 				}
 			}
 		}
+		alive[t] = keep
 	}
-	ws.out, ws.work = dead, work
-	return dead
+	ws.work = work
+}
+
+// atLeastK returns the lanes of live in which at least k ≥ 1 of the cliques
+// cls are alive, a clique's word being the AND of its four triangles' alive
+// words (live, the scored triangle's own word, bounds every one of them).
+// The per-lane counts are kept bit-sliced — cnt[b] holds bit b of every
+// lane's count, a carry out of the top slice marks the lane as past k for
+// good — and the scan stops as soon as every live lane has reached k.
+func atLeastK(cliques [][4]int32, cls []int32, alive []uint64, live uint64, k int) uint64 {
+	if len(cls) < k {
+		return 0
+	}
+	nb := bits.Len(uint(k)) // k < 2^nb; len(cls) < 2^31 bounds nb by 31
+	var cnt [32]uint64
+	var over, reached uint64
+	for i, ci := range cls {
+		cl := &cliques[ci]
+		carry := alive[cl[0]] & alive[cl[1]] & alive[cl[2]] & alive[cl[3]]
+		for b := 0; b < nb && carry != 0; b++ {
+			c := cnt[b] & carry
+			cnt[b] ^= carry
+			carry = c
+		}
+		over |= carry
+		if i+1 < k {
+			continue // no lane can have reached k yet
+		}
+		if reached = over | countAtLeast(cnt[:nb], k); reached == live {
+			break
+		}
+	}
+	return reached
+}
+
+// countAtLeast compares the bit-sliced lane counts cnt (cnt[b]: bit b of
+// every lane's count) with the constant k, most significant slice first,
+// and returns the lanes whose count is at least k.
+func countAtLeast(cnt []uint64, k int) uint64 {
+	var gt uint64
+	eq := ^uint64(0)
+	for b := len(cnt) - 1; b >= 0; b-- {
+		if k>>uint(b)&1 == 1 {
+			eq &= cnt[b]
+		} else {
+			gt |= eq & cnt[b]
+			eq &^= cnt[b]
+		}
+	}
+	return gt | eq
 }
 
 // WorldNucleusMembership returns, for the given world, the set of triangles

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probnucleus/internal/graph"
+	"probnucleus/internal/mc"
 )
 
 // worldOf draws a random "world" of g: each of g's edges kept with
@@ -31,28 +32,133 @@ func worldOf(rng *rand.Rand, g *graph.Graph, keep float64, extra bool) *graph.Gr
 	return graph.FromEdges(g.NumVertices(), es)
 }
 
-// qualifyingViaSeed computes the qualifying set of a world through the
-// incremental path: candidate core minus the NonQualifying cascade.
-func qualifyingViaSeed(ws *WorldMembershipScorer, seed *WorldPeelSeed, world *graph.Graph) []int32 {
-	dead := ws.NonQualifying(seed, world)
-	deadSet := make(map[int32]bool, len(dead))
-	for _, t := range dead {
-		deadSet[t] = true
+// refNonQualifying is the per-world deletion cascade the word-parallel
+// kernel replaced, kept as its reference: the view ids of the seed's core
+// triangles that do NOT belong to a deterministic k-nucleus of one world —
+// the core triangles that lost one of their own edges, plus the
+// support-starvation cascade those losses trigger through the core's
+// 4-cliques. has reports whether candidate edge ei survives in the world.
+// Every clique of a dead triangle dies once, decrementing the supports of
+// its live members, and a member starved below k dies in turn.
+func refNonQualifying(seed *WorldPeelSeed, has func(ei int32) bool) []int32 {
+	dead := make([]bool, seed.m)
+	clDead := make([]bool, len(seed.cliques))
+	var out, work []int32
+	for _, t := range seed.core {
+		e := seed.inc.triEdge[3*t : 3*t+3]
+		if !has(e[0]) || !has(e[1]) || !has(e[2]) {
+			dead[t] = true
+			out = append(out, t)
+			work = append(work, t)
+		}
 	}
+	if seed.k == 0 {
+		return out
+	}
+	sup := make([]int32, seed.m)
+	for t := range sup {
+		sup[t] = seed.clOff[t+1] - seed.clOff[t]
+	}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, ci := range seed.clIDs[seed.clOff[t]:seed.clOff[t+1]] {
+			if clDead[ci] {
+				continue
+			}
+			clDead[ci] = true
+			for _, o := range seed.cliques[ci] {
+				if dead[o] {
+					continue
+				}
+				if sup[o]--; int(sup[o]) < seed.k {
+					dead[o] = true
+					out = append(out, o)
+					work = append(work, o)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// refNonQualifyingGraph is refNonQualifying on a materialized world.
+func refNonQualifyingGraph(seed *WorldPeelSeed, world *graph.Graph) []int32 {
+	return refNonQualifying(seed, func(ei int32) bool {
+		e := seed.edges[ei]
+		return world.HasEdge(e.U, e.V)
+	})
+}
+
+// refNonQualifyingMask is refNonQualifying on a union-world mask, through
+// the union ids MapUnion bound.
+func refNonQualifyingMask(seed *WorldPeelSeed, mask []uint64) []int32 {
+	return refNonQualifying(seed, func(ei int32) bool { return maskHas(mask, seed.edgeBit[ei]) })
+}
+
+// coreMinus returns the seed's core triangles not in dead, ascending.
+func coreMinus(seed *WorldPeelSeed, dead []int32) []int32 {
 	var out []int32
-	for _, t := range seed.Core() {
-		if !deadSet[t] {
+	for _, t := range seed.core {
+		if !slices.Contains(dead, t) {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
+// qualifyingViaLanes scores worlds (union-world masks, at most 64) as one
+// lane block through ScoreLanes and returns, per world, the core triangles
+// qualifying in it. Each world is scored once more alone (only its lane
+// valid), which turns the per-triangle loss counts into that world's set;
+// the all-lanes score must equal the sum of those sets.
+func qualifyingViaLanes(t *testing.T, ws *WorldMembershipScorer, seed *WorldPeelSeed, masks [][]uint64) [][]int32 {
+	t.Helper()
+	words := len(masks[0])
+	var flat []uint64
+	for _, m := range masks {
+		flat = append(flat, m...)
+	}
+	var l mc.Lanes
+	l.Transpose(flat, len(masks), words)
+	all := make([]int32, seed.m)
+	ws.ScoreLanes(seed, l.Block(0), l.Valid(0), all)
+	sum := make([]int32, seed.m)
+	out := make([][]int32, len(masks))
+	for w := range masks {
+		loss := make([]int32, seed.m)
+		ws.ScoreLanes(seed, l.Block(0), 1<<uint(w), loss)
+		for _, tr := range seed.core {
+			if loss[tr] == 0 {
+				out[w] = append(out[w], tr)
+			}
+			sum[tr] += loss[tr]
+		}
+	}
+	if !slices.Equal(all, sum) {
+		t.Fatalf("block loss counts %v, sum of single-lane counts %v", all, sum)
+	}
+	return out
+}
+
+// worldMask returns world ∩ candidate as a mask over the candidate's own
+// edge list — the union a candidate scored alone is mapped to.
+func worldMask(edges []graph.Edge, world *graph.Graph) []uint64 {
+	mask := make([]uint64, (len(edges)+63)/64)
+	for ei, e := range edges {
+		if world.HasEdge(e.U, e.V) {
+			mask[ei>>6] |= 1 << (uint(ei) & 63)
+		}
+	}
+	return mask
+}
+
 // TestSeededWorldPeelMatchesFullPeel: for random candidates, worlds (with
-// and without union edges outside the candidate), and levels k, the
-// incremental loss cascade must select exactly the triangles the full
-// per-world bucket-queue peel selects. This is the drop-in proof for the
-// shared-world engine's dominant-term optimization.
+// and without union edges outside the candidate), and levels k, both the
+// reference loss cascade and the word-parallel kernel must select exactly
+// the triangles the full per-world bucket-queue peel selects. This is the
+// drop-in proof for scoring a world from the candidate's seed instead of
+// peeling it.
 func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 60; trial++ {
@@ -64,19 +170,28 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 		edges := g.Edges()
 		var full WorldMembershipScorer
 		full.Reset(ti)
-		var inc WorldMembershipScorer
+		var lanes WorldMembershipScorer
 		var seed WorldPeelSeed
 		for k := 0; k <= 3; k++ {
 			seed.Seed(ti, edges, k)
+			seed.MapUnion(edges)
+			var masks [][]uint64
+			var want [][]int32
 			for w := 0; w < 6; w++ {
 				world := worldOf(rng, g, 0.75, w%2 == 1)
-				want := slices.Clone(full.Qualifying(world, k))
-				got := slices.Clone(qualifyingViaSeed(&inc, &seed, world))
-				slices.Sort(want)
-				slices.Sort(got)
-				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d k=%d world %d: seeded peel %v, full peel %v",
-						trial, k, w, got, want)
+				q := slices.Clone(full.Qualifying(world, k))
+				slices.Sort(q)
+				want = append(want, q)
+				masks = append(masks, worldMask(edges, world))
+				if got := coreMinus(&seed, refNonQualifyingGraph(&seed, world)); !slices.Equal(got, q) {
+					t.Fatalf("trial %d k=%d world %d: reference cascade %v, full peel %v",
+						trial, k, w, got, q)
+				}
+			}
+			for w, got := range qualifyingViaLanes(t, &lanes, &seed, masks) {
+				if !slices.Equal(got, want[w]) {
+					t.Fatalf("trial %d k=%d world %d: word kernel %v, full peel %v",
+						trial, k, w, got, want[w])
 				}
 			}
 		}
@@ -86,8 +201,9 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 // TestWorldMembershipScorerResetReuse: one scorer (and one seed) rebound
 // across candidates of very different sizes must reproduce what fresh
 // instances compute — both through the full-peel Reset/Qualifying path and
-// the seeded incremental path, interleaved so stale stamps, supports, and
-// clique marks from a larger candidate would surface on a smaller one.
+// the seeded word-parallel path, interleaved so stale aliveness, worklist
+// flags or clique tables from a larger candidate would surface on a
+// smaller one.
 func TestWorldMembershipScorerResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	sizes := []int{14, 6, 12, 5, 9}
@@ -111,9 +227,13 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 				fresh.Reset(c.ti)
 				shared.Reset(c.ti)
 				sharedSeed.Seed(c.ti, c.edges, k)
+				sharedSeed.MapUnion(c.edges)
 				freshSeed.Seed(c.ti, c.edges, k)
+				freshSeed.MapUnion(c.edges)
+				var masks [][]uint64
 				for w := 0; w < 4; w++ {
 					world := worldOf(rng, c.g, 0.7, w%2 == 0)
+					masks = append(masks, worldMask(c.edges, world))
 					want := slices.Clone(fresh.Qualifying(world, k))
 					got := slices.Clone(shared.Qualifying(world, k))
 					slices.Sort(want)
@@ -122,14 +242,14 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 						t.Fatalf("round %d cand %d k=%d: reused Qualifying %v, fresh %v",
 							round, i, k, got, want)
 					}
-					var freshInc WorldMembershipScorer
-					wantInc := slices.Clone(qualifyingViaSeed(&freshInc, &freshSeed, world))
-					gotInc := slices.Clone(qualifyingViaSeed(&shared, &sharedSeed, world))
-					slices.Sort(wantInc)
-					slices.Sort(gotInc)
-					if !slices.Equal(gotInc, wantInc) {
-						t.Fatalf("round %d cand %d k=%d: reused seeded peel %v, fresh %v",
-							round, i, k, gotInc, wantInc)
+				}
+				var freshLanes WorldMembershipScorer
+				want := qualifyingViaLanes(t, &freshLanes, &freshSeed, masks)
+				got := qualifyingViaLanes(t, &shared, &sharedSeed, masks)
+				for w := range want {
+					if !slices.Equal(got[w], want[w]) {
+						t.Fatalf("round %d cand %d k=%d world %d: reused word kernel %v, fresh %v",
+							round, i, k, w, got[w], want[w])
 					}
 				}
 			}
@@ -174,9 +294,10 @@ func maskAndWorld(rng *rand.Rand, nv int, union []graph.Edge, keep float64) ([]u
 	return mask, graph.FromSortedEdges(nv, es)
 }
 
-// TestNonQualifyingMaskMatchesGraph: the bitmask form of the incremental
-// loss cascade must return exactly what the graph form returns for the same
-// world, across candidates embedded in larger unions.
+// TestNonQualifyingMaskMatchesGraph: the word kernel over union-world
+// masks must leave, in every world, exactly the core triangles the
+// reference cascade leaves on the materialized world, across candidates
+// embedded in larger unions (so lanes are read through MapUnion's ids).
 func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 40; trial++ {
@@ -188,19 +309,25 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 		edges := g.Edges()
 		union := unionWith(rng, g)
 		var seed WorldPeelSeed
-		var viaGraph, viaMask WorldMembershipScorer
+		var ws WorldMembershipScorer
 		for k := 0; k <= 3; k++ {
 			seed.Seed(ti, edges, k)
 			seed.MapUnion(union)
+			var masks [][]uint64
+			var want [][]int32
 			for w := 0; w < 6; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.7)
-				want := slices.Clone(viaGraph.NonQualifying(&seed, world))
-				got := slices.Clone(viaMask.NonQualifyingMask(&seed, mask))
-				slices.Sort(want)
-				slices.Sort(got)
-				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d k=%d world %d: mask losses %v, graph losses %v",
-						trial, k, w, got, want)
+				masks = append(masks, mask)
+				want = append(want, coreMinus(&seed, refNonQualifyingGraph(&seed, world)))
+				if got := coreMinus(&seed, refNonQualifyingMask(&seed, mask)); !slices.Equal(got, want[w]) {
+					t.Fatalf("trial %d k=%d world %d: mask-form reference %v, graph-form reference %v",
+						trial, k, w, got, want[w])
+				}
+			}
+			for w, got := range qualifyingViaLanes(t, &ws, &seed, masks) {
+				if !slices.Equal(got, want[w]) {
+					t.Fatalf("trial %d k=%d world %d: word kernel %v, reference cascade %v",
+						trial, k, w, got, want[w])
 				}
 			}
 		}

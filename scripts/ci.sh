@@ -15,7 +15,7 @@
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — closure
 # growth, seeding from the per-call union tables, per-world predicate,
-# min-tail reduction, weak seed rebind + loss cascade — must allocate
+# min-tail reduction, weak seed rebind + lane scoring — must allocate
 # nothing), so a single `go test` run asserts them. `goldendump -check` then verifies the global/weak golden snapshot
 # through the same command that regenerates it (drop -check after an
 # intentional semantic change).
@@ -32,6 +32,18 @@ set -eu
 cd "$(dirname "$0")/.."
 
 pkgs="${1:-./...}"
+
+# gofmt -l lists every Go file whose formatting differs from gofmt's (the
+# nested perfbench module included; hidden directories such as the
+# benchmark's .bench_build cache are skipped); any listed file fails the
+# gate.
+echo "==> gofmt -l"
+unformatted="$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go build $pkgs"
 go build "$pkgs"
