@@ -98,6 +98,27 @@ func TestBadParameters(t *testing.T) {
 	}
 }
 
+// TestOverflowingSampleCount: a sample count no int32 world counter can
+// hold — an explicit samples past math.MaxInt32, or one implied by a tiny
+// eps — is the client's fault and a 400 on every nuclei route and for both
+// semantics, not a 500 from the kernel or an empty 200.
+func TestOverflowingSampleCount(t *testing.T) {
+	h := newTestServer(t, 1, -1).handler()
+	for _, route := range []string{"/nuclei", "/graphs/k5/nuclei"} {
+		for _, sem := range []string{"global", "weak"} {
+			for _, params := range []string{"eps=1e-10", "samples=2147483648"} {
+				target := route + "?k=1&theta=0.1&semantics=" + sem + "&" + params
+				w := get(t, h, target)
+				if w.Code != http.StatusBadRequest {
+					t.Errorf("GET %s = %d, want 400 (body %q)", target, w.Code, w.Body.String())
+				} else if !strings.Contains(w.Body.String(), "samples") {
+					t.Errorf("GET %s body %q does not mention samples", target, w.Body.String())
+				}
+			}
+		}
+	}
+}
+
 // TestGoodRequests: the happy paths answer 200 with well-formed JSON for
 // all three semantics, and integer parameters parse strictly but correctly.
 func TestGoodRequests(t *testing.T) {

@@ -122,23 +122,36 @@ func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalE
 	return cs, est
 }
 
+// validateOneWindow is the g-NuDecomp kernel's step for one candidate of a
+// one-window run: seed the candidate from the union tables, apply the
+// θ-prune, scan the window into the reused totals, and take the verdict.
+func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int32) (float64, bool) {
+	m := est.seedCandidate(closure, k)
+	if est.pruned(0) {
+		return 0, false
+	}
+	*tot = resizeCleared(*tot, m)
+	est.scanInto(*tot)
+	return est.tailVerdict(*tot)
+}
+
 // TestSharedWorldGlobalValidationAllocationFree: one whole kernel step per
 // candidate — closure growth, seeding the candidate from the union tables,
-// the per-world predicate scan, count accumulation, and the min-tail
-// reduction — must not allocate once the estimator's scratch has reached
-// steady state. This is the allocation contract of the shared-world engine:
-// the only per-call allocations are the union tables and the union worlds,
-// built once.
+// the per-world predicate scan, count accumulation, and the verdict — must
+// not allocate once the estimator's scratch has reached steady state. This
+// is the allocation contract of the shared-world engine: the only per-call
+// allocations are the union tables and the union worlds, built once.
 func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	cs, est := globalArenaFixture(t, pool)
+	var tot []int32
 	for _, seed := range cs.triangles { // warm every scratch buffer
-		est.estimate(cs.closure(seed, 1), 1)
+		validateOneWindow(est, cs.closure(seed, 1), 1, &tot)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		est.estimate(cs.closure(cs.triangles[i%len(cs.triangles)], 1), 1)
+		validateOneWindow(est, cs.closure(cs.triangles[i%len(cs.triangles)], 1), 1, &tot)
 		i++
 	})
 	if allocs != 0 {
@@ -210,10 +223,8 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		m := est.seedCandidate(closures[i%len(closures)], 1)
-		for t := 0; t < m; t++ {
-			_ = est.aliveCnt[est.seed.AliveUID(t)]
-		}
+		est.seedCandidate(closures[i%len(closures)], 1)
+		est.pruned(0)
 		i++
 	})
 	if allocs != 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,9 +15,9 @@ import (
 	"probnucleus/internal/probgraph"
 )
 
-// LocalRequest parameterizes Engine.Local: one ℓ-NuDecomp query. It is the
-// request-struct face of Options — the fields a serving caller chooses per
-// query, without the pool plumbing.
+// LocalRequest parameterizes Engine.Local: one ℓ-NuDecomp query — the
+// fields of Options a caller chooses per query, without the worker count,
+// which is the engine's.
 type LocalRequest struct {
 	// Theta is the probability threshold θ of the decomposition.
 	Theta float64
@@ -44,7 +45,7 @@ func (r LocalRequest) Validate() error {
 // NucleiRequest parameterizes Engine.Global and Engine.Weak: one g- or
 // w-NuDecomp query. It unifies the (k, θ) call arguments and the MCOptions
 // sampling knobs of the package-level functions into a single validated
-// request struct.
+// request struct, the one every g- and w-NuDecomp call runs from.
 type NucleiRequest struct {
 	// K is the nucleus level.
 	K int
@@ -55,6 +56,7 @@ type NucleiRequest struct {
 	Eps   float64
 	Delta float64
 	// Samples, when positive, fixes the possible-world count directly.
+	// Either way the count may not exceed math.MaxInt32.
 	Samples int
 	// Seed roots the world PRNG streams; estimates depend only on it, never
 	// on the shard's worker count.
@@ -89,25 +91,94 @@ func (r NucleiRequest) Validate() error {
 	if !(r.Theta > 0 && r.Theta <= 1) {
 		return errTheta(r.Theta)
 	}
-	return r.mcOptions(nil, nil, nil, nil).validateSampleSpec()
+	return r.validateSampleSpec()
 }
 
-// mcOptions lowers the request onto a shard's pool, world-mask bank,
-// observer, and optional prepare-stage artifact.
-func (r NucleiRequest) mcOptions(pool *par.Pool, bank *mc.Bank, o obs.Observer, pre *Prepared) MCOptions {
-	return MCOptions{
-		Eps:       r.Eps,
-		Delta:     r.Delta,
-		Samples:   r.Samples,
-		Seed:      r.Seed,
-		Window:    r.Window,
-		MemBudget: r.MemBudget,
-		Local:     r.Local,
-		Prepared:  pre,
-		Pool:      pool,
-		Bank:      bank,
-		Obs:       o,
+// maxSamples bounds the world count a request may resolve to: per-triangle
+// counts, the θ threshold and window offsets are int32.
+const maxSamples = math.MaxInt32
+
+// validateSampleSpec checks the Monte-Carlo sample specification: Samples
+// must lie in [0, maxSamples], Window and MemBudget must be non-negative,
+// and when Samples is zero each of Eps/Delta must be either zero (defaulted
+// to 0.1) or inside (0,1] — the domain of the Hoeffding bound — and the
+// bound itself may not exceed maxSamples. It is the error-returning
+// counterpart of the panic in mc.SampleSize.
+func (r NucleiRequest) validateSampleSpec() error {
+	if r.Samples < 0 || r.Samples > maxSamples {
+		return fmt.Errorf("core: samples = %d outside [0, %d]: %w", r.Samples, maxSamples, ErrBadSampleSpec)
 	}
+	if r.Window < 0 {
+		return fmt.Errorf("core: window = %d: %w", r.Window, ErrBadSampleSpec)
+	}
+	if r.MemBudget < 0 {
+		return fmt.Errorf("core: membudget = %d: %w", r.MemBudget, ErrBadSampleSpec)
+	}
+	if r.Samples > 0 {
+		return nil
+	}
+	if r.Eps != 0 && !(r.Eps > 0 && r.Eps <= 1) {
+		return fmt.Errorf("core: eps = %v: %w", r.Eps, ErrBadSampleSpec)
+	}
+	if r.Delta != 0 && !(r.Delta > 0 && r.Delta <= 1) {
+		return fmt.Errorf("core: delta = %v: %w", r.Delta, ErrBadSampleSpec)
+	}
+	// The bound in floating point, before mc.SampleSize converts it to an
+	// int: a count past the int range would not convert to a usable value.
+	eps, delta := r.epsDelta()
+	if n := math.Log(2/delta) / (2 * eps * eps); n > maxSamples {
+		return fmt.Errorf("core: eps = %v, delta = %v need %.3g samples, more than %d: %w",
+			eps, delta, math.Ceil(n), maxSamples, ErrBadSampleSpec)
+	}
+	return nil
+}
+
+// epsDelta returns the request's (ε,δ) with the 0.1 defaults applied.
+func (r NucleiRequest) epsDelta() (eps, delta float64) {
+	eps, delta = r.Eps, r.Delta
+	if eps == 0 {
+		eps = 0.1
+	}
+	if delta == 0 {
+		delta = 0.1
+	}
+	return eps, delta
+}
+
+// sampleCount resolves the number of sampled worlds: Samples when positive,
+// otherwise the Hoeffding bound of Lemma 4 (mc.SampleSize).
+func (r NucleiRequest) sampleCount() int {
+	if r.Samples > 0 {
+		return r.Samples
+	}
+	return mc.SampleSize(r.epsDelta())
+}
+
+// windowSize resolves the world window the shared bank streams through for a
+// run of n worlds over unionEdges union edges: an explicit Window when
+// positive, otherwise a window derived from the MemBudget byte budget (one
+// world's mask row is ⌈unionEdges/64⌉×8 bytes; the window is however many
+// rows the budget holds, but never fewer than one), otherwise — and whenever
+// the resolved window exceeds n — the full bank in one window.
+func (r NucleiRequest) windowSize(n, unionEdges int) int {
+	window := r.Window
+	if window == 0 && r.MemBudget > 0 {
+		words := int64(unionEdges+63) / 64
+		if words < 1 {
+			words = 1
+		}
+		w := r.MemBudget / (words * 8)
+		window = 1
+		if w > int64(n) {
+			window = n
+		} else if w > 1 {
+			window = int(w)
+		}
+	}
+	if window <= 0 || window > n {
+		window = n
+	}
+	return window
 }
 
 // EngineOption configures optional Engine behavior at construction
@@ -204,6 +275,46 @@ type engineShard struct {
 	// local is the working memory of the shard's last local peel, kept for
 	// as long as the shard goes on serving local requests (see dropLocal).
 	local localScratch
+}
+
+// run is what a shard hands one kernel call besides its request: the
+// shard's worker pool and world-mask bank, the engine's observer (nil when
+// off), the prepare-stage artifact the call runs from (nil until prepared),
+// and the local-peel working memory to reuse (nil gives the peel fresh
+// memory).
+type run struct {
+	pool  *par.Pool
+	bank  *mc.Bank
+	obs   obs.Observer
+	pre   *Prepared
+	local *localScratch
+}
+
+// prepare gives the run a prepared artifact for pg, enumerating pg's
+// triangle index on the run's pool unless the run already has one.
+func (r *run) prepare(pg *probgraph.Graph) error {
+	if r.pre != nil {
+		return nil
+	}
+	pre, err := newPrepared(pg, r.pool, r.obs)
+	if err != nil {
+		return err
+	}
+	r.pre = pre
+	return nil
+}
+
+// localResult resolves the pruning local decomposition the global and weak
+// kernels run from: the request's own when it brings one, otherwise an
+// exact DP decomposition at the request's θ on the run's pool.
+func (r *run) localResult(pg *probgraph.Graph, req NucleiRequest) (*LocalResult, error) {
+	if req.Local != nil {
+		return req.Local, nil
+	}
+	if err := r.prepare(pg); err != nil {
+		return nil, err
+	}
+	return localDecompose(r, LocalRequest{Theta: req.Theta, Mode: ModeDP})
 }
 
 // dropLocal releases the shard's local-peel working memory. Every request
@@ -549,22 +660,12 @@ func (e *Engine) local(ctx context.Context, pg *probgraph.Graph, pre *Prepared, 
 	}
 	var res *LocalResult
 	err = e.guarded(s, obs.SemLocal, func() error {
-		p := pre
-		if p == nil {
-			var perr error
-			if p, perr = newPrepared(pg, s.pool, e.obs); perr != nil {
-				return perr
-			}
+		r := run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, local: &s.local}
+		if err := r.prepare(pg); err != nil {
+			return err
 		}
 		var kerr error
-		res, kerr = localDecompose(p, req.Theta, Options{
-			Mode:         req.Mode,
-			Hyper:        req.Hyper,
-			MethodCounts: req.MethodCounts,
-			Pool:         s.pool,
-			Obs:          e.obs,
-			scratch:      &s.local,
-		})
+		res, kerr = localDecompose(&r, req)
 		return kerr
 	})
 	if err != nil {
@@ -619,13 +720,12 @@ func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared,
 	s.dropLocal()
 	var out []ProbNucleus
 	err = e.guarded(s, sem, func() error {
-		var kerr error
-		opts := req.mcOptions(s.pool, &s.bank, e.obs, pre)
+		kernel := globalNuclei
 		if sem == obs.SemWeak {
-			out, kerr = weaklyGlobalNuclei(pg, req.K, req.Theta, opts)
-		} else {
-			out, kerr = globalNuclei(pg, req.K, req.Theta, opts)
+			kernel = weaklyGlobalNuclei
 		}
+		var kerr error
+		out, kerr = kernel(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre}, pg, req)
 		return kerr
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -85,11 +86,13 @@ func checkEngineCase(ctx context.Context, eng *Engine, c engineCase) error {
 
 // TestEngineMatchesPackageFunctions: every (shard count, worker count)
 // configuration must reproduce the package-level results byte-for-byte —
-// sharding is a dispatch concern, never a semantic one.
+// sharding is a dispatch concern, never a semantic one. With one shard, the
+// cases run back to back on the same parked workers and scratch, so reuse
+// across requests is covered at every worker count.
 func TestEngineMatchesPackageFunctions(t *testing.T) {
 	cases := engineCases(t)
 	for _, shards := range []int{1, 3} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				eng := NewEngine(shards, workers)
 				defer eng.Close()
@@ -252,22 +255,6 @@ func TestEngineRejectsInvalidRequests(t *testing.T) {
 	}
 }
 
-// TestDecomposerConcurrentMisusePanics: overlapping entry into the
-// single-caller Decomposer must panic with a clear message instead of
-// silently corrupting shard scratch.
-func TestDecomposerConcurrentMisusePanics(t *testing.T) {
-	d := NewDecomposer(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping Decomposer entry did not panic")
-		}
-		d.exit() // clear the first enter so Close can run
-		d.Close()
-	}()
-	d.enter("LocalDecompose")
-	d.enter("GlobalNuclei")
-}
-
 // TestSentinelErrors: every validation failure — package-level functions and
 // request Validate methods alike — matches its sentinel via errors.Is, and
 // well-formed requests validate clean.
@@ -296,6 +283,27 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := GlobalNuclei(fig, 1, 0.3, MCOptions{Delta: 2, Workers: 1}); !errors.Is(err, ErrBadSampleSpec) {
 		t.Errorf("GlobalNuclei delta=2: %v, want ErrBadSampleSpec", err)
+	}
+	// Sample counts past math.MaxInt32 — explicit, or from a tiny ε — cannot
+	// be represented by the int32 per-triangle counts, on the package-level
+	// functions and on an Engine alike.
+	eng := NewEngine(1, 1)
+	defer eng.Close()
+	for _, o := range []MCOptions{{Eps: 1e-10}, {Samples: math.MaxInt32 + 1}} {
+		o.Workers = 1
+		if _, err := GlobalNuclei(fig, 1, 0.1, o); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("GlobalNuclei eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		}
+		if _, err := WeaklyGlobalNuclei(fig, 1, 0.1, o); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("WeaklyGlobalNuclei eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		}
+		req := nucleiRequest(1, 0.1, o)
+		if _, err := eng.Global(context.Background(), fig, req); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("Engine.Global eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		}
+		if _, err := eng.Weak(context.Background(), fig, req); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("Engine.Weak eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		}
 	}
 
 	if err := (LocalRequest{Theta: 0}).Validate(); !errors.Is(err, ErrTheta) {

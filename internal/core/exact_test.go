@@ -73,7 +73,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 	defer pool.Close()
 	pairs := 0
 	for _, in := range inputs {
-		local, err := LocalDecompose(in.pg, in.theta, Options{Mode: ModeDP, Pool: pool})
+		local, err := LocalDecompose(in.pg, in.theta, Options{Mode: ModeDP, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,17 +110,17 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		}
 		var bank mc.Bank
 		for s := int64(1); s <= seeds; s++ {
-			// Full bank: the kernel's estimate, prune off so every triangle's
-			// count is scanned; the per-triangle estimates are read back.
+			// Full bank: every candidate scanned against the whole bank in one
+			// window, unpruned; the per-triangle estimates are read back.
 			full := newGlobalEstimator(pool, cs.ti, in.pg.NumVertices(), union, n, 0)
-			full.prune = false
 			masks, _ := bank.WorldMasks(pool, upg, n, s)
 			full.setWindow(masks, n)
 			fullP := make([][]float64, len(closures))
 			for c, closure := range closures {
-				full.estimate(closure, in.k)
+				counts := make([]int32, full.seedCandidate(closure, in.k))
+				full.scanInto(counts)
 				for j := range exactTail[c] {
-					fullP[c] = append(fullP[c], full.tailAt(j, n))
+					fullP[c] = append(fullP[c], float64(counts[j])/float64(n))
 				}
 			}
 			// Windowed: stream the same worlds window by window past every
@@ -263,7 +263,7 @@ func TestWeakEstimatorExactConformance(t *testing.T) {
 	defer pool.Close()
 	pairs := 0
 	for _, in := range inputs {
-		local, err := LocalDecompose(in.pg, in.theta, Options{Mode: ModeDP, Pool: pool})
+		local, err := LocalDecompose(in.pg, in.theta, Options{Mode: ModeDP, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

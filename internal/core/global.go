@@ -3,14 +3,11 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
-	"probnucleus/internal/mc"
-	"probnucleus/internal/obs"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
@@ -27,12 +24,6 @@ type MCOptions struct {
 	// Local supplies a precomputed exact local decomposition at the same θ
 	// to prune the search space; when nil it is computed internally.
 	Local *LocalResult
-	// Prepared, when non-nil and Local is nil, supplies the prepare-stage
-	// artifact the internal local decomposition runs from, skipping triangle
-	// enumeration. It is engine plumbing, set by the *Prepared request
-	// variants; ignored when Local is set (the LocalResult already embeds
-	// its index).
-	Prepared *Prepared
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds
 	// instead of materializing all n×⌈|E∪|/64⌉ mask words at once: peak bank
@@ -54,126 +45,10 @@ type MCOptions struct {
 	// fully serial. Worlds are drawn from chunk-derived PRNGs (see package
 	// mc), so results depend only on Seed, never on the worker count.
 	Workers int
-	// Pool, when non-nil, is a caller-owned worker pool to run on instead of
-	// spawning one per call; it overrides Workers and stays open afterwards.
-	// The same pool serves the internal LocalDecompose pruning phase and the
-	// per-candidate Monte-Carlo validation (see Decomposer).
-	Pool *par.Pool
-	// Bank, when non-nil, supplies the reusable backing the shared world-
-	// mask bank is drawn into, so repeated calls at the same (ε,δ) sample
-	// without allocating. It is shard plumbing and is consumed only together
-	// with Pool (the Engine sets both); with a nil Pool the call routes
-	// through a one-shot engine shard that owns its own bank and Bank is
-	// ignored. Leave nil outside engine internals; a private bank is used.
-	Bank *mc.Bank
-	// Obs, when non-nil, receives kernel progress events (shared world
-	// batches, candidate validations); it is engine plumbing, set by
-	// Engine.Global/Weak from WithObserver. A nil observer adds zero
-	// allocations to the decomposition path.
-	Obs obs.Observer
-}
-
-func (o MCOptions) sampleCount() int {
-	if o.Samples > 0 {
-		return o.Samples
-	}
-	eps, delta := o.Eps, o.Delta
-	if eps == 0 {
-		eps = 0.1
-	}
-	if delta == 0 {
-		delta = 0.1
-	}
-	return mc.SampleSize(eps, delta)
-}
-
-// validateSampleSpec checks the Monte-Carlo sample specification: Samples
-// must be non-negative, and when it is zero each of Eps/Delta must be either
-// zero (defaulted to 0.1) or inside (0,1] — the domain of the Hoeffding
-// bound. It is the error-returning counterpart of the panic in
-// mc.SampleSize, shared by NucleiRequest.Validate and the package-level
-// entry points.
-func (o MCOptions) validateSampleSpec() error {
-	if o.Samples < 0 {
-		return fmt.Errorf("core: samples = %d: %w", o.Samples, ErrBadSampleSpec)
-	}
-	if o.Window < 0 {
-		return fmt.Errorf("core: window = %d: %w", o.Window, ErrBadSampleSpec)
-	}
-	if o.MemBudget < 0 {
-		return fmt.Errorf("core: membudget = %d: %w", o.MemBudget, ErrBadSampleSpec)
-	}
-	if o.Samples == 0 {
-		if o.Eps != 0 && !(o.Eps > 0 && o.Eps <= 1) {
-			return fmt.Errorf("core: eps = %v: %w", o.Eps, ErrBadSampleSpec)
-		}
-		if o.Delta != 0 && !(o.Delta > 0 && o.Delta <= 1) {
-			return fmt.Errorf("core: delta = %v: %w", o.Delta, ErrBadSampleSpec)
-		}
-	}
-	return nil
-}
-
-// windowSize resolves the world window the shared bank streams through for a
-// run of n worlds over unionEdges union edges: an explicit Window when
-// positive, otherwise a window derived from the MemBudget byte budget (one
-// world's mask row is ⌈unionEdges/64⌉×8 bytes; the window is however many
-// rows the budget holds, but never fewer than one), otherwise — and whenever
-// the resolved window exceeds n — the full bank in one window.
-func (o MCOptions) windowSize(n, unionEdges int) int {
-	window := o.Window
-	if window == 0 && o.MemBudget > 0 {
-		words := int64(unionEdges+63) / 64
-		if words < 1 {
-			words = 1
-		}
-		w := o.MemBudget / (words * 8)
-		window = 1
-		if w > int64(n) {
-			window = n
-		} else if w > 1 {
-			window = int(w)
-		}
-	}
-	if window <= 0 || window > n {
-		window = n
-	}
-	return window
-}
-
-// worldBank resolves the reusable bank the shared world stream is drawn
-// into: the caller-owned one when set (the Engine pre-wires its tap to the
-// engine observer), or a private per-call bank tapped here so world batches
-// stay observable on the one-shot path too.
-func (o MCOptions) worldBank() *mc.Bank {
-	if o.Bank != nil {
-		return o.Bank
-	}
-	b := new(mc.Bank)
-	if o.Obs != nil {
-		b.Tap = o.Obs.WorldBatch
-	}
-	return b
-}
-
-// localResult resolves the pruning local decomposition the global and weak
-// kernels run from: the caller-supplied one when set, otherwise an exact DP
-// decomposition computed on the kernel's pool — from the prepared artifact
-// when one was supplied (no enumeration), from scratch when not.
-func (o MCOptions) localResult(pg *probgraph.Graph, theta float64) (*LocalResult, error) {
-	if o.Local != nil {
-		return o.Local, nil
-	}
-	lopts := Options{Mode: ModeDP, Pool: o.Pool, Obs: o.Obs}
-	if o.Prepared != nil {
-		return localDecompose(o.Prepared, theta, lopts)
-	}
-	return LocalDecompose(pg, theta, lopts)
 }
 
 // nucleiRequest lifts (k, θ) plus the sampling knobs of o into the request
-// struct the Engine serves — the bridge the thin package-level wrappers and
-// the legacy Decomposer cross.
+// struct the Engine serves — the one bridge the package-level wrappers cross.
 func nucleiRequest(k int, theta float64, o MCOptions) NucleiRequest {
 	return NucleiRequest{
 		K:         k,
@@ -197,7 +72,7 @@ type ProbNucleus struct {
 	Triangles []graph.Triangle
 	Vertices  []int32
 	Edges     []graph.Edge
-	// MinProb is the smallest estimated Pr̂(X_{H,△} ≥ k) over the nucleus's
+	// MinProb is the smallest estimated Pr̂(X_{H,△,g} ≥ k) over the nucleus's
 	// triangles (≥ θ by construction).
 	MinProb float64
 }
@@ -227,13 +102,9 @@ type ProbNucleus struct {
 // candidate's edges — no per-candidate graph, index restriction or
 // triangle-id lookup.
 //
-// With no caller-owned MCOptions.Pool, the call is a thin wrapper over a
-// one-shot one-shard Engine, so the package-level path and the served path
-// run the identical kernel.
+// The call is a thin wrapper over a one-shot one-shard Engine, so the
+// package-level path and the served path run the identical kernel.
 func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	if opts.Pool != nil {
-		return globalNuclei(pg, k, theta, opts)
-	}
 	req := nucleiRequest(k, theta, opts)
 	if err := req.Validate(); err != nil {
 		return nil, err // fail fast: no worker team for a malformed request
@@ -243,136 +114,116 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 	return e.Global(context.Background(), pg, req)
 }
 
-// globalNuclei is the GlobalNuclei kernel; it requires opts.Pool and runs
-// entirely on it. Cancellation of the pool's bound context is observed
+// globalNuclei is the GlobalNuclei kernel for a validated request; it runs
+// entirely on r's pool. Cancellation of the pool's bound context is observed
 // between pool chunks, between Monte-Carlo world batches, and at every
 // candidate, returning ctx.Err().
-func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	if k < 0 {
-		return nil, errNegativeK(k)
-	}
-	if err := opts.validateSampleSpec(); err != nil {
-		return nil, err
-	}
-	pool := opts.Pool
-	local, err := opts.localResult(pg, theta)
+//
+// It enumerates the deduplicated candidates once, then streams the shared
+// bank past them window by window — the whole bank in one window by
+// default, fixed-size windows when the request bounds the bank's memory.
+// Each window's worlds are drawn from the same chunk-derived PRNG streams
+// and add the same integers to a candidate's per-triangle qualifying-world
+// totals, so every window cut reaches the same verdicts. A candidate is
+// dropped as soon as some triangle is alive in fewer than `need` worlds even
+// if it were alive in every world still to come: a triangle qualifies only
+// where it is alive, so the scan could only confirm the failure.
+func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
+	k, theta, pool := req.K, req.Theta, r.pool
+	local, err := r.localResult(pg, req)
 	if err != nil {
 		return nil, err
 	}
 
-	// C: union of ℓ-(k,θ)-nuclei, with its level-k clique structure.
+	// C: union of ℓ-(k,θ)-nuclei, with its level-k clique structure. Its
+	// distinct closures are the candidates; the dedup arena keeps each one.
 	cand := newCandidateSpace(local, k)
 	if len(cand.triangles) == 0 {
 		return nil, nil
 	}
-	// One shared world stream over the union of all candidate edges (every
-	// candidate is a subgraph of it), sampled as one flat bank of edge
-	// bitmasks — in one window by default, or streamed through fixed-size
-	// windows when opts.Window bounds the bank's peak memory.
-	union := appendTriangleEdges(nil, cand.ti, cand.triangles)
-	n := opts.sampleCount()
-	window := opts.windowSize(n, len(union))
-	upg := pg.SubgraphOfEdges(union)
-	bank := opts.worldBank()
-	est := newGlobalEstimator(pool, cand.ti, pg.NumVertices(), union, n, theta)
-	var out []ProbNucleus
-	var seen triSetDedup
-
-	if window == n {
-		masks, _ := bank.WorldMasks(pool, upg, n, opts.Seed)
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		est.setWindow(masks, n)
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		for _, seed := range cand.triangles {
-			if err := pool.Err(); err != nil {
-				return nil, err
-			}
-			closure := cand.closure(seed, k)
-			if !seen.insert(closure) {
-				continue
-			}
-			if opts.Obs != nil {
-				opts.Obs.Candidate(len(closure))
-			}
-			minProb, ok := est.estimate(closure, k)
-			if !ok {
-				continue
-			}
-			out = append(out, buildProbNucleus(cand.ti, closure, k, theta, minProb))
-		}
-		// The last candidate may have been estimated against a half-filled
-		// world batch; one final check keeps cancelled calls from returning it.
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		sortNuclei(out)
-		return out, nil
-	}
-
-	// Windowed streaming: enumerate the deduplicated candidates up front,
-	// then stream the bank window by window past all of them, accumulating
-	// each candidate's per-triangle qualifying-world totals. The totals are
-	// sums of the same integers the full-bank path sums, so the final
-	// verdicts — estimates, pass/fail, reported minima — are byte-identical;
-	// only the peak mask memory changes. (The full-bank path's early exits —
-	// the θ-failing-triangle break and the aliveness prune — only skip work,
-	// never change a verdict, so their absence here is invisible.)
-	closOff := make([]int32, 1, len(cand.triangles)+1)
-	var closFlat []int32
+	var cands triSetDedup
 	for _, seed := range cand.triangles {
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
 		closure := cand.closure(seed, k)
-		if !seen.insert(closure) {
+		if !cands.insert(closure) {
 			continue
 		}
-		if opts.Obs != nil {
-			opts.Obs.Candidate(len(closure))
+		if r.obs != nil {
+			r.obs.Candidate(len(closure))
 		}
-		closFlat = append(closFlat, closure...)
-		closOff = append(closOff, int32(len(closFlat)))
 	}
-	nc := len(closOff) - 1
-	cntOff := make([]int32, 1, nc+1)
-	var cntFlat []int32
+	nc := cands.len()
+
+	// One shared world stream over the union of all candidate edges (every
+	// candidate is a subgraph of it), sampled as a flat bank of edge
+	// bitmasks.
+	union := appendTriangleEdges(nil, cand.ti, cand.triangles)
+	n := req.sampleCount()
+	window := req.windowSize(n, len(union))
+	upg := pg.SubgraphOfEdges(union)
+	est := newGlobalEstimator(pool, cand.ti, pg.NumVertices(), union, n, theta)
+	// live lists the candidates not dropped yet, in enumeration order.
+	live := make([]int32, nc)
+	for c := range live {
+		live[c] = int32(c)
+	}
+	// A run of several windows keeps every candidate's per-triangle totals
+	// from one window to the next, in totFlat[totOff[c]:totOff[c+1]] (laid
+	// out on the first window); a one-window run needs only the totals of
+	// the candidate at hand, in one reused slice.
+	multi := window < n
+	var totOff, totFlat, one []int32
+	if multi {
+		totOff = make([]int32, 1, nc+1)
+	}
+	var out []ProbNucleus
 	for lo := 0; lo < n; lo += window {
-		hi := lo + window
-		if hi > n {
-			hi = n
-		}
-		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, hi, opts.Seed)
+		hi := min(lo+window, n)
+		masks, _ := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
 		est.setWindow(masks, hi-lo)
-		for c := 0; c < nc; c++ {
+		kept := live[:0]
+		for _, c := range live {
 			if err := pool.Err(); err != nil {
 				return nil, err
 			}
-			m := est.seedCandidate(closFlat[closOff[c]:closOff[c+1]], k)
-			if lo == 0 {
+			closure := cands.set(c)
+			m := est.seedCandidate(closure, k)
+			if multi && lo == 0 {
 				for i := 0; i < m; i++ {
-					cntFlat = append(cntFlat, 0)
+					totFlat = append(totFlat, 0)
 				}
-				cntOff = append(cntOff, cntOff[c]+int32(m))
+				totOff = append(totOff, int32(len(totFlat)))
 			}
-			est.scanInto(cntFlat[cntOff[c]:cntOff[c+1]])
+			if est.pruned(n - hi) {
+				continue
+			}
+			kept = append(kept, c)
+			var tot []int32
+			if multi {
+				tot = totFlat[totOff[c]:totOff[c+1]]
+			} else {
+				one = resizeCleared(one, m)
+				tot = one
+			}
+			est.scanInto(tot)
+			if hi < n {
+				continue
+			}
+			if minProb, ok := est.tailVerdict(tot); ok {
+				out = append(out, buildProbNucleus(cand.ti, closure, k, theta, minProb))
+			}
 		}
+		live = kept
 	}
+	// The last candidate may have been scanned against a half-filled world
+	// batch; one final check keeps cancelled calls from returning it.
 	if err := pool.Err(); err != nil {
 		return nil, err
-	}
-	for c := 0; c < nc; c++ {
-		minProb, ok := est.tailVerdict(cntFlat[cntOff[c]:cntOff[c+1]])
-		if !ok {
-			continue
-		}
-		out = append(out, buildProbNucleus(cand.ti, closFlat[closOff[c]:closOff[c+1]], k, theta, minProb))
 	}
 	sortNuclei(out)
 	return out, nil
@@ -591,34 +442,37 @@ func (d *triSetDedup) insert(ids []int32) bool {
 	return true
 }
 
+// len returns the number of distinct sets stored.
+func (d *triSetDedup) len() int { return max(len(d.offs)-1, 0) }
+
+// set returns stored set i, in insertion order; it aliases the arena.
+func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]] }
+
 // globalEstimator holds the per-candidate Monte-Carlo validation state of
 // Algorithm 2: the current window of the shared world-mask bank, the union
 // tables every candidate's world-check seed is cut from, the shared
 // per-world triangle-aliveness bank over the union view, one WorldChecker
-// and count slice per pool worker, the current candidate's seed, and the
-// min-tail reduction scratch. All of it is reused across candidates, so
-// validating one more candidate allocates nothing at steady state.
+// and count slice per pool worker, and the current candidate's seed. All of
+// it is reused across candidates, so validating one more candidate
+// allocates nothing at steady state.
 //
 // The aliveness bank is the shared-scan optimization: each world's
 // per-union-triangle aliveness — its three edges present — is computed once
 // per world when the window is bound, and every candidate scanned against
 // that world reads one aliveness bit per triangle and three per 4-clique
 // completion instead of re-testing edge bits (candidates overlap heavily, so
-// the same triangles were re-scanned per candidate). The accumulated
-// per-triangle alive-world counts also bound any candidate triangle's
-// qualifying count from above, which is what the θ-prune (prune) uses to
-// fail a candidate before scanning a single world: a triangle alive in fewer
-// than `need` worlds cannot qualify in enough. The prune defaults on and
-// never changes a verdict — it only fails candidates the scan would fail.
+// the same triangles were re-scanned per candidate). The per-triangle
+// alive-world counts accumulated across windows also bound any candidate
+// triangle's qualifying count from above, which is what the θ-prune
+// (pruned) reads.
 type globalEstimator struct {
 	pool  *par.Pool
 	words int
 	n     int // total sampled worlds (across all windows)
 	theta float64
 	need  int32 // smallest count c with c/n ≥ θ
-	prune bool
 	// Current window: masks holds winWorlds consecutive worlds of the bank,
-	// one row per world (the whole bank on the full-bank path).
+	// one row per world.
 	masks     []uint64
 	winWorlds int
 
@@ -640,18 +494,10 @@ type globalEstimator struct {
 	aliveCnt []int32
 	aliveW   [][]int32
 
-	// Min-tail reduction scratch: per-range minimum, first failing triangle
-	// id (-1 when the range passes), and its estimate.
-	partMin []float64
-	failIdx []int32
-	failP   []float64
-	// Per-candidate parameters consumed by the hoisted pool closures (one
-	// closure per estimator, not one per candidate — keeping the
-	// per-candidate steady state allocation-free).
-	m       int
+	// The hoisted pool closures (one per estimator, not one per candidate —
+	// keeping the per-candidate steady state allocation-free).
 	worldFn func(worker, i int)
 	aliveFn func(worker, i int)
-	tailFn  func(worker, r int)
 }
 
 func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, union []graph.Edge, n int, theta float64) *globalEstimator {
@@ -662,13 +508,9 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		n:        n,
 		theta:    theta,
 		need:     thetaNeed(theta, n),
-		prune:    true,
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
 		aliveW:   make([][]int32, w),
-		partMin:  make([]float64, w),
-		failIdx:  make([]int32, w),
-		failP:    make([]float64, w),
 	}
 	// The union view: every triangle the union's edges span, with dense ids
 	// in parent order. Candidates are edge-subgraphs of the union, so their
@@ -693,22 +535,6 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		for _, id := range ids {
 			cnt[id]++
 		}
-	}
-	ge.tailFn = func(_, r int) {
-		workers := ge.pool.Workers()
-		lo, hi := r*ge.m/workers, (r+1)*ge.m/workers
-		min, fail, fp := 1.0, int32(-1), 0.0
-		for j := lo; j < hi; j++ {
-			p := ge.tailAt(j, ge.n)
-			if p < min {
-				min = p
-			}
-			if p < ge.theta {
-				fail, fp = int32(j), p
-				break
-			}
-		}
-		ge.partMin[r], ge.failIdx[r], ge.failP[r] = min, fail, fp
 	}
 	return ge
 }
@@ -752,41 +578,36 @@ func (ge *globalEstimator) seedCandidate(closure []int32, k int) int {
 	for w := range ge.counts {
 		ge.counts[w] = resizeCleared(ge.counts[w], m)
 	}
-	ge.m = m
 	return m
 }
 
-// estimate evaluates the candidate grown as closure against the full shared
-// world bank and estimates Pr(X_{H,△,g} ≥ k) for every triangle of its view;
-// it reports the minimum estimate and whether all triangles pass θ. Every
-// shared world — a world of the candidate union, of which the candidate is
-// a subgraph — is evaluated by per-worker checkers with O(1) bit tests,
-// connectivity walked over the candidate's own adjacency so union edges
-// outside the candidate never connect it. Each worker counts into its own
-// per-triangle slice and the counts are summed afterwards, so the estimates
-// are exactly the serial ones for every worker count. With the prune on, a
-// candidate with a triangle alive in fewer than `need` worlds fails without
-// scanning — its qualifying count is bounded by its alive count, so the scan
-// could only confirm the failure (the failing estimate reported alongside
-// ok=false is not meaningful in that case; callers discard it).
-func (ge *globalEstimator) estimate(closure []int32, k int) (float64, bool) {
-	m := ge.seedCandidate(closure, k)
-	if ge.prune {
-		for t := 0; t < m; t++ {
-			if ge.aliveCnt[ge.seed.AliveUID(t)] < ge.need {
-				return 0, false
-			}
+// pruned reports whether the candidate most recently bound with
+// seedCandidate must fail with `remaining` worlds still to come after the
+// current window: some triangle's alive-world count so far, plus every
+// remaining world, falls short of `need`. A triangle qualifies only in
+// worlds where it is alive, so scanning on could only confirm the failure.
+// With no world remaining this is the plain alive-count bound.
+func (ge *globalEstimator) pruned(remaining int) bool {
+	floor := ge.need - int32(remaining)
+	if floor <= 0 {
+		return false
+	}
+	for t := 0; t < ge.seed.Len(); t++ {
+		if ge.aliveCnt[ge.seed.AliveUID(t)] < floor {
+			return true
 		}
 	}
-	ge.pool.ForWorker(ge.winWorlds, ge.worldFn)
-	return ge.minTail(m, ge.theta)
+	return false
 }
 
 // scanInto runs the current window's worlds against the candidate most
-// recently bound with seedCandidate and adds each triangle's qualifying-
-// world count to totals, summing the per-worker counts in worker order —
-// integer sums, so totals accumulated over any window cut equal the
-// full-bank counts exactly.
+// recently bound with seedCandidate — every world evaluated by per-worker
+// checkers with O(1) bit tests, connectivity walked over the candidate's
+// own adjacency so union edges outside the candidate never connect it — and
+// adds each triangle's qualifying-world count to totals, summing the
+// per-worker counts in worker order: integer sums, so totals accumulated
+// over any window cut and any worker count equal the serial full-bank
+// counts exactly.
 func (ge *globalEstimator) scanInto(totals []int32) {
 	ge.pool.ForWorker(ge.winWorlds, ge.worldFn)
 	for _, cw := range ge.counts {
@@ -796,9 +617,10 @@ func (ge *globalEstimator) scanInto(totals []int32) {
 	}
 }
 
-// tailVerdict is the serial min-tail over fully accumulated per-triangle
-// totals: the same ascending scan with early exit as minTail's serial path,
-// so the windowed pipeline reports byte-identical (estimate, ok) verdicts.
+// tailVerdict turns a candidate's complete per-triangle totals into its
+// verdict: the smallest estimate Pr̂(X ≥ k) = total/n and whether every
+// triangle clears θ, scanning in ascending triangle order and reporting the
+// first failing triangle's estimate.
 func (ge *globalEstimator) tailVerdict(totals []int32) (float64, bool) {
 	minProb := 1.0
 	for _, c := range totals {
@@ -829,60 +651,6 @@ func thetaNeed(theta float64, n int) int32 {
 		c++
 	}
 	return int32(c)
-}
-
-// minTailParallelCutoff is the minimum number of candidate triangles for
-// which the per-triangle count reduction fans out to the worker pool; below
-// it the fan-out overhead outweighs the summing work.
-const minTailParallelCutoff = 2048
-
-// minTail sums the per-worker counts of every candidate triangle, divides by
-// the world count, and returns the smallest estimate plus whether all
-// triangles clear θ, exactly as a serial ascending scan with early exit
-// would: large candidates fan the scan out over fixed contiguous id ranges
-// (one per pool worker) and reduce the per-range results in range order, so
-// the returned (estimate, ok) pair — including which failing triangle's
-// estimate is reported — is byte-identical for every worker count.
-func (ge *globalEstimator) minTail(m int, theta float64) (float64, bool) {
-	n := ge.n
-	workers := ge.pool.Workers()
-	if workers == 1 || m < minTailParallelCutoff {
-		minProb := 1.0
-		for j := 0; j < m; j++ {
-			p := ge.tailAt(j, n)
-			if p < minProb {
-				minProb = p
-			}
-			if p < theta {
-				return p, false
-			}
-		}
-		return minProb, true
-	}
-	ge.pool.ForWorker(workers, ge.tailFn)
-	for r := 0; r < workers; r++ {
-		if ge.failIdx[r] >= 0 {
-			return ge.failP[r], false
-		}
-	}
-	minProb := 1.0
-	for r := 0; r < workers; r++ {
-		if ge.partMin[r] < minProb {
-			minProb = ge.partMin[r]
-		}
-	}
-	return minProb, true
-}
-
-// tailAt sums triangle j's qualifying-world counts across workers (in worker
-// order, so the integer total is exact and order-independent) and returns
-// the Monte-Carlo estimate Pr̂(X ≥ k) = total/n.
-func (ge *globalEstimator) tailAt(j, n int) float64 {
-	total := int32(0)
-	for w := range ge.counts {
-		total += ge.counts[w][j]
-	}
-	return float64(total) / float64(n)
 }
 
 // resizeCleared returns s with length n and every element zero, reusing the

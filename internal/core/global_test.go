@@ -284,13 +284,13 @@ func TestPrecomputedLocalReused(t *testing.T) {
 // TestHoeffdingDefaultSamples: with no explicit sample count, ε=δ=0.1 gives
 // n = 150 (the paper rounds to 200; both satisfy Lemma 4).
 func TestHoeffdingDefaultSamples(t *testing.T) {
-	if n := (MCOptions{}).sampleCount(); n != 150 {
+	if n := (NucleiRequest{}).sampleCount(); n != 150 {
 		t.Errorf("default sample count = %d, want 150", n)
 	}
-	if n := (MCOptions{Samples: 200}).sampleCount(); n != 200 {
+	if n := (NucleiRequest{Samples: 200}).sampleCount(); n != 200 {
 		t.Errorf("explicit sample count = %d, want 200", n)
 	}
-	if n := (MCOptions{Eps: 0.05, Delta: 0.1}).sampleCount(); n != 600 {
+	if n := (NucleiRequest{Eps: 0.05, Delta: 0.1}).sampleCount(); n != 600 {
 		t.Errorf("ε=0.05 sample count = %d, want 600", n)
 	}
 }

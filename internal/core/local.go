@@ -18,7 +18,6 @@ import (
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
-	"probnucleus/internal/obs"
 	"probnucleus/internal/par"
 	"probnucleus/internal/pbd"
 	"probnucleus/internal/probgraph"
@@ -51,28 +50,6 @@ type Options struct {
 	// stages only ever write per-triangle slots and all queue mutations are
 	// applied in a fixed order.
 	Workers int
-	// Pool, when non-nil, is a caller-owned worker pool to run on instead of
-	// spawning one per call; it overrides Workers and stays open afterwards.
-	// Servers running many small decompositions share one pool across the
-	// local, global, and weak phases (see Decomposer).
-	Pool *par.Pool
-	// Obs, when non-nil, receives kernel progress events (peel rounds); it is
-	// engine plumbing, set by Engine.Local from WithObserver. A nil observer
-	// adds zero allocations to the decomposition path.
-	Obs obs.Observer
-	// scratch, when non-nil, is working memory kept from earlier peels (an
-	// engine shard's, see localScratch) for this one to reuse; nil gives the
-	// call fresh memory.
-	scratch *localScratch
-}
-
-// pool resolves the worker pool to run on: the caller-owned one when set, or
-// a fresh pool (owned reports true) the caller of pool() must close.
-func (o Options) pool() (p *par.Pool, owned bool) {
-	if o.Pool != nil {
-		return o.Pool, false
-	}
-	return par.NewPool(o.Workers), true
 }
 
 // rescoreParallelCutoff is the minimum number of affected triangles for
@@ -142,22 +119,9 @@ type LocalResult struct {
 // could change an answer — so the output is byte-identical to the
 // from-scratch scorer.
 //
-// With no caller-owned Options.Pool, the call is a thin wrapper over a
-// one-shot one-shard Engine, so the package-level path and the served path
-// run the identical kernel.
+// The call is a thin wrapper over a one-shot one-shard Engine, so the
+// package-level path and the served path run the identical kernel.
 func LocalDecompose(pg *probgraph.Graph, theta float64, opts Options) (*LocalResult, error) {
-	if opts.Pool != nil {
-		// Validate θ before paying for triangle enumeration, matching the
-		// kernel's own fail-fast order.
-		if !(theta > 0 && theta <= 1) {
-			return nil, errTheta(theta)
-		}
-		pre, err := newPrepared(pg, opts.Pool, opts.Obs)
-		if err != nil {
-			return nil, err
-		}
-		return localDecompose(pre, theta, opts)
-	}
 	req := localRequest(theta, opts)
 	if err := req.Validate(); err != nil {
 		return nil, err // fail fast: no worker team for a malformed request
@@ -168,8 +132,8 @@ func LocalDecompose(pg *probgraph.Graph, theta float64, opts Options) (*LocalRes
 }
 
 // localRequest lifts θ plus the per-query fields of o into the request
-// struct the Engine serves — the bridge the thin package-level wrapper and
-// the legacy Decomposer cross.
+// struct the Engine serves — the one bridge the package-level wrapper
+// crosses.
 func localRequest(theta float64, o Options) LocalRequest {
 	return LocalRequest{
 		Theta:        theta,
@@ -179,28 +143,27 @@ func localRequest(theta float64, o Options) LocalRequest {
 	}
 }
 
-// localDecompose is the execute stage of the LocalDecompose kernel: it
-// consumes a prepared artifact — never enumerating triangles itself — and
-// requires opts.Pool, running entirely on it. The artifact is only read, so
-// concurrent calls sharing one Prepared are safe. Cancellation of the pool's
-// bound context is observed between pool chunks and at every peeling step,
-// returning ctx.Err().
-func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, error) {
-	if !(theta > 0 && theta <= 1) {
-		return nil, errTheta(theta)
+// localDecompose is the execute stage of the LocalDecompose kernel for a
+// validated request: it consumes the run's prepared artifact — never
+// enumerating triangles itself — and runs entirely on the run's pool,
+// reusing the run's local working memory when it has some. The artifact is
+// only read, so concurrent calls sharing one Prepared are safe.
+// Cancellation of the pool's bound context is observed between pool chunks
+// and at every peeling step, returning ctx.Err().
+func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
+	theta, mode, hyper := req.Theta, req.Mode, req.Hyper
+	if hyper == (pbd.Hyper{}) {
+		hyper = pbd.DefaultHyper
 	}
-	if opts.Hyper == (pbd.Hyper{}) {
-		opts.Hyper = pbd.DefaultHyper
-	}
-	pg, ti := pre.pg, pre.ti
-	pool := opts.Pool
+	pg, ti := r.pre.pg, r.pre.ti
+	pool := r.pool
 	workers := pool.Workers()
-	sx := opts.scratch
+	sx := r.local
 	if sx == nil {
 		sx = new(localScratch)
 	}
 	ca := &sx.ca
-	ca.Reset(ti, pre.incidence())
+	ca.Reset(ti, r.pre.incidence())
 	n := ti.Len()
 
 	// Per-triangle existence probability Pr(△) and the support distribution
@@ -249,8 +212,8 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 	// pmf instead of re-running the from-scratch dynamic program.
 	score := func(t int32, sc *scoreScratch) (int, pbd.Method) {
 		thr := theta / triProb[t]
-		if opts.Mode == ModeAP {
-			m := dists[t].Choose(opts.Hyper)
+		if mode == ModeAP {
+			m := dists[t].Choose(hyper)
 			if m == pbd.MethodDP {
 				return dists[t].MaxK(thr), pbd.MethodDP
 			}
@@ -259,8 +222,8 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 		return dists[t].MaxK(thr), pbd.MethodDP
 	}
 	tally := func(m pbd.Method) {
-		if opts.MethodCounts != nil {
-			opts.MethodCounts[m]++
+		if req.MethodCounts != nil {
+			req.MethodCounts[m]++
 		}
 	}
 
@@ -367,8 +330,8 @@ func localDecompose(pre *Prepared, theta float64, opts Options) (*LocalResult, e
 				q.Update(o, nk)
 			}
 		}
-		if opts.Obs != nil {
-			opts.Obs.PeelRound(len(todo))
+		if r.obs != nil {
+			r.obs.PeelRound(len(todo))
 		}
 	}
 	sx.todo, sx.nks, sx.nms = todo, nks, nms
@@ -459,10 +422,8 @@ func InitialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.Tria
 	if opts.Hyper == (pbd.Hyper{}) {
 		opts.Hyper = pbd.DefaultHyper
 	}
-	pool, owned := opts.pool()
-	if owned {
-		defer pool.Close()
-	}
+	pool := par.NewPool(opts.Workers)
+	defer pool.Close()
 	workers := pool.Workers()
 	ti := graph.NewTriangleIndexPool(pg.G, pool)
 	kappa := make([]int, ti.Len())

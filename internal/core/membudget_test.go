@@ -34,7 +34,7 @@ func TestWindowSizeDerivation(t *testing.T) {
 		{"budget-one-row-exactly", 0, 80, 100, 640, 1},
 	}
 	for _, c := range cases {
-		o := MCOptions{Window: c.window, MemBudget: c.budget}
+		o := NucleiRequest{Window: c.window, MemBudget: c.budget}
 		if got := o.windowSize(c.n, c.union); got != c.want {
 			t.Errorf("%s: windowSize(%d, %d) with Window=%d MemBudget=%d = %d, want %d",
 				c.name, c.n, c.union, c.window, c.budget, got, c.want)

@@ -159,51 +159,6 @@ func TestWeaklyGlobalNucleiDifferential(t *testing.T) {
 	}
 }
 
-// TestDecomposerMatchesPackageFunctions: running the three decompositions on
-// one shared-pool Decomposer — including repeated calls that reuse the
-// parked workers — must reproduce the package-level results exactly.
-func TestDecomposerMatchesPackageFunctions(t *testing.T) {
-	pg := fixtures.Fig1()
-	d := NewDecomposer(4)
-	defer d.Close()
-	for round := 0; round < 3; round++ { // reuse across rounds is the point
-		wantLocal, err := LocalDecompose(pg, 0.3, Options{Mode: ModeDP, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLocal, err := d.LocalDecompose(pg, 0.3, Options{Mode: ModeDP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotLocal.Nucleusness, wantLocal.Nucleusness) {
-			t.Fatalf("round %d: decomposer local nucleusness differs", round)
-		}
-		opts := MCOptions{Samples: 300, Seed: 5, Workers: 4}
-		wantG, err := GlobalNuclei(pg, 1, 0.35, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotG, err := d.GlobalNuclei(pg, 1, 0.35, MCOptions{Samples: 300, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotG, wantG) {
-			t.Fatalf("round %d: decomposer global nuclei differ", round)
-		}
-		wantW, err := WeaklyGlobalNuclei(pg, 1, 0.38, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotW, err := d.WeaklyGlobalNuclei(pg, 1, 0.38, MCOptions{Samples: 300, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotW, wantW) {
-			t.Fatalf("round %d: decomposer weak nuclei differ", round)
-		}
-	}
-}
-
 // TestDefaultWorkersMatchesSerial: the Workers=0 default (GOMAXPROCS) also
 // reproduces the serial result — the contract is for every worker count, not
 // just the ones enumerated above.

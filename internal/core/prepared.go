@@ -35,8 +35,8 @@ import (
 // that stays mapped only while the Prepared itself is reachable — a
 // finalizer unmaps it afterwards. Callers that retain those views beyond a
 // call must keep the Prepared alive for as long as the views are in use
-// (holding it in the same struct, as the registry and MCOptions do, is
-// enough); dropping the Prepared while using a retained Graph or Index can
+// (holding it in the same struct, as the registry and a kernel's run
+// context do, is enough); dropping the Prepared while using a retained Graph or Index can
 // fault on unmapped memory.
 type Prepared struct {
 	pg *probgraph.Graph

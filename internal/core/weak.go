@@ -40,13 +40,9 @@ import (
 // counted into flat per-triangle slots by reusable per-worker scorers, and
 // scores are recovered as worlds-minus-losses over the candidate core.
 //
-// With no caller-owned MCOptions.Pool, the call is a thin wrapper over a
-// one-shot one-shard Engine, so the package-level path and the served path
-// run the identical kernel.
+// The call is a thin wrapper over a one-shot one-shard Engine, so the
+// package-level path and the served path run the identical kernel.
 func WeaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	if opts.Pool != nil {
-		return weaklyGlobalNuclei(pg, k, theta, opts)
-	}
 	req := nucleiRequest(k, theta, opts)
 	if err := req.Validate(); err != nil {
 		return nil, err // fail fast: no worker team for a malformed request
@@ -56,19 +52,13 @@ func WeaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 	return e.Weak(context.Background(), pg, req)
 }
 
-// weaklyGlobalNuclei is the WeaklyGlobalNuclei kernel; it requires opts.Pool
-// and runs entirely on it. Cancellation of the pool's bound context is
-// observed between pool chunks, between Monte-Carlo world batches, and at
-// every candidate, returning ctx.Err().
-func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	if k < 0 {
-		return nil, errNegativeK(k)
-	}
-	if err := opts.validateSampleSpec(); err != nil {
-		return nil, err
-	}
-	pool := opts.Pool
-	local, err := opts.localResult(pg, theta)
+// weaklyGlobalNuclei is the WeaklyGlobalNuclei kernel for a validated
+// request; it runs entirely on r's pool. Cancellation of the pool's bound
+// context is observed between pool chunks, between Monte-Carlo world
+// batches, and at every candidate, returning ctx.Err().
+func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
+	k, theta, pool := req.K, req.Theta, r.pool
+	local, err := r.localResult(pg, req)
 	if err != nil {
 		return nil, err
 	}
@@ -76,21 +66,20 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	n := opts.sampleCount()
+	n := req.sampleCount()
 	workers := pool.Workers()
 
 	// One shared world stream over the union of all candidate edges (every
 	// candidate is a subgraph of it), sampled as one flat bank of edge
 	// bitmasks — in one window by default, or streamed through fixed-size
-	// windows when opts.Window or opts.MemBudget bounds the bank's peak
+	// windows when the request's Window or MemBudget bounds the bank's peak
 	// memory. Each window's per-triangle loss counts are accumulated into
 	// persistent per-candidate totals; the totals are sums of the same
 	// integers the one-window run sums, so the scores — and the assembled
 	// nuclei — are byte-identical at every window size.
 	union := unionEdges(cands)
-	window := opts.windowSize(n, len(union))
+	window := req.windowSize(n, len(union))
 	upg := pg.SubgraphOfEdges(union)
-	bank := opts.worldBank()
 
 	var out []ProbNucleus
 	// losses[w][t]: number of window worlds in which candidate triangle t
@@ -117,7 +106,7 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 		if hi > n {
 			hi = n
 		}
-		masks, words := bank.WorldMasksWindow(pool, upg, n, lo, hi, opts.Seed)
+		masks, words := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
@@ -131,8 +120,8 @@ func weaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 			hti := local.TI.SubIndex(h, &sub)
 			m := hti.Len()
 			if lo == 0 {
-				if opts.Obs != nil {
-					opts.Obs.Candidate(m)
+				if r.obs != nil {
+					r.obs.Candidate(m)
 				}
 				for i := 0; i < m; i++ {
 					lostFlat = append(lostFlat, 0)

@@ -28,6 +28,10 @@ type windowDiffCase struct {
 	samples int
 	seed    int64
 	windows []int
+	// midStream marks a case whose θ is high enough that the g-NuDecomp
+	// θ-prune drops candidates before the last window at every listed
+	// window size; the global test asserts that it does.
+	midStream bool
 }
 
 // windowDiffCases is the corpus the windowed differential tests run over.
@@ -36,12 +40,54 @@ type windowDiffCase struct {
 func windowDiffCases() []windowDiffCase {
 	return []windowDiffCase{
 		{"fig1", fixtures.Fig1(), 1, 0.35, 96, 5,
-			[]int{1, 7, 16, 41, 95, 96, 196}},
+			[]int{1, 7, 16, 41, 95, 96, 196}, false},
 		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 1, 0.001, 96, 1,
-			[]int{1, 41, 64, 196}},
+			[]int{1, 41, 64, 196}, false},
 		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.025))), 1, 0.001, 48, 3,
-			[]int{17, 48}},
+			[]int{17, 48}, false},
+		{"krogan-theta0.5", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 1, 0.5, 96, 1,
+			[]int{16, 41}, true},
 	}
+}
+
+// midStreamPrunes streams c's bank through windows of `window` worlds past
+// every g-NuDecomp candidate, as globalNuclei does, and counts the
+// candidates the θ-prune drops while worlds are still to come. The prune
+// reads only alive-world counts, so no candidate is scanned.
+func midStreamPrunes(c windowDiffCase, local *LocalResult, window int) int {
+	cs := newCandidateSpace(local, c.k)
+	var cands triSetDedup
+	for _, seed := range cs.triangles {
+		cands.insert(cs.closure(seed, c.k))
+	}
+	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
+	upg := c.pg.SubgraphOfEdges(union)
+	pool := par.NewPool(1)
+	defer pool.Close()
+	n := c.samples
+	est := newGlobalEstimator(pool, cs.ti, c.pg.NumVertices(), union, n, c.theta)
+	var bank mc.Bank
+	live := make([]int32, cands.len())
+	for i := range live {
+		live[i] = int32(i)
+	}
+	dropped := 0
+	for lo := 0; lo < n; lo += window {
+		hi := min(lo+window, n)
+		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, hi, c.seed)
+		est.setWindow(masks, hi-lo)
+		kept := live[:0]
+		for _, ci := range live {
+			est.seedCandidate(cands.set(ci), c.k)
+			if !est.pruned(n - hi) {
+				kept = append(kept, ci)
+			} else if hi < n {
+				dropped++
+			}
+		}
+		live = kept
+	}
+	return dropped
 }
 
 // TestGlobalNucleiWindowedDifferential: streaming the shared bank through
@@ -49,7 +95,10 @@ func windowDiffCases() []windowDiffCase {
 // full-bank run — same sets, same estimated MinProb — for every window size
 // and worker count. The windowed path re-draws each window's worlds from the
 // same chunk-derived PRNG streams and accumulates the same integer counts,
-// so nothing may differ.
+// and drops a candidate early only once its θ-prune holds for every world
+// still to come, so nothing may differ. On the case marked midStream the
+// prune must drop candidates before the last window, so the remaining-worlds
+// term of the prune is exercised.
 func TestGlobalNucleiWindowedDifferential(t *testing.T) {
 	for _, c := range windowDiffCases() {
 		// One pruning decomposition per case: every run below shares it, so
@@ -67,6 +116,13 @@ func TestGlobalNucleiWindowedDifferential(t *testing.T) {
 			t.Fatal("full-bank run found no nuclei; differential test is vacuous")
 		}
 		for _, win := range c.windows {
+			if c.midStream {
+				if d := midStreamPrunes(c, local, win); d == 0 {
+					t.Errorf("%s window=%d: the θ-prune dropped no candidate before the last window", c.name, win)
+				} else {
+					t.Logf("%s window=%d: %d candidates dropped before the last window", c.name, win, d)
+				}
+			}
 			for _, w := range diffWorkerCounts {
 				if win == 1 && w != 1 {
 					continue // single-world windows: serial comparison suffices
@@ -128,10 +184,10 @@ func TestWeaklyGlobalNucleiWindowedDifferential(t *testing.T) {
 // must report exactly the (estimate, ok) the materialized-world predicate
 // reports — every union world built as a graph and checked with
 // QualifyingTriangles on the candidate's SubIndex view of the parent — for
-// every candidate, and the θ-prune may only change how a failing candidate
-// fails — never a verdict, never a passing estimate. This pins the
-// estimator's fast paths to the reference predicate independently of the
-// end-to-end golden snapshot.
+// every candidate, and the θ-prune may only fire on a candidate that
+// verdict fails: whenever it fires with no world left to scan, the
+// reference verdict is a failure. This pins the estimator's fast paths to
+// the reference predicate independently of the end-to-end golden snapshot.
 func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
@@ -184,32 +240,26 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	}
 	passed, failed, pruned := 0, 0, 0
 	for _, theta := range []float64{0.05, 0.3, 0.8} {
-		mk := func(prune bool) *globalEstimator {
-			est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, theta)
-			est.prune = prune
-			est.setWindow(masks, n)
-			return est
-		}
-		scan, prune := mk(false), mk(true)
+		est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, theta)
+		est.setWindow(masks, n)
 		for c, closure := range closures {
-			p0, ok0 := scan.tailVerdict(refCounts[c])
-			p1, ok1 := scan.estimate(closure, 1)
+			p0, ok0 := est.tailVerdict(refCounts[c])
+			totals := make([]int32, est.seedCandidate(closure, 1))
+			fires := est.pruned(0)
+			est.scanInto(totals)
+			p1, ok1 := est.tailVerdict(totals)
 			if p0 != p1 || ok0 != ok1 {
 				t.Errorf("θ=%v candidate %d: aliveness scan (%v,%v) != materialized-world predicate (%v,%v)",
 					theta, c, p1, ok1, p0, ok0)
 			}
-			p2, ok2 := prune.estimate(closure, 1)
-			if ok2 != ok0 {
-				t.Errorf("θ=%v candidate %d: prune changed the verdict: %v != %v", theta, c, ok2, ok0)
-			}
-			if ok0 && p2 != p0 {
-				t.Errorf("θ=%v candidate %d: prune changed a passing estimate: %v != %v", theta, c, p2, p0)
+			if fires && ok0 {
+				t.Errorf("θ=%v candidate %d: prune fired on a candidate the reference passes (%v)", theta, c, p0)
 			}
 			switch {
 			case ok0:
 				passed++
-			case !ok2 && p2 == 0 && p0 != 0:
-				pruned++ // failed without a scan, where the scan found a nonzero tail
+			case fires && p0 != 0:
+				pruned++ // the prune fails it without a scan, where the scan found a nonzero tail
 				failed++
 			default:
 				failed++

@@ -216,7 +216,7 @@ func TestWorldCheckSeedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pre := range []*Prepared{fresh, withSortedIDIndex(fresh)} {
-			local, err := localDecompose(pre, in.theta, Options{Mode: ModeDP, Pool: pool})
+			local, err := localDecompose(&run{pool: pool, pre: pre}, LocalRequest{Theta: in.theta, Mode: ModeDP})
 			if err != nil {
 				t.Fatal(err)
 			}

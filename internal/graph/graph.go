@@ -158,40 +158,6 @@ func Intersect3Sorted(a, b, c []int32) []int32 {
 	return Intersect3SortedInto(nil, a, b, c)
 }
 
-// Intersect3SortedLen returns the size of the three-way intersection without
-// materializing it — the counting pass of CSR-style layouts.
-func Intersect3SortedLen(a, b, c []int32) int {
-	n := 0
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) && k < len(c) {
-		x, y, z := a[i], b[j], c[k]
-		if x == y && y == z {
-			n++
-			i++
-			j++
-			k++
-			continue
-		}
-		m := x
-		if y > m {
-			m = y
-		}
-		if z > m {
-			m = z
-		}
-		for i < len(a) && a[i] < m {
-			i++
-		}
-		for j < len(b) && b[j] < m {
-			j++
-		}
-		for k < len(c) && c[k] < m {
-			k++
-		}
-	}
-	return n
-}
-
 // Intersect3SortedInto appends the common elements of three sorted int32
 // slices to dst and returns it, allocating only if dst's capacity runs out.
 func Intersect3SortedInto(dst, a, b, c []int32) []int32 {

@@ -287,7 +287,8 @@ type arenaRun struct {
 // count-then-fill completion layout, which intersected every triangle's
 // neighbourhoods twice. Because the stitch order is fixed, the resulting
 // index (triangle ids, Tris order, Comps contents) is byte-identical to the
-// two-pass builder for every worker count and chunk schedule.
+// two-pass reference builder of the tests for every worker count and chunk
+// schedule.
 func NewTriangleIndexPool(g *Graph, pool *par.Pool) *TriangleIndex {
 	n := g.NumVertices()
 	fwd := g.forwardAdjacency(pool)
@@ -325,7 +326,7 @@ func NewTriangleIndexPool(g *Graph, pool *par.Pool) *TriangleIndex {
 	// Completion lists, fused: one intersection per triangle into the
 	// worker's arena, then a prefix sum over the recorded run lengths places
 	// each list in the flat CSR backing and the stitch copies runs over in id
-	// order. The two-pass layout ran Intersect3SortedLen and then
+	// order. The two-pass layout ran a counting intersection and then
 	// Intersect3SortedInto — the same three-way merge twice per triangle.
 	m := len(ti.Tris)
 	ti.Comps = make([][]int32, m)
@@ -347,53 +348,6 @@ func NewTriangleIndexPool(g *Graph, pool *par.Pool) *TriangleIndex {
 		dst := flat[counts[i]:counts[i+1]:counts[i+1]]
 		copy(dst, compArenas[r.worker][r.off:r.off+r.n])
 		ti.Comps[i] = dst
-	})
-	return ti
-}
-
-// newTriangleIndexTwoPass is the pre-fusion builder — per-vertex triangle
-// slices merged serially, and CSR completion lists laid out by a counting
-// pass plus a fill pass that re-runs each intersection. It is kept as the
-// differential oracle for the fused NewTriangleIndexPool: both must produce
-// byte-identical indices on every graph and worker count.
-func newTriangleIndexTwoPass(g *Graph, pool *par.Pool) *TriangleIndex {
-	n := g.NumVertices()
-	fwd := g.forwardAdjacency(pool)
-	perVertex := make([][]Triangle, n)
-	scratch := make([][]int32, pool.Workers())
-	pool.ForWorker(n, func(w, vi int) {
-		var out []Triangle
-		scratch[w] = trianglesRootedAt(fwd, int32(vi), scratch[w], func(t Triangle) { out = append(out, t) })
-		perVertex[vi] = out
-	})
-	total := 0
-	for _, s := range perVertex {
-		total += len(s)
-	}
-	ti := &TriangleIndex{
-		Tris: make([]Triangle, 0, total),
-		ids:  make(map[Triangle]int32, total),
-	}
-	for _, s := range perVertex {
-		for _, t := range s {
-			ti.ids[t] = int32(len(ti.Tris))
-			ti.Tris = append(ti.Tris, t)
-		}
-	}
-	ti.Comps = make([][]int32, len(ti.Tris))
-	counts := make([]int, len(ti.Tris)+1)
-	pool.For(len(ti.Tris), func(i int) {
-		t := ti.Tris[i]
-		counts[i+1] = Intersect3SortedLen(g.Neighbors(t.A), g.Neighbors(t.B), g.Neighbors(t.C))
-	})
-	for i := 0; i < len(ti.Tris); i++ {
-		counts[i+1] += counts[i]
-	}
-	flat := make([]int32, counts[len(ti.Tris)])
-	pool.For(len(ti.Tris), func(i int) {
-		t := ti.Tris[i]
-		dst := flat[counts[i]:counts[i]:counts[i+1]]
-		ti.Comps[i] = Intersect3SortedInto(dst, g.Neighbors(t.A), g.Neighbors(t.B), g.Neighbors(t.C))
 	})
 	return ti
 }

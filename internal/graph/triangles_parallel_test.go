@@ -10,6 +10,87 @@ import (
 
 var diffWorkerCounts = []int{1, 2, 8}
 
+// newTriangleIndexTwoPass is the pre-fusion builder — per-vertex triangle
+// slices merged serially, and CSR completion lists laid out by a counting
+// pass plus a fill pass that re-runs each intersection. It is kept as the
+// differential oracle for the fused NewTriangleIndexPool: both must produce
+// byte-identical indices on every graph and worker count.
+func newTriangleIndexTwoPass(g *Graph, pool *par.Pool) *TriangleIndex {
+	n := g.NumVertices()
+	fwd := g.forwardAdjacency(pool)
+	perVertex := make([][]Triangle, n)
+	scratch := make([][]int32, pool.Workers())
+	pool.ForWorker(n, func(w, vi int) {
+		var out []Triangle
+		scratch[w] = trianglesRootedAt(fwd, int32(vi), scratch[w], func(t Triangle) { out = append(out, t) })
+		perVertex[vi] = out
+	})
+	total := 0
+	for _, s := range perVertex {
+		total += len(s)
+	}
+	ti := &TriangleIndex{
+		Tris: make([]Triangle, 0, total),
+		ids:  make(map[Triangle]int32, total),
+	}
+	for _, s := range perVertex {
+		for _, t := range s {
+			ti.ids[t] = int32(len(ti.Tris))
+			ti.Tris = append(ti.Tris, t)
+		}
+	}
+	ti.Comps = make([][]int32, len(ti.Tris))
+	counts := make([]int, len(ti.Tris)+1)
+	pool.For(len(ti.Tris), func(i int) {
+		t := ti.Tris[i]
+		counts[i+1] = intersect3SortedLen(g.Neighbors(t.A), g.Neighbors(t.B), g.Neighbors(t.C))
+	})
+	for i := 0; i < len(ti.Tris); i++ {
+		counts[i+1] += counts[i]
+	}
+	flat := make([]int32, counts[len(ti.Tris)])
+	pool.For(len(ti.Tris), func(i int) {
+		t := ti.Tris[i]
+		dst := flat[counts[i]:counts[i]:counts[i+1]]
+		ti.Comps[i] = Intersect3SortedInto(dst, g.Neighbors(t.A), g.Neighbors(t.B), g.Neighbors(t.C))
+	})
+	return ti
+}
+
+// intersect3SortedLen returns the size of the three-way intersection without
+// materializing it — the counting pass of the two-pass reference builder.
+func intersect3SortedLen(a, b, c []int32) int {
+	n := 0
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) && k < len(c) {
+		x, y, z := a[i], b[j], c[k]
+		if x == y && y == z {
+			n++
+			i++
+			j++
+			k++
+			continue
+		}
+		m := x
+		if y > m {
+			m = y
+		}
+		if z > m {
+			m = z
+		}
+		for i < len(a) && a[i] < m {
+			i++
+		}
+		for j < len(b) && b[j] < m {
+			j++
+		}
+		for k < len(c) && c[k] < m {
+			k++
+		}
+	}
+	return n
+}
+
 func randomTestGraph(rng *rand.Rand, n int, density float64) *Graph {
 	b := NewBuilder(n)
 	for u := int32(0); int(u) < n; u++ {

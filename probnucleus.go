@@ -29,7 +29,9 @@
 //	    fmt.Println(nucleus.Vertices)
 //	}
 //
-// Serving many callers, hold an Engine: a fixed set of decomposer shards
+// Each package-level decomposition runs on a one-shot Engine it closes
+// before returning. Serving many callers, hold an Engine yourself: a fixed
+// set of shards — each a worker pool with its world bank and scratch —
 // behind a free list, so concurrent goroutines issue mixed context-aware
 // requests against one long-lived object (see the README's Serving section):
 //
@@ -378,21 +380,6 @@ var (
 	// as HTTP 409); Put replaces instead.
 	ErrDuplicateGraph = registry.ErrDuplicateGraph
 )
-
-// Decomposer bundles LocalDecompose, GlobalNuclei, and WeaklyGlobalNuclei
-// around one persistent worker pool: repeated decompositions reuse the same
-// parked goroutine team across the local pruning phase, possible-world
-// sampling, and candidate validation, instead of spawning and tearing down a
-// pool per call. It is a thin wrapper over a one-shard Engine; results are
-// identical to the package-level functions. A Decomposer serves one
-// goroutine at a time — concurrent entry panics rather than corrupting
-// shard scratch (use an Engine for concurrent serving); call Close when
-// done.
-type Decomposer = core.Decomposer
-
-// NewDecomposer creates a Decomposer with the given worker count (0 = all
-// cores, 1 = fully serial).
-func NewDecomposer(workers int) *Decomposer { return core.NewDecomposer(workers) }
 
 // World is one sampled possible world: a deterministic graph over the same
 // vertex-id space as the probabilistic graph it was drawn from.
