@@ -168,11 +168,22 @@ func BenchmarkWeak(b *testing.B) {
 	})
 }
 
+// BenchmarkGlobalLevels is BenchmarkGlobal above k = 1: at k ≥ 2 a world's
+// support test counts each triangle's alive cliques on the bit-sliced
+// counter instead of stopping at the first one, so these rows time the deep
+// end of the g-NuDecomp world scan.
+func BenchmarkGlobalLevels(b *testing.B) { benchLevels(b, pn.GlobalNuclei) }
+
 // BenchmarkWeakLevels is BenchmarkWeak above k = 1: at k ≥ 2 a world's
 // losses cascade through the candidate's 4-cliques instead of stopping at
 // the triangles that lost an edge, so these rows time the deep end of the
 // w-NuDecomp world scoring.
-func BenchmarkWeakLevels(b *testing.B) {
+func BenchmarkWeakLevels(b *testing.B) { benchLevels(b, pn.WeaklyGlobalNuclei) }
+
+// benchLevels times nuclei at k = 2 and 3 on krogan and dblp at scale 0.04,
+// θ = 0.001, with 100 samples on one worker and the local decomposition
+// precomputed.
+func benchLevels(b *testing.B, nuclei func(*pn.Graph, int, float64, pn.MCOptions) ([]pn.ProbNucleus, error)) {
 	for _, name := range []string{"krogan", "dblp"} {
 		g := benchGraph(name, 0.04)
 		local, err := pn.LocalDecompose(g, 0.001, pn.Options{Mode: pn.ModeDP})
@@ -185,7 +196,7 @@ func BenchmarkWeakLevels(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := pn.WeaklyGlobalNuclei(g, k, 0.001, opts); err != nil {
+					if _, err := nuclei(g, k, 0.001, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -137,10 +137,11 @@ func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int3
 
 // TestSharedWorldGlobalValidationAllocationFree: one whole kernel step per
 // candidate — closure growth, seeding the candidate from the union tables,
-// the per-world predicate scan, count accumulation, and the verdict — must
-// not allocate once the estimator's scratch has reached steady state. This
-// is the allocation contract of the shared-world engine: the only per-call
-// allocations are the union tables and the union worlds, built once.
+// the lane scan of the window's 64-world blocks, count accumulation, and
+// the verdict — must not allocate once the estimator's scratch has reached
+// steady state. This is the allocation contract of the shared-world engine:
+// the only per-call allocations are the union tables and the union worlds,
+// built once.
 func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
@@ -160,10 +161,11 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 }
 
 // TestWindowStreamingScanAllocationFree: streaming one more window past an
-// already-known candidate — the window rebind (shared aliveness fill
-// included), candidate reseed, world scan, and totals merge — must not
-// allocate at steady state. This is the allocation contract of the windowed
-// bank path: peak memory is the window, and cycling windows costs no churn.
+// already-known candidate — the window rebind (its lane transpose and the
+// θ-prune's alive counts included), candidate reseed, lane scan, and totals
+// merge — must not allocate at steady state. This is the allocation
+// contract of the windowed bank path: peak memory is the window, and
+// cycling windows costs no churn.
 func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})

@@ -8,6 +8,7 @@ import (
 
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
@@ -84,15 +85,21 @@ type ProbNucleus struct {
 // triangle.
 //
 // The n possible worlds are sampled once per call over the edge set of the
-// whole candidate space C and shared by every candidate: world i is
-// restricted to each candidate through a stackable view of the parent
-// triangle index, so overlapping candidates — the common case, since
-// closures grow from every seed triangle of C — never pay for resampling.
-// Per candidate the marginal world distribution is unchanged (edges are
-// kept independently with their probabilities either way), so each estimate
-// keeps its (ε,δ) guarantee; only the PRNG stream assignment differs from
-// the per-candidate sampler, which is why the golden snapshot was
-// deliberately regenerated when the shared stream landed.
+// whole candidate space C and shared by every candidate, so overlapping
+// candidates — the common case, since closures grow from every seed
+// triangle of C — never pay for resampling. Per candidate the marginal
+// world distribution is unchanged (edges are kept independently with their
+// probabilities either way), so each estimate keeps its (ε,δ) guarantee;
+// only the PRNG stream assignment differs from the per-candidate sampler,
+// which is why the golden snapshot was deliberately regenerated when the
+// shared stream landed.
+//
+// Worlds are tested 64 at a time: each window of the bank is transposed
+// once into per-edge lane words (mc.Lanes), and
+// decomp.WorldChecker.ScanLanes evaluates the Definition 4 predicate —
+// vertex connectivity, support ≥ k, 4-clique connectivity — on whole words,
+// one bit lane per world. Every part of the predicate is a monotone
+// fixpoint, so each lane reaches exactly its world's verdict.
 //
 // The per-seed pipeline is allocation-free at steady state and proportional
 // to the candidate, not the graph: candidate growth runs on stamp arrays
@@ -179,6 +186,7 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 		totOff = make([]int32, 1, nc+1)
 	}
 	var out []ProbNucleus
+	var nb nucleusBuilder
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
 		masks, _ := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
@@ -215,7 +223,7 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 				continue
 			}
 			if minProb, ok := est.tailVerdict(tot); ok {
-				out = append(out, buildProbNucleus(cand.ti, closure, k, theta, minProb))
+				out = append(out, nb.build(cand.ti, closure, k, theta, minProb))
 			}
 		}
 		live = kept
@@ -390,12 +398,7 @@ func appendTriangleEdges(dst []graph.Edge, ti *graph.TriangleIndex, tris []int32
 			graph.Edge{U: tri.A, V: tri.C},
 			graph.Edge{U: tri.B, V: tri.C})
 	}
-	slices.SortFunc(dst, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.V, b.V)
-	})
+	slices.SortFunc(dst, compareEdges)
 	return slices.Compact(dst)
 }
 
@@ -449,20 +452,18 @@ func (d *triSetDedup) len() int { return max(len(d.offs)-1, 0) }
 func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]] }
 
 // globalEstimator holds the per-candidate Monte-Carlo validation state of
-// Algorithm 2: the current window of the shared world-mask bank, the union
-// tables every candidate's world-check seed is cut from, the shared
-// per-world triangle-aliveness bank over the union view, one WorldChecker
-// and count slice per pool worker, and the current candidate's seed. All of
-// it is reused across candidates, so validating one more candidate
-// allocates nothing at steady state.
+// Algorithm 2: the current window of the shared world bank in lane-major
+// form, the union tables every candidate's world-check seed is cut from, the
+// per-union-triangle alive-world counts, one WorldChecker and count slice
+// per pool worker, and the current candidate's seed. All of it is reused
+// across candidates, so validating one more candidate allocates nothing at
+// steady state.
 //
-// The aliveness bank is the shared-scan optimization: each world's
-// per-union-triangle aliveness — its three edges present — is computed once
-// per world when the window is bound, and every candidate scanned against
-// that world reads one aliveness bit per triangle and three per 4-clique
-// completion instead of re-testing edge bits (candidates overlap heavily, so
-// the same triangles were re-scanned per candidate). The per-triangle
-// alive-world counts accumulated across windows also bound any candidate
+// Each window is transposed once into per-edge lane words (mc.Lanes), shared
+// by every candidate scanned against it: WorldChecker.ScanLanes tests the
+// Definition 4 predicate on 64 worlds per machine word. The same lanes give
+// every union triangle's alive-world count — its three edges present — once
+// per window. Accumulated across windows, those counts bound any candidate
 // triangle's qualifying count from above, which is what the θ-prune
 // (pruned) reads.
 type globalEstimator struct {
@@ -471,10 +472,8 @@ type globalEstimator struct {
 	n     int // total sampled worlds (across all windows)
 	theta float64
 	need  int32 // smallest count c with c/n ≥ θ
-	// Current window: masks holds winWorlds consecutive worlds of the bank,
-	// one row per world.
-	masks     []uint64
-	winWorlds int
+	// lanes holds the current window, transposed.
+	lanes mc.Lanes
 
 	checkers []decomp.WorldChecker
 	counts   [][]int32
@@ -486,18 +485,13 @@ type globalEstimator struct {
 	usub    graph.SubIndexScratch
 	uSubIDs []int32
 	wu      *decomp.WorldCheckUnion
-	// Shared aliveness state: the per-world aliveness rows for the current
-	// window and the alive-world totals accumulated across windows.
-	uT       int
-	aw       int // aliveness words per world
-	alive    []uint64
+	// aliveCnt[u]: the worlds, over every window bound so far, in which
+	// union triangle u's three edges are present.
 	aliveCnt []int32
-	aliveW   [][]int32
 
-	// The hoisted pool closures (one per estimator, not one per candidate —
+	// The hoisted pool closure (one per estimator, not one per candidate —
 	// keeping the per-candidate steady state allocation-free).
-	worldFn func(worker, i int)
-	aliveFn func(worker, i int)
+	blockFn func(worker, b int)
 }
 
 func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, union []graph.Edge, n int, theta float64) *globalEstimator {
@@ -510,56 +504,30 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		need:     thetaNeed(theta, n),
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
-		aliveW:   make([][]int32, w),
 	}
 	// The union view: every triangle the union's edges span, with dense ids
 	// in parent order. Candidates are edge-subgraphs of the union, so their
-	// triangles all appear here; the aliveness bank is indexed by these ids
+	// triangles all appear here; the alive counts are indexed by these ids
 	// and every candidate seed is cut from the tables built over them.
 	uview := parent.SubIndex(graph.FromSortedEdges(nv, union), &ge.usub)
 	ge.uSubIDs = ge.usub.SubIDs()
 	ge.wu = decomp.NewWorldCheckUnion(uview, union)
-	ge.uT = ge.wu.Len()
-	ge.aw = (ge.uT + 63) / 64
-	ge.aliveCnt = make([]int32, ge.uT)
-	ge.aliveFn = func(worker, i int) {
-		ge.wu.FillAlive(ge.alive[i*ge.aw:(i+1)*ge.aw], ge.masks[i*ge.words:(i+1)*ge.words], ge.aliveW[worker])
-	}
-	ge.worldFn = func(worker, i int) {
-		ids, ok := ge.checkers[worker].MaskQualifyingAlive(&ge.seed,
-			ge.masks[i*ge.words:(i+1)*ge.words], ge.alive[i*ge.aw:(i+1)*ge.aw])
-		if !ok {
-			return
-		}
-		cnt := ge.counts[worker]
-		for _, id := range ids {
-			cnt[id]++
-		}
+	ge.aliveCnt = make([]int32, ge.wu.Len())
+	ge.blockFn = func(worker, b int) {
+		ge.checkers[worker].ScanLanes(&ge.seed, ge.lanes.Block(b), ge.lanes.Valid(b), ge.counts[worker])
 	}
 	return ge
 }
 
 // setWindow binds the estimator to the next window of the shared bank —
-// masks holds `worlds` consecutive world rows — and computes each window
-// world's union-triangle aliveness row once (shared by every candidate
-// scanned against the window) while accumulating the per-triangle
-// alive-world totals the θ-prune reads. The per-worker count slices are
-// summed in worker order, so the totals are the exact integers a serial fill
-// would produce.
+// masks holds `worlds` consecutive world rows — by transposing it into lane
+// blocks once (shared by every candidate scanned against the window), and
+// adds each union triangle's alive worlds in the window to the totals the
+// θ-prune reads: integer sums, the same at every window cut.
 func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
-	ge.masks, ge.winWorlds = masks, worlds
-	if total := worlds * ge.aw; cap(ge.alive) < total {
-		ge.alive = make([]uint64, total)
-	}
-	ge.alive = ge.alive[:worlds*ge.aw]
-	for w := range ge.aliveW {
-		ge.aliveW[w] = resizeCleared(ge.aliveW[w], ge.uT)
-	}
-	ge.pool.ForWorker(worlds, ge.aliveFn)
-	for _, cw := range ge.aliveW {
-		for u, c := range cw {
-			ge.aliveCnt[u] += c
-		}
+	ge.lanes.Transpose(masks, worlds, ge.words)
+	for b := 0; b < ge.lanes.Blocks(); b++ {
+		ge.wu.CountAlive(ge.lanes.Block(b), ge.lanes.Valid(b), ge.aliveCnt)
 	}
 }
 
@@ -601,15 +569,14 @@ func (ge *globalEstimator) pruned(remaining int) bool {
 }
 
 // scanInto runs the current window's worlds against the candidate most
-// recently bound with seedCandidate — every world evaluated by per-worker
-// checkers with O(1) bit tests, connectivity walked over the candidate's
-// own adjacency so union edges outside the candidate never connect it — and
-// adds each triangle's qualifying-world count to totals, summing the
-// per-worker counts in worker order: integer sums, so totals accumulated
-// over any window cut and any worker count equal the serial full-bank
-// counts exactly.
+// recently bound with seedCandidate — 64-world lane blocks scored by
+// per-worker checkers, connectivity walked over the candidate's own
+// adjacency so union edges outside the candidate never connect it — and adds
+// each triangle's qualifying-world count to totals, summing the per-worker
+// counts in worker order: integer sums, so totals accumulated over any
+// window cut and any worker count equal the serial full-bank counts exactly.
 func (ge *globalEstimator) scanInto(totals []int32) {
-	ge.pool.ForWorker(ge.winWorlds, ge.worldFn)
+	ge.pool.ForWorker(ge.lanes.Blocks(), ge.blockFn)
 	for _, cw := range ge.counts {
 		for j, c := range cw {
 			totals[j] += c
@@ -664,41 +631,46 @@ func resizeCleared(s []int32, n int) []int32 {
 	return s
 }
 
-func buildProbNucleus(ti *graph.TriangleIndex, tris []int32, k int, theta, minProb float64) ProbNucleus {
+// nucleusBuilder assembles ProbNuclei from triangle-id sets. Vertices and
+// edges are deduplicated by sorting and compacting in scratch reused across
+// calls, so a nucleus allocates only its own three result slices.
+type nucleusBuilder struct {
+	verts []int32
+	edges []graph.Edge
+}
+
+func (nb *nucleusBuilder) build(ti *graph.TriangleIndex, tris []int32, k int, theta, minProb float64) ProbNucleus {
 	nuc := ProbNucleus{K: k, Theta: theta, MinProb: minProb}
-	vs := make(map[int32]bool)
-	es := make(map[graph.Edge]bool)
-	for _, t := range tris {
+	if len(tris) == 0 {
+		return nuc
+	}
+	nuc.Triangles = make([]graph.Triangle, len(tris))
+	verts := slices.Grow(nb.verts[:0], 3*len(tris))
+	edges := slices.Grow(nb.edges[:0], 3*len(tris))
+	for i, t := range tris {
 		tri := ti.Tris[t]
-		nuc.Triangles = append(nuc.Triangles, tri)
-		vs[tri.A], vs[tri.B], vs[tri.C] = true, true, true
-		es[graph.Edge{U: tri.A, V: tri.B}] = true
-		es[graph.Edge{U: tri.A, V: tri.C}] = true
-		es[graph.Edge{U: tri.B, V: tri.C}] = true
+		nuc.Triangles[i] = tri
+		verts = append(verts, tri.A, tri.B, tri.C)
+		edges = append(edges,
+			graph.Edge{U: tri.A, V: tri.B},
+			graph.Edge{U: tri.A, V: tri.C},
+			graph.Edge{U: tri.B, V: tri.C})
 	}
-	for v := range vs {
-		nuc.Vertices = append(nuc.Vertices, v)
-	}
-	for e := range es {
-		nuc.Edges = append(nuc.Edges, e)
-	}
-	slices.Sort(nuc.Vertices)
-	slices.SortFunc(nuc.Edges, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.V, b.V)
-	})
-	slices.SortFunc(nuc.Triangles, func(a, b graph.Triangle) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.B, b.B); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.C, b.C)
-	})
+	slices.Sort(verts)
+	slices.SortFunc(edges, compareEdges)
+	nb.verts, nb.edges = verts, edges
+	nuc.Vertices = slices.Clone(slices.Compact(verts))
+	nuc.Edges = slices.Clone(slices.Compact(edges))
+	slices.SortFunc(nuc.Triangles, graph.Triangle.Compare)
 	return nuc
+}
+
+// compareEdges orders edges by (U, V).
+func compareEdges(a, b graph.Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 func sortNuclei(ns []ProbNucleus) {

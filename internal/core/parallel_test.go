@@ -85,7 +85,8 @@ func TestInitialKappaDifferential(t *testing.T) {
 
 // mcDiffCases is the corpus the global/weak differential tests run over: the
 // paper fixture plus two generated datasets exercising non-trivial candidate
-// spaces (multiple candidates, dedup hits, rejected candidates).
+// spaces (multiple candidates, dedup hits, rejected candidates), krogan also
+// at k = 2 and 3, where support needs more than one clique.
 func mcDiffCases() []struct {
 	name    string
 	pg      *probgraph.Graph
@@ -104,6 +105,8 @@ func mcDiffCases() []struct {
 	}{
 		{"fig1", fixtures.Fig1(), 1, 0.35, 500, 5},
 		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 1, 0.001, 100, 1},
+		{"krogan-k2", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 2, 0.001, 100, 1},
+		{"krogan-k3", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 3, 0.001, 100, 1},
 		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.025))), 1, 0.001, 60, 3},
 	}
 }

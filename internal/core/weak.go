@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"slices"
 
@@ -93,6 +92,7 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	var sub graph.SubIndexScratch
 	var lanes mc.Lanes
 	var qual []float64
+	var nb nucleusBuilder
 	// One closure for the whole run, not one per candidate or window.
 	blockFn := func(worker, b int) {
 		scorers[worker].ScoreLanes(&seed, lanes.Block(b), lanes.Valid(b), losses[worker])
@@ -164,7 +164,7 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 					qual[id] = p
 				}
 			}
-			out = append(out, assembleWeakNuclei(hti, &seed, qual, k, theta)...)
+			out = append(out, assembleWeakNuclei(&nb, hti, &seed, qual, k, theta)...)
 		}
 	}
 	// The last candidate may have been scored against a half-filled world
@@ -189,12 +189,7 @@ func unionEdges(cands []decomp.Nucleus) []graph.Edge {
 	for _, c := range cands {
 		union = append(union, c.Edges...)
 	}
-	slices.SortFunc(union, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.V, b.V)
-	})
+	slices.SortFunc(union, compareEdges)
 	return slices.Compact(union)
 }
 
@@ -213,15 +208,16 @@ func resizeFilled(s []float64, n int, v float64) []float64 {
 
 // assembleWeakNuclei groups the qualifying triangles into 4-clique-connected
 // components ("connected union of △'s", Algorithm 3 line 12). ti is the
-// candidate's triangle index, seed the peel seed bound to it, and qual the
-// per-id estimate (-1 for triangles below θ). A qualifying triangle lies in
+// candidate's triangle index, seed the peel seed bound to it, qual the
+// per-id estimate (-1 for triangles below θ), and nb builds each component's
+// nucleus. A qualifying triangle lies in
 // the candidate's level-k core, so every 4-clique of four qualifying
 // triangles is one of the seed's core cliques, whose siblings the seed
 // resolved once through its incidence walk: the components come from those
 // cliques alone, with no lookup by vertex triple. Groups lists each
 // component's members ascending, so the nuclei do not depend on the order
 // of the unions.
-func assembleWeakNuclei(ti *graph.TriangleIndex, seed *decomp.WorldPeelSeed, qual []float64, k int, theta float64) []ProbNucleus {
+func assembleWeakNuclei(nb *nucleusBuilder, ti *graph.TriangleIndex, seed *decomp.WorldPeelSeed, qual []float64, k int, theta float64) []ProbNucleus {
 	anyQual := false
 	for _, p := range qual {
 		if p >= 0 {
@@ -243,7 +239,7 @@ func assembleWeakNuclei(ti *graph.TriangleIndex, seed *decomp.WorldPeelSeed, qua
 	groups := u.Groups(1, func(t int32) bool { return qual[t] >= 0 })
 	out := make([]ProbNucleus, 0, len(groups))
 	for _, grp := range groups {
-		out = append(out, buildProbNucleus(ti, grp, k, theta, minQualProb(grp, qual)))
+		out = append(out, nb.build(ti, grp, k, theta, minQualProb(grp, qual)))
 	}
 	return out
 }

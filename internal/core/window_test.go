@@ -43,6 +43,10 @@ func windowDiffCases() []windowDiffCase {
 			[]int{1, 7, 16, 41, 95, 96, 196}, false},
 		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 1, 0.001, 96, 1,
 			[]int{1, 41, 64, 196}, false},
+		{"krogan-k2", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 2, 0.001, 96, 1,
+			[]int{41, 64}, false},
+		{"krogan-k3", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 3, 0.001, 96, 1,
+			[]int{37, 196}, false},
 		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.025))), 1, 0.001, 48, 3,
 			[]int{17, 48}, false},
 		{"krogan-theta0.5", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 1, 0.5, 96, 1,
@@ -180,7 +184,7 @@ func TestWeaklyGlobalNucleiWindowedDifferential(t *testing.T) {
 	}
 }
 
-// TestGlobalEstimatorAliveAndPruneDifferential: the shared-aliveness scan
+// TestGlobalEstimatorAliveAndPruneDifferential: the estimator's lane scan
 // must report exactly the (estimate, ok) the materialized-world predicate
 // reports — every union world built as a graph and checked with
 // QualifyingTriangles on the candidate's SubIndex view of the parent — for

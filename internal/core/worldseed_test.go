@@ -92,9 +92,10 @@ func withSortedIDIndex(pre *Prepared) *Prepared {
 // level-k candidate space of local, seeds it through the estimator, and
 // requires the seed to equal the reference seed — view triangles in order,
 // union ids, completion lists, completion view and union ids, vertex set —
-// and MaskQualifyingAlive to return the verdict and triangle ids the
-// materialized-world QualifyingTriangles returns on the reference view, for
-// every world of a shared bank. It returns the number of candidates checked.
+// and the lane kernel (ScanLanes, each world scanned as a one-lane block) to
+// credit exactly the triangles the materialized-world QualifyingTriangles
+// credits on the reference view, for every world of a shared bank. It
+// returns the number of candidates checked.
 func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, local *LocalResult, k int, pool *par.Pool) int {
 	t.Helper()
 	cs := newCandidateSpace(local, k)
@@ -118,7 +119,8 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 	est.setWindow(masks, n)
 	uview := cs.ti.SubIndex(graph.FromSortedEdges(pg.NumVertices(), union), new(graph.SubIndexScratch))
 	var seen triSetDedup
-	var viaMask, viaGraph decomp.WorldChecker
+	var viaLanes, viaGraph decomp.WorldChecker
+	var lanes mc.Lanes
 	checked := 0
 	for _, seedT := range cs.triangles {
 		closure := cs.closure(seedT, k)
@@ -139,14 +141,13 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 				t.Fatalf("%s: view triangle %d is union %d %v, reference union %d %v",
 					where, j, uid, uview.Tris[uid], refUID[j], ref.hti.Tris[j])
 			}
-			other, otherUID := est.seed.Completions(j)
-			refOtherUID := make([]int32, len(ref.other[j]))
-			for i, o := range ref.other[j] {
-				refOtherUID[i] = refUID[o]
+			other := est.seed.Completions(j)
+			if !slices.Equal(other, ref.other[j]) {
+				t.Fatalf("%s: triangle %d completions %v, reference %v", where, j, other, ref.other[j])
 			}
-			if !slices.Equal(other, ref.other[j]) || !slices.Equal(otherUID, refOtherUID) {
-				t.Fatalf("%s: triangle %d completions (%v, %v), reference (%v, %v)",
-					where, j, other, otherUID, ref.other[j], refOtherUID)
+			otherUID := make([]int32, len(other))
+			for i, o := range other {
+				otherUID[i] = est.seed.AliveUID(int(o))
 			}
 			// The completion vertex is the one the first other triangle
 			// (tri.A, tri.B, z) adds to the triangle.
@@ -170,14 +171,24 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 			t.Fatalf("%s: seed vertices %v, reference %v", where, verts, ref.verts)
 		}
 		viaGraph.Reset(ref.hti, ref.h)
+		counts := make([]int32, m)
 		for i, world := range worlds {
-			gotIDs, gotOK := viaMask.MaskQualifyingAlive(&est.seed,
-				masks[i*words:(i+1)*words], est.alive[i*est.aw:(i+1)*est.aw])
-			got := slices.Clone(gotIDs)
+			clear(counts)
+			lanes.Transpose(masks[i*words:(i+1)*words], 1, words)
+			viaLanes.ScanLanes(&est.seed, lanes.Block(0), lanes.Valid(0), counts)
+			var got []int32
+			for id, c := range counts {
+				if c != 0 {
+					got = append(got, int32(id))
+				}
+			}
 			wantIDs, wantOK := viaGraph.QualifyingTriangles(world, ref.verts, k)
-			if gotOK != wantOK || (wantOK && !slices.Equal(got, wantIDs)) {
-				t.Fatalf("%s world %d: mask predicate (%v, %v), reference (%v, %v)",
-					where, i, gotOK, got, wantOK, wantIDs)
+			if !wantOK {
+				wantIDs = nil
+			}
+			if !slices.Equal(got, wantIDs) {
+				t.Fatalf("%s world %d: lane kernel credits %v, reference (%v, %v)",
+					where, i, got, wantOK, wantIDs)
 			}
 		}
 	}

@@ -10,13 +10,16 @@ import (
 )
 
 // WorldChecker evaluates the global-semantics world predicate (Definition 4,
-// see IsGlobalNucleusWorld) for many sampled worlds of one candidate
-// subgraph, in two forms: QualifyingTriangles on a materialized world graph,
+// see IsGlobalNucleusWorld) for sampled worlds of one candidate subgraph, in
+// two forms. QualifyingTriangles checks one materialized world graph,
 // restricting the candidate's triangle index (bound by Reset) to the world
 // with a reusable SubIndex view instead of enumerating the world's triangles
-// from scratch; and MaskQualifyingAlive on a shared union-world mask, against
-// a WorldCheckSeed. It keeps its BFS and union-find scratch across worlds, so
-// neither form rebuilds anything per world. One checker serves one worker.
+// from scratch: the exact oracle's form. ScanLanes checks 64 shared union
+// worlds at a time against a WorldCheckSeed, one bit lane per world, and
+// counts each triangle's qualifying worlds: the g-NuDecomp kernel's form.
+// The checker keeps its BFS, union-find and lane scratch across worlds and
+// candidates, so neither form allocates at steady state. One checker serves
+// one worker.
 type WorldChecker struct {
 	hti     *graph.TriangleIndex
 	cand    *graph.Graph
@@ -25,8 +28,14 @@ type WorldChecker struct {
 	visited []int32
 	stamp   int32
 	queue   []int32
-	// Qualifying-id output of the mask path (see MaskQualifyingAlive).
-	out []int32
+	// Lane scratch of ScanLanes: reach holds a vertex's (then a triangle's)
+	// reached lanes, tri a view triangle's alive lanes; queued and work back
+	// the deduplicated fixpoint worklist (queued is all false between
+	// calls).
+	reach  []uint64
+	tri    []uint64
+	queued []bool
+	work   []int32
 }
 
 // Reset binds the checker to the triangle index of a candidate subgraph and,
@@ -247,34 +256,30 @@ func NewWorldCheckUnion(view *graph.TriangleIndex, union []graph.Edge) *WorldChe
 	return u
 }
 
-// Len returns the number of union-view triangles: the width of an aliveness
-// row and of any per-union-triangle accumulator.
+// Len returns the number of union-view triangles: the width of any
+// per-union-triangle accumulator.
 func (u *WorldCheckUnion) Len() int { return len(u.byEdge) }
 
-// FillAlive computes one world's union-triangle aliveness row from its
-// world mask: bit t of row is set iff union triangle t's three edges are all
-// present, and cnt[t] is incremented for every such triangle. row must hold
-// ⌈Len()/64⌉ words; it is overwritten.
-func (u *WorldCheckUnion) FillAlive(row, mask []uint64, cnt []int32) {
-	clear(row)
+// CountAlive adds to cnt[t], for every union triangle t, the number of valid
+// worlds of one 64-world lane block (lanes indexed by union edge id, as
+// mc.Lanes.Block returns them) in which t's three edges are all present.
+func (u *WorldCheckUnion) CountAlive(lanes []uint64, valid uint64, cnt []int32) {
 	for t, b := 0, 0; b < len(u.triEdge); t, b = t+1, b+3 {
-		if maskHas(mask, u.triEdge[b]) && maskHas(mask, u.triEdge[b+1]) && maskHas(mask, u.triEdge[b+2]) {
-			row[t>>6] |= 1 << (uint(t) & 63)
-			cnt[t]++
-		}
+		e := u.triEdge[b : b+3 : b+3]
+		cnt[t] += int32(bits.OnesCount64(valid & lanes[e[0]] & lanes[e[1]] & lanes[e[2]]))
 	}
 }
 
 // WorldCheckSeed precomputes, for one candidate of the global algorithm,
-// everything the Definition 4 world predicate needs to be evaluated from a
-// shared union-world mask and the world's union-triangle aliveness row
-// alone: the union ids of the candidate's triangles, each 4-clique
-// completion's other three triangles (as candidate view ids for
-// 4-clique connectivity and as union ids for the aliveness test), and the
+// everything the Definition 4 world predicate needs to be evaluated on
+// shared union worlds from their per-edge lane words alone: the union ids of
+// the candidate's triangles (whose union edge ids give a triangle's alive
+// lanes), each 4-clique completion's other three triangles as candidate view
+// ids (for the support count and 4-clique connectivity), and the
 // candidate's adjacency over candidate-local vertex ids annotated with union
 // edge ids (for vertex connectivity). Seed cuts it from a WorldCheckUnion in
 // time proportional to the candidate; it is then shared read-only by
-// per-worker checkers.
+// per-worker checkers (see WorldChecker.ScanLanes).
 type WorldCheckSeed struct {
 	k int
 	u *WorldCheckUnion
@@ -283,14 +288,13 @@ type WorldCheckSeed struct {
 	triUID []int32
 	// Completions, CSR per view triangle: completion j of triangle t occupies
 	// slot compOff[t]+j; compOther[3s..3s+2] are the view ids of the clique's
-	// other three triangles and compOtherUID[3s..3s+2] their union ids.
-	compOff      []int32
-	compOther    []int32
-	compOtherUID []int32
+	// other three triangles.
+	compOff   []int32
+	compOther []int32
 	// verts[i] is candidate-local vertex i as an index into the union's
 	// vertex list; the predicate requires the world to connect all of them.
 	// The adjacency (both directions, candidate-local ids) carries the union
-	// edge id of every entry, for the BFS connectivity walk.
+	// edge id of every entry, for the lane reachability walk.
 	verts   []int32
 	adjOff  []int32
 	adjVert []int32
@@ -361,19 +365,18 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 	// A union completion survives iff its z-edges are candidate edges; its
 	// other three triangles are then candidate triangles too.
 	compOff := append(s.compOff[:0], 0)
-	other, otherUID := s.compOther[:0], s.compOtherUID[:0]
+	other := s.compOther[:0]
 	for _, t := range uids {
 		for j := u.compOff[t]; j < u.compOff[t+1]; j++ {
 			b := 3 * j
 			if marked(u.compEdge[b]) && marked(u.compEdge[b+1]) && marked(u.compEdge[b+2]) {
 				o := u.compOther[b : b+3]
-				otherUID = append(otherUID, o...)
 				other = append(other, s.viewID[o[0]], s.viewID[o[1]], s.viewID[o[2]])
 			}
 		}
 		compOff = append(compOff, int32(len(other)/3))
 	}
-	s.compOff, s.compOther, s.compOtherUID = compOff, other, otherUID
+	s.compOff, s.compOther = compOff, other
 
 	verts := s.verts[:0]
 	for _, e := range edges {
@@ -416,24 +419,22 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 // Len returns the candidate view's triangle count: view ids are 0..Len()-1.
 func (s *WorldCheckSeed) Len() int { return len(s.triUID) }
 
-// AliveUID returns candidate view triangle t's union id — the index of its
-// bit in each world's aliveness row and of its slot in any per-union-
-// triangle alive-count accumulator.
+// AliveUID returns candidate view triangle t's union id: the index of its
+// slot in any per-union-triangle accumulator, such as the alive-world counts
+// of WorldCheckUnion.CountAlive.
 func (s *WorldCheckSeed) AliveUID(t int) int32 { return s.triUID[t] }
 
 // Completions and AppendVertices are test-support accessors: they expose
 // the seed's completion tables and vertex set so tests in other packages
 // can compare a seed against a reference construction. The global kernel
 // does not call them; it reads the seed only through Len, AliveUID and
-// MaskQualifyingAlive.
+// ScanLanes.
 
 // Completions returns the surviving 4-clique completions of view triangle t,
-// three entries per completion: the view ids and the union ids of the
-// clique's other three triangles. The slices alias the seed. Test support
-// only.
-func (s *WorldCheckSeed) Completions(t int) (other, otherUID []int32) {
-	lo, hi := 3*s.compOff[t], 3*s.compOff[t+1]
-	return s.compOther[lo:hi], s.compOtherUID[lo:hi]
+// three entries per completion: the view ids of the clique's other three
+// triangles. The slice aliases the seed. Test support only.
+func (s *WorldCheckSeed) Completions(t int) []int32 {
+	return s.compOther[3*s.compOff[t] : 3*s.compOff[t+1]]
 }
 
 // AppendVertices appends the candidate's vertices (original vertex ids, in
@@ -445,104 +446,208 @@ func (s *WorldCheckSeed) AppendVertices(dst []int32) []int32 {
 	return dst
 }
 
-// MaskQualifyingAlive is QualifyingTriangles over a shared union world: it
-// evaluates the same Definition 4 predicate — connectivity over the
-// candidate's vertices, support ≥ k for every surviving triangle, pairwise
-// 4-clique connectivity — from the world's edge mask and its union-triangle
-// aliveness row (see WorldCheckUnion.FillAlive, computed once per world and
-// shared by every candidate scanned against it), instead of per-world
-// adjacency binary searches and a per-world index restriction. A triangle's
-// survival is one aliveness bit; a 4-clique's is three more — the clique
-// survives iff all four of its triangles do, since their edge sets union to
-// the clique's six edges. Connectivity walks the candidate adjacency over the
-// mask itself. When the predicate holds it returns the candidate view ids of
-// the world's triangles; the slice aliases the checker's scratch and is
-// valid until the next call.
-func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []uint64) ([]int32, bool) {
-	if !wc.maskConnected(seed, mask) {
-		return nil, false
+// ScanLanes evaluates the Definition 4 world predicate for one block of up
+// to 64 shared union worlds against the candidate bound to seed, one bit
+// lane per world. lanes holds the block's lane words indexed by union edge
+// id — bit j of lanes[e] is set iff union edge e exists in the block's world
+// j (see mc.Lanes) — and valid marks the lanes that hold a world. For every
+// candidate view triangle t it adds to counts[t] the number of valid worlds
+// that satisfy the predicate and contain t: what QualifyingTriangles credits
+// on each world of the block restricted to the candidate.
+//
+// Each part of the predicate is a monotone fixpoint, so it runs on whole
+// words — the multi-source bit-parallel traversal of MS-BFS (Then et al.,
+// "The More the Merrier", VLDB 2014) applied to one graph under 64 edge
+// masks — while q, the word of lanes still qualifying, only shrinks:
+//
+//   - Vertex connectivity is reachability from candidate vertex 0, an edge
+//     carrying the lanes in which it exists; q is the AND of every vertex's
+//     reached lanes.
+//   - A triangle is alive in the lanes of q in which its three edges exist;
+//     for k ≥ 1 a lane with no alive triangle fails.
+//   - Support: every alive triangle needs at least k alive 4-clique
+//     completions. A clique is alive iff its four triangles are, since
+//     their edges are the clique's six; the per-lane counts are bit-sliced
+//     (laneCount, shared with the weak kernel).
+//   - 4-clique connectivity is reachability over alive cliques from each
+//     lane's lowest alive triangle; a lane fails if some alive triangle is
+//     not reached.
+//
+// A reachability word only gains lanes, and it gains lane j exactly when
+// the per-world search of world j would reach that vertex or triangle, so
+// at the fixpoint every lane holds that world's verdict and the counts
+// equal the per-world scan's.
+func (wc *WorldChecker) ScanLanes(seed *WorldCheckSeed, lanes []uint64, valid uint64, counts []int32) {
+	q := wc.connectedLanes(seed, lanes, valid)
+	if q == 0 {
+		return
 	}
-	out := wc.out[:0]
-	for t, uid := range seed.triUID {
-		if maskHas(alive, uid) {
-			out = append(out, int32(t))
-		}
+	m := seed.Len()
+	if cap(wc.tri) < m {
+		wc.tri = make([]uint64, m)
 	}
-	wc.out = out
-	if seed.k == 0 {
-		// Connectivity is the whole predicate (Lemma 2); the scan above only
-		// supplies the triangle list for counting.
-		return out, true
+	tri := wc.tri[:m]
+	var some uint64 // lanes with at least one alive triangle
+	for t, u := range seed.triUID {
+		e := seed.u.triEdge[3*u : 3*u+3 : 3*u+3]
+		tri[t] = q & lanes[e[0]] & lanes[e[1]] & lanes[e[2]]
+		some |= tri[t]
 	}
-	if len(out) == 0 {
-		// No triangles at all: there is nothing whose support can reach
+	if seed.k > 0 {
+		// A lane without triangles has nothing whose support can reach
 		// k ≥ 1, and a k-nucleus must contain triangles.
-		return nil, false
-	}
-	for _, t := range out {
-		cnt := 0
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(alive, seed.compOtherUID[b]) && maskHas(alive, seed.compOtherUID[b+1]) && maskHas(alive, seed.compOtherUID[b+2]) {
-				cnt++
-			}
+		if q &= some; q != 0 {
+			q = supportedLanes(seed, tri, q)
 		}
-		if cnt < seed.k {
-			return nil, false
+		if q != 0 {
+			q = wc.cliqueConnectedLanes(seed, tri, q)
+		}
+		if q == 0 {
+			return
 		}
 	}
-	// Triangle 4-clique-connectivity over the surviving triangles.
-	wc.u.Reset(seed.Len())
-	for _, t := range out {
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(alive, seed.compOtherUID[b]) && maskHas(alive, seed.compOtherUID[b+1]) && maskHas(alive, seed.compOtherUID[b+2]) {
-				wc.u.Union(t, seed.compOther[b])
-				wc.u.Union(t, seed.compOther[b+1])
-				wc.u.Union(t, seed.compOther[b+2])
-			}
-		}
+	for t, w := range tri {
+		counts[t] += int32(bits.OnesCount64(q & w))
 	}
-	root := wc.u.Find(out[0])
-	for _, t := range out[1:] {
-		if wc.u.Find(t) != root {
-			return nil, false
-		}
-	}
-	return out, true
 }
 
-// maskConnected is connectedOver for the mask path: BFS from candidate-local
-// vertex 0 over the seed's adjacency, following an edge iff its union bit is
-// set in the world mask, until every candidate vertex is reached.
-func (wc *WorldChecker) maskConnected(seed *WorldCheckSeed, mask []uint64) bool {
+// connectedLanes returns the lanes of valid in which the world's candidate
+// edges connect all of the candidate's vertices: lane reachability from
+// candidate-local vertex 0 over the seed's adjacency, run to its fixpoint
+// with a deduplicated worklist, and stopped early once every vertex is
+// reached in every lane.
+func (wc *WorldChecker) connectedLanes(seed *WorldCheckSeed, lanes []uint64, valid uint64) uint64 {
 	nv := len(seed.verts)
 	if nv <= 1 {
-		return true
+		return valid
 	}
-	if len(wc.visited) < nv {
-		wc.visited = make([]int32, nv)
-		wc.stamp = 0
-	}
-	wc.stamp++
-	stamp := wc.stamp
-	queue := append(wc.queue[:0], 0)
-	wc.visited[0] = stamp
-	reached := 1
-	for len(queue) > 0 && reached < nv {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for idx := seed.adjOff[v]; idx < seed.adjOff[v+1]; idx++ {
-			w := seed.adjVert[idx]
-			if wc.visited[w] != stamp && maskHas(mask, seed.adjBit[idx]) {
-				wc.visited[w] = stamp
-				reached++
-				queue = append(queue, w)
+	reach, queued := wc.laneScratch(nv)
+	reach[0] = valid
+	queued[0] = true
+	work := append(wc.work[:0], 0)
+	full := 1 // vertices reached in every valid lane
+	for len(work) > 0 && full < nv {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		queued[v] = false
+		rv := reach[v]
+		for i := seed.adjOff[v]; i < seed.adjOff[v+1]; i++ {
+			w := seed.adjVert[i]
+			add := rv & lanes[seed.adjBit[i]] &^ reach[w]
+			if add == 0 {
+				continue
+			}
+			if reach[w] |= add; reach[w] == valid {
+				full++
+			}
+			if !queued[w] {
+				queued[w] = true
+				work = append(work, w)
 			}
 		}
 	}
-	wc.queue = queue
-	return reached == nv
+	for _, v := range work { // left over by the early stop
+		queued[v] = false
+	}
+	wc.work = work[:0]
+	if full == nv {
+		return valid
+	}
+	q := valid
+	for _, r := range reach {
+		q &= r
+	}
+	return q
+}
+
+// supportedLanes returns the lanes of q in which every alive triangle (tri,
+// whose words lie within q) has at least seed.k ≥ 1 alive 4-clique
+// completions, stopping a triangle's count as soon as each of its live
+// lanes has reached k.
+func supportedLanes(seed *WorldCheckSeed, tri []uint64, q uint64) uint64 {
+	k := seed.k
+	nb := bits.Len(uint(k))
+	for t, live := range tri {
+		if live &= q; live == 0 {
+			continue
+		}
+		comp := seed.compOther[3*seed.compOff[t] : 3*seed.compOff[t+1]]
+		reached := uint64(0)
+		if len(comp)/3 >= k {
+			c := laneCount{nb: nb}
+			for i := 0; i < len(comp); i += 3 {
+				c.add(live & tri[comp[i]] & tri[comp[i+1]] & tri[comp[i+2]])
+				if i < 3*(k-1) {
+					continue // no lane can have reached k yet
+				}
+				if reached = c.atLeast(k); reached == live {
+					break
+				}
+			}
+		}
+		if q &^= live &^ reached; q == 0 {
+			return 0
+		}
+	}
+	return q
+}
+
+// cliqueConnectedLanes returns the lanes of q in which the alive triangles
+// (tri) are pairwise 4-clique-connected: lane reachability over alive
+// cliques, started in every lane from that lane's lowest alive triangle and
+// run to its fixpoint with a deduplicated worklist.
+func (wc *WorldChecker) cliqueConnectedLanes(seed *WorldCheckSeed, tri []uint64, q uint64) uint64 {
+	reach, queued := wc.laneScratch(len(tri))
+	work := wc.work[:0]
+	var seen uint64
+	for t, w := range tri {
+		if start := q & w &^ seen; start != 0 {
+			seen |= start
+			reach[t] = start
+			queued[t] = true
+			work = append(work, int32(t))
+		}
+	}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		queued[t] = false
+		rt := reach[t]
+		comp := seed.compOther[3*seed.compOff[t] : 3*seed.compOff[t+1]]
+		for i := 0; i < len(comp); i += 3 {
+			o := comp[i : i+3 : i+3]
+			cw := rt & tri[o[0]] & tri[o[1]] & tri[o[2]]
+			if cw == 0 {
+				continue
+			}
+			for _, x := range o {
+				if add := cw &^ reach[x]; add != 0 {
+					reach[x] |= add
+					if !queued[x] {
+						queued[x] = true
+						work = append(work, x)
+					}
+				}
+			}
+		}
+	}
+	wc.work = work
+	for t, w := range tri {
+		q &^= w &^ reach[t]
+	}
+	return q
+}
+
+// laneScratch returns the checker's reach words cleared to length n and its
+// worklist flags (all false) of the same length, growing both together.
+func (wc *WorldChecker) laneScratch(n int) ([]uint64, []bool) {
+	if cap(wc.reach) < n {
+		wc.reach = make([]uint64, n)
+		wc.queued = make([]bool, n)
+	}
+	reach := wc.reach[:n]
+	clear(reach)
+	return reach, wc.queued[:n]
 }
 
 // IsGlobalNucleusWorld reports whether a possible world qualifies as a
@@ -802,11 +907,6 @@ func (s *WorldPeelSeed) MapUnion(union []graph.Edge) {
 // seed and is valid until the next Seed call.
 func (s *WorldPeelSeed) Cliques() [][4]int32 { return s.cliques }
 
-// maskHas reports whether edge id e is set in a world mask.
-func maskHas(mask []uint64, e int32) bool {
-	return mask[e>>6]&(1<<(uint(e)&63)) != 0
-}
-
 // edgeIndexOf locates the canonical edge (u,v), u < v, in a (U,V)-sorted
 // edge list. The edge must be present (candidate triangles span candidate
 // edges by construction).
@@ -927,34 +1027,49 @@ func (ws *WorldMembershipScorer) fixpoint(seed *WorldPeelSeed, alive []uint64) {
 // atLeastK returns the lanes of live in which at least k ≥ 1 of the cliques
 // cls are alive, a clique's word being the AND of its four triangles' alive
 // words (live, the scored triangle's own word, bounds every one of them).
-// The per-lane counts are kept bit-sliced — cnt[b] holds bit b of every
-// lane's count, a carry out of the top slice marks the lane as past k for
-// good — and the scan stops as soon as every live lane has reached k.
+// The scan stops as soon as every live lane has reached k.
 func atLeastK(cliques [][4]int32, cls []int32, alive []uint64, live uint64, k int) uint64 {
 	if len(cls) < k {
 		return 0
 	}
-	nb := bits.Len(uint(k)) // k < 2^nb; len(cls) < 2^31 bounds nb by 31
-	var cnt [32]uint64
-	var over, reached uint64
+	c := laneCount{nb: bits.Len(uint(k))}
+	var reached uint64
 	for i, ci := range cls {
 		cl := &cliques[ci]
-		carry := alive[cl[0]] & alive[cl[1]] & alive[cl[2]] & alive[cl[3]]
-		for b := 0; b < nb && carry != 0; b++ {
-			c := cnt[b] & carry
-			cnt[b] ^= carry
-			carry = c
-		}
-		over |= carry
+		c.add(alive[cl[0]] & alive[cl[1]] & alive[cl[2]] & alive[cl[3]])
 		if i+1 < k {
 			continue // no lane can have reached k yet
 		}
-		if reached = over | countAtLeast(cnt[:nb], k); reached == live {
+		if reached = c.atLeast(k); reached == live {
 			break
 		}
 	}
 	return reached
 }
+
+// laneCount counts, for each of the 64 lanes, how many of the words added
+// to it have the lane set. The counts are bit-sliced: slice[b] holds bit b
+// of every lane's count, and a carry out of the top slice marks the lane as
+// past any k < 2^nb for good. Set nb to bits.Len(k) for the k that atLeast
+// will be asked about (k < 2^31).
+type laneCount struct {
+	slice [31]uint64
+	nb    int
+	over  uint64
+}
+
+// add counts the lanes set in w.
+func (c *laneCount) add(w uint64) {
+	for b := 0; b < c.nb && w != 0; b++ {
+		carry := c.slice[b] & w
+		c.slice[b] ^= w
+		w = carry
+	}
+	c.over |= w
+}
+
+// atLeast returns the lanes whose count is at least k.
+func (c *laneCount) atLeast(k int) uint64 { return c.over | countAtLeast(c.slice[:c.nb], k) }
 
 // countAtLeast compares the bit-sliced lane counts cnt (cnt[b]: bit b of
 // every lane's count) with the constant k, most significant slice first,

@@ -334,13 +334,14 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestMaskQualifyingMatchesGraphChecker: the mask form of the global world
-// predicate — a WorldCheckSeed cut from union tables, evaluated by
-// MaskQualifyingAlive on a union-world mask and its aliveness row — must
-// agree with the candidate-restricted graph checker on the materialized
-// world: same verdict and same credited triangles, for candidates spanned by
-// a random subset of the union's triangles and worlds sampled over a union
-// larger than the candidate.
+// TestMaskQualifyingMatchesGraphChecker: the mask forms of the global world
+// predicate — a WorldCheckSeed cut from union tables, evaluated per world by
+// the reference refMaskChecker on a union-world mask and its aliveness row,
+// and by ScanLanes on the world as a one-lane block — must agree with the
+// candidate-restricted graph checker on the materialized world: same verdict
+// and same credited triangles, for candidates spanned by a random subset of
+// the union's triangles and worlds sampled over a union larger than the
+// candidate.
 func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	checked := 0
@@ -369,10 +370,11 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			}
 		}
 		var seed WorldCheckSeed
-		var viaGraph, viaMask WorldChecker
+		var viaGraph, viaLanes WorldChecker
+		var viaMask refMaskChecker
+		var lanes mc.Lanes
 		viaGraph.Reset(hti, h)
 		row := make([]uint64, (wu.Len()+63)/64)
-		cnt := make([]int32, wu.Len())
 		for k := 0; k <= 2; k++ {
 			seed.Seed(wu, tris, k)
 			if seed.Len() != hti.Len() {
@@ -385,12 +387,27 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			}
 			for w := 0; w < 8; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.8)
-				wu.FillAlive(row, mask, cnt)
+				fillAlive(wu, row, mask)
 				wantIDs, wantOK := viaGraph.QualifyingTriangles(world, verts, k)
-				gotIDs, gotOK := viaMask.MaskQualifyingAlive(&seed, mask, row)
+				gotIDs, gotOK := viaMask.qualifying(&seed, mask, row)
 				if gotOK != wantOK {
 					t.Fatalf("trial %d k=%d world %d: mask verdict %v, graph verdict %v",
 						trial, k, w, gotOK, wantOK)
+				}
+				lanes.Transpose(mask, 1, len(mask))
+				counts := make([]int32, seed.Len())
+				viaLanes.ScanLanes(&seed, lanes.Block(0), lanes.Valid(0), counts)
+				var laneIDs []int32
+				for id, c := range counts {
+					if c != 0 {
+						laneIDs = append(laneIDs, int32(id))
+					}
+				}
+				switch {
+				case !gotOK && laneIDs != nil:
+					t.Fatalf("trial %d k=%d world %d: lane kernel credits %v in a failing world", trial, k, w, laneIDs)
+				case gotOK && !slices.Equal(laneIDs, gotIDs):
+					t.Fatalf("trial %d k=%d world %d: lane kernel credits %v, mask reference %v", trial, k, w, laneIDs, gotIDs)
 				}
 				checked++
 				if !wantOK {

@@ -5,9 +5,9 @@ package mc
 // block and every edge one uint64 lane word holds that edge's presence in
 // the block's worlds — bit j of Block(b)[e] is set iff edge e exists in
 // window world 64b+j. A kernel that evaluates one predicate for 64 worlds
-// at once with word-wide AND/OR (decomp's word-parallel weak scoring) reads
-// an edge's lane word in one load instead of testing one bit in each of 64
-// row masks.
+// at once with word-wide AND/OR (decomp's word-parallel weak scoring and
+// global scan) reads an edge's lane word in one load instead of testing one
+// bit in each of 64 row masks.
 //
 // The columns of a block are contiguous, in edge order, so a kernel scoring
 // one block touches one slice indexed by the union edge ids the row masks

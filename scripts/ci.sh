@@ -6,19 +6,20 @@
 # package and the full test suite under the race detector. The differential
 # tests in internal/core, internal/graph, and internal/mc run the worker
 # pools at 1/2/8 workers, so `go test -race` drives every concurrent path,
-# including the shared-world validation loop's per-world scan and aliveness
-# fill; dedicated -race passes then re-run the serving Engine's
-# concurrent stress and cancellation tests for extra scheduling variation,
-# and the fault-tolerance chaos suite (deterministic injected
-# panics/delays/cancels, shard quarantine/rebuild, goroutine-leak gate).
+# including the g-NuDecomp lane scan, whose 64-world blocks merge per-worker
+# counts; dedicated -race passes then re-run that scan's differentials, the
+# serving Engine's concurrent stress and cancellation tests for extra
+# scheduling variation, and the fault-tolerance chaos suite (deterministic
+# injected panics/delays/cancels, shard quarantine/rebuild, goroutine-leak
+# gate).
 #
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — closure
-# growth, seeding from the per-call union tables, per-world predicate,
-# verdict, weak seed rebind + lane scoring — must allocate nothing), so a
-# single `go test` run asserts them. `goldendump -check` then verifies the global/weak golden snapshot
-# through the same command that regenerates it (drop -check after an
-# intentional semantic change).
+# growth, seeding from the per-call union tables, the per-window transpose,
+# lane scan, verdict, weak seed rebind + lane scoring — must allocate
+# nothing), so a single `go test` run asserts them. `goldendump -check` then
+# verifies the global/weak golden snapshot through the same command that
+# regenerates it (drop -check after an intentional semantic change).
 #
 # It finishes with scripts/bench.sh in short mode (1 benchmark iteration),
 # whose gates hold the allocs/op numbers — for the local peeling benchmarks
@@ -65,6 +66,14 @@ go test -race "$pkgs"
 # vets or tests it.
 echo "==> go vet + go test (perfbench module)"
 (cd perfbench && go vet ./... && go test ./...)
+
+# The g-NuDecomp lane scan spreads a window's 64-world blocks over the pool
+# and sums per-worker counts, so its lane-vs-reference differential (1, 2
+# and 8 workers) and the worker-count and window differentials of the whole
+# global kernel get a repeated -race pass of their own.
+echo "==> go test -race global lane scan (lane differential, worker and window differentials)"
+go test -race -count=2 -run 'TestScanLanesMatchesReference' ./internal/decomp
+go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
 
 # The serving engine's concurrency contract gets extra scheduling variation
 # beyond the one -race pass above: repeated runs of the stress test (N
