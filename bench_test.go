@@ -168,6 +168,39 @@ func BenchmarkWeak(b *testing.B) {
 	})
 }
 
+// BenchmarkWeakServed times the w-NuDecomp request shape that serves most
+// of a mixed workload — dblp at scale 0.04, k = 1, θ = 0.1 — the way a
+// server runs it: through a Registry on one warm single-worker Engine, so
+// the prepared artifact and the cached local result are reused and the
+// shard's weak scratch is warm. With 1 sample the row is nearly all
+// sample-independent setup (candidate seeding); with 100 it adds the world
+// draw and the lane scoring.
+func BenchmarkWeakServed(b *testing.B) {
+	g := benchGraph("dblp", 0.04)
+	ctx := context.Background()
+	for _, samples := range []int{1, 100} {
+		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
+			eng := pn.NewEngine(1, 1)
+			defer eng.Close()
+			reg := pn.NewRegistry(eng)
+			if _, err := reg.Put(ctx, "dblp", g); err != nil {
+				b.Fatal(err)
+			}
+			req := pn.NucleiRequest{K: 1, Theta: 0.1, Samples: samples, Seed: 1}
+			if _, err := reg.Weak(ctx, "dblp", req); err != nil { // warm the cache and the shard
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := reg.Weak(ctx, "dblp", req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGlobalLevels is BenchmarkGlobal above k = 1: at k ≥ 2 a world's
 // support test counts each triangle's alive cliques on the bit-sliced
 // counter instead of stopping at the first one, so these rows time the deep

@@ -11,7 +11,6 @@ import (
 
 	"probnucleus/internal/dataset"
 	"probnucleus/internal/decomp"
-	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
@@ -235,7 +234,8 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 }
 
 // TestSharedWorldWeakScoringAllocationFree: the weak-path steady state —
-// rebinding the peel seed to the next candidate, reading each 64-world
+// cutting the peel seed for the next candidate from the root incidence
+// (view, clique layout, k-core fixpoint, lanes), reading each 64-world
 // block's lane columns and scoring the block with the word-parallel kernel
 // — must not allocate either, across candidates of different sizes. The
 // window's transposition is per window, not per candidate, and is gated
@@ -257,19 +257,14 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 1)
 	var lanes mc.Lanes
 	lanes.Transpose(masks, n, words)
-	hs := make([]*graph.Graph, len(cands))
-	for i, cand := range cands {
-		hs[i] = graph.FromSortedEdges(pg.NumVertices(), cand.Edges)
-	}
-	var sub graph.SubIndexScratch
+	inc := local.incidence()
+	laneOf := decomp.LaneIndex(nil, pg.G, union)
 	var seed decomp.WorldPeelSeed
 	var scorer decomp.WorldMembershipScorer
 	var losses []int32
 	scoreCand := func(i int) {
-		hti := local.TI.SubIndex(hs[i], &sub)
-		seed.Seed(hti, cands[i].Edges, 1)
-		seed.MapUnion(union)
-		losses = resizeCleared(losses, hti.Len())
+		seed.Seed(local.TI, inc, cands[i].TriIDs, laneOf, 1)
+		losses = resizeCleared(losses, seed.Len())
 		scoreLanesSerial(&scorer, &seed, &lanes, losses)
 	}
 	for i := range cands { // warm every scratch buffer
@@ -466,6 +461,64 @@ func TestShardDropsLocalScratch(t *testing.T) {
 		}
 		if held() {
 			t.Errorf("the shard still holds local scratch after a %s request", other.name)
+		}
+	}
+}
+
+// TestShardReusesWeakScratch: a shard keeps its weak working memory from one
+// weak request to the next — the second request re-grows none of it, so
+// the seed's root-indexed stamps and the lane table keep their backing
+// arrays — across a global request in between, and a local peel or a
+// prepare drops it.
+func TestShardReusesWeakScratch(t *testing.T) {
+	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.05)))
+	ctx := context.Background()
+	eng := NewEngine(1, 2)
+	defer eng.Close()
+	held := func() *int32 {
+		s := <-eng.free
+		defer func() { eng.free <- s }()
+		if len(s.weak.laneOf) == 0 || len(s.weak.losses) == 0 {
+			return nil
+		}
+		return &s.weak.laneOf[0]
+	}
+	pre, err := eng.Prepare(ctx, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NucleiRequest{K: 1, Theta: 0.2, Samples: 70}
+	weak := func() {
+		t.Helper()
+		if _, err := eng.WeakPrepared(ctx, pre, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weak()
+	first := held()
+	if first == nil {
+		t.Fatal("a weak request left no scratch on its shard")
+	}
+	if _, err := eng.GlobalPrepared(ctx, pre, req); err != nil {
+		t.Fatal(err)
+	}
+	weak()
+	if got := held(); got != first {
+		t.Error("a warm shard re-grew its weak scratch instead of reusing it")
+	}
+	for _, other := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Local", func() error { _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.1}); return err }},
+		{"Prepare", func() error { _, err := eng.Prepare(ctx, pg); return err }},
+	} {
+		weak()
+		if err := other.run(); err != nil {
+			t.Fatal(err)
+		}
+		if held() != nil {
+			t.Errorf("the shard still holds weak scratch after a %s request", other.name)
 		}
 	}
 }

@@ -275,19 +275,23 @@ type engineShard struct {
 	// local is the working memory of the shard's last local peel, kept for
 	// as long as the shard goes on serving local requests (see dropLocal).
 	local localScratch
+	// weak is the working memory of the shard's last w-NuDecomp call, kept
+	// until the shard serves a local peel or a prepare (see dropWeak).
+	weak weakScratch
 }
 
 // run is what a shard hands one kernel call besides its request: the
 // shard's worker pool and world-mask bank, the engine's observer (nil when
 // off), the prepare-stage artifact the call runs from (nil until prepared),
-// and the local-peel working memory to reuse (nil gives the peel fresh
-// memory).
+// and the local-peel and weak working memory to reuse (nil gives the kernel
+// fresh memory).
 type run struct {
 	pool  *par.Pool
 	bank  *mc.Bank
 	obs   obs.Observer
 	pre   *Prepared
 	local *localScratch
+	weak  *weakScratch
 }
 
 // prepare gives the run a prepared artifact for pg, enumerating pg's
@@ -323,6 +327,12 @@ func (r *run) localResult(pg *probgraph.Graph, req NucleiRequest) (*LocalResult,
 // them no longer than until its next other request — its peak is then the
 // larger of a peel's memory and a Monte-Carlo kernel's, not their sum.
 func (s *engineShard) dropLocal() { s.local = localScratch{} }
+
+// dropWeak releases the shard's weak working memory. A local peel or a
+// prepare calls it, as every other request calls dropLocal, so a shard never
+// holds a peel's and a Monte-Carlo kernel's scratch at once; the world-mask
+// bank stays, as the global and weak kernels share it.
+func (s *engineShard) dropWeak() { s.weak = weakScratch{} }
 
 // NewEngine creates an engine with the given number of shards (values < 1
 // mean one) of workersPerShard workers each (0 = all cores, 1 = serial).
@@ -621,6 +631,7 @@ func (e *Engine) Prepare(ctx context.Context, pg *probgraph.Graph) (*Prepared, e
 		return nil, err
 	}
 	s.dropLocal()
+	s.dropWeak()
 	var pre *Prepared
 	err = e.guarded(s, obs.SemPrepare, func() error {
 		var kerr error
@@ -658,6 +669,7 @@ func (e *Engine) local(ctx context.Context, pg *probgraph.Graph, pre *Prepared, 
 	if err != nil {
 		return nil, err
 	}
+	s.dropWeak()
 	var res *LocalResult
 	err = e.guarded(s, obs.SemLocal, func() error {
 		r := run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, local: &s.local}
@@ -720,12 +732,13 @@ func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared,
 	s.dropLocal()
 	var out []ProbNucleus
 	err = e.guarded(s, sem, func() error {
+		r := &run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre}
 		kernel := globalNuclei
 		if sem == obs.SemWeak {
-			kernel = weaklyGlobalNuclei
+			kernel, r.weak = weaklyGlobalNuclei, &s.weak
 		}
 		var kerr error
-		out, kerr = kernel(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre}, pg, req)
+		out, kerr = kernel(r, pg, req)
 		return kerr
 	})
 	if err != nil {

@@ -173,11 +173,24 @@ func TestEngineCancellationMidRun(t *testing.T) {
 	}
 }
 
+// stallObserver sleeps for d at the first Candidate event it sees, so a
+// request whose deadline is shorter than d overruns it inside the kernel
+// however fast the kernel is.
+type stallObserver struct {
+	obs.NopObserver
+	d    time.Duration
+	once sync.Once
+}
+
+func (o *stallObserver) Candidate(int) { o.once.Do(func() { time.Sleep(o.d) }) }
+
 // TestEngineDeadline: a per-request timeout context surfaces as
-// context.DeadlineExceeded, the serving loop's usual shape.
+// context.DeadlineExceeded, the serving loop's usual shape. The observer
+// stalls the kernel at its first candidate until well past the deadline, so
+// the overrun does not depend on how long the request would take.
 func TestEngineDeadline(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
-	eng := NewEngine(1, 2)
+	eng := NewEngine(1, 2, WithObserver(&stallObserver{d: 60 * time.Millisecond}))
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

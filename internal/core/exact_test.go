@@ -9,7 +9,6 @@ import (
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/exact"
 	"probnucleus/internal/fixtures"
-	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
@@ -178,8 +177,9 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k, n, window int, full bool, seed int64) [][]float64 {
 	union := unionEdges(cands)
 	upg := local.PG.SubgraphOfEdges(union)
+	inc := local.incidence()
+	laneOf := decomp.LaneIndex(nil, local.PG.G, union)
 	var bank mc.Bank
-	var sub graph.SubIndexScratch
 	var ps decomp.WorldPeelSeed
 	var scorer decomp.WorldMembershipScorer
 	var lanes mc.Lanes
@@ -199,19 +199,17 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 		}
 		lanes.Transpose(masks, hi-lo, words)
 		for c, cand := range cands {
-			hti := local.TI.SubIndex(graph.FromSortedEdges(local.PG.NumVertices(), cand.Edges), &sub)
+			ps.Seed(local.TI, inc, cand.TriIDs, laneOf, k)
 			if totals[c] == nil {
-				totals[c] = make([]int32, hti.Len())
+				totals[c] = make([]int32, ps.Len())
 			}
-			ps.Seed(hti, cand.Edges, k)
-			ps.MapUnion(union)
 			scoreLanesSerial(&scorer, &ps, &lanes, totals[c])
 			if hi < n {
 				continue
 			}
-			for _, tri := range cand.Triangles {
+			for _, pid := range cand.TriIDs {
 				p := 0.0
-				if id, ok := hti.ID(tri); ok && ps.InCore(id) {
+				if id := ps.ViewID(pid); ps.InCore(id) {
 					p = float64(int32(n)-totals[c][id]) / float64(n)
 				}
 				out[c] = append(out[c], p)

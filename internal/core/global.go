@@ -239,13 +239,13 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 
 // candidateSpace is the union C of ℓ-(k,θ)-nuclei viewed as a set of
 // triangles plus the 4-cliques among them whose triangles all reach level k.
-// Cliques are enumerated once and assigned dense ids; per-triangle clique
+// Cliques are enumerated once, through the local result's incidence
+// (decomp.LevelCliques), and assigned dense ids; per-triangle clique
 // membership is laid out CSR-style, and closure growth runs on generation-
 // stamped scratch arrays — so growing a candidate allocates nothing beyond
 // the first seed.
 type candidateSpace struct {
 	ti *graph.TriangleIndex
-	nu []int
 	// triangles lists the triangle ids of C (level ≥ k with at least one
 	// level-k clique), in increasing order.
 	triangles []int32
@@ -267,25 +267,12 @@ type candidateSpace struct {
 }
 
 func newCandidateSpace(local *LocalResult, k int) *candidateSpace {
-	ti, nu := local.TI, local.Nucleusness
+	ti := local.TI
 	n := ti.Len()
-	cs := &candidateSpace{ti: ti, nu: nu}
-	for t := int32(0); int(t) < n; t++ {
-		if nu[t] < k {
-			continue
-		}
-		tri := ti.Tris[t]
-		for _, z := range ti.Comps[t] {
-			if z <= tri.C {
-				continue // enumerate each clique once (z is the max vertex)
-			}
-			ids, ok := cliqueIDsAtLevel(ti, nu, tri, z, k)
-			if !ok {
-				continue
-			}
-			cs.cliques = append(cs.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
-		}
-	}
+	cs := &candidateSpace{ti: ti}
+	decomp.LevelCliques(ti, local.incidence(), local.Nucleusness, k, func(cl [4]int32) {
+		cs.cliques = append(cs.cliques, cl)
+	})
 	cs.cliqueOff = make([]int32, n+1)
 	for _, cl := range cs.cliques {
 		for _, id := range cl {
@@ -304,7 +291,7 @@ func newCandidateSpace(local *LocalResult, k int) *candidateSpace {
 		}
 	}
 	for t := int32(0); int(t) < n; t++ {
-		if nu[t] >= k && cs.cliqueOff[t+1] > cs.cliqueOff[t] {
+		if cs.cliqueOff[t+1] > cs.cliqueOff[t] {
 			cs.triangles = append(cs.triangles, t)
 		}
 	}
@@ -312,22 +299,6 @@ func newCandidateSpace(local *LocalResult, k int) *candidateSpace {
 	cs.clStamp = make([]int32, len(cs.cliques))
 	cs.inCliques = make([]int32, n)
 	return cs
-}
-
-func cliqueIDsAtLevel(ti *graph.TriangleIndex, nu []int, tri graph.Triangle, z int32, k int) ([3]int32, bool) {
-	var ids [3]int32
-	for i, o := range [3]graph.Triangle{
-		graph.MakeTriangle(tri.A, tri.B, z),
-		graph.MakeTriangle(tri.A, tri.C, z),
-		graph.MakeTriangle(tri.B, tri.C, z),
-	} {
-		id, ok := ti.ID(o)
-		if !ok || nu[id] < k {
-			return ids, false
-		}
-		ids[i] = id
-	}
-	return ids, true
 }
 
 func (cs *candidateSpace) cliquesOf(t int32) []int32 {
@@ -632,11 +603,10 @@ func resizeCleared(s []int32, n int) []int32 {
 }
 
 // nucleusBuilder assembles ProbNuclei from triangle-id sets. Vertices and
-// edges are deduplicated by sorting and compacting in scratch reused across
+// edges are spanned by a decomp.SpanBuilder, whose scratch is reused across
 // calls, so a nucleus allocates only its own three result slices.
 type nucleusBuilder struct {
-	verts []int32
-	edges []graph.Edge
+	span decomp.SpanBuilder
 }
 
 func (nb *nucleusBuilder) build(ti *graph.TriangleIndex, tris []int32, k int, theta, minProb float64) ProbNucleus {
@@ -645,22 +615,10 @@ func (nb *nucleusBuilder) build(ti *graph.TriangleIndex, tris []int32, k int, th
 		return nuc
 	}
 	nuc.Triangles = make([]graph.Triangle, len(tris))
-	verts := slices.Grow(nb.verts[:0], 3*len(tris))
-	edges := slices.Grow(nb.edges[:0], 3*len(tris))
 	for i, t := range tris {
-		tri := ti.Tris[t]
-		nuc.Triangles[i] = tri
-		verts = append(verts, tri.A, tri.B, tri.C)
-		edges = append(edges,
-			graph.Edge{U: tri.A, V: tri.B},
-			graph.Edge{U: tri.A, V: tri.C},
-			graph.Edge{U: tri.B, V: tri.C})
+		nuc.Triangles[i] = ti.Tris[t]
 	}
-	slices.Sort(verts)
-	slices.SortFunc(edges, compareEdges)
-	nb.verts, nb.edges = verts, edges
-	nuc.Vertices = slices.Clone(slices.Compact(verts))
-	nuc.Edges = slices.Clone(slices.Compact(edges))
+	nuc.Vertices, nuc.Edges = nb.span.Span(ti, tris)
 	slices.SortFunc(nuc.Triangles, graph.Triangle.Compare)
 	return nuc
 }

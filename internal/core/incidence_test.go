@@ -218,3 +218,56 @@ func TestPreparedIncidencePanicLeavesUsable(t *testing.T) {
 		t.Fatalf("%d incidence builds, want 2 (the failed one and its retry)", got)
 	}
 }
+
+// TestAssembledLocalResultIncidence: a LocalResult assembled by hand rather
+// than by a peel derives its incidence on first use. Concurrent first
+// callers race to build it and must all end up on one published incidence,
+// and its nuclei and weak results must equal the peeled result's.
+func TestAssembledLocalResultIncidence(t *testing.T) {
+	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
+	peeled, err := LocalDecompose(pg, 0.2, Options{Mode: ModeDP, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNuclei := peeled.NucleiForK(1)
+	opts := MCOptions{Samples: 40, Seed: 3, Workers: 1}
+	opts.Local = peeled
+	wantWeak, err := WeaklyGlobalNuclei(pg, 1, 0.2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := countIncidenceBuilds(t, nil)
+	for round := 0; round < 4; round++ {
+		res := &LocalResult{PG: peeled.PG, TI: peeled.TI, Theta: peeled.Theta, Nucleusness: peeled.Nucleusness}
+		var wg sync.WaitGroup
+		errc := make(chan error, 2)
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !reflect.DeepEqual(res.NucleiForK(1), wantNuclei) {
+					errc <- errors.New("nuclei differ from the peeled result's")
+				}
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if p := res.pre.Load(); p == nil || p.inc.Load() == nil || res.incidence() != p.inc.Load() {
+			t.Fatalf("round %d: concurrent first calls left no single published incidence", round)
+		}
+		opts.Local = res
+		weak, err := WeaklyGlobalNuclei(pg, 1, 0.2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(weak, wantWeak) {
+			t.Fatalf("round %d: weak nuclei differ from the peeled result's", round)
+		}
+	}
+	if got := builds.Load(); got < 4 {
+		t.Fatalf("%d incidence builds over 4 assembled results, want at least one each", got)
+	}
+}

@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"slices"
+	"sync/atomic"
 
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/decomp"
@@ -107,7 +108,28 @@ type LocalResult struct {
 	TI          *graph.TriangleIndex
 	Theta       float64
 	Nucleusness []int
+	// pre is the prepared artifact PG and TI come from: it holds TI's
+	// edge→triangle incidence and, for an artifact loaded zero-copy, pins
+	// the mapping TI aliases. Set by the peel; a result assembled another
+	// way gets one on first use (see prepared).
+	pre atomic.Pointer[Prepared]
 }
+
+// prepared returns the artifact the result was peeled from, wrapping PG and
+// TI in one on the first call when the result was assembled some other
+// way. The wrap is published by CompareAndSwap, as Prepared.incidence
+// publishes the incidence, so concurrent first callers share one.
+func (r *LocalResult) prepared() *Prepared {
+	if p := r.pre.Load(); p != nil {
+		return p
+	}
+	r.pre.CompareAndSwap(nil, NewPreparedFromParts(r.PG, r.TI, nil))
+	return r.pre.Load()
+}
+
+// incidence returns TI's edge→triangle incidence, the one the peel that
+// produced the result walked.
+func (r *LocalResult) incidence() *decomp.TriIncidence { return r.prepared().incidence() }
 
 // LocalDecompose runs Algorithm 1 (ℓ-NuDecomp) on pg with threshold θ.
 //
@@ -335,7 +357,9 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 		}
 	}
 	sx.todo, sx.nks, sx.nms = todo, nks, nms
-	return &LocalResult{PG: pg, TI: ti, Theta: theta, Nucleusness: nu}, nil
+	res := &LocalResult{PG: pg, TI: ti, Theta: theta, Nucleusness: nu}
+	res.pre.Store(r.pre)
+	return res, nil
 }
 
 // cliqueFactors returns a triangle's existence probability Pr(△) and
@@ -407,9 +431,10 @@ func (r *LocalResult) MaxNucleusness() int {
 }
 
 // NucleiForK assembles the ℓ-(k,θ)-nuclei: maximal unions of 4-cliques whose
-// triangles all have ν ≥ k, split into 4-clique-connected components.
+// triangles all have ν ≥ k, split into 4-clique-connected components. Each
+// level-k clique is resolved once through the incidence the peel walked.
 func (r *LocalResult) NucleiForK(k int) []decomp.Nucleus {
-	return decomp.KNuclei(r.TI, r.Nucleusness, k)
+	return decomp.KNuclei(r.TI, r.incidence(), r.Nucleusness, k)
 }
 
 // InitialKappa computes, without any peeling, the initial κ score of every

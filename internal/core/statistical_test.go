@@ -63,21 +63,17 @@ func weakSharedWorldEstimates(t *testing.T, local *LocalResult, cands []decomp.N
 	defer pool.Close()
 	union := unionEdges(cands)
 	masks, words := mc.WorldMasksPool(pool, local.PG.SubgraphOfEdges(union), statSamples, seed)
-	h := graph.FromSortedEdges(local.PG.NumVertices(), cand.Edges)
-	var sub graph.SubIndexScratch
-	hti := local.TI.SubIndex(h, &sub)
 	var ps decomp.WorldPeelSeed
-	ps.Seed(hti, cand.Edges, k)
-	ps.MapUnion(union)
-	losses := make([]int32, hti.Len())
+	ps.Seed(local.TI, local.incidence(), cand.TriIDs, decomp.LaneIndex(nil, local.PG.G, union), k)
+	losses := make([]int32, ps.Len())
 	var lanes mc.Lanes
 	lanes.Transpose(masks, statSamples, words)
 	var scorer decomp.WorldMembershipScorer
 	scoreLanesSerial(&scorer, &ps, &lanes, losses)
 	out := make(map[graph.Triangle]float64, len(cand.Triangles))
-	for _, tri := range cand.Triangles {
-		id, ok := hti.ID(tri)
-		if !ok {
+	for i, tri := range cand.Triangles {
+		id := ps.ViewID(cand.TriIDs[i])
+		if local.TI.Tris[ps.Root(id)] != tri {
 			t.Fatalf("candidate triangle %v missing from its own view", tri)
 		}
 		if !ps.InCore(id) {

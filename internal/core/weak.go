@@ -32,12 +32,14 @@ import (
 // decomp.WorldMembershipScorer.ScoreLanes runs that k-core fixpoint on
 // 64-bit words, one bit lane per world, for every 64-world block.
 //
-// The candidate pipeline reuses the parent triangle index throughout: each
-// candidate subgraph is indexed by restricting the local decomposition's
-// index (no re-enumeration), the candidate's triangles are located in that
-// view by the parent ids the local nucleus carries, per-block losses are
-// counted into flat per-triangle slots by reusable per-worker scorers, and
-// scores are recovered as worlds-minus-losses over the candidate core.
+// The candidate pipeline works from the local decomposition's root index
+// and its edge→triangle incidence throughout, in time proportional to the
+// candidate: each candidate's peel seed is cut from the incidence by
+// marking the candidate's edges (no per-candidate graph, index restriction
+// or triangle-id lookup), its level-k core is a k-core deletion fixpoint
+// over the candidate's 4-cliques rather than a full peel, per-block losses
+// are counted into flat per-triangle slots by reusable per-worker scorers,
+// and scores are recovered as worlds-minus-losses over the candidate core.
 //
 // The call is a thin wrapper over a one-shot one-shard Engine, so the
 // package-level path and the served path run the identical kernel.
@@ -67,6 +69,10 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	}
 	n := req.sampleCount()
 	workers := pool.Workers()
+	sx := r.weak
+	if sx == nil {
+		sx = new(weakScratch)
+	}
 
 	// One shared world stream over the union of all candidate edges (every
 	// candidate is a subgraph of it), sampled as one flat bank of edge
@@ -79,6 +85,8 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	union := unionEdges(cands)
 	window := req.windowSize(n, len(union))
 	upg := pg.SubgraphOfEdges(union)
+	inc := local.incidence()
+	sx.laneOf = decomp.LaneIndex(sx.laneOf, local.PG.G, union)
 
 	var out []ProbNucleus
 	// losses[w][t]: number of window worlds in which candidate triangle t
@@ -86,26 +94,21 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	// the 64-world blocks it scored. The merge is a commutative integer sum,
 	// so the totals match the serial run for every worker count. The slices
 	// are reused and cleared between candidates.
-	losses := make([][]int32, workers)
-	scorers := make([]decomp.WorldMembershipScorer, workers)
-	var seed decomp.WorldPeelSeed
-	var sub graph.SubIndexScratch
-	var lanes mc.Lanes
+	sx.losses = resize(sx.losses, workers)
+	sx.scorers = resize(sx.scorers, workers)
+	seed, lanes, losses, scorers := &sx.seed, &sx.lanes, sx.losses, sx.scorers
 	var qual []float64
 	var nb nucleusBuilder
 	// One closure for the whole run, not one per candidate or window.
 	blockFn := func(worker, b int) {
-		scorers[worker].ScoreLanes(&seed, lanes.Block(b), lanes.Valid(b), losses[worker])
+		scorers[worker].ScoreLanes(seed, lanes.Block(b), lanes.Valid(b), losses[worker])
 	}
 	// lostFlat[lostOff[c]:lostOff[c+1]]: candidate c's per-triangle loss
 	// totals, accumulated across windows (laid out on the first window).
 	lostOff := make([]int32, 1, len(cands)+1)
 	var lostFlat []int32
 	for lo := 0; lo < n; lo += window {
-		hi := lo + window
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+window, n)
 		masks, words := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
@@ -116,9 +119,8 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 				return nil, err
 			}
 			cand := &cands[ci]
-			h := graph.FromSortedEdges(pg.NumVertices(), cand.Edges)
-			hti := local.TI.SubIndex(h, &sub)
-			m := hti.Len()
+			seed.Seed(local.TI, inc, cand.TriIDs, sx.laneOf, k)
+			m := seed.Len()
 			if lo == 0 {
 				if r.obs != nil {
 					r.obs.Candidate(m)
@@ -128,8 +130,6 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 				}
 				lostOff = append(lostOff, lostOff[ci]+int32(m))
 			}
-			seed.Seed(hti, cand.Edges, k)
-			seed.MapUnion(union)
 			for w := range losses {
 				losses[w] = resizeCleared(losses[w], m)
 			}
@@ -143,20 +143,19 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 			if hi < n {
 				continue
 			}
-			// Last window: the totals are complete, and the candidate's view
-			// and peel seed are live — score and assemble now. qual[t] holds
-			// the estimated probability for candidate-index id t, or -1 when
-			// below θ. Only the local nucleus's own triangles are scored (the
-			// candidate edge set may span extra triangles, which Algorithm 3
-			// never considers), and a triangle outside the candidate's level-k
-			// core qualifies in no world, so its score is 0 without consulting
-			// the losses. The nucleus's parent ids map into the view through
-			// the view's own id translation; every one is present, since the
-			// candidate spans its own triangles' edges.
+			// Last window: the totals are complete and the seed is bound to
+			// the candidate — score and assemble now. qual[v] holds the
+			// estimated probability for view id v, or -1 when below θ. Only
+			// the local nucleus's own triangles are scored (the candidate
+			// edge set may span extra triangles, which Algorithm 3 never
+			// considers), and a triangle outside the candidate's level-k
+			// core qualifies in no world, so its score is 0 without
+			// consulting the losses. Every one of the nucleus's root ids
+			// lies in the view, since the candidate spans its own
+			// triangles' edges.
 			qual = resizeFilled(qual, m, -1)
-			subIDs := sub.SubIDs()
 			for _, pid := range cand.TriIDs {
-				id := subIDs[pid]
+				id := seed.ViewID(pid)
 				if !seed.InCore(id) {
 					continue
 				}
@@ -164,7 +163,7 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 					qual[id] = p
 				}
 			}
-			out = append(out, assembleWeakNuclei(&nb, hti, &seed, qual, k, theta)...)
+			out = append(out, assembleWeakNuclei(&nb, local.TI, seed, qual, k, theta)...)
 		}
 	}
 	// The last candidate may have been scored against a half-filled world
@@ -174,6 +173,20 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	}
 	sortNuclei(out)
 	return out, nil
+}
+
+// weakScratch is the working memory of a w-NuDecomp call: the candidate
+// peel seed with its root-indexed stamps, the per-worker scorers and loss
+// slices, the window's lane words, and the root edge → union lane table.
+// An engine shard keeps one from one weak request to the next (see
+// engineShard), so a run of weak queries re-grows none of it. Every call
+// re-initialises all of it that it reads.
+type weakScratch struct {
+	seed    decomp.WorldPeelSeed
+	scorers []decomp.WorldMembershipScorer
+	losses  [][]int32
+	lanes   mc.Lanes
+	laneOf  []int32
 }
 
 // unionEdges merges the sorted canonical edge lists of the candidates into
@@ -207,16 +220,16 @@ func resizeFilled(s []float64, n int, v float64) []float64 {
 }
 
 // assembleWeakNuclei groups the qualifying triangles into 4-clique-connected
-// components ("connected union of △'s", Algorithm 3 line 12). ti is the
-// candidate's triangle index, seed the peel seed bound to it, qual the
-// per-id estimate (-1 for triangles below θ), and nb builds each component's
-// nucleus. A qualifying triangle lies in
-// the candidate's level-k core, so every 4-clique of four qualifying
-// triangles is one of the seed's core cliques, whose siblings the seed
-// resolved once through its incidence walk: the components come from those
-// cliques alone, with no lookup by vertex triple. Groups lists each
-// component's members ascending, so the nuclei do not depend on the order
-// of the unions.
+// components ("connected union of △'s", Algorithm 3 line 12). ti is the root
+// triangle index, seed the peel seed bound to the candidate, qual the
+// per-view-id estimate (-1 for triangles below θ), and nb builds each
+// component's nucleus. A qualifying triangle lies in the candidate's
+// level-k core, so every 4-clique of four qualifying triangles is one of
+// the seed's core cliques, whose siblings the seed resolved once through
+// the incidence walk: the components come from those cliques alone, with
+// no lookup by vertex triple. Groups lists each component's members
+// ascending, and view ids follow root ids, so the root ids handed to nb are
+// ascending too and the nuclei do not depend on the order of the unions.
 func assembleWeakNuclei(nb *nucleusBuilder, ti *graph.TriangleIndex, seed *decomp.WorldPeelSeed, qual []float64, k int, theta float64) []ProbNucleus {
 	anyQual := false
 	for _, p := range qual {
@@ -228,7 +241,7 @@ func assembleWeakNuclei(nb *nucleusBuilder, ti *graph.TriangleIndex, seed *decom
 	if !anyQual {
 		return nil
 	}
-	u := uf.New(ti.Len())
+	u := uf.New(seed.Len())
 	for _, cl := range seed.Cliques() {
 		if qual[cl[0]] >= 0 && qual[cl[1]] >= 0 && qual[cl[2]] >= 0 && qual[cl[3]] >= 0 {
 			u.Union(cl[0], cl[1])
@@ -239,7 +252,11 @@ func assembleWeakNuclei(nb *nucleusBuilder, ti *graph.TriangleIndex, seed *decom
 	groups := u.Groups(1, func(t int32) bool { return qual[t] >= 0 })
 	out := make([]ProbNucleus, 0, len(groups))
 	for _, grp := range groups {
-		out = append(out, nb.build(ti, grp, k, theta, minQualProb(grp, qual)))
+		minProb := minQualProb(grp, qual)
+		for i, v := range grp {
+			grp[i] = seed.Root(v)
+		}
+		out = append(out, nb.build(ti, grp, k, theta, minProb))
 	}
 	return out
 }

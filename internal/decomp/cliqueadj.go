@@ -45,30 +45,20 @@ func NewTriIncidence(ti *graph.TriangleIndex, g *graph.Graph) *TriIncidence {
 	return inc
 }
 
-// resetGraph is NewTriIncidence reusing inc's storage.
+// resetGraph is NewTriIncidence reusing inc's storage. The lists are
+// filled by a counting sort on edge id — counts go to off[e+2], so after the
+// prefix sum off[e+1] is edge e's start and the fill's post-increments leave
+// it at e's end, the final CSR offset, with no cursor array — and each list
+// is then sorted by third vertex.
 func (inc *TriIncidence) resetGraph(ti *graph.TriangleIndex, g *graph.Graph) {
-	inc.reset(ti, 2*g.NumEdges(), func(u, v int32) int32 {
+	ne := 2 * g.NumEdges()
+	edgeID := func(u, v int32) int32 {
 		i := g.AdjIndex(u, v)
 		if i < 0 {
 			panic("decomp: triangle edge missing from graph")
 		}
 		return int32(i)
-	})
-}
-
-// resetEdges rebuilds inc over ti keyed by a canonical (U,V)-sorted edge list
-// holding every edge of ti's triangles: edge id e is edges[e]. It reuses
-// inc's storage and does work proportional to ti and the list only.
-func (inc *TriIncidence) resetEdges(ti *graph.TriangleIndex, edges []graph.Edge) {
-	inc.reset(ti, len(edges), func(u, v int32) int32 { return edgeIndexOf(edges, u, v) })
-}
-
-// reset lays the incidence out over ne edge ids, locating each triangle
-// edge through edgeID. The lists are filled by a counting sort on edge id —
-// counts go to off[e+2], so after the prefix sum off[e+1] is edge e's start
-// and the fill's post-increments leave it at e's end, the final CSR offset,
-// with no cursor array — and each list is then sorted by third vertex.
-func (inc *TriIncidence) reset(ti *graph.TriangleIndex, ne int, edgeID func(u, v int32) int32) {
+	}
 	n := ti.Len()
 	if cap(inc.triEdge) < 3*n {
 		inc.triEdge = make([]int32, 3*n)
@@ -159,9 +149,8 @@ func gallopThird(list *[]uint64, z int32) int32 {
 // off[t]+i of one shared liveness array — no per-triangle hash maps, no
 // per-triangle allocations.
 //
-// It is shared by the deterministic nucleus decomposition, the weak
-// kernel's per-candidate peel and the probabilistic local decomposition in
-// package core.
+// It is shared by the deterministic nucleus decomposition and the
+// probabilistic local decomposition in package core.
 type CliqueAdj struct {
 	TI  *graph.TriangleIndex
 	inc *TriIncidence

@@ -177,79 +177,33 @@ type Nucleus struct {
 
 // KNuclei assembles the maximal k-nuclei from precomputed nucleusness
 // values: connected components of {△ : ν(△) ≥ k} under the relation "share
-// a 4-clique all of whose triangles have ν ≥ k". A nucleus lists its
-// triangles in ascending ti id, and carries those ids as TriIDs.
-func KNuclei(ti *graph.TriangleIndex, nu []int, k int) []Nucleus {
+// a 4-clique all of whose triangles have ν ≥ k". A triangle in no such
+// clique belongs to no nucleus (a nucleus is a union of 4-cliques, even at
+// k = 0). inc is ti's edge→triangle incidence: every level-k clique is
+// resolved once through it (see LevelCliques), with no lookup by vertex
+// triple. A nucleus lists its triangles in ascending ti id, and carries
+// those ids as TriIDs.
+func KNuclei(ti *graph.TriangleIndex, inc *TriIncidence, nu []int, k int) []Nucleus {
 	n := ti.Len()
 	u := uf.New(n)
-	for t := 0; t < n; t++ {
-		if nu[t] < k {
-			continue
+	inClique := make([]bool, n)
+	LevelCliques(ti, inc, nu, k, func(cl [4]int32) {
+		for _, id := range cl {
+			inClique[id] = true
 		}
-		tri := ti.Tris[t]
-		for _, z := range ti.Comps[t] {
-			// The clique {tri, z}: union with its other three triangles if
-			// every one of them reaches level k.
-			others := [3]graph.Triangle{
-				graph.MakeTriangle(tri.A, tri.B, z),
-				graph.MakeTriangle(tri.A, tri.C, z),
-				graph.MakeTriangle(tri.B, tri.C, z),
-			}
-			ok := true
-			var ids [3]int32
-			for i, o := range others {
-				id, exists := ti.ID(o)
-				if !exists || nu[id] < k {
-					ok = false
-					break
-				}
-				ids[i] = id
-			}
-			if !ok {
-				continue
-			}
-			for _, id := range ids {
-				u.Union(int32(t), id)
-			}
-		}
-	}
-	groups := u.Groups(1, func(t int32) bool {
-		if nu[t] < k {
-			return false
-		}
-		// A nucleus must be a union of 4-cliques: a triangle with no
-		// qualifying clique (e.g. an isolated triangle at k = 0) is excluded
-		// unless k = 0 and it genuinely has no 4-clique requirement... the
-		// paper's preconditions require subgraphs that are unions of
-		// 4-cliques, so we require at least one completion at level k.
-		return hasLevelKClique(ti, nu, t, k)
+		u.Union(cl[0], cl[1])
+		u.Union(cl[0], cl[2])
+		u.Union(cl[0], cl[3])
 	})
+	groups := u.Groups(1, func(t int32) bool { return inClique[t] })
 	out := make([]Nucleus, 0, len(groups))
+	var span SpanBuilder
 	for _, grp := range groups {
-		nuc := Nucleus{K: k, TriIDs: grp}
-		vs := make(map[int32]bool)
-		es := make(map[graph.Edge]bool)
-		for _, t := range grp {
-			tri := ti.Tris[t]
-			nuc.Triangles = append(nuc.Triangles, tri)
-			vs[tri.A], vs[tri.B], vs[tri.C] = true, true, true
-			es[graph.Edge{U: tri.A, V: tri.B}] = true
-			es[graph.Edge{U: tri.A, V: tri.C}] = true
-			es[graph.Edge{U: tri.B, V: tri.C}] = true
+		nuc := Nucleus{K: k, TriIDs: grp, Triangles: make([]graph.Triangle, len(grp))}
+		for i, t := range grp {
+			nuc.Triangles[i] = ti.Tris[t]
 		}
-		for v := range vs {
-			nuc.Vertices = append(nuc.Vertices, v)
-		}
-		for e := range es {
-			nuc.Edges = append(nuc.Edges, e)
-		}
-		slices.Sort(nuc.Vertices)
-		slices.SortFunc(nuc.Edges, func(a, b graph.Edge) int {
-			if c := cmp.Compare(a.U, b.U); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.V, b.V)
-		})
+		nuc.Vertices, nuc.Edges = span.Span(ti, grp)
 		out = append(out, nuc)
 	}
 	slices.SortFunc(out, func(a, b Nucleus) int {
@@ -264,26 +218,60 @@ func KNuclei(ti *graph.TriangleIndex, nu []int, k int) []Nucleus {
 	return out
 }
 
-func hasLevelKClique(ti *graph.TriangleIndex, nu []int, t int32, k int) bool {
-	tri := ti.Tris[t]
-	for _, z := range ti.Comps[t] {
-		ok := true
-		for _, o := range [3]graph.Triangle{
-			graph.MakeTriangle(tri.A, tri.B, z),
-			graph.MakeTriangle(tri.A, tri.C, z),
-			graph.MakeTriangle(tri.B, tri.C, z),
-		} {
-			id, exists := ti.ID(o)
-			if !exists || nu[id] < k {
-				ok = false
-				break
+// LevelCliques calls fn once for every 4-clique of ti whose four triangles
+// all have ν ≥ k. cl[0] is the clique's lexicographically first triangle
+// (A,B,C), whose completion z lies above C, and cl[1], cl[2], cl[3] are its
+// triangles (A,B,z), (A,C,z) and (B,C,z), resolved by one sibling walk of
+// inc per triangle instead of a lookup by vertex triple. Cliques come in
+// ascending (cl[0], z) order. inc must be ti's incidence.
+func LevelCliques(ti *graph.TriangleIndex, inc *TriIncidence, nu []int, k int, fn func(cl [4]int32)) {
+	for t, tri := range ti.Tris {
+		if nu[t] < k {
+			continue
+		}
+		zs := ti.Comps[t]
+		i, _ := slices.BinarySearch(zs, tri.C+1)
+		if i == len(zs) {
+			continue
+		}
+		sib := inc.siblings(int32(t))
+		for _, z := range zs[i:] {
+			ids := sib.next(z)
+			if nu[ids[0]] >= k && nu[ids[1]] >= k && nu[ids[2]] >= k {
+				fn([4]int32{int32(t), ids[0], ids[1], ids[2]})
 			}
 		}
-		if ok {
-			return true
-		}
 	}
-	return false
+}
+
+// SpanBuilder derives the vertices and edges a set of triangles spans. The
+// triangles' vertices and edges — an edge packed as U<<32 | V, which orders
+// as (U, V) — are sorted and compacted in scratch reused across calls, so a
+// span allocates only its two result slices.
+type SpanBuilder struct {
+	verts []int32
+	keys  []uint64
+}
+
+// Span returns the distinct vertices, ascending, and the distinct edges, in
+// (U, V) order, of the triangles ids of ti, as fresh slices.
+func (sb *SpanBuilder) Span(ti *graph.TriangleIndex, ids []int32) ([]int32, []graph.Edge) {
+	verts, keys := slices.Grow(sb.verts[:0], 3*len(ids)), slices.Grow(sb.keys[:0], 3*len(ids))
+	for _, t := range ids {
+		tri := ti.Tris[t]
+		a, b, c := uint64(uint32(tri.A)), uint64(uint32(tri.B)), uint64(uint32(tri.C))
+		verts = append(verts, tri.A, tri.B, tri.C)
+		keys = append(keys, a<<32|b, a<<32|c, b<<32|c)
+	}
+	slices.Sort(verts)
+	slices.Sort(keys)
+	sb.verts, sb.keys = verts, keys
+	keys = slices.Compact(keys)
+	edges := make([]graph.Edge, len(keys))
+	for i, key := range keys {
+		edges[i] = graph.Edge{U: int32(key >> 32), V: int32(uint32(key))}
+	}
+	return slices.Clone(slices.Compact(verts)), edges
 }
 
 // MaxNucleusness returns the maximum entry of nu, or 0 when there are no

@@ -366,8 +366,9 @@ func TestNucleusHierarchyContainment(t *testing.T) {
 func TestKNucleiComplete(t *testing.T) {
 	g := completeGraph(6) // every triangle has nucleusness 3
 	ti, nu := NucleusNumbers(g)
+	inc := NewTriIncidence(ti, g)
 	for k := 0; k <= 3; k++ {
-		nuclei := KNuclei(ti, nu, k)
+		nuclei := KNuclei(ti, inc, nu, k)
 		if len(nuclei) != 1 {
 			t.Fatalf("k=%d: %d nuclei, want 1", k, len(nuclei))
 		}
@@ -381,7 +382,7 @@ func TestKNucleiComplete(t *testing.T) {
 			t.Errorf("k=%d: %d edges, want 15", k, got)
 		}
 	}
-	if nuclei := KNuclei(ti, nu, 4); len(nuclei) != 0 {
+	if nuclei := KNuclei(ti, inc, nu, 4); len(nuclei) != 0 {
 		t.Errorf("k=4: %d nuclei, want 0", len(nuclei))
 	}
 }
@@ -396,8 +397,9 @@ func TestKNucleiSeparateComponents(t *testing.T) {
 			}
 		}
 	}
-	ti, nu := NucleusNumbers(b.Build())
-	nuclei := KNuclei(ti, nu, 1)
+	g := b.Build()
+	ti, nu := NucleusNumbers(g)
+	nuclei := KNuclei(ti, NewTriIncidence(ti, g), nu, 1)
 	if len(nuclei) != 2 {
 		t.Fatalf("%d nuclei, want 2", len(nuclei))
 	}
@@ -420,8 +422,9 @@ func TestKNucleiExcludesIsolatedTriangles(t *testing.T) {
 	_ = b.AddEdge(4, 5)
 	_ = b.AddEdge(5, 6)
 	_ = b.AddEdge(4, 6)
-	ti, nu := NucleusNumbers(b.Build())
-	nuclei := KNuclei(ti, nu, 0)
+	g := b.Build()
+	ti, nu := NucleusNumbers(g)
+	nuclei := KNuclei(ti, NewTriIncidence(ti, g), nu, 0)
 	if len(nuclei) != 1 {
 		t.Fatalf("%d nuclei, want 1", len(nuclei))
 	}

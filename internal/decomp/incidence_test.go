@@ -1,14 +1,17 @@
 package decomp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/dataset"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/uf"
 )
 
 // refCliqueAdj is the lookup-based clique peel that the TriIncidence walk
@@ -105,7 +108,7 @@ func refNucleusPeel(ti *graph.TriangleIndex) []int {
 // sibling walks skip far.
 func incidenceGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	gs := map[string]*graph.Graph{"K8": completeGraph(8)}
+	gs := map[string]*graph.Graph{"K5": completeGraph(5), "K8": completeGraph(8)}
 	for _, d := range []struct {
 		name  string
 		scale float64
@@ -129,8 +132,7 @@ type peelCase struct {
 
 // peelCases builds, for every corpus graph, the index shapes peels meet: a
 // hash-map root, an artifact-style byTri root, and a SubIndex view of a
-// random edge subgraph with its incidence keyed both by the subgraph's CSR
-// and by its sorted edge list.
+// random edge subgraph with its incidence keyed by the subgraph's CSR.
 func peelCases(t *testing.T) []peelCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -147,13 +149,10 @@ func peelCases(t *testing.T) []peelCase {
 		loaded := graph.IndexFromParts(root.Tris, root.Comps, root.SortedIDs())
 		h := worldOf(rng, g, 0.8, false)
 		view := root.SubIndex(h, new(graph.SubIndexScratch))
-		byEdges := new(TriIncidence)
-		byEdges.resetEdges(view, h.Edges())
 		cases = append(cases,
 			peelCase{name + "/root", root, NewTriIncidence(root, g)},
 			peelCase{name + "/byTri", loaded, NewTriIncidence(loaded, g)},
 			peelCase{name + "/view", view, NewTriIncidence(view, h)},
-			peelCase{name + "/view-edges", view, byEdges},
 		)
 	}
 	return cases
@@ -211,49 +210,242 @@ func TestNucleusNumbersMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWorldPeelSeedMatchesReference: a seed bound to candidate after
-// candidate (one seed, scratch reused across sizes) must produce the core,
-// core cliques and per-core-triangle edge ids the lookup-based construction
-// produces, over views of both root index kinds.
+// refKNuclei is the lookup-based KNuclei the incidence walk replaced, kept
+// as the differential reference: from every triangle at level ≥ k it
+// resolves each completion's three other triangles by vertex triple through
+// TriangleIndex.ID, unions the clique when all four reach level k, keeps the
+// triangles with at least one such clique, and spans each component's
+// vertices and edges through maps.
+func refKNuclei(ti *graph.TriangleIndex, nu []int, k int) []Nucleus {
+	n := ti.Len()
+	u := uf.New(n)
+	levelClique := func(t int32, z int32) ([3]int32, bool) {
+		tri := ti.Tris[t]
+		var ids [3]int32
+		for i, o := range [3]graph.Triangle{
+			graph.MakeTriangle(tri.A, tri.B, z),
+			graph.MakeTriangle(tri.A, tri.C, z),
+			graph.MakeTriangle(tri.B, tri.C, z),
+		} {
+			id, ok := ti.ID(o)
+			if !ok || nu[id] < k {
+				return ids, false
+			}
+			ids[i] = id
+		}
+		return ids, true
+	}
+	for t := int32(0); int(t) < n; t++ {
+		if nu[t] < k {
+			continue
+		}
+		for _, z := range ti.Comps[t] {
+			if ids, ok := levelClique(t, z); ok {
+				for _, id := range ids {
+					u.Union(t, id)
+				}
+			}
+		}
+	}
+	groups := u.Groups(1, func(t int32) bool {
+		if nu[t] < k {
+			return false
+		}
+		for _, z := range ti.Comps[t] {
+			if _, ok := levelClique(t, z); ok {
+				return true
+			}
+		}
+		return false
+	})
+	out := make([]Nucleus, 0, len(groups))
+	for _, grp := range groups {
+		nuc := Nucleus{K: k, TriIDs: grp}
+		vs := make(map[int32]bool)
+		es := make(map[graph.Edge]bool)
+		for _, t := range grp {
+			tri := ti.Tris[t]
+			nuc.Triangles = append(nuc.Triangles, tri)
+			vs[tri.A], vs[tri.B], vs[tri.C] = true, true, true
+			es[graph.Edge{U: tri.A, V: tri.B}] = true
+			es[graph.Edge{U: tri.A, V: tri.C}] = true
+			es[graph.Edge{U: tri.B, V: tri.C}] = true
+		}
+		for v := range vs {
+			nuc.Vertices = append(nuc.Vertices, v)
+		}
+		for e := range es {
+			nuc.Edges = append(nuc.Edges, e)
+		}
+		slices.Sort(nuc.Vertices)
+		slices.SortFunc(nuc.Edges, compareEdges)
+		out = append(out, nuc)
+	}
+	slices.SortFunc(out, func(a, b Nucleus) int {
+		if c := cmp.Compare(len(b.Vertices), len(a.Vertices)); c != 0 {
+			return c
+		}
+		if len(a.Vertices) == 0 {
+			return 0
+		}
+		return cmp.Compare(a.Vertices[0], b.Vertices[0])
+	})
+	return out
+}
+
+// compareEdges orders edges by (U, V).
+func compareEdges(a, b graph.Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// seedGraphs is the corpus of the KNuclei and WorldPeelSeed differentials:
+// the incidence corpus plus sparse random graphs, whose nuclei are many and
+// small.
+func seedGraphs(t *testing.T) map[string]*graph.Graph {
+	gs := incidenceGraphs(t)
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 4; i++ {
+		gs[fmt.Sprintf("sparse%d", i)] = randomGraph(rng, 24, 0.35)
+	}
+	return gs
+}
+
+// TestKNucleiMatchesReference: KNuclei over the incidence walk must return
+// exactly the nuclei of the lookup-based reference — same triangles, ids,
+// vertices, edges and order — at k = 0..4, for the deterministic
+// nucleusness and for arbitrary per-triangle levels (ℓ-NuDecomp's ν, with
+// −1 for triangles below θ, is no deterministic peel).
+func TestKNucleiMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	checked := 0
+	for name, g := range seedGraphs(t) {
+		ti, nu := NucleusNumbers(g)
+		inc := NewTriIncidence(ti, g)
+		scrambled := make([]int, len(nu))
+		for i := range scrambled {
+			scrambled[i] = rng.Intn(MaxNucleusness(nu)+3) - 1
+		}
+		for _, levels := range []struct {
+			name string
+			nu   []int
+		}{{"nucleusness", nu}, {"scrambled", scrambled}} {
+			for k := 0; k <= 4; k++ {
+				got, want := KNuclei(ti, inc, levels.nu, k), refKNuclei(ti, levels.nu, k)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s k=%d: KNuclei differs from the reference:\n got %v\nwant %v", name, levels.name, k, got, want)
+				}
+				checked += len(want)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d nuclei compared", checked)
+	}
+}
+
+// TestWorldPeelSeedMatchesReference: one seed, cut from the root incidence
+// for candidate after candidate (scratch reused across sizes and graphs),
+// must reproduce what the view-based construction gives for the SubIndex
+// view of the candidate's edge subgraph: the same view triangles with the
+// same ids, the level-k core of the view's reference peel, the same core
+// cliques in the same order, and every core triangle's edges as the same
+// union lanes. Candidates are the largest, a middle and the smallest
+// deterministic k-nucleus, and a random ~60% of the largest one's
+// triangles, which need be neither connected nor closed; both root index
+// kinds are cut from.
 func TestWorldPeelSeedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
 	var seed WorldPeelSeed
 	var sub graph.SubIndexScratch
+	var laneOf []int32
 	checked := 0
-	for name, g := range incidenceGraphs(t) {
+	for name, g := range seedGraphs(t) {
 		root := graph.NewTriangleIndex(g)
+		inc := NewTriIncidence(root, g)
 		nu := refNucleusPeel(root)
 		for _, parent := range []*graph.TriangleIndex{root, graph.IndexFromParts(root.Tris, root.Comps, root.SortedIDs())} {
-			for k := 1; k <= 2; k++ {
-				for ci, cand := range KNuclei(root, nu, k) {
-					h := graph.FromSortedEdges(g.NumVertices(), cand.Edges)
-					view := parent.SubIndex(h, &sub)
-					seed.Seed(view, cand.Edges, k)
-					seed.MapUnion(cand.Edges)
-					core, cliques, coreEdge := refSeed(view, cand.Edges, k)
-					where := fmt.Sprintf("%s k=%d candidate %d", name, k, ci)
-					if !slices.Equal(seed.Core(), core) {
-						t.Fatalf("%s: core %v, reference %v", where, seed.Core(), core)
+			for k := 0; k <= 3; k++ {
+				cands := KNuclei(root, inc, nu, k)
+				if len(cands) == 0 {
+					continue
+				}
+				var cands3 [][]int32
+				for _, ci := range slices.Compact([]int{0, len(cands) / 2, len(cands) - 1}) {
+					cands3 = append(cands3, cands[ci].TriIDs)
+				}
+				var part []int32
+				for _, tr := range cands[0].TriIDs {
+					if rng.Float64() < 0.6 {
+						part = append(part, tr)
 					}
-					if !slices.Equal(seed.cliques, cliques) {
-						t.Fatalf("%s: core cliques differ from the reference", where)
+				}
+				if len(part) > 0 {
+					cands3 = append(cands3, part)
+				}
+				var union []graph.Edge
+				for _, c := range cands {
+					union = append(union, c.Edges...)
+				}
+				slices.SortFunc(union, compareEdges)
+				union = slices.Compact(union)
+				laneOf = LaneIndex(laneOf, g, union)
+				for ci, tris := range cands3 {
+					where := fmt.Sprintf("%s k=%d candidate %d", name, k, ci)
+					var edges []graph.Edge
+					for _, tr := range tris {
+						tri := parent.Tris[tr]
+						edges = append(edges, graph.Edge{U: tri.A, V: tri.B}, graph.Edge{U: tri.A, V: tri.C}, graph.Edge{U: tri.B, V: tri.C})
+					}
+					slices.SortFunc(edges, compareEdges)
+					view := parent.SubIndex(graph.FromSortedEdges(g.NumVertices(), slices.Compact(edges)), &sub)
+					seed.Seed(parent, inc, tris, laneOf, k)
+					if !slices.Equal(seed.root, sub.ParentIDs()) {
+						t.Fatalf("%s: view triangles %v, reference %v", where, seed.root, sub.ParentIDs())
+					}
+					for v, tr := range seed.root {
+						if seed.ViewID(tr) != int32(v) {
+							t.Fatalf("%s: ViewID(%d) = %d, want %d", where, tr, seed.ViewID(tr), v)
+						}
+					}
+					core, cliques, coreEdge := refSeed(view, union, k)
+					if !slices.Equal(seed.core, core) {
+						t.Fatalf("%s: core %v, reference %v", where, seed.core, core)
+					}
+					if !slices.Equal(seed.Cliques(), cliques) {
+						t.Fatalf("%s: core cliques %v, reference %v", where, seed.Cliques(), cliques)
 					}
 					if !slices.Equal(seed.coreEdge, coreEdge) {
-						t.Fatalf("%s: core triangle edge ids %v, reference %v", where, seed.coreEdge, coreEdge)
+						t.Fatalf("%s: core triangle lanes %v, reference %v", where, seed.coreEdge, coreEdge)
+					}
+					wantIDs := make([][]int32, seed.Len())
+					for ci, cl := range cliques {
+						for _, v := range cl {
+							wantIDs[v] = append(wantIDs[v], int32(ci))
+						}
+					}
+					for v, want := range wantIDs {
+						if got := seed.clIDs[seed.clOff[v]:seed.clOff[v+1]]; !slices.Equal(got, want) {
+							t.Fatalf("%s: triangle %d in cliques %v, reference %v", where, v, got, want)
+						}
 					}
 					checked++
 				}
 			}
 		}
 	}
-	if checked < 10 {
+	if checked < 100 {
 		t.Fatalf("only %d candidates checked", checked)
 	}
 }
 
-// refSeed is the lookup-based WorldPeelSeed construction: the level-k core
-// of the view's reference peel, its cliques found by TriangleIndex.ID, and
-// each core triangle's three edges located in edges by binary search.
-func refSeed(view *graph.TriangleIndex, edges []graph.Edge, k int) (core []int32, cliques [][4]int32, coreEdge []int32) {
+// refSeed is the view-based WorldPeelSeed construction the incidence cut
+// replaced: the level-k core of the view's reference peel, its cliques
+// found by TriangleIndex.ID, and each core triangle's three edges located
+// in the union edge list by binary search.
+func refSeed(view *graph.TriangleIndex, union []graph.Edge, k int) (core []int32, cliques [][4]int32, coreEdge []int32) {
 	nu := refNucleusPeel(view)
 	inCore := make([]bool, view.Len())
 	for t := range nu {
@@ -287,9 +479,9 @@ func refSeed(view *graph.TriangleIndex, edges []graph.Edge, k int) (core []int32
 	for _, t := range core {
 		tri := view.Tris[t]
 		coreEdge = append(coreEdge,
-			edgeIndexOf(edges, tri.A, tri.B),
-			edgeIndexOf(edges, tri.A, tri.C),
-			edgeIndexOf(edges, tri.B, tri.C))
+			edgeIndexOf(union, tri.A, tri.B),
+			edgeIndexOf(union, tri.A, tri.C),
+			edgeIndexOf(union, tri.B, tri.C))
 	}
 	return core, cliques, coreEdge
 }

@@ -698,6 +698,8 @@ type WorldMembershipScorer struct {
 	ca  CliqueAdj
 	q   bucket.Queue
 	nu  []int
+	// member marks the triangles of a level-k clique of the world.
+	member []bool
 	// Word-parallel scratch (see ScoreLanes), indexed by view id: each core
 	// triangle's alive lanes, and the fixpoint worklist with its
 	// deduplication flags (all false between calls).
@@ -727,10 +729,18 @@ func (ws *WorldMembershipScorer) Qualifying(world *graph.Graph, k int) []int32 {
 	ws.ca.Reset(view, &ws.inc)
 	if cap(ws.nu) < view.Len() {
 		ws.nu = make([]int, view.Len())
+		ws.member = make([]bool, view.Len())
 	}
 	nu := nucleusPeelInto(&ws.ca, &ws.q, ws.nu[:view.Len()])
-	for t := range nu {
-		if nu[t] >= k && hasLevelKClique(view, nu, int32(t), k) {
+	member := ws.member[:view.Len()]
+	clear(member)
+	LevelCliques(view, &ws.inc, nu, k, func(cl [4]int32) {
+		for _, t := range cl {
+			member[t] = true
+		}
+	})
+	for t, in := range member {
+		if in {
 			out = append(out, pids[t])
 		}
 	}
@@ -739,173 +749,262 @@ func (ws *WorldMembershipScorer) Qualifying(world *graph.Graph, k int) []int32 {
 }
 
 // WorldPeelSeed is the per-candidate precomputation behind w-NuDecomp's
-// world scoring: the candidate's own deterministic peel, restricted to its
-// level-k core, with every core triangle's three edges as union edge ids
-// and the core's 4-cliques laid out as flat triangle→clique incidence. A
-// sampled world can only lose cliques relative to the candidate, so the
-// triangles that qualify in it are the k-core of the core triangles whose
-// three edges the world keeps: the greatest subset in which every triangle
-// lies in at least k 4-cliques of the subset.
+// world scoring: the candidate's level-k core, with every core triangle's
+// three edges as union lanes and the core's 4-cliques laid out as flat
+// triangle→clique incidence. A sampled world can only lose cliques relative
+// to the candidate, so the triangles that qualify in it are the k-core of
+// the core triangles whose three edges the world keeps: the greatest subset
+// in which every triangle lies in at least k 4-cliques of the subset.
 // WorldMembershipScorer.ScoreLanes computes that fixpoint for 64 worlds at
 // once, one bit lane per world.
 //
-// One seed is built per candidate (Seed reuses all storage across
-// candidates of any size) and is then shared read-only by per-worker
-// scorers.
+// Seed cuts the seed from the root triangle index and its edge→triangle
+// incidence, in time proportional to the candidate and reusing all storage
+// across candidates of any size; the seed is then shared read-only by
+// per-worker scorers.
 type WorldPeelSeed struct {
 	k int
-	m int // candidate view triangle count
+	// root[v] is view triangle v's root id. The view is every root triangle
+	// whose three edges are candidate edges, in root order, so view ids
+	// follow root ids.
+	root []int32
 	// core: the view ids (ascending) with candidate nucleusness ≥ k — by
 	// monotonicity under subgraphs, a triangle outside the core qualifies
 	// in no world. inCore is the matching membership mask.
 	core   []int32
 	inCore []bool
-	// edges aliases the candidate's canonical sorted edge list.
-	edges []graph.Edge
-	// coreEdge[3i:3i+3], filled by MapUnion, are the union edge ids of core
-	// triangle core[i]'s edges AB, AC and BC: the lanes its aliveness
-	// starts from. edgeBit is MapUnion's per-candidate-edge scratch.
+	// coreEdge[3i:3i+3] are the union lanes of core triangle core[i]'s edges
+	// AB, AC and BC: the lanes its aliveness starts from.
 	coreEdge []int32
-	edgeBit  []int32
 	// cliques holds every 4-clique of the core once, as its four member view
 	// ids; clIDs[clOff[t]:clOff[t+1]] are the cliques containing triangle t.
 	cliques [][4]int32
 	clOff   []int32
 	clIDs   []int32
-	// inc is the view's edge→triangle incidence keyed by edges: the
-	// candidate peel and the core-clique enumeration resolve 4-clique
-	// siblings through it, and its triangle edge ids give coreEdge.
-	inc TriIncidence
-	// Candidate-peel and fill-cursor scratch, reused across Seed calls.
-	ca     CliqueAdj
-	q      bucket.Queue
-	nu     []int
-	cursor []int32
+	// Root-indexed scratch reused across Seed calls: edgeStamp marks the
+	// current candidate's edges and triStamp its view triangles (current iff
+	// equal to gen), and viewID maps a marked triangle to its view id.
+	gen       int32
+	edgeStamp []int32
+	triStamp  []int32
+	viewID    []int32
+	// Per-candidate scratch: the candidate's root edge ids, and the k-core
+	// fixpoint's supports, dead-clique flags and worklist.
+	edges  []int32
+	sup    []int32
+	clDead []bool
+	work   []int32
 }
 
-// K returns the nucleus level the seed was built for.
-func (s *WorldPeelSeed) K() int { return s.k }
+// Len returns the candidate view's triangle count: view ids are 0..Len()-1.
+func (s *WorldPeelSeed) Len() int { return len(s.root) }
 
-// Core returns the view ids of the candidate's level-k core in ascending
-// order: the only triangles that can qualify in any world. The slice aliases
-// the seed and is valid until the next Seed call.
-func (s *WorldPeelSeed) Core() []int32 { return s.core }
+// Root returns view triangle v's root id.
+func (s *WorldPeelSeed) Root(v int32) int32 { return s.root[v] }
 
-// InCore reports whether candidate view id t lies in the level-k core.
-func (s *WorldPeelSeed) InCore(t int32) bool { return s.inCore[t] }
+// ViewID returns the view id of root triangle t, which must lie in the
+// view of the candidate the seed is bound to (every triangle the candidate
+// was seeded from does).
+func (s *WorldPeelSeed) ViewID(t int32) int32 { return s.viewID[t] }
 
-// Seed binds the seed to a candidate: view is the candidate's triangle index
-// (or an id-translating view of a parent index) and edges its canonical
-// sorted edge list. It peels the candidate once (the deterministic nucleus
-// decomposition worlds can only shrink), keeps the level-k core, and lays
-// out the core's 4-cliques and the triangle→clique incidence ScoreLanes'
-// fixpoint consumes. Every step works from the view's TriIncidence keyed by
-// edges, built into the seed's scratch, so none looks a triangle up by
-// vertex triple or touches the vertex space. For k = 0 the core is the
-// whole candidate without a peel, and a triangle qualifies in a world iff
-// its three edges survive (Lemma 2 semantics); the cliques are still laid
-// out, since w-NuDecomp assembles its nuclei from them.
-func (s *WorldPeelSeed) Seed(view *graph.TriangleIndex, edges []graph.Edge, k int) {
-	m := view.Len()
-	s.k, s.m = k, m
-	s.edges = edges
-	s.core = s.core[:0]
-	if cap(s.inCore) < m {
-		s.inCore = make([]bool, m)
-	}
-	s.inCore = s.inCore[:m]
-	clear(s.inCore)
-	s.inc.resetEdges(view, edges)
-	if k == 0 {
-		for t := int32(0); int(t) < m; t++ {
-			s.inCore[t] = true
-			s.core = append(s.core, t)
-		}
-	} else {
-		s.ca.Reset(view, &s.inc)
-		if cap(s.nu) < m {
-			s.nu = make([]int, m)
-		}
-		nu := nucleusPeelInto(&s.ca, &s.q, s.nu[:m])
-		for t := int32(0); int(t) < m; t++ {
-			if nu[t] >= k {
-				s.inCore[t] = true
-				s.core = append(s.core, t)
-			}
-		}
-	}
-	// Enumerate the core's 4-cliques once (z > tri.C picks each clique at
-	// its lexicographically first triangle), keeping those whose other
-	// three triangles lie in the core too, and lay out per-triangle
-	// membership CSR-style. The completions above each core triangle's
-	// third vertex bound the clique count, so the list is sized once.
-	bound := 0
-	for _, t := range s.core {
-		zs := view.Comps[t]
-		i, _ := slices.BinarySearch(zs, view.Tris[t].C+1)
-		bound += len(zs) - i
-	}
-	s.cliques = slices.Grow(s.cliques[:0], bound)
-	for _, t := range s.core {
-		tri := view.Tris[t]
-		sib := s.inc.siblings(t)
-		for _, z := range view.Comps[t] {
-			if z <= tri.C {
-				continue
-			}
-			ids := sib.next(z)
-			if s.inCore[ids[0]] && s.inCore[ids[1]] && s.inCore[ids[2]] {
-				s.cliques = append(s.cliques, [4]int32{t, ids[0], ids[1], ids[2]})
-			}
-		}
-	}
-	s.clOff = resizeCleared32(s.clOff, m+1)
-	for _, cl := range s.cliques {
-		for _, id := range cl {
-			s.clOff[id+1]++
-		}
-	}
-	for t := 0; t < m; t++ {
-		s.clOff[t+1] += s.clOff[t]
-	}
-	if cap(s.clIDs) < int(s.clOff[m]) {
-		s.clIDs = make([]int32, s.clOff[m])
-	}
-	s.clIDs = s.clIDs[:s.clOff[m]]
-	cursor := resizeCleared32(s.cursor, m)
-	s.cursor = cursor
-	for ci, cl := range s.cliques {
-		for _, id := range cl {
-			s.clIDs[s.clOff[id]+cursor[id]] = int32(ci)
-			cursor[id]++
-		}
-	}
-}
-
-// MapUnion binds the seed to the union edge list the shared world masks are
-// drawn over: each candidate edge is located in union by binary search, and
-// every core triangle's three edges are recorded as union ids, so
-// ScoreLanes reads a triangle's edge lanes with three loads. Call it after
-// Seed; the candidate's edges must all be present in union (candidates are
-// subgraphs of the union by construction).
-func (s *WorldPeelSeed) MapUnion(union []graph.Edge) {
-	s.edgeBit = resizeCleared32(s.edgeBit, len(s.edges))
-	for ei, e := range s.edges {
-		s.edgeBit[ei] = edgeIndexOf(union, e.U, e.V)
-	}
-	s.coreEdge = resizeCleared32(s.coreEdge, 3*len(s.core))
-	for i, t := range s.core {
-		for j, e := range s.inc.triEdge[3*t : 3*t+3] {
-			s.coreEdge[3*i+j] = s.edgeBit[e]
-		}
-	}
-}
+// InCore reports whether view id v lies in the level-k core.
+func (s *WorldPeelSeed) InCore(v int32) bool { return s.inCore[v] }
 
 // Cliques returns every 4-clique of the candidate's level-k core once, as
 // its four member view ids: the cliques whose four triangles all lie in the
-// core (for k = 0, every 4-clique of the candidate). The slice aliases the
-// seed and is valid until the next Seed call.
+// core (for k = 0, every 4-clique of the view). The slice aliases the seed
+// and is valid until the next Seed call.
 func (s *WorldPeelSeed) Cliques() [][4]int32 { return s.cliques }
+
+// Seed binds the seed to the candidate spanned by the root triangles tris
+// (ids in ti, in any order) at nucleus level k. inc is ti's incidence, and
+// laneOf maps each root edge id of inc to the union lane the shared worlds
+// draw it on; it is read only at the candidate's edges.
+//
+// The candidate's view is every root triangle whose three edges are
+// candidate edges: the triangles a restriction of ti to the candidate's
+// edge subgraph would index, with the same ids in the same order. Each is
+// reached once, from the incidence list of its lowest edge, AB, whose CSR
+// position precedes AC's and BC's. A 4-clique lies in the candidate iff its
+// four triangles are view triangles; each is laid out once, at its
+// lexicographically first triangle, by a sibling walk of inc. The level-k
+// core is then the k-core of those cliques — the greatest set of view
+// triangles each lying in at least k cliques of the set, which is exactly
+// the set of view triangles of candidate nucleusness ≥ k — found by a
+// deletion fixpoint (Batagelj–Zaveršnik) rather than a full peel. For
+// k = 0 the core is the whole view, and a triangle qualifies in a world iff
+// its three edges survive (Lemma 2 semantics); the cliques are still laid
+// out, since w-NuDecomp assembles its nuclei from them. No step looks a
+// triangle up by vertex triple or touches more of ti than the candidate's
+// edges and their triangles.
+func (s *WorldPeelSeed) Seed(ti *graph.TriangleIndex, inc *TriIncidence, tris []int32, laneOf []int32, k int) {
+	s.k = k
+	if ne := len(inc.off) - 1; len(s.edgeStamp) < ne {
+		s.edgeStamp = make([]int32, ne)
+	}
+	if nt := ti.Len(); len(s.triStamp) < nt {
+		s.triStamp = make([]int32, nt)
+		s.viewID = make([]int32, nt)
+	}
+	s.gen++
+	gen := s.gen
+	edges := s.edges[:0]
+	for _, t := range tris {
+		for _, e := range inc.triEdge[3*t : 3*t+3] {
+			if s.edgeStamp[e] != gen {
+				s.edgeStamp[e] = gen
+				edges = append(edges, e)
+			}
+		}
+	}
+	s.edges = edges
+
+	root := s.root[:0]
+	for _, e := range edges {
+		for _, ent := range inc.edge(e) {
+			t := int32(uint32(ent))
+			te := inc.triEdge[3*t : 3*t+3]
+			if te[0] == e && s.edgeStamp[te[1]] == gen && s.edgeStamp[te[2]] == gen {
+				root = append(root, t)
+			}
+		}
+	}
+	slices.Sort(root)
+	s.root = root
+	for v, t := range root {
+		s.triStamp[t] = gen
+		s.viewID[t] = int32(v)
+	}
+
+	cliques := s.cliques[:0]
+	for v, t := range root {
+		tri := ti.Tris[t]
+		zs := ti.Comps[t]
+		i, _ := slices.BinarySearch(zs, tri.C+1)
+		if i == len(zs) {
+			continue
+		}
+		sib := inc.siblings(t)
+		for _, z := range zs[i:] {
+			ids := sib.next(z)
+			if s.triStamp[ids[0]] == gen && s.triStamp[ids[1]] == gen && s.triStamp[ids[2]] == gen {
+				cliques = append(cliques, [4]int32{int32(v), s.viewID[ids[0]], s.viewID[ids[1]], s.viewID[ids[2]]})
+			}
+		}
+	}
+	s.cliques = cliques
+	m := len(root)
+	s.layoutCliques(m)
+
+	s.inCore = slices.Grow(s.inCore[:0], m)[:m]
+	for v := range s.inCore {
+		s.inCore[v] = true
+	}
+	if k > 0 && s.peelToCore(m) {
+		kept := s.cliques[:0]
+		for ci, cl := range s.cliques {
+			if !s.clDead[ci] {
+				kept = append(kept, cl)
+			}
+		}
+		s.cliques = kept
+		s.layoutCliques(m)
+	}
+	s.core = s.core[:0]
+	s.coreEdge = s.coreEdge[:0]
+	for v, in := range s.inCore {
+		if !in {
+			continue
+		}
+		s.core = append(s.core, int32(v))
+		t := root[v]
+		for _, e := range inc.triEdge[3*t : 3*t+3] {
+			s.coreEdge = append(s.coreEdge, laneOf[e])
+		}
+	}
+}
+
+// LaneIndex returns dst, grown to g's incidence edge-id space (the CSR
+// positions of NewTriIncidence), with entry g.AdjIndex(e.U, e.V) set to i
+// for every edge e = union[i]: the root edge id → union lane table that
+// WorldPeelSeed.Seed reads. union must be a canonical edge list of g. The
+// entries of edges outside union keep whatever they held.
+func LaneIndex(dst []int32, g *graph.Graph, union []graph.Edge) []int32 {
+	dst = slices.Grow(dst[:0], 2*g.NumEdges())[:2*g.NumEdges()]
+	for i, e := range union {
+		id := g.AdjIndex(e.U, e.V)
+		if id < 0 {
+			panic("decomp: union edge missing from graph")
+		}
+		dst[id] = int32(i)
+	}
+	return dst
+}
+
+// layoutCliques lays the per-triangle clique lists out CSR-style over m
+// view triangles, each list in clique order. As in the incidence build,
+// counts go to clOff[t+2], so the fill's post-increments leave clOff[t+1]
+// at triangle t's end.
+func (s *WorldPeelSeed) layoutCliques(m int) {
+	off := resizeCleared32(s.clOff, m+2)
+	for _, cl := range s.cliques {
+		for _, v := range cl {
+			off[v+2]++
+		}
+	}
+	for v := 2; v < m+2; v++ {
+		off[v] += off[v-1]
+	}
+	s.clIDs = slices.Grow(s.clIDs[:0], int(off[m+1]))[:off[m+1]]
+	for ci, cl := range s.cliques {
+		for _, v := range cl {
+			s.clIDs[off[v+1]] = int32(ci)
+			off[v+1]++
+		}
+	}
+	s.clOff = off[:m+1]
+}
+
+// peelToCore runs the k-core deletion fixpoint over the laid-out cliques:
+// a triangle with fewer than k live cliques leaves inCore, and each of its
+// cliques dies once — when its first member leaves — taking one unit of
+// support from each member still in. clDead then marks the dead cliques.
+// It reports whether any triangle left.
+func (s *WorldPeelSeed) peelToCore(m int) bool {
+	k := int32(s.k)
+	sup := slices.Grow(s.sup[:0], m)[:m]
+	s.clDead = slices.Grow(s.clDead[:0], len(s.cliques))[:len(s.cliques)]
+	clear(s.clDead)
+	work := s.work[:0]
+	for v := range sup {
+		if sup[v] = s.clOff[v+1] - s.clOff[v]; sup[v] < k {
+			s.inCore[v] = false
+			work = append(work, int32(v))
+		}
+	}
+	left := len(work) > 0
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, ci := range s.clIDs[s.clOff[t]:s.clOff[t+1]] {
+			if s.clDead[ci] {
+				continue
+			}
+			s.clDead[ci] = true
+			for _, o := range s.cliques[ci] {
+				if !s.inCore[o] {
+					continue
+				}
+				if sup[o]--; sup[o] < k {
+					s.inCore[o] = false
+					work = append(work, o)
+				}
+			}
+		}
+	}
+	s.sup, s.work = sup, work
+	return left
+}
 
 // edgeIndexOf locates the canonical edge (u,v), u < v, in a (U,V)-sorted
 // edge list. The edge must be present (candidate triangles span candidate
@@ -939,10 +1038,10 @@ func resizeCleared32(s []int32, n int) []int32 {
 }
 
 // ScoreLanes scores one block of up to 64 shared union worlds for the
-// candidate bound to seed (by Seed and MapUnion). lanes holds the block's
-// lane words indexed by union edge id — bit j of lanes[e] is set iff union
-// edge e exists in the block's world j (see mc.Lanes) — and valid marks the
-// lanes that hold a world. For every core triangle t it adds to loss[t]
+// candidate bound to seed. lanes holds the block's lane words indexed by
+// union edge id — bit j of lanes[e] is set iff union edge e exists in the
+// block's world j (see mc.Lanes) — and valid marks the lanes that hold a
+// world. For every core triangle t it adds to loss[t]
 // (indexed by view id) the number of valid worlds in which t does not
 // belong to a deterministic k-nucleus of the world; triangles outside the
 // core qualify in no world and are not counted.
@@ -964,11 +1063,12 @@ func resizeCleared32(s []int32, n int) []int32 {
 // nothing is re-queued and one pass suffices; for k = 0 the edge test is
 // the whole predicate.
 func (ws *WorldMembershipScorer) ScoreLanes(seed *WorldPeelSeed, lanes []uint64, valid uint64, loss []int32) {
-	if cap(ws.alive) < seed.m {
-		ws.alive = make([]uint64, seed.m)
-		ws.queued = make([]bool, seed.m)
+	m := seed.Len()
+	if cap(ws.alive) < m {
+		ws.alive = make([]uint64, m)
+		ws.queued = make([]bool, m)
 	}
-	alive := ws.alive[:seed.m]
+	alive := ws.alive[:m]
 	for i, t := range seed.core {
 		e := seed.coreEdge[3*i : 3*i+3 : 3*i+3]
 		alive[t] = valid & lanes[e[0]] & lanes[e[1]] & lanes[e[2]]
@@ -985,7 +1085,7 @@ func (ws *WorldMembershipScorer) ScoreLanes(seed *WorldPeelSeed, lanes []uint64,
 // worklist starts as the whole core, and queued keeps every triangle on it
 // at most once.
 func (ws *WorldMembershipScorer) fixpoint(seed *WorldPeelSeed, alive []uint64) {
-	queued := ws.queued[:seed.m]
+	queued := ws.queued[:seed.Len()]
 	work := append(ws.work[:0], seed.core...)
 	for _, t := range seed.core {
 		queued[t] = true

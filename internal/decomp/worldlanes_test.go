@@ -44,7 +44,7 @@ func TestScoreLanesMatchesReferenceCascade(t *testing.T) {
 	sort.Strings(names)
 	rng := rand.New(rand.NewSource(37))
 	var seed WorldPeelSeed
-	var sub graph.SubIndexScratch
+	var laneOf []int32
 	var lanes mc.Lanes
 	scorers := make([]WorldMembershipScorer, 8)
 	losses := make([][]int32, 8)
@@ -52,9 +52,10 @@ func TestScoreLanesMatchesReferenceCascade(t *testing.T) {
 	for _, name := range names {
 		g := graphs[name]
 		root := graph.NewTriangleIndex(g)
+		inc := NewTriIncidence(root, g)
 		nu := refNucleusPeel(root)
 		for k := 0; k <= 4; k++ {
-			cands := KNuclei(root, nu, k)
+			cands := KNuclei(root, inc, nu, k)
 			if len(cands) == 0 {
 				continue
 			}
@@ -69,6 +70,7 @@ func TestScoreLanesMatchesReferenceCascade(t *testing.T) {
 				return int(a.V - b.V)
 			})
 			union = slices.Compact(union)
+			laneOf = LaneIndex(laneOf, g, union)
 			words := (len(union) + 63) / 64
 			// One bank of maxN worlds per (graph, k); every n scores its
 			// prefix. Keep probabilities are mixed per world so some worlds
@@ -86,10 +88,8 @@ func TestScoreLanesMatchesReferenceCascade(t *testing.T) {
 			picks := []int{0, len(cands) / 2, len(cands) - 1}
 			for _, ci := range slices.Compact(picks) {
 				cand := cands[ci]
-				view := root.SubIndex(graph.FromSortedEdges(g.NumVertices(), cand.Edges), &sub)
-				seed.Seed(view, cand.Edges, k)
-				seed.MapUnion(union)
-				m := view.Len()
+				seed.Seed(root, inc, cand.TriIDs, laneOf, k)
+				m := seed.Len()
 				// Reference: per-world dead sets, accumulated per prefix.
 				perWorld := make([][]int32, maxN)
 				for w := range perWorld {

@@ -37,15 +37,15 @@ func worldOf(rng *rand.Rand, g *graph.Graph, keep float64, extra bool) *graph.Gr
 // triangles that do NOT belong to a deterministic k-nucleus of one world —
 // the core triangles that lost one of their own edges, plus the
 // support-starvation cascade those losses trigger through the core's
-// 4-cliques. has reports whether candidate edge ei survives in the world.
-// Every clique of a dead triangle dies once, decrementing the supports of
-// its live members, and a member starved below k dies in turn.
-func refNonQualifying(seed *WorldPeelSeed, has func(ei int32) bool) []int32 {
-	dead := make([]bool, seed.m)
+// 4-cliques. has reports whether the edge on union lane l survives in the
+// world. Every clique of a dead triangle dies once, decrementing the
+// supports of its live members, and a member starved below k dies in turn.
+func refNonQualifying(seed *WorldPeelSeed, has func(l int32) bool) []int32 {
+	dead := make([]bool, seed.Len())
 	clDead := make([]bool, len(seed.cliques))
 	var out, work []int32
-	for _, t := range seed.core {
-		e := seed.inc.triEdge[3*t : 3*t+3]
+	for i, t := range seed.core {
+		e := seed.coreEdge[3*i : 3*i+3]
 		if !has(e[0]) || !has(e[1]) || !has(e[2]) {
 			dead[t] = true
 			out = append(out, t)
@@ -55,7 +55,7 @@ func refNonQualifying(seed *WorldPeelSeed, has func(ei int32) bool) []int32 {
 	if seed.k == 0 {
 		return out
 	}
-	sup := make([]int32, seed.m)
+	sup := make([]int32, seed.Len())
 	for t := range sup {
 		sup[t] = seed.clOff[t+1] - seed.clOff[t]
 	}
@@ -82,18 +82,29 @@ func refNonQualifying(seed *WorldPeelSeed, has func(ei int32) bool) []int32 {
 	return out
 }
 
-// refNonQualifyingGraph is refNonQualifying on a materialized world.
-func refNonQualifyingGraph(seed *WorldPeelSeed, world *graph.Graph) []int32 {
-	return refNonQualifying(seed, func(ei int32) bool {
-		e := seed.edges[ei]
+// refNonQualifyingGraph is refNonQualifying on a materialized world, the
+// seed's lanes being indexes into union.
+func refNonQualifyingGraph(seed *WorldPeelSeed, world *graph.Graph, union []graph.Edge) []int32 {
+	return refNonQualifying(seed, func(l int32) bool {
+		e := union[l]
 		return world.HasEdge(e.U, e.V)
 	})
 }
 
-// refNonQualifyingMask is refNonQualifying on a union-world mask, through
-// the union ids MapUnion bound.
+// refNonQualifyingMask is refNonQualifying on a union-world mask.
 func refNonQualifyingMask(seed *WorldPeelSeed, mask []uint64) []int32 {
-	return refNonQualifying(seed, func(ei int32) bool { return maskHas(mask, seed.edgeBit[ei]) })
+	return refNonQualifying(seed, func(l int32) bool { return maskHas(mask, l) })
+}
+
+// seedWhole binds seed at level k to the candidate spanned by every
+// triangle of ti, the index of g, with union lanes over g's edge list:
+// view ids are then ti's ids.
+func seedWhole(seed *WorldPeelSeed, g *graph.Graph, ti *graph.TriangleIndex, inc *TriIncidence, k int) {
+	all := make([]int32, ti.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	seed.Seed(ti, inc, all, LaneIndex(nil, g, g.Edges()), k)
 }
 
 // coreMinus returns the seed's core triangles not in dead, ascending.
@@ -121,12 +132,12 @@ func qualifyingViaLanes(t *testing.T, ws *WorldMembershipScorer, seed *WorldPeel
 	}
 	var l mc.Lanes
 	l.Transpose(flat, len(masks), words)
-	all := make([]int32, seed.m)
+	all := make([]int32, seed.Len())
 	ws.ScoreLanes(seed, l.Block(0), l.Valid(0), all)
-	sum := make([]int32, seed.m)
+	sum := make([]int32, seed.Len())
 	out := make([][]int32, len(masks))
 	for w := range masks {
-		loss := make([]int32, seed.m)
+		loss := make([]int32, seed.Len())
 		ws.ScoreLanes(seed, l.Block(0), 1<<uint(w), loss)
 		for _, tr := range seed.core {
 			if loss[tr] == 0 {
@@ -167,14 +178,14 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 		if ti.Len() == 0 {
 			continue
 		}
+		inc := NewTriIncidence(ti, g)
 		edges := g.Edges()
 		var full WorldMembershipScorer
 		full.Reset(ti)
 		var lanes WorldMembershipScorer
 		var seed WorldPeelSeed
 		for k := 0; k <= 3; k++ {
-			seed.Seed(ti, edges, k)
-			seed.MapUnion(edges)
+			seedWhole(&seed, g, ti, inc, k)
 			var masks [][]uint64
 			var want [][]int32
 			for w := 0; w < 6; w++ {
@@ -183,7 +194,7 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 				slices.Sort(q)
 				want = append(want, q)
 				masks = append(masks, worldMask(edges, world))
-				if got := coreMinus(&seed, refNonQualifyingGraph(&seed, world)); !slices.Equal(got, q) {
+				if got := coreMinus(&seed, refNonQualifyingGraph(&seed, world, edges)); !slices.Equal(got, q) {
 					t.Fatalf("trial %d k=%d world %d: reference cascade %v, full peel %v",
 						trial, k, w, got, q)
 				}
@@ -210,12 +221,14 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 	type cand struct {
 		g     *graph.Graph
 		ti    *graph.TriangleIndex
+		inc   *TriIncidence
 		edges []graph.Edge
 	}
 	cands := make([]cand, len(sizes))
 	for i, n := range sizes {
 		g := randomGraph(rng, n, 0.6)
-		cands[i] = cand{g: g, ti: graph.NewTriangleIndex(g), edges: g.Edges()}
+		ti := graph.NewTriangleIndex(g)
+		cands[i] = cand{g: g, ti: ti, inc: NewTriIncidence(ti, g), edges: g.Edges()}
 	}
 	var shared WorldMembershipScorer
 	var sharedSeed WorldPeelSeed
@@ -226,10 +239,8 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 				var freshSeed WorldPeelSeed
 				fresh.Reset(c.ti)
 				shared.Reset(c.ti)
-				sharedSeed.Seed(c.ti, c.edges, k)
-				sharedSeed.MapUnion(c.edges)
-				freshSeed.Seed(c.ti, c.edges, k)
-				freshSeed.MapUnion(c.edges)
+				seedWhole(&sharedSeed, c.g, c.ti, c.inc, k)
+				seedWhole(&freshSeed, c.g, c.ti, c.inc, k)
 				var masks [][]uint64
 				for w := 0; w < 4; w++ {
 					world := worldOf(rng, c.g, 0.7, w%2 == 0)
@@ -297,28 +308,37 @@ func maskAndWorld(rng *rand.Rand, nv int, union []graph.Edge, keep float64) ([]u
 // TestNonQualifyingMaskMatchesGraph: the word kernel over union-world
 // masks must leave, in every world, exactly the core triangles the
 // reference cascade leaves on the materialized world, across candidates
-// embedded in larger unions (so lanes are read through MapUnion's ids).
+// embedded in larger unions: the root is the union graph, and the candidate
+// its triangles whose edges all lie in g, so lanes are read through
+// LaneIndex's union ids.
 func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(rng, 11, 0.55)
-		ti := graph.NewTriangleIndex(g)
-		if ti.Len() == 0 {
+		union := unionWith(rng, g)
+		rg := graph.FromSortedEdges(g.NumVertices(), union)
+		rti := graph.NewTriangleIndex(rg)
+		var tris []int32
+		for u, tri := range rti.Tris {
+			if g.HasEdge(tri.A, tri.B) && g.HasEdge(tri.A, tri.C) && g.HasEdge(tri.B, tri.C) {
+				tris = append(tris, int32(u))
+			}
+		}
+		if len(tris) == 0 {
 			continue
 		}
-		edges := g.Edges()
-		union := unionWith(rng, g)
+		inc := NewTriIncidence(rti, rg)
+		laneOf := LaneIndex(nil, rg, union)
 		var seed WorldPeelSeed
 		var ws WorldMembershipScorer
 		for k := 0; k <= 3; k++ {
-			seed.Seed(ti, edges, k)
-			seed.MapUnion(union)
+			seed.Seed(rti, inc, tris, laneOf, k)
 			var masks [][]uint64
 			var want [][]int32
 			for w := 0; w < 6; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.7)
 				masks = append(masks, mask)
-				want = append(want, coreMinus(&seed, refNonQualifyingGraph(&seed, world)))
+				want = append(want, coreMinus(&seed, refNonQualifyingGraph(&seed, world, union)))
 				if got := coreMinus(&seed, refNonQualifyingMask(&seed, mask)); !slices.Equal(got, want[w]) {
 					t.Fatalf("trial %d k=%d world %d: mask-form reference %v, graph-form reference %v",
 						trial, k, w, got, want[w])

@@ -152,7 +152,7 @@ type scanCandidate struct {
 func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, nu []int, k int) ([]graph.Edge, *graph.TriangleIndex, []scanCandidate) {
 	var cands []Nucleus
 	for lvl := k; lvl >= 0 && len(cands) == 0; lvl-- {
-		cands = KNuclei(root, nu, lvl)
+		cands = KNuclei(root, NewTriIncidence(root, g), nu, lvl)
 	}
 	if len(cands) == 0 {
 		return nil, nil, nil

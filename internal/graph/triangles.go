@@ -390,9 +390,9 @@ func (ti *TriangleIndex) ID(t Triangle) (int32, bool) {
 // SubIndexScratch holds the reusable buffers behind TriangleIndex.SubIndex.
 // One scratch serves one view at a time: building a new view on the same
 // scratch invalidates the previous one. Callers that restrict repeatedly —
-// the weak kernel's per-candidate views, per-world restrictions of a
-// materialized world — keep one scratch per worker so repeated views
-// allocate nothing once the buffers have grown to steady state.
+// the exact oracles' per-world restrictions of a materialized world — keep
+// one scratch per worker so repeated views allocate nothing once the
+// buffers have grown to steady state.
 type SubIndexScratch struct {
 	view  TriangleIndex
 	pids  []int32

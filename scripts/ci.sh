@@ -16,8 +16,8 @@
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — closure
 # growth, seeding from the per-call union tables, the per-window transpose,
-# lane scan, verdict, weak seed rebind + lane scoring — must allocate
-# nothing), so a single `go test` run asserts them. `goldendump -check` then
+# lane scan, verdict, weak seed cut from the root incidence + lane scoring —
+# must allocate nothing), so a single `go test` run asserts them. `goldendump -check` then
 # verifies the global/weak golden snapshot through the same command that
 # regenerates it (drop -check after an intentional semantic change).
 #
@@ -74,6 +74,15 @@ echo "==> go vet + go test (perfbench module)"
 echo "==> go test -race global lane scan (lane differential, worker and window differentials)"
 go test -race -count=2 -run 'TestScanLanesMatchesReference' ./internal/decomp
 go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
+
+# The w-NuDecomp kernel cuts each candidate's peel seed from the shared root
+# incidence and scores 64-world blocks on per-worker scorers from shard-held
+# scratch, so the seed's differential against the view-based construction and
+# the weak kernel's worker-count and window differentials get the same
+# repeated -race pass.
+echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
+go test -race -count=2 -run 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
+go test -race -count=2 -run 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
 
 # The serving engine's concurrency contract gets extra scheduling variation
 # beyond the one -race pass above: repeated runs of the stress test (N
