@@ -26,9 +26,9 @@
 //	6     int32    Σ|comps|     completion vertices (flat, sorted per triangle)
 //	7     int32    T            triangle ids permuted into lexicographic order
 //
-// Section 7 is what lets a loaded index answer TriangleIndex.ID by binary
-// search instead of rebuilding the enumeration-time hash map — the one part
-// of a TriangleIndex that could not otherwise be mapped.
+// Section 7 is the index's lookup order (TriangleIndex.ByTri), written as
+// built, so a loaded index answers TriangleIndex.ID by the same binary
+// search as an enumerated one without sorting anything.
 //
 // # Zero-copy loading
 //

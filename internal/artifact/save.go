@@ -29,7 +29,7 @@ func Encode(pre *core.Prepared) []byte {
 		total += len(zs)
 		compOffs[i+1] = int32(total)
 	}
-	byTri := ti.SortedIDs()
+	byTri := ti.ByTri()
 
 	// Lay the sections out back to back, 8-byte aligned.
 	counts := [numSections]uint64{

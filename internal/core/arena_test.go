@@ -113,7 +113,7 @@ func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalE
 	}
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), 16, 1)
-	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, 16, 0.001)
+	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), 16, 0.001)
 	if est.words != words {
 		t.Fatalf("estimator words %d != bank words %d", est.words, words)
 	}
@@ -181,7 +181,7 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	upg := pg.SubgraphOfEdges(union)
 	var bank mc.Bank
 	const n, win = 64, 16
-	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, 0.001)
+	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0.001)
 	closure := slices.Clone(cs.closure(cs.triangles[0], 1))
 	var totals []int32
 	for lo := 0; lo < n; lo += win { // warm every scratch buffer

@@ -275,16 +275,17 @@ type engineShard struct {
 	// local is the working memory of the shard's last local peel, kept for
 	// as long as the shard goes on serving local requests (see dropLocal).
 	local localScratch
-	// weak is the working memory of the shard's last w-NuDecomp call, kept
-	// until the shard serves a local peel or a prepare (see dropWeak).
+	// weak is the working memory of the shard's last w-NuDecomp call, whose
+	// lane table g-NuDecomp calls build their union in too, kept until the
+	// shard serves a local peel or a prepare (see dropWeak).
 	weak weakScratch
 }
 
 // run is what a shard hands one kernel call besides its request: the
 // shard's worker pool and world-mask bank, the engine's observer (nil when
 // off), the prepare-stage artifact the call runs from (nil until prepared),
-// and the local-peel and weak working memory to reuse (nil gives the kernel
-// fresh memory).
+// the local-peel working memory to reuse (nil gives the peel fresh memory),
+// and the Monte-Carlo working memory the global and weak kernels reuse.
 type run struct {
 	pool  *par.Pool
 	bank  *mc.Bank
@@ -732,10 +733,10 @@ func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared,
 	s.dropLocal()
 	var out []ProbNucleus
 	err = e.guarded(s, sem, func() error {
-		r := &run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre}
+		r := &run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, weak: &s.weak}
 		kernel := globalNuclei
 		if sem == obs.SemWeak {
-			kernel, r.weak = weaklyGlobalNuclei, &s.weak
+			kernel = weaklyGlobalNuclei
 		}
 		var kerr error
 		out, kerr = kernel(r, pg, req)

@@ -92,13 +92,12 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		// Exact tails per candidate view triangle, in view order.
 		exactTail := make([][]float64, len(closures))
 		{
-			est := newGlobalEstimator(pool, cs.ti, in.pg.NumVertices(), union, n, 0)
-			pids := est.usub.ParentIDs()
+			est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
 			for c, closure := range closures {
 				h := in.pg.SubgraphOfEdges(appendTriangleEdges(nil, cs.ti, closure))
 				m := est.seedCandidate(closure, in.k)
 				for j := 0; j < m; j++ {
-					tri := cs.ti.Tris[pids[est.seed.AliveUID(j)]]
+					tri := cs.ti.Tris[est.wu.Root(est.seed.AliveUID(j))]
 					exactTail[c] = append(exactTail[c], exact.Tail(h, tri, in.k).Global)
 				}
 			}
@@ -111,7 +110,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		for s := int64(1); s <= seeds; s++ {
 			// Full bank: every candidate scanned against the whole bank in one
 			// window, unpruned; the per-triangle estimates are read back.
-			full := newGlobalEstimator(pool, cs.ti, in.pg.NumVertices(), union, n, 0)
+			full := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
 			masks, _ := bank.WorldMasks(pool, upg, n, s)
 			full.setWindow(masks, n)
 			fullP := make([][]float64, len(closures))
@@ -124,7 +123,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			}
 			// Windowed: stream the same worlds window by window past every
 			// candidate, accumulating totals as the kernel does.
-			win := newGlobalEstimator(pool, cs.ti, in.pg.NumVertices(), union, n, 0)
+			win := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
 			totals := make([][]int32, len(closures))
 			for c := range closures {
 				totals[c] = make([]int32, len(exactTail[c]))

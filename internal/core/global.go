@@ -105,7 +105,7 @@ type ProbNucleus struct {
 // to the candidate, not the graph: candidate growth runs on stamp arrays
 // over a CSR clique layout, deduplication hashes sorted triangle-id sets,
 // and each candidate's world-check seed is cut from tables built once per
-// call over the union view (decomp.WorldCheckUnion) by marking the
+// call from the root incidence (decomp.WorldCheckUnion) by marking the
 // candidate's edges — no per-candidate graph, index restriction or
 // triangle-id lookup.
 //
@@ -170,7 +170,10 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 	n := req.sampleCount()
 	window := req.windowSize(n, len(union))
 	upg := pg.SubgraphOfEdges(union)
-	est := newGlobalEstimator(pool, cand.ti, pg.NumVertices(), union, n, theta)
+	// The root edge → union lane table lives in the shard's Monte-Carlo
+	// scratch, which the weak kernel builds the same table in.
+	r.weak.laneOf = decomp.LaneIndex(r.weak.laneOf, cand.g, union)
+	est := newGlobalEstimator(pool, cand, union, r.weak.laneOf, n, theta)
 	// live lists the candidates not dropped yet, in enumeration order.
 	live := make([]int32, nc)
 	for c := range live {
@@ -245,7 +248,10 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 // stamped scratch arrays — so growing a candidate allocates nothing beyond
 // the first seed.
 type candidateSpace struct {
-	ti *graph.TriangleIndex
+	// ti is the root triangle index of graph g, and inc its incidence.
+	ti  *graph.TriangleIndex
+	inc *decomp.TriIncidence
+	g   *graph.Graph
 	// triangles lists the triangle ids of C (level ≥ k with at least one
 	// level-k clique), in increasing order.
 	triangles []int32
@@ -269,8 +275,8 @@ type candidateSpace struct {
 func newCandidateSpace(local *LocalResult, k int) *candidateSpace {
 	ti := local.TI
 	n := ti.Len()
-	cs := &candidateSpace{ti: ti}
-	decomp.LevelCliques(ti, local.incidence(), local.Nucleusness, k, func(cl [4]int32) {
+	cs := &candidateSpace{ti: ti, inc: local.incidence(), g: local.PG.G}
+	decomp.LevelCliques(ti, cs.inc, local.Nucleusness, k, func(cl [4]int32) {
 		cs.cliques = append(cs.cliques, cl)
 	})
 	cs.cliqueOff = make([]int32, n+1)
@@ -449,13 +455,9 @@ type globalEstimator struct {
 	checkers []decomp.WorldChecker
 	counts   [][]int32
 	seed     decomp.WorldCheckSeed
-	cuids    []int32 // the current closure's union-view ids
 
-	// Union view state: the view itself (usub), the parent → union id
-	// translation, and the per-call seeding tables.
-	usub    graph.SubIndexScratch
-	uSubIDs []int32
-	wu      *decomp.WorldCheckUnion
+	// wu: the per-call seeding tables of the candidate union.
+	wu *decomp.WorldCheckUnion
 	// aliveCnt[u]: the worlds, over every window bound so far, in which
 	// union triangle u's three edges are present.
 	aliveCnt []int32
@@ -465,7 +467,10 @@ type globalEstimator struct {
 	blockFn func(worker, b int)
 }
 
-func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, union []graph.Edge, n int, theta float64) *globalEstimator {
+// newGlobalEstimator binds an estimator for n sampled worlds at θ to the
+// candidate space cs and its edge union, with laneOf the root edge → union
+// lane table of decomp.LaneIndex.
+func newGlobalEstimator(pool *par.Pool, cs *candidateSpace, union []graph.Edge, laneOf []int32, n int, theta float64) *globalEstimator {
 	w := pool.Workers()
 	ge := &globalEstimator{
 		pool:     pool,
@@ -476,13 +481,12 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
 	}
-	// The union view: every triangle the union's edges span, with dense ids
-	// in parent order. Candidates are edge-subgraphs of the union, so their
-	// triangles all appear here; the alive counts are indexed by these ids
-	// and every candidate seed is cut from the tables built over them.
-	uview := parent.SubIndex(graph.FromSortedEdges(nv, union), &ge.usub)
-	ge.uSubIDs = ge.usub.SubIDs()
-	ge.wu = decomp.NewWorldCheckUnion(uview, union)
+	// The union tables: every triangle the union's edges span, with dense
+	// ids in root order, cut from the root incidence. Candidates are
+	// edge-subgraphs of the union, so their triangles all appear here; the
+	// alive counts are indexed by these ids and every candidate seed is cut
+	// from the tables built over them.
+	ge.wu = decomp.NewWorldCheckUnion(cs.ti, cs.inc, cs.triangles, union, laneOf)
 	ge.aliveCnt = make([]int32, ge.wu.Len())
 	ge.blockFn = func(worker, b int) {
 		ge.checkers[worker].ScanLanes(&ge.seed, ge.lanes.Block(b), ge.lanes.Valid(b), ge.counts[worker])
@@ -503,16 +507,11 @@ func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 }
 
 // seedCandidate binds the estimator to the candidate grown as closure (its
-// sorted parent triangle ids): translate the closure into union-view ids,
-// cut the candidate's world-check seed from the union tables, and clear the
-// per-worker counts. Returns the candidate view's triangle count.
+// sorted root triangle ids): cut the candidate's world-check seed from the
+// union tables and clear the per-worker counts. Returns the candidate view's
+// triangle count.
 func (ge *globalEstimator) seedCandidate(closure []int32, k int) int {
-	cuids := ge.cuids[:0]
-	for _, t := range closure {
-		cuids = append(cuids, ge.uSubIDs[t])
-	}
-	ge.cuids = cuids
-	ge.seed.Seed(ge.wu, cuids, k)
+	ge.seed.Seed(ge.wu, closure, k)
 	m := ge.seed.Len()
 	for w := range ge.counts {
 		ge.counts[w] = resizeCleared(ge.counts[w], m)

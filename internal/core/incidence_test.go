@@ -15,6 +15,7 @@ import (
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
 
@@ -31,7 +32,7 @@ func TestCliqueFactorsMatchProb(t *testing.T) {
 		pgs[fmt.Sprintf("dense%d", i)] = randomProbGraph(rng, 14, 0.9)
 	}
 	for name, pg := range pgs {
-		ti := graph.NewTriangleIndex(pg.G)
+		ti := graph.NewTriangleIndex(pg.G, par.NewPool(1))
 		var ps []float64
 		for tr, tri := range ti.Tris {
 			var pTri float64

@@ -450,7 +450,7 @@ func InitialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.Tria
 	pool := par.NewPool(opts.Workers)
 	defer pool.Close()
 	workers := pool.Workers()
-	ti := graph.NewTriangleIndexPool(pg.G, pool)
+	ti := graph.NewTriangleIndex(pg.G, pool)
 	kappa := make([]int, ti.Len())
 	methods := make([]pbd.Method, ti.Len())
 	scr := make([]scoreScratch, workers)

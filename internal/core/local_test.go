@@ -222,7 +222,7 @@ func TestLowTriangleProbabilityExcluded(t *testing.T) {
 	}
 	for t2, v := range res.Nucleusness {
 		tri := res.TI.Tris[t2]
-		hasWeakEdge := tri.Contains(0) && tri.Contains(1)
+		hasWeakEdge := tri.A == 0 && tri.B == 1 // canonical: holds both 0 and 1
 		if hasWeakEdge && v != -1 {
 			t.Errorf("ν(%v) = %d, want -1 (Pr(△) < θ)", tri, v)
 		}
@@ -232,7 +232,7 @@ func TestLowTriangleProbabilityExcluded(t *testing.T) {
 	}
 	for _, nuc := range res.NucleiForK(0) {
 		for _, tri := range nuc.Triangles {
-			if tri.Contains(0) && tri.Contains(1) {
+			if tri.A == 0 && tri.B == 1 {
 				t.Errorf("excluded triangle %v appeared in a nucleus", tri)
 			}
 		}

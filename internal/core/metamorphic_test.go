@@ -1,0 +1,103 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"probnucleus/internal/dataset"
+	"probnucleus/internal/decomp"
+	"probnucleus/internal/fixtures"
+	"probnucleus/internal/graph"
+	"probnucleus/internal/probgraph"
+)
+
+// relabeled returns an isomorphic copy of pg: every vertex v renamed to
+// perm[v] for a seeded permutation perm, each edge listed with its
+// endpoints in a random order, and the edge list shuffled.
+func relabeled(rng *rand.Rand, pg *probgraph.Graph) ([]int32, *probgraph.Graph) {
+	n := pg.NumVertices()
+	perm := make([]int32, n)
+	for v, p := range rng.Perm(n) {
+		perm[v] = int32(p)
+	}
+	es := make([]probgraph.ProbEdge, 0, pg.NumEdges())
+	for _, e := range pg.Edges() {
+		u, v := perm[e.U], perm[e.V]
+		if rng.Intn(2) == 0 {
+			u, v = v, u
+		}
+		es = append(es, probgraph.ProbEdge{U: u, V: v, P: e.P})
+	}
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	return perm, probgraph.MustNew(n, es)
+}
+
+// TestRelabelingPreservesNucleusness is a metamorphic check: vertex ids and
+// edge order carry no meaning, so on a relabeled, edge-shuffled copy of a
+// graph the deterministic nucleus decomposition and DP-mode ℓ-NuDecomp must
+// give every triangle, mapped through the relabeling, exactly the ν it had
+// — whatever triangle ids, completion orders and peel orders the copy
+// brings. The local ν is read through NucleusnessOf. The inputs are the
+// paper's fixtures and krogan at scale 0.04, each under three relabelings.
+func TestRelabelingPreservesNucleusness(t *testing.T) {
+	inputs := []struct {
+		name   string
+		pg     *probgraph.Graph
+		thetas []float64
+	}{
+		{"fig1", fixtures.Fig1(), []float64{0.1, 0.3, 0.42}},
+		{"fig2a", fixtures.Fig2aNucleus(), []float64{0.1, 0.42}},
+		{"fig3a", fixtures.Fig3aNucleus(), []float64{0.2, 0.5}},
+		{"fig3b", fixtures.Fig3bNucleus(), []float64{0.2, 0.42}},
+		{"fig3c-k5", fixtures.Fig3cK5(), []float64{0.006, 0.1, 0.5}},
+		{"krogan@0.04", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), []float64{0.1, 0.2, 0.3}},
+	}
+	checked := 0
+	for _, in := range inputs {
+		ti, nu := decomp.NucleusNumbers(in.pg.G)
+		locals := make([]*LocalResult, len(in.thetas))
+		for i, theta := range in.thetas {
+			res, err := LocalDecompose(in.pg, theta, Options{Mode: ModeDP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			locals[i] = res
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			perm, rel := relabeled(rand.New(rand.NewSource(seed)), in.pg)
+			mapped := func(tri graph.Triangle) graph.Triangle {
+				return graph.MakeTriangle(perm[tri.A], perm[tri.B], perm[tri.C])
+			}
+			where := fmt.Sprintf("%s relabeling %d", in.name, seed)
+			rti, rnu := decomp.NucleusNumbers(rel.G)
+			if rti.Len() != ti.Len() {
+				t.Fatalf("%s: %d triangles, original %d", where, rti.Len(), ti.Len())
+			}
+			for id, tri := range ti.Tris {
+				rid, ok := rti.ID(mapped(tri))
+				if !ok || rnu[rid] != nu[id] {
+					t.Fatalf("%s: deterministic ν of %v is %d (found %v), original %d",
+						where, mapped(tri), rnu[rid], ok, nu[id])
+				}
+			}
+			for i, theta := range in.thetas {
+				res, err := LocalDecompose(rel, theta, Options{Mode: ModeDP})
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig := locals[i]
+				for id, tri := range orig.TI.Tris {
+					if got := res.NucleusnessOf(mapped(tri)); got != orig.Nucleusness[id] {
+						t.Errorf("%s θ=%v: ℓ-ν of %v is %d, original %d",
+							where, theta, mapped(tri), got, orig.Nucleusness[id])
+					}
+				}
+				checked += len(orig.TI.Tris)
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d triangles compared", checked)
+	}
+}

@@ -23,8 +23,8 @@ import (
 // A Prepared is safe to share across concurrent requests and engine shards:
 // every field is read-only after construction — the incidence read-only
 // after its one-time derivation, which is published atomically — and the
-// kernels consume the index through read-only walks or id-translating
-// SubIndex views whose mutable scratch is caller-owned (see
+// kernels consume the index and incidence through read-only walks, keeping
+// their mutable stamps and tables in per-request scratch (see
 // graph.TriangleIndex). Queries served from a Prepared never re-enumerate
 // triangles, so they never fire the obs.IndexBuilt counter — which is how
 // the registry's differential tests prove the cached path skips
@@ -105,7 +105,7 @@ func NewPreparedFromParts(pg *probgraph.Graph, ti *graph.TriangleIndex, pin any)
 // newPrepared builds the artifact on pool, firing obs.IndexBuilt on success
 // — the enumeration event cached paths are measured against.
 func newPrepared(pg *probgraph.Graph, pool *par.Pool, o obs.Observer) (*Prepared, error) {
-	ti := graph.NewTriangleIndexPool(pg.G, pool)
+	ti := graph.NewTriangleIndex(pg.G, pool)
 	if err := pool.Err(); err != nil {
 		return nil, err
 	}

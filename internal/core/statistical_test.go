@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probnucleus/internal/decomp"
+	"probnucleus/internal/exact"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
@@ -40,7 +41,7 @@ func weakPerCandidateEstimates(t *testing.T, local *LocalResult, cand decomp.Nuc
 	counts := make(map[graph.Triangle]int, len(cand.Triangles))
 	s := mc.NewSampler(h, seed)
 	for i := 0; i < statSamples; i++ {
-		member := decomp.WorldNucleusMembership(s.Next(), k)
+		member := exact.WorldNucleusMembership(s.Next(), k)
 		for _, tri := range cand.Triangles {
 			if member[tri] {
 				counts[tri]++
@@ -151,7 +152,7 @@ func TestGlobalSharedWorldEstimatorUnbiased(t *testing.T) {
 		s := mc.NewSampler(h, seed)
 		for i := 0; i < statSamples; i++ {
 			world := s.Next()
-			if !decomp.IsGlobalNucleusWorld(world, verts, k) {
+			if !exact.IsGlobalNucleusWorld(world, verts, k) {
 				continue
 			}
 			for j, tri := range tris {

@@ -70,9 +70,6 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	n := req.sampleCount()
 	workers := pool.Workers()
 	sx := r.weak
-	if sx == nil {
-		sx = new(weakScratch)
-	}
 
 	// One shared world stream over the union of all candidate edges (every
 	// candidate is a subgraph of it), sampled as one flat bank of edge
@@ -177,9 +174,10 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 
 // weakScratch is the working memory of a w-NuDecomp call: the candidate
 // peel seed with its root-indexed stamps, the per-worker scorers and loss
-// slices, the window's lane words, and the root edge → union lane table.
-// An engine shard keeps one from one weak request to the next (see
-// engineShard), so a run of weak queries re-grows none of it. Every call
+// slices, the window's lane words, and the root edge → union lane table,
+// which a g-NuDecomp call also fills to build its union tables. An engine
+// shard keeps one from one Monte-Carlo request to the next (see
+// engineShard), so a run of such queries re-grows none of it. Every call
 // re-initialises all of it that it reads.
 type weakScratch struct {
 	seed    decomp.WorldPeelSeed

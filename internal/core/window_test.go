@@ -69,7 +69,7 @@ func midStreamPrunes(c windowDiffCase, local *LocalResult, window int) int {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	n := c.samples
-	est := newGlobalEstimator(pool, cs.ti, c.pg.NumVertices(), union, n, c.theta)
+	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, c.theta)
 	var bank mc.Bank
 	live := make([]int32, cands.len())
 	for i := range live {
@@ -186,8 +186,8 @@ func TestWeaklyGlobalNucleiWindowedDifferential(t *testing.T) {
 
 // TestGlobalEstimatorAliveAndPruneDifferential: the estimator's lane scan
 // must report exactly the (estimate, ok) the materialized-world predicate
-// reports — every union world built as a graph and checked with
-// QualifyingTriangles on the candidate's SubIndex view of the parent — for
+// reports — every union world built as a graph and checked by the exact
+// oracle restricted to the candidate (see refSeed.qualifying) — for
 // every candidate, and the θ-prune may only fire on a candidate that
 // verdict fails: whenever it fires with no world left to scan, the
 // reference verdict is a failure. This pins the estimator's fast paths to
@@ -221,7 +221,6 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	var closures [][]int32
 	var refCounts [][]int32
 	var seen triSetDedup
-	var wc decomp.WorldChecker
 	for _, seedT := range cs.triangles {
 		closure := cs.closure(seedT, 1)
 		if !seen.insert(closure) {
@@ -229,10 +228,9 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 		}
 		closures = append(closures, slices.Clone(closure))
 		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
-		wc.Reset(ref.hti, ref.h)
 		counts := make([]int32, ref.hti.Len())
 		for _, world := range worlds {
-			ids, ok := wc.QualifyingTriangles(world, ref.verts, 1)
+			ids, ok := ref.qualifying(world, 1)
 			if !ok {
 				continue
 			}
@@ -244,7 +242,7 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	}
 	passed, failed, pruned := 0, 0, 0
 	for _, theta := range []float64{0.05, 0.3, 0.8} {
-		est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, theta)
+		est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, theta)
 		est.setWindow(masks, n)
 		for c, closure := range closures {
 			p0, ok0 := est.tailVerdict(refCounts[c])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"probnucleus/internal/dataset"
 	"probnucleus/internal/decomp"
+	"probnucleus/internal/exact"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/par"
@@ -16,12 +18,10 @@ import (
 
 // refSeed is the reference form of a candidate's world-check seed, built the
 // way the global kernel built it before seeds were cut from per-call union
-// tables: assemble the candidate graph from the closure's sorted edge set,
-// restrict the full parent index to it with SubIndex, take the
-// positive-degree vertices, resolve every completion's other triangles by
-// triangle-id lookup in the view. Translating view ids into union-view ids
-// through the parent (union ids) completes what WorldCheckSeed.Seed plus
-// BindAliveness did.
+// tables, with the candidate indexed afresh: assemble the candidate graph
+// from the closure's sorted edge set, enumerate its triangles and order them
+// by parent id (the view), take the positive-degree vertices, and resolve
+// every completion's other triangles by triangle-id lookup in the view.
 type refSeed struct {
 	h     *graph.Graph
 	hti   *graph.TriangleIndex
@@ -32,28 +32,34 @@ type refSeed struct {
 	other [][]int32
 }
 
-// unionIDs translates the reference view's triangle ids into union-view ids
-// through uSubIDs, the parent → union-view id map.
-func (r *refSeed) unionIDs(uSubIDs []int32) []int32 {
-	uid := make([]int32, len(r.pids))
-	for t, pid := range r.pids {
-		uid[t] = uSubIDs[pid]
-	}
-	return uid
-}
-
 func referenceSeed(parent *graph.TriangleIndex, nv int, closure []int32) *refSeed {
 	edges := appendTriangleEdges(nil, parent, closure)
 	r := &refSeed{h: graph.FromSortedEdges(nv, edges)}
-	sub := new(graph.SubIndexScratch) // owned by this seed, so the view stays valid
-	view := parent.SubIndex(r.h, sub)
+	fresh := graph.NewTriangleIndex(r.h, par.NewPool(1))
+	order := make([]int, fresh.Len())
+	pid := make([]int32, fresh.Len())
+	for i, tri := range fresh.Tris {
+		id, ok := parent.ID(tri)
+		if !ok {
+			panic("reference seed: candidate triangle missing from parent")
+		}
+		order[i], pid[i] = i, id
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(pid[a], pid[b]) })
+	var tris []graph.Triangle
+	var comps [][]int32
+	for _, i := range order {
+		r.pids = append(r.pids, pid[i])
+		tris = append(tris, fresh.Tris[i])
+		comps = append(comps, fresh.Comps[i])
+	}
+	view := graph.IndexFromParts(tris, comps, lexIDs(tris))
 	r.hti = view
 	for v := int32(0); int(v) < nv; v++ {
 		if r.h.Degree(v) > 0 {
 			r.verts = append(r.verts, v)
 		}
 	}
-	r.pids = sub.ParentIDs()
 	for t := 0; t < view.Len(); t++ {
 		tri := view.Tris[t]
 		var other []int32
@@ -75,17 +81,47 @@ func referenceSeed(parent *graph.TriangleIndex, nv int, closure []int32) *refSee
 	return r
 }
 
+// qualifying is the exact oracle's global world predicate on world
+// restricted to the candidate: whether it holds, and if so the view ids of
+// the restricted world's triangles, ascending — the triangles a qualifying
+// world credits.
+func (r *refSeed) qualifying(world *graph.Graph, k int) ([]int32, bool) {
+	var es []graph.Edge
+	for _, e := range r.h.Edges() {
+		if world.HasEdge(e.U, e.V) {
+			es = append(es, e)
+		}
+	}
+	wh := graph.FromSortedEdges(r.h.NumVertices(), es)
+	if !exact.IsGlobalNucleusWorld(wh, r.verts, k) {
+		return nil, false
+	}
+	var ids []int32
+	for _, tri := range wh.Triangles() {
+		id, _ := r.hti.ID(tri)
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids, true
+}
+
+// lexIDs returns the ids of tris sorted by Triangle.Compare: the lookup
+// order of an index assembled from parts, as the artifact loader does.
+func lexIDs(tris []graph.Triangle) []int32 {
+	ids := make([]int32, len(tris))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return tris[a].Compare(tris[b]) })
+	return ids
+}
+
 // withSortedIDIndex rebuilds a prepared graph's triangle index as an
-// artifact loader does — the same triangles and completions, with no hash
-// map, answering ID by binary search over the lexicographic id permutation.
+// artifact loader does: the same triangles and completions, with the
+// lexicographic id order supplied from outside instead of built.
 func withSortedIDIndex(pre *Prepared) *Prepared {
 	ti := pre.Index()
-	byTri := make([]int32, ti.Len())
-	for i := range byTri {
-		byTri[i] = int32(i)
-	}
-	slices.SortFunc(byTri, func(a, b int32) int { return ti.Tris[a].Compare(ti.Tris[b]) })
-	return NewPreparedFromParts(pre.Graph(), graph.IndexFromParts(ti.Tris, ti.Comps, byTri), nil)
+	return NewPreparedFromParts(pre.Graph(), graph.IndexFromParts(ti.Tris, ti.Comps, lexIDs(ti.Tris)), nil)
 }
 
 // checkSeedsAgainstReference grows every deduplicated candidate of the
@@ -93,7 +129,7 @@ func withSortedIDIndex(pre *Prepared) *Prepared {
 // requires the seed to equal the reference seed — view triangles in order,
 // union ids, completion lists, completion view and union ids, vertex set —
 // and the lane kernel (ScanLanes, each world scanned as a one-lane block) to
-// credit exactly the triangles the materialized-world QualifyingTriangles
+// credit exactly the triangles the exact oracle's per-world predicate
 // credits on the reference view, for every world of a shared bank. It
 // returns the number of candidates checked.
 func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, local *LocalResult, k int, pool *par.Pool) int {
@@ -115,11 +151,10 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		}
 		worlds[i] = graph.FromSortedEdges(pg.NumVertices(), es)
 	}
-	est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, 0.5)
+	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0.5)
 	est.setWindow(masks, n)
-	uview := cs.ti.SubIndex(graph.FromSortedEdges(pg.NumVertices(), union), new(graph.SubIndexScratch))
 	var seen triSetDedup
-	var viaLanes, viaGraph decomp.WorldChecker
+	var viaLanes decomp.WorldChecker
 	var lanes mc.Lanes
 	checked := 0
 	for _, seedT := range cs.triangles {
@@ -130,16 +165,15 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		checked++
 		m := est.seedCandidate(closure, k)
 		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
-		refUID := ref.unionIDs(est.uSubIDs)
 		where := fmt.Sprintf("%s k=%d seed=%d", name, k, seedT)
 		if m != ref.hti.Len() {
 			t.Fatalf("%s: seed view has %d triangles, reference %d", where, m, ref.hti.Len())
 		}
 		for j := 0; j < m; j++ {
 			uid := est.seed.AliveUID(j)
-			if uid != refUID[j] || uview.Tris[uid] != ref.hti.Tris[j] {
-				t.Fatalf("%s: view triangle %d is union %d %v, reference union %d %v",
-					where, j, uid, uview.Tris[uid], refUID[j], ref.hti.Tris[j])
+			if rid := est.wu.Root(uid); rid != ref.pids[j] || cs.ti.Tris[rid] != ref.hti.Tris[j] {
+				t.Fatalf("%s: view triangle %d is root %d %v, reference root %d %v",
+					where, j, rid, cs.ti.Tris[rid], ref.pids[j], ref.hti.Tris[j])
 			}
 			other := est.seed.Completions(j)
 			if !slices.Equal(other, ref.other[j]) {
@@ -154,7 +188,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 			tri := ref.hti.Tris[j]
 			var zs []int32
 			for i := 0; i < len(otherUID); i += 3 {
-				o := uview.Tris[otherUID[i]]
+				o := cs.ti.Tris[est.wu.Root(otherUID[i])]
 				for _, v := range [3]int32{o.A, o.B, o.C} {
 					if v != tri.A && v != tri.B {
 						zs = append(zs, v)
@@ -170,7 +204,6 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		if !slices.Equal(verts, ref.verts) {
 			t.Fatalf("%s: seed vertices %v, reference %v", where, verts, ref.verts)
 		}
-		viaGraph.Reset(ref.hti, ref.h)
 		counts := make([]int32, m)
 		for i, world := range worlds {
 			clear(counts)
@@ -182,10 +215,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 					got = append(got, int32(id))
 				}
 			}
-			wantIDs, wantOK := viaGraph.QualifyingTriangles(world, ref.verts, k)
-			if !wantOK {
-				wantIDs = nil
-			}
+			wantIDs, wantOK := ref.qualifying(world, k)
 			if !slices.Equal(got, wantIDs) {
 				t.Fatalf("%s world %d: lane kernel credits %v, reference (%v, %v)",
 					where, i, got, wantOK, wantIDs)
@@ -197,11 +227,10 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 
 // TestWorldCheckSeedMatchesReference: the candidate-proportional seed cut
 // from per-call union tables must equal the reference seed built from a
-// SubIndex of the full parent index, for every candidate of small named
+// fresh index of the candidate graph, for every candidate of small named
 // datasets (levels 0 and 1) and of dense random graphs (levels 0 to 3, where
 // level-2 and level-3 candidates exist), on both a freshly prepared index
-// (hash-map triangle ids) and an artifact-style one (sorted-id binary
-// search).
+// and an artifact-style one (lookup order supplied from outside).
 func TestWorldCheckSeedMatchesReference(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()

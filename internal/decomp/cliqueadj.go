@@ -1,8 +1,9 @@
 // Package decomp implements the deterministic density decompositions the
 // paper builds on: k-core (Batagelj–Zaveršnik), k-truss (edge peeling), and
-// (3,4)-nucleus decomposition (Sarıyüce et al.), plus the per-possible-world
-// k-nucleus predicates that the global and weakly-global probabilistic
-// algorithms evaluate on Monte-Carlo samples.
+// (3,4)-nucleus decomposition (Sarıyüce et al.), plus the word-parallel
+// kernels that evaluate the global and weakly-global world predicates on
+// Monte-Carlo samples, 64 worlds per machine word. The per-world reference
+// forms of those predicates live in internal/exact.
 //
 // Throughout this module, supports follow the paper's convention: the
 // s-support of an r-clique is the number of s-cliques containing it, and a
@@ -14,6 +15,7 @@ import (
 	"slices"
 
 	"probnucleus/internal/graph"
+	"probnucleus/internal/par"
 )
 
 // TriIncidence is the edge→triangle incidence of a triangle index: every
@@ -36,21 +38,13 @@ type TriIncidence struct {
 }
 
 // NewTriIncidence builds the incidence of ti, every triangle edge of which
-// must be an edge of g: ti indexes g, or is a view of an index restricted to
-// g. Edge ids are g's CSR positions of the edges' canonical (u < v)
-// direction.
+// must be an edge of g (ti indexes g, or a subgraph of it). Edge ids are
+// g's CSR positions of the edges' canonical (u < v) direction. The lists
+// are filled by a counting sort on edge id — counts go to off[e+2], so
+// after the prefix sum off[e+1] is edge e's start and the fill's
+// post-increments leave it at e's end, the final CSR offset, with no cursor
+// array — and each list is then sorted by third vertex.
 func NewTriIncidence(ti *graph.TriangleIndex, g *graph.Graph) *TriIncidence {
-	inc := &TriIncidence{}
-	inc.resetGraph(ti, g)
-	return inc
-}
-
-// resetGraph is NewTriIncidence reusing inc's storage. The lists are
-// filled by a counting sort on edge id — counts go to off[e+2], so after the
-// prefix sum off[e+1] is edge e's start and the fill's post-increments leave
-// it at e's end, the final CSR offset, with no cursor array — and each list
-// is then sorted by third vertex.
-func (inc *TriIncidence) resetGraph(ti *graph.TriangleIndex, g *graph.Graph) {
 	ne := 2 * g.NumEdges()
 	edgeID := func(u, v int32) int32 {
 		i := g.AdjIndex(u, v)
@@ -60,12 +54,8 @@ func (inc *TriIncidence) resetGraph(ti *graph.TriangleIndex, g *graph.Graph) {
 		return int32(i)
 	}
 	n := ti.Len()
-	if cap(inc.triEdge) < 3*n {
-		inc.triEdge = make([]int32, 3*n)
-		inc.ent = make([]uint64, 3*n)
-	}
-	triEdge, ent := inc.triEdge[:3*n], inc.ent[:3*n]
-	off := resizeCleared32(inc.off, ne+2)
+	triEdge, ent := make([]int32, 3*n), make([]uint64, 3*n)
+	off := make([]int32, ne+2)
 	for t, tri := range ti.Tris {
 		e := triEdge[3*t : 3*t+3]
 		e[0], e[1], e[2] = edgeID(tri.A, tri.B), edgeID(tri.A, tri.C), edgeID(tri.B, tri.C)
@@ -89,7 +79,21 @@ func (inc *TriIncidence) resetGraph(ti *graph.TriangleIndex, g *graph.Graph) {
 			slices.Sort(ent[lo:hi])
 		}
 	}
-	inc.triEdge, inc.off, inc.ent = triEdge, off, ent
+	return &TriIncidence{triEdge: triEdge, off: off, ent: ent}
+}
+
+// edgeAvoiding returns the id of the edge of triangle t (an id of ti, the
+// index inc was built for) that avoids x, one of t's vertices: BC for A, AC
+// for B and AB for C.
+func (inc *TriIncidence) edgeAvoiding(ti *graph.TriangleIndex, t, x int32) int32 {
+	tri := ti.Tris[t]
+	switch x {
+	case tri.A:
+		return inc.triEdge[3*t+2]
+	case tri.B:
+		return inc.triEdge[3*t+1]
+	}
+	return inc.triEdge[3*t]
 }
 
 // siblings returns a cursor over the incidence lists of triangle t's three
@@ -169,7 +173,7 @@ type CliqueAdj struct {
 
 // NewCliqueAdj builds the adjacency for all triangles of g.
 func NewCliqueAdj(g *graph.Graph) *CliqueAdj {
-	ti := graph.NewTriangleIndex(g)
+	ti := graph.NewTriangleIndex(g, par.NewPool(1))
 	return NewCliqueAdjFromIndex(ti, NewTriIncidence(ti, g))
 }
 

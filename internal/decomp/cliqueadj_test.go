@@ -84,7 +84,7 @@ func TestRemovalOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 20; iter++ {
 		g := randomGraph(rng, 10, 0.6)
-		ti := graph.NewTriangleIndex(g)
+		ti := newIndex(g)
 		if ti.Len() < 4 {
 			continue
 		}
@@ -118,7 +118,7 @@ func TestRemoveTriangleReportsSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 10; iter++ {
 		g := randomGraph(rng, 9, 0.7)
-		ti := graph.NewTriangleIndex(g)
+		ti := newIndex(g)
 		ca := NewCliqueAdjFromIndex(ti, NewTriIncidence(ti, g))
 		// Shadow liveness matrix maintained from the callbacks only.
 		shadow := make([][]bool, ti.Len())
@@ -165,7 +165,7 @@ func TestCliqueAdjResetReuses(t *testing.T) {
 	g6 := completeGraph(6)
 	ca := NewCliqueAdj(g6) // big first, so g5 rounds reuse storage
 	for round := 0; round < 3; round++ {
-		ti := graph.NewTriangleIndex(g5)
+		ti := newIndex(g5)
 		ca.Reset(ti, NewTriIncidence(ti, g5))
 		for t5 := 0; t5 < ti.Len(); t5++ {
 			if ca.AliveCount[t5] != len(ti.Comps[t5]) || ca.Dead[t5] {

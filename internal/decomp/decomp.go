@@ -121,24 +121,18 @@ func NucleusNumbers(g *graph.Graph) (*graph.TriangleIndex, []int) {
 	return ca.TI, nucleusPeel(ca)
 }
 
+// nucleusPeel peels ca's triangles in bucket order and returns every
+// triangle's nucleusness.
 func nucleusPeel(ca *CliqueAdj) []int {
-	var q bucket.Queue
-	return nucleusPeelInto(ca, &q, make([]int, ca.Len()))
-}
-
-// nucleusPeelInto is nucleusPeel with caller-owned queue and score storage,
-// for hot loops that peel many small graphs (per-sampled-world membership
-// scoring) and want to reuse the buffers. nu must have length ca.Len(); it
-// is overwritten and returned.
-func nucleusPeelInto(ca *CliqueAdj, q *bucket.Queue, nu []int) []int {
 	n := ca.Len()
+	nu := make([]int, n)
 	maxSup := 0
 	for t := 0; t < n; t++ {
 		if ca.AliveCount[t] > maxSup {
 			maxSup = ca.AliveCount[t]
 		}
 	}
-	q.Reset(n, maxSup)
+	q := bucket.New(n, maxSup)
 	for t := 0; t < n; t++ {
 		q.Push(int32(t), ca.AliveCount[t])
 	}

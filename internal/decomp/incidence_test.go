@@ -74,7 +74,7 @@ func (r *refCliqueAdj) removeTriangle(t int32, onUpdate func(other int32, slot i
 	}
 }
 
-// refNucleusPeel is nucleusPeelInto over the reference adjacency.
+// refNucleusPeel is nucleusPeel over the reference adjacency.
 func refNucleusPeel(ti *graph.TriangleIndex) []int {
 	r := newRefCliqueAdj(ti)
 	n := ti.Len()
@@ -130,9 +130,10 @@ type peelCase struct {
 	inc  *TriIncidence
 }
 
-// peelCases builds, for every corpus graph, the index shapes peels meet: a
-// hash-map root, an artifact-style byTri root, and a SubIndex view of a
-// random edge subgraph with its incidence keyed by the subgraph's CSR.
+// peelCases builds, for every corpus graph, the index shapes peels meet: an
+// enumerated root, an artifact-style root assembled from parts, and the
+// restriction of the root to a random edge subgraph, indexed afresh (as the
+// oracle indexes a world), with its incidence keyed by the subgraph's CSR.
 func peelCases(t *testing.T) []peelCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -145,10 +146,10 @@ func peelCases(t *testing.T) []peelCase {
 	var cases []peelCase
 	for _, name := range names {
 		g := gs[name]
-		root := graph.NewTriangleIndex(g)
-		loaded := graph.IndexFromParts(root.Tris, root.Comps, root.SortedIDs())
+		root := newIndex(g)
+		loaded := loadedIndex(root)
 		h := worldOf(rng, g, 0.8, false)
-		view := root.SubIndex(h, new(graph.SubIndexScratch))
+		view, _ := restrict(root, h)
 		cases = append(cases,
 			peelCase{name + "/root", root, NewTriIncidence(root, g)},
 			peelCase{name + "/byTri", loaded, NewTriIncidence(loaded, g)},
@@ -348,8 +349,8 @@ func TestKNucleiMatchesReference(t *testing.T) {
 
 // TestWorldPeelSeedMatchesReference: one seed, cut from the root incidence
 // for candidate after candidate (scratch reused across sizes and graphs),
-// must reproduce what the view-based construction gives for the SubIndex
-// view of the candidate's edge subgraph: the same view triangles with the
+// must reproduce what the view-and-lookup construction gives for the
+// restriction of the root to the candidate's edge subgraph: the same view triangles with the
 // same ids, the level-k core of the view's reference peel, the same core
 // cliques in the same order, and every core triangle's edges as the same
 // union lanes. Candidates are the largest, a middle and the smallest
@@ -359,14 +360,13 @@ func TestKNucleiMatchesReference(t *testing.T) {
 func TestWorldPeelSeedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var seed WorldPeelSeed
-	var sub graph.SubIndexScratch
 	var laneOf []int32
 	checked := 0
 	for name, g := range seedGraphs(t) {
-		root := graph.NewTriangleIndex(g)
+		root := newIndex(g)
 		inc := NewTriIncidence(root, g)
 		nu := refNucleusPeel(root)
-		for _, parent := range []*graph.TriangleIndex{root, graph.IndexFromParts(root.Tris, root.Comps, root.SortedIDs())} {
+		for _, parent := range []*graph.TriangleIndex{root, loadedIndex(root)} {
 			for k := 0; k <= 3; k++ {
 				cands := KNuclei(root, inc, nu, k)
 				if len(cands) == 0 {
@@ -394,16 +394,10 @@ func TestWorldPeelSeedMatchesReference(t *testing.T) {
 				laneOf = LaneIndex(laneOf, g, union)
 				for ci, tris := range cands3 {
 					where := fmt.Sprintf("%s k=%d candidate %d", name, k, ci)
-					var edges []graph.Edge
-					for _, tr := range tris {
-						tri := parent.Tris[tr]
-						edges = append(edges, graph.Edge{U: tri.A, V: tri.B}, graph.Edge{U: tri.A, V: tri.C}, graph.Edge{U: tri.B, V: tri.C})
-					}
-					slices.SortFunc(edges, compareEdges)
-					view := parent.SubIndex(graph.FromSortedEdges(g.NumVertices(), slices.Compact(edges)), &sub)
+					view, pids := restrict(parent, graph.FromSortedEdges(g.NumVertices(), spannedEdges(parent, tris)))
 					seed.Seed(parent, inc, tris, laneOf, k)
-					if !slices.Equal(seed.root, sub.ParentIDs()) {
-						t.Fatalf("%s: view triangles %v, reference %v", where, seed.root, sub.ParentIDs())
+					if !slices.Equal(seed.root, pids) {
+						t.Fatalf("%s: view triangles %v, reference %v", where, seed.root, pids)
 					}
 					for v, tr := range seed.root {
 						if seed.ViewID(tr) != int32(v) {

@@ -4,30 +4,17 @@ import (
 	"math/bits"
 	"slices"
 
-	"probnucleus/internal/bucket"
 	"probnucleus/internal/graph"
-	"probnucleus/internal/uf"
 )
 
-// WorldChecker evaluates the global-semantics world predicate (Definition 4,
-// see IsGlobalNucleusWorld) for sampled worlds of one candidate subgraph, in
-// two forms. QualifyingTriangles checks one materialized world graph,
-// restricting the candidate's triangle index (bound by Reset) to the world
-// with a reusable SubIndex view instead of enumerating the world's triangles
-// from scratch: the exact oracle's form. ScanLanes checks 64 shared union
-// worlds at a time against a WorldCheckSeed, one bit lane per world, and
-// counts each triangle's qualifying worlds: the g-NuDecomp kernel's form.
-// The checker keeps its BFS, union-find and lane scratch across worlds and
-// candidates, so neither form allocates at steady state. One checker serves
-// one worker.
+// WorldChecker evaluates the global-semantics world predicate (Definition 4;
+// internal/exact holds the per-world reference form) for shared union
+// worlds of one candidate subgraph: ScanLanes checks 64 worlds at a time
+// against a WorldCheckSeed, one bit lane per world, and counts each
+// triangle's qualifying worlds. The checker keeps its lane scratch across
+// blocks and candidates, so it does not allocate at steady state. One
+// checker serves one worker.
 type WorldChecker struct {
-	hti     *graph.TriangleIndex
-	cand    *graph.Graph
-	sub     graph.SubIndexScratch
-	u       uf.UF
-	visited []int32
-	stamp   int32
-	queue   []int32
 	// Lane scratch of ScanLanes: reach holds a vertex's (then a triangle's)
 	// reached lanes, tri a view triangle's alive lanes; queued and work back
 	// the deduplicated fixpoint worklist (queued is all false between
@@ -38,134 +25,21 @@ type WorldChecker struct {
 	work   []int32
 }
 
-// Reset binds the checker to the triangle index of a candidate subgraph and,
-// when cand is non-nil, to the candidate's own edge structure. With cand set,
-// worlds passed to QualifyingTriangles may carry edges outside the candidate
-// (shared worlds sampled over a candidate union): the checker evaluates the
-// predicate on the intersection world ∩ candidate, walking cand's adjacency
-// filtered by world membership so foreign edges never connect candidate
-// vertices. With cand nil, every world must be a subgraph of the candidate
-// (over the same vertex-id space) and connectivity walks the world directly.
-func (wc *WorldChecker) Reset(hti *graph.TriangleIndex, cand *graph.Graph) {
-	wc.hti = hti
-	wc.cand = cand
-}
-
-// QualifyingTriangles reports whether the world satisfies the deterministic
-// k-nucleus predicate over the fixed vertex set verts, exactly as
-// IsGlobalNucleusWorld does. When it holds, it also returns the candidate-
-// index ids (ids in the hti passed to Reset) of the world's triangles — the
-// triangles a Monte-Carlo counting pass should credit for this world. The
-// returned slice aliases the checker's scratch and is valid until the next
-// call.
-func (wc *WorldChecker) QualifyingTriangles(world *graph.Graph, verts []int32, k int) ([]int32, bool) {
-	if !wc.connectedOver(world, verts) {
-		return nil, false
-	}
-	view := wc.hti.SubIndex(world, &wc.sub)
-	m := view.Len()
-	if k == 0 {
-		// Connectivity is the whole predicate (Lemma 2); the view only
-		// supplies the triangle list for counting.
-		return wc.sub.ParentIDs(), true
-	}
-	if m == 0 {
-		// No triangles at all: there is nothing whose support can reach
-		// k ≥ 1, and a k-nucleus must contain triangles.
-		return nil, false
-	}
-	for t := 0; t < m; t++ {
-		if len(view.Comps[t]) < k {
-			return nil, false
-		}
-	}
-	// Triangle 4-clique-connectivity.
-	wc.u.Reset(m)
-	for t := 0; t < m; t++ {
-		tri := view.Tris[t]
-		for _, z := range view.Comps[t] {
-			for _, o := range [3]graph.Triangle{
-				graph.MakeTriangle(tri.A, tri.B, z),
-				graph.MakeTriangle(tri.A, tri.C, z),
-				graph.MakeTriangle(tri.B, tri.C, z),
-			} {
-				id, ok := view.ID(o)
-				if !ok {
-					return nil, false // cannot happen on a consistent view
-				}
-				wc.u.Union(int32(t), id)
-			}
-		}
-	}
-	root := wc.u.Find(0)
-	for t := 1; t < m; t++ {
-		if wc.u.Find(int32(t)) != root {
-			return nil, false
-		}
-	}
-	return wc.sub.ParentIDs(), true
-}
-
-// connectedOver reports whether all the given vertices lie in a single
-// connected component of world ∩ candidate, by BFS from verts[0] over a
-// stamp array. With a bound candidate the walk follows the candidate's
-// adjacency filtered by world membership (so union-world edges outside the
-// candidate are invisible); without one it follows the world directly. An
-// empty or singleton vertex set counts as connected.
-func (wc *WorldChecker) connectedOver(world *graph.Graph, verts []int32) bool {
-	if len(verts) <= 1 {
-		return true
-	}
-	n := world.NumVertices()
-	if len(wc.visited) < n {
-		wc.visited = make([]int32, n)
-		wc.stamp = 0
-	}
-	wc.stamp++
-	stamp := wc.stamp
-	queue := append(wc.queue[:0], verts[0])
-	wc.visited[verts[0]] = stamp
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if wc.cand != nil {
-			for _, w := range wc.cand.Neighbors(v) {
-				if wc.visited[w] != stamp && world.HasEdge(v, w) {
-					wc.visited[w] = stamp
-					queue = append(queue, w)
-				}
-			}
-		} else {
-			for _, w := range world.Neighbors(v) {
-				if wc.visited[w] != stamp {
-					wc.visited[w] = stamp
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	wc.queue = queue
-	for _, v := range verts[1:] {
-		if wc.visited[v] != stamp {
-			return false
-		}
-	}
-	return true
-}
-
 // WorldCheckUnion holds the tables every candidate's WorldCheckSeed is cut
-// from, computed once per global-algorithm call over the union view — the
-// restriction of the parent triangle index to the union of all candidate
-// edges, which the shared world masks are drawn over. Every candidate is an
-// edge-subgraph of the union, so its triangles and 4-clique completions are
-// exactly the union ones whose edges all lie in the candidate; the tables
-// below let WorldCheckSeed.Seed find them from the candidate's own edges,
-// with O(1) mark tests and no lookup into the parent index or the vertex
-// space. Union-view ids follow parent order, so a candidate's triangles
-// sorted by union id are in the order a SubIndex view of the parent would
-// list them. Read-only after construction, so one union serves any number of
+// from, computed once per global-algorithm call over the candidate union:
+// the root triangles whose three edges are union edges, which the shared
+// world masks are drawn over. Union ids follow root order. Every candidate
+// is an edge-subgraph of the union, so its triangles and 4-clique
+// completions are exactly the union ones whose edges all lie in the
+// candidate; the tables below let WorldCheckSeed.Seed find them from the
+// candidate's own edges, with O(1) mark tests and no lookup by vertex
+// triple. Read-only after construction, so one union serves any number of
 // seeds.
 type WorldCheckUnion struct {
+	// root[u]: union triangle u's root id, ascending. uid is the inverse:
+	// root triangle t's union id, or -1 for a triangle outside the union.
+	root []int32
+	uid  []int32
 	// triEdge[3u..3u+2]: union edge ids of union triangle u's three edges.
 	triEdge []int32
 	// byEdge[byEdgeOff[e]:byEdgeOff[e+1]]: the union triangles whose lowest
@@ -173,10 +47,10 @@ type WorldCheckUnion struct {
 	// its lowest edge does, so each one is reached from exactly one edge.
 	byEdgeOff []int32
 	byEdge    []int32
-	// Completions, CSR per union triangle in the view's (ascending-z) order:
-	// slot s of triangle u is compOff[u]+j; compEdge[3s..3s+2] are the union
-	// ids of its three z-edges and compOther[3s..3s+2] the union ids of the
-	// clique's other three triangles.
+	// Completions, CSR per union triangle in ascending-z order: slot s of
+	// triangle u is compOff[u]+j; compEdge[3s..3s+2] are the union ids of its
+	// z-edges (A,z), (B,z) and (C,z), and compOther[3s..3s+2] the union ids
+	// of the clique's other three triangles.
 	compOff   []int32
 	compEdge  []int32
 	compOther []int32
@@ -186,59 +60,103 @@ type WorldCheckUnion struct {
 	edgeEnd []int32
 }
 
-// NewWorldCheckUnion builds the union tables from the union view (a view of
-// the parent index restricted to the union graph, or any index over it) and
-// the canonical sorted union edge list the world masks are drawn over.
-func NewWorldCheckUnion(view *graph.TriangleIndex, union []graph.Edge) *WorldCheckUnion {
-	uT := view.Len()
+// NewWorldCheckUnion builds the union tables of the union spanned by the
+// root triangles tris (ids in ti), the way WorldPeelSeed.Seed cuts a
+// candidate: inc is ti's incidence, union the canonical sorted edge list of
+// those triangles, which the world masks are drawn over, and laneOf maps
+// each root edge id of inc to its union edge id (see LaneIndex). laneOf is
+// trusted only where the union edge it names is the root edge itself, so
+// its entries for edges outside the union may hold anything.
+//
+// The union's root edges are collected once each, and each union triangle
+// is reached once, from the incidence list of its lowest edge AB, then
+// sorted into root order. A completion z of a union triangle survives iff
+// the clique's other three triangles — found by the sibling walk of inc —
+// are union triangles, and its z-edges' union ids come from those
+// siblings' edges through laneOf. No step looks a triangle up by vertex
+// triple.
+func NewWorldCheckUnion(ti *graph.TriangleIndex, inc *TriIncidence, tris []int32, union []graph.Edge, laneOf []int32) *WorldCheckUnion {
+	// inUnion reports whether root edge e = (a, b), a < b, is a union edge.
+	inUnion := func(e, a, b int32) bool {
+		l := laneOf[e]
+		return l >= 0 && int(l) < len(union) && union[l] == graph.Edge{U: a, V: b}
+	}
+	seen := make([]bool, len(union))
+	var edges []int32
+	for _, t := range tris {
+		for _, e := range inc.triEdge[3*t : 3*t+3] {
+			if l := laneOf[e]; !seen[l] {
+				seen[l] = true
+				edges = append(edges, e)
+			}
+		}
+	}
+	var root []int32
+	for _, e := range edges {
+		for _, ent := range inc.edge(e) {
+			t := int32(uint32(ent))
+			te := inc.triEdge[3*t : 3*t+3]
+			tri := ti.Tris[t]
+			if te[0] == e && inUnion(te[1], tri.A, tri.C) && inUnion(te[2], tri.B, tri.C) {
+				root = append(root, t)
+			}
+		}
+	}
+	slices.Sort(root)
+	uT := len(root)
 	u := &WorldCheckUnion{
+		root:      root,
+		uid:       make([]int32, ti.Len()),
 		triEdge:   make([]int32, 3*uT),
 		byEdgeOff: make([]int32, len(union)+1),
 		byEdge:    make([]int32, uT),
 		compOff:   make([]int32, uT+1),
 	}
-	for t := 0; t < uT; t++ {
-		tri := view.Tris[t]
-		e := u.triEdge[3*t : 3*t+3]
-		e[0] = edgeIndexOf(union, tri.A, tri.B)
-		e[1] = edgeIndexOf(union, tri.A, tri.C)
-		e[2] = edgeIndexOf(union, tri.B, tri.C)
+	for t := range u.uid {
+		u.uid[t] = -1
+	}
+	for i, t := range root {
+		u.uid[t] = int32(i)
+		e := u.triEdge[3*i : 3*i+3]
+		for j, re := range inc.triEdge[3*t : 3*t+3] {
+			e[j] = laneOf[re]
+		}
 		u.byEdgeOff[min(e[0], e[1], e[2])+1]++
-		u.compOff[t+1] = u.compOff[t] + int32(len(view.Comps[t]))
 	}
 	for e := range union {
 		u.byEdgeOff[e+1] += u.byEdgeOff[e]
 	}
 	fill := make([]int32, len(union))
-	for t := 0; t < uT; t++ {
-		lo := min(u.triEdge[3*t], u.triEdge[3*t+1], u.triEdge[3*t+2])
-		u.byEdge[u.byEdgeOff[lo]+fill[lo]] = int32(t)
+	for i := 0; i < uT; i++ {
+		lo := min(u.triEdge[3*i], u.triEdge[3*i+1], u.triEdge[3*i+2])
+		u.byEdge[u.byEdgeOff[lo]+fill[lo]] = int32(i)
 		fill[lo]++
 	}
-	slots := 3 * int(u.compOff[uT])
-	u.compEdge = make([]int32, slots)
-	u.compOther = make([]int32, slots)
-	for t := 0; t < uT; t++ {
-		tri := view.Tris[t]
-		for j, z := range view.Comps[t] {
-			b := 3 * (int(u.compOff[t]) + j)
-			for i, e := range [3]graph.Edge{
-				{U: tri.A, V: z}, {U: tri.B, V: z}, {U: tri.C, V: z},
-			} {
-				e = e.Canon()
-				u.compEdge[b+i] = edgeIndexOf(union, e.U, e.V)
+	// Every root completion of a union triangle bounds the survivors.
+	slots := 0
+	for _, t := range root {
+		slots += len(ti.Comps[t])
+	}
+	u.compOther = make([]int32, 0, 3*slots)
+	for i, t := range root {
+		sib := inc.siblings(t)
+		for _, z := range ti.Comps[t] {
+			o := sib.next(z)
+			if a, b, c := u.uid[o[0]], u.uid[o[1]], u.uid[o[2]]; a >= 0 && b >= 0 && c >= 0 {
+				u.compOther = append(u.compOther, a, b, c)
 			}
-			for i, o := range [3]graph.Triangle{
-				graph.MakeTriangle(tri.A, tri.B, z),
-				graph.MakeTriangle(tri.A, tri.C, z),
-				graph.MakeTriangle(tri.B, tri.C, z),
-			} {
-				id, ok := view.ID(o)
-				if !ok {
-					panic("decomp: 4-clique triangle missing from union view")
-				}
-				u.compOther[b+i] = id
-			}
+		}
+		u.compOff[i+1] = int32(len(u.compOther) / 3)
+	}
+	// (A,z) and (B,z) are edges of (A,B,z), and (C,z) of (A,C,z).
+	u.compEdge = make([]int32, len(u.compOther))
+	for i, t := range root {
+		tri := ti.Tris[t]
+		for b := 3 * u.compOff[i]; b < 3*u.compOff[i+1]; b += 3 {
+			abz, acz := root[u.compOther[b]], root[u.compOther[b+1]]
+			u.compEdge[b] = laneOf[inc.edgeAvoiding(ti, abz, tri.B)]
+			u.compEdge[b+1] = laneOf[inc.edgeAvoiding(ti, abz, tri.A)]
+			u.compEdge[b+2] = laneOf[inc.edgeAvoiding(ti, acz, tri.A)]
 		}
 	}
 	u.vert = make([]int32, 0, 2*len(union))
@@ -256,9 +174,13 @@ func NewWorldCheckUnion(view *graph.TriangleIndex, union []graph.Edge) *WorldChe
 	return u
 }
 
-// Len returns the number of union-view triangles: the width of any
+// Len returns the number of union triangles: the width of any
 // per-union-triangle accumulator.
-func (u *WorldCheckUnion) Len() int { return len(u.byEdge) }
+func (u *WorldCheckUnion) Len() int { return len(u.root) }
+
+// Root returns union triangle uid's root id: test support, for naming a
+// seed's triangles (see WorldCheckSeed.AliveUID) in the root index.
+func (u *WorldCheckUnion) Root(uid int32) int32 { return u.root[uid] }
 
 // CountAlive adds to cnt[t], for every union triangle t, the number of valid
 // worlds of one 64-world lane block (lanes indexed by union edge id, as
@@ -284,7 +206,7 @@ type WorldCheckSeed struct {
 	k int
 	u *WorldCheckUnion
 	// triUID[t]: view triangle t's union id, ascending — view ids are the
-	// candidate's triangles in parent order.
+	// candidate's triangles in root order.
 	triUID []int32
 	// Completions, CSR per view triangle: completion j of triangle t occupies
 	// slot compOff[t]+j; compOther[3s..3s+2] are the view ids of the clique's
@@ -313,11 +235,11 @@ type WorldCheckSeed struct {
 }
 
 // Seed binds the seed to the candidate spanned by the union triangles tris
-// (union ids, in any order; its edges are the triangles' edges) at nucleus
+// (root ids, in any order; its edges are the triangles' edges) at nucleus
 // level k. The candidate's view holds every union triangle whose three edges
 // are candidate edges — the closure's own triangles and any others they
 // span — and its completions are the union completions whose z-edges are
-// candidate edges. No step touches the parent index or more of the union
+// candidate edges. No step touches the root index or more of the union
 // than the candidate's edges and their triangles; all storage is reused
 // across candidates of any size.
 func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
@@ -337,7 +259,8 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 	marked := func(e int32) bool { return s.edgeStamp[e] == gen }
 
 	edges := s.edges[:0]
-	for _, t := range tris {
+	for _, rt := range tris {
+		t := u.uid[rt]
 		for _, e := range u.triEdge[3*t : 3*t+3] {
 			if !marked(e) {
 				s.edgeStamp[e] = gen
@@ -452,8 +375,8 @@ func (s *WorldCheckSeed) AppendVertices(dst []int32) []int32 {
 // id — bit j of lanes[e] is set iff union edge e exists in the block's world
 // j (see mc.Lanes) — and valid marks the lanes that hold a world. For every
 // candidate view triangle t it adds to counts[t] the number of valid worlds
-// that satisfy the predicate and contain t: what QualifyingTriangles credits
-// on each world of the block restricted to the candidate.
+// that satisfy the predicate and contain t: what the per-world predicate
+// credits on each world of the block restricted to the candidate.
 //
 // Each part of the predicate is a monotone fixpoint, so it runs on whole
 // words — the multi-source bit-parallel traversal of MS-BFS (Then et al.,
@@ -650,102 +573,21 @@ func (wc *WorldChecker) laneScratch(n int) ([]uint64, []bool) {
 	return reach, wc.queued[:n]
 }
 
-// IsGlobalNucleusWorld reports whether a possible world qualifies as a
-// deterministic k-nucleus for the global (g) semantics of Definition 4:
-//
-//	1g(G, △, k) = 1  iff  △ is in G and G is a deterministic k-nucleus.
-//
-// Following the paper's own usage (Example 1 counts the world in which
-// vertex 4 hangs off the {1,2,3,5} clique by a single edge, and the
-// reliability reduction of Lemma 2 equates 0-nuclei with connected worlds),
-// "G is a deterministic k-nucleus" is evaluated as:
-//
-//   - G is connected over the fixed vertex set verts (the vertices of the
-//     candidate subgraph H whose worlds are being sampled); and
-//   - every triangle of G is contained in at least k 4-cliques of G; and
-//   - for k ≥ 1, the triangles of G are pairwise 4-clique-connected.
-//
-// For k = 0 the last two conditions are vacuous and the predicate collapses
-// to world connectivity, exactly as Lemma 2 requires.
-//
-// This convenience form builds a fresh index for the world; hot loops use a
-// WorldChecker bound to the candidate's index instead.
-func IsGlobalNucleusWorld(world *graph.Graph, verts []int32, k int) bool {
-	var wc WorldChecker
-	wc.Reset(graph.NewTriangleIndex(world), nil)
-	_, ok := wc.QualifyingTriangles(world, verts, k)
-	return ok
-}
-
-// WorldMembershipScorer evaluates, for sampled worlds of one candidate
+// WorldMembershipScorer evaluates, for shared union worlds of one candidate
 // subgraph, which candidate triangles have deterministic nucleusness ≥ k in
 // the world — the predicate 1w(G, △, k) of Definition 4 for all triangles at
-// once — in two forms. Reset and Qualifying peel one materialized world in
-// full, restricting the candidate's index to it with a reusable view instead
-// of re-enumerating (the exact oracle's form, see WorldNucleusMembership).
-// ScoreLanes scores 64 shared union worlds at a time against a
-// WorldPeelSeed, one bit lane per world, and counts each core triangle's
-// losses into a flat per-triangle slot (the w-NuDecomp kernel's form). Both
-// name triangles by candidate-index ids. One scorer serves one worker; its
-// scratch is reused across candidates and worlds.
+// once; internal/exact holds the per-world reference form. ScoreLanes scores
+// 64 worlds at a time against a WorldPeelSeed, one bit lane per world, and
+// counts each core triangle's losses into a flat per-triangle slot. One
+// scorer serves one worker; its scratch is reused across candidates and
+// worlds.
 type WorldMembershipScorer struct {
-	hti *graph.TriangleIndex
-	sub graph.SubIndexScratch
-	out []int32
-	// Reusable per-world peeling state (see nucleusPeelInto), over the
-	// view's incidence keyed by the world's edges.
-	inc TriIncidence
-	ca  CliqueAdj
-	q   bucket.Queue
-	nu  []int
-	// member marks the triangles of a level-k clique of the world.
-	member []bool
 	// Word-parallel scratch (see ScoreLanes), indexed by view id: each core
 	// triangle's alive lanes, and the fixpoint worklist with its
 	// deduplication flags (all false between calls).
 	alive  []uint64
 	queued []bool
 	work   []int32
-}
-
-// Reset binds the scorer to the triangle index of a candidate subgraph.
-func (ws *WorldMembershipScorer) Reset(hti *graph.TriangleIndex) { ws.hti = hti }
-
-// Qualifying returns the candidate-index ids of the world's triangles whose
-// deterministic nucleusness in the world is at least k, via one deterministic
-// nucleus decomposition of the world. The returned slice aliases the scorer's
-// scratch and is valid until the next call.
-func (ws *WorldMembershipScorer) Qualifying(world *graph.Graph, k int) []int32 {
-	view := ws.hti.SubIndex(world, &ws.sub)
-	pids := ws.sub.ParentIDs()
-	out := ws.out[:0]
-	if k == 0 {
-		// Every triangle is its own connected 0-nucleus (Lemma 2 semantics).
-		out = append(out, pids...)
-		ws.out = out
-		return out
-	}
-	ws.inc.resetGraph(view, world)
-	ws.ca.Reset(view, &ws.inc)
-	if cap(ws.nu) < view.Len() {
-		ws.nu = make([]int, view.Len())
-		ws.member = make([]bool, view.Len())
-	}
-	nu := nucleusPeelInto(&ws.ca, &ws.q, ws.nu[:view.Len()])
-	member := ws.member[:view.Len()]
-	clear(member)
-	LevelCliques(view, &ws.inc, nu, k, func(cl [4]int32) {
-		for _, t := range cl {
-			member[t] = true
-		}
-	})
-	for t, in := range member {
-		if in {
-			out = append(out, pids[t])
-		}
-	}
-	ws.out = out
-	return out
 }
 
 // WorldPeelSeed is the per-candidate precomputation behind w-NuDecomp's
@@ -927,7 +769,7 @@ func (s *WorldPeelSeed) Seed(ti *graph.TriangleIndex, inc *TriIncidence, tris []
 // LaneIndex returns dst, grown to g's incidence edge-id space (the CSR
 // positions of NewTriIncidence), with entry g.AdjIndex(e.U, e.V) set to i
 // for every edge e = union[i]: the root edge id → union lane table that
-// WorldPeelSeed.Seed reads. union must be a canonical edge list of g. The
+// WorldPeelSeed.Seed and NewWorldCheckUnion read. union must be a canonical edge list of g. The
 // entries of edges outside union keep whatever they held.
 func LaneIndex(dst []int32, g *graph.Graph, union []graph.Edge) []int32 {
 	dst = slices.Grow(dst[:0], 2*g.NumEdges())[:2*g.NumEdges()]
@@ -1004,26 +846,6 @@ func (s *WorldPeelSeed) peelToCore(m int) bool {
 	}
 	s.sup, s.work = sup, work
 	return left
-}
-
-// edgeIndexOf locates the canonical edge (u,v), u < v, in a (U,V)-sorted
-// edge list. The edge must be present (candidate triangles span candidate
-// edges by construction).
-func edgeIndexOf(edges []graph.Edge, u, v int32) int32 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := edges[mid]
-		if e.U < u || (e.U == u && e.V < v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(edges) || edges[lo].U != u || edges[lo].V != v {
-		panic("decomp: candidate triangle edge missing from edge list")
-	}
-	return int32(lo)
 }
 
 // resizeCleared32 returns s with length n and every element zero, reusing
@@ -1186,21 +1008,4 @@ func countAtLeast(cnt []uint64, k int) uint64 {
 		}
 	}
 	return gt | eq
-}
-
-// WorldNucleusMembership returns, for the given world, the set of triangles
-// (as canonical Triangles) whose deterministic nucleusness in the world is
-// at least k — equivalently, the triangles for which some subgraph of the
-// world is a deterministic k-nucleus containing them. This convenience form
-// builds a fresh index for the world; hot loops use a WorldMembershipScorer
-// bound to the candidate's index instead.
-func WorldNucleusMembership(world *graph.Graph, k int) map[graph.Triangle]bool {
-	ti := graph.NewTriangleIndex(world)
-	var ws WorldMembershipScorer
-	ws.Reset(ti)
-	out := make(map[graph.Triangle]bool)
-	for _, id := range ws.Qualifying(world, k) {
-		out[ti.Tris[id]] = true
-	}
-	return out
 }

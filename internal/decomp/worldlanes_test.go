@@ -51,7 +51,7 @@ func TestScoreLanesMatchesReferenceCascade(t *testing.T) {
 	checked := 0
 	for _, name := range names {
 		g := graphs[name]
-		root := graph.NewTriangleIndex(g)
+		root := newIndex(g)
 		inc := NewTriIncidence(root, g)
 		nu := refNucleusPeel(root)
 		for k := 0; k <= 4; k++ {

@@ -167,21 +167,20 @@ func worldMask(edges []graph.Edge, world *graph.Graph) []uint64 {
 // TestSeededWorldPeelMatchesFullPeel: for random candidates, worlds (with
 // and without union edges outside the candidate), and levels k, both the
 // reference loss cascade and the word-parallel kernel must select exactly
-// the triangles the full per-world bucket-queue peel selects. This is the
+// the triangles the full per-world peel of the exact oracle selects on the
+// world restricted to the candidate. This is the
 // drop-in proof for scoring a world from the candidate's seed instead of
 // peeling it.
 func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 60; trial++ {
 		g := randomGraph(rng, 11, 0.55)
-		ti := graph.NewTriangleIndex(g)
+		ti := newIndex(g)
 		if ti.Len() == 0 {
 			continue
 		}
 		inc := NewTriIncidence(ti, g)
 		edges := g.Edges()
-		var full WorldMembershipScorer
-		full.Reset(ti)
 		var lanes WorldMembershipScorer
 		var seed WorldPeelSeed
 		for k := 0; k <= 3; k++ {
@@ -190,8 +189,7 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 			var want [][]int32
 			for w := 0; w < 6; w++ {
 				world := worldOf(rng, g, 0.75, w%2 == 1)
-				q := slices.Clone(full.Qualifying(world, k))
-				slices.Sort(q)
+				q := oracleMembers(ti, intersect(world, g), k)
 				want = append(want, q)
 				masks = append(masks, worldMask(edges, world))
 				if got := coreMinus(&seed, refNonQualifyingGraph(&seed, world, edges)); !slices.Equal(got, q) {
@@ -209,12 +207,11 @@ func TestSeededWorldPeelMatchesFullPeel(t *testing.T) {
 	}
 }
 
-// TestWorldMembershipScorerResetReuse: one scorer (and one seed) rebound
-// across candidates of very different sizes must reproduce what fresh
-// instances compute — both through the full-peel Reset/Qualifying path and
-// the seeded word-parallel path, interleaved so stale aliveness, worklist
-// flags or clique tables from a larger candidate would surface on a
-// smaller one.
+// TestWorldMembershipScorerResetReuse: one scorer and one seed, rebound
+// across candidates of very different sizes, must reproduce what fresh
+// instances compute and what the exact oracle's per-world peel selects,
+// with candidates interleaved so stale aliveness, worklist flags or clique
+// tables from a larger candidate would surface on a smaller one.
 func TestWorldMembershipScorerResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	sizes := []int{14, 6, 12, 5, 9}
@@ -227,7 +224,7 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 	cands := make([]cand, len(sizes))
 	for i, n := range sizes {
 		g := randomGraph(rng, n, 0.6)
-		ti := graph.NewTriangleIndex(g)
+		ti := newIndex(g)
 		cands[i] = cand{g: g, ti: ti, inc: NewTriIncidence(ti, g), edges: g.Edges()}
 	}
 	var shared WorldMembershipScorer
@@ -235,32 +232,27 @@ func TestWorldMembershipScorerResetReuse(t *testing.T) {
 	for round := 0; round < 3; round++ { // revisit candidates to exercise reuse
 		for i, c := range cands {
 			for k := 0; k <= 2; k++ {
-				var fresh WorldMembershipScorer
 				var freshSeed WorldPeelSeed
-				fresh.Reset(c.ti)
-				shared.Reset(c.ti)
 				seedWhole(&sharedSeed, c.g, c.ti, c.inc, k)
 				seedWhole(&freshSeed, c.g, c.ti, c.inc, k)
 				var masks [][]uint64
+				var oracle [][]int32
 				for w := 0; w < 4; w++ {
 					world := worldOf(rng, c.g, 0.7, w%2 == 0)
 					masks = append(masks, worldMask(c.edges, world))
-					want := slices.Clone(fresh.Qualifying(world, k))
-					got := slices.Clone(shared.Qualifying(world, k))
-					slices.Sort(want)
-					slices.Sort(got)
-					if !slices.Equal(got, want) {
-						t.Fatalf("round %d cand %d k=%d: reused Qualifying %v, fresh %v",
-							round, i, k, got, want)
-					}
+					oracle = append(oracle, oracleMembers(c.ti, intersect(world, c.g), k))
 				}
-				var freshLanes WorldMembershipScorer
-				want := qualifyingViaLanes(t, &freshLanes, &freshSeed, masks)
+				var fresh WorldMembershipScorer
+				want := qualifyingViaLanes(t, &fresh, &freshSeed, masks)
 				got := qualifyingViaLanes(t, &shared, &sharedSeed, masks)
 				for w := range want {
 					if !slices.Equal(got[w], want[w]) {
 						t.Fatalf("round %d cand %d k=%d world %d: reused word kernel %v, fresh %v",
 							round, i, k, w, got[w], want[w])
+					}
+					if !slices.Equal(want[w], oracle[w]) {
+						t.Fatalf("round %d cand %d k=%d world %d: word kernel %v, oracle %v",
+							round, i, k, w, want[w], oracle[w])
 					}
 				}
 			}
@@ -317,7 +309,7 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 		g := randomGraph(rng, 11, 0.55)
 		union := unionWith(rng, g)
 		rg := graph.FromSortedEdges(g.NumVertices(), union)
-		rti := graph.NewTriangleIndex(rg)
+		rti := newIndex(rg)
 		var tris []int32
 		for u, tri := range rti.Tris {
 			if g.HasEdge(tri.A, tri.B) && g.HasEdge(tri.A, tri.C) && g.HasEdge(tri.B, tri.C) {
@@ -358,18 +350,17 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 // predicate — a WorldCheckSeed cut from union tables, evaluated per world by
 // the reference refMaskChecker on a union-world mask and its aliveness row,
 // and by ScanLanes on the world as a one-lane block — must agree with the
-// candidate-restricted graph checker on the materialized world: same verdict
-// and same credited triangles, for candidates spanned by a random subset of
-// the union's triangles and worlds sampled over a union larger than the
-// candidate.
+// exact oracle on the materialized world restricted to the candidate: same
+// verdict, and the credited triangles are that world's triangles, for
+// candidates spanned by a random subset of the union's triangles and worlds
+// sampled over a union larger than the candidate.
 func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	checked := 0
 	for trial := 0; trial < 60; trial++ {
 		g := randomGraph(rng, 10, 0.6)
 		union := unionWith(rng, g)
-		uti := graph.NewTriangleIndex(graph.FromSortedEdges(g.NumVertices(), union))
-		wu := NewWorldCheckUnion(uti, union)
+		uti, wu := unionIndex(g.NumVertices(), union)
 		var tris []int32
 		var es []graph.Edge
 		for u, tri := range uti.Tris {
@@ -382,7 +373,7 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			continue
 		}
 		h := graph.FromEdges(g.NumVertices(), es)
-		hti := graph.NewTriangleIndex(h)
+		hti := newIndex(h)
 		var verts []int32
 		for v := int32(0); int(v) < h.NumVertices(); v++ {
 			if h.Degree(v) > 0 {
@@ -390,10 +381,9 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			}
 		}
 		var seed WorldCheckSeed
-		var viaGraph, viaLanes WorldChecker
+		var viaLanes WorldChecker
 		var viaMask refMaskChecker
 		var lanes mc.Lanes
-		viaGraph.Reset(hti, h)
 		row := make([]uint64, (wu.Len()+63)/64)
 		for k := 0; k <= 2; k++ {
 			seed.Seed(wu, tris, k)
@@ -408,10 +398,11 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			for w := 0; w < 8; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.8)
 				fillAlive(wu, row, mask)
-				wantIDs, wantOK := viaGraph.QualifyingTriangles(world, verts, k)
+				wh := intersect(world, h)
+				wantOK := GlobalWorldOracle(wh, verts, k)
 				gotIDs, gotOK := viaMask.qualifying(&seed, mask, row)
 				if gotOK != wantOK {
-					t.Fatalf("trial %d k=%d world %d: mask verdict %v, graph verdict %v",
+					t.Fatalf("trial %d k=%d world %d: mask verdict %v, oracle verdict %v",
 						trial, k, w, gotOK, wantOK)
 				}
 				lanes.Transpose(mask, 1, len(mask))
@@ -433,21 +424,18 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 				if !wantOK {
 					continue
 				}
-				// The two id spaces differ (seed view vs the candidate's own
-				// index), so compare the credited triangles themselves.
-				var want, got []graph.Triangle
-				for _, id := range wantIDs {
-					want = append(want, hti.Tris[id])
-				}
+				// A qualifying world credits each of its triangles; compare
+				// them as triangles, since the seed names them by view id.
+				want := newIndex(wh).Tris
+				var gotTris []graph.Triangle
 				for _, id := range gotIDs {
-					got = append(got, uti.Tris[seed.AliveUID(int(id))])
+					gotTris = append(gotTris, uti.Tris[seed.AliveUID(int(id))])
 				}
-				cmpTri := func(a, b graph.Triangle) int { return a.Compare(b) }
-				slices.SortFunc(want, cmpTri)
-				slices.SortFunc(got, cmpTri)
-				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d k=%d world %d: mask triangles %v, graph triangles %v",
-						trial, k, w, got, want)
+				slices.SortFunc(want, graph.Triangle.Compare)
+				slices.SortFunc(gotTris, graph.Triangle.Compare)
+				if !slices.Equal(gotTris, want) {
+					t.Fatalf("trial %d k=%d world %d: mask triangles %v, world triangles %v",
+						trial, k, w, gotTris, want)
 				}
 			}
 		}
@@ -457,12 +445,12 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 	}
 }
 
-// TestWorldCheckerCandidateRestrictedConnectivity: with a bound candidate
-// graph, union-world edges outside the candidate must not connect the
-// candidate's vertices — two candidate components bridged only by a foreign
-// edge stay disconnected under the predicate, while the legacy nil-candidate
-// walk (valid only for worlds that are candidate subgraphs) would see them
-// joined.
+// TestWorldCheckerCandidateRestrictedConnectivity: union-world edges outside
+// the candidate must not connect the candidate's vertices. Two K4s form the
+// candidate; a third triangle of the union bridges them. In the world that
+// keeps every union edge, the lane kernel must fail the candidate at k = 0,
+// as the exact oracle does on the world restricted to the candidate, while
+// the oracle on the whole world sees the vertices joined.
 func TestWorldCheckerCandidateRestrictedConnectivity(t *testing.T) {
 	clique := func(b *graph.Builder, vs ...int32) {
 		for i := 0; i < len(vs); i++ {
@@ -473,30 +461,48 @@ func TestWorldCheckerCandidateRestrictedConnectivity(t *testing.T) {
 			}
 		}
 	}
-	cb := graph.NewBuilder(8)
+	cb := graph.NewBuilder(9)
 	clique(cb, 0, 1, 2, 3)
 	clique(cb, 4, 5, 6, 7)
 	cand := cb.Build()
-
-	wb := graph.NewBuilder(8)
+	wb := graph.NewBuilder(9)
 	clique(wb, 0, 1, 2, 3)
 	clique(wb, 4, 5, 6, 7)
-	if err := wb.AddEdge(3, 4); err != nil { // union edge outside the candidate
-		t.Fatal(err)
-	}
+	clique(wb, 3, 4, 8) // union triangle outside the candidate
 	world := wb.Build()
 
-	verts := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-	hti := graph.NewTriangleIndex(cand)
-
-	var restricted WorldChecker
-	restricted.Reset(hti, cand)
-	if _, ok := restricted.QualifyingTriangles(world, verts, 0); ok {
-		t.Error("candidate-restricted checker connected two components through a foreign edge")
+	union := world.Edges()
+	uti, wu := unionIndex(world.NumVertices(), union)
+	var tris []int32
+	for u, tri := range uti.Tris {
+		if cand.HasEdge(tri.A, tri.B) && cand.HasEdge(tri.A, tri.C) && cand.HasEdge(tri.B, tri.C) {
+			tris = append(tris, int32(u))
+		}
 	}
-	var legacy WorldChecker
-	legacy.Reset(hti, nil)
-	if _, ok := legacy.QualifyingTriangles(world, verts, 0); !ok {
-		t.Error("nil-candidate checker should walk the world directly and see it connected")
+	var seed WorldCheckSeed
+	seed.Seed(wu, tris, 0)
+	verts := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	got := seed.AppendVertices(nil)
+	slices.Sort(got)
+	if !slices.Equal(got, verts) {
+		t.Fatalf("seed vertices %v, want %v", got, verts)
+	}
+	mask := make([]uint64, (len(union)+63)/64)
+	for e := range union {
+		mask[e>>6] |= 1 << (uint(e) & 63)
+	}
+	var lanes mc.Lanes
+	lanes.Transpose(mask, 1, len(mask))
+	counts := make([]int32, seed.Len())
+	var wc WorldChecker
+	wc.ScanLanes(&seed, lanes.Block(0), lanes.Valid(0), counts)
+	if slices.ContainsFunc(counts, func(c int32) bool { return c != 0 }) {
+		t.Error("lane kernel connected two candidate components through a foreign edge")
+	}
+	if GlobalWorldOracle(intersect(world, cand), verts, 0) {
+		t.Error("oracle connected the candidate restricted to its own edges")
+	}
+	if !GlobalWorldOracle(world, verts, 0) {
+		t.Error("oracle should see the whole world connected")
 	}
 }

@@ -143,13 +143,14 @@ type scanCandidate struct {
 }
 
 // scanCandidates returns, for level k of g, the candidates the lane
-// differential scans, as union-view triangle ids: the largest, a middle and
+// differential scans, as ids of the union graph's own index (which are its
+// union ids too): the largest, a middle and
 // the smallest deterministic nucleus of the highest level ≤ k that has any
 // (g-NuDecomp candidates are k-nuclei's 4-clique closures, so this is their
 // shape), plus a random ~70% of the largest one's triangles, which need be
 // neither connected nor a nucleus. The union they are drawn over is every
 // nucleus's edges at that level.
-func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, nu []int, k int) ([]graph.Edge, *graph.TriangleIndex, []scanCandidate) {
+func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, nu []int, k int) ([]graph.Edge, *WorldCheckUnion, []scanCandidate) {
 	var cands []Nucleus
 	for lvl := k; lvl >= 0 && len(cands) == 0; lvl-- {
 		cands = KNuclei(root, NewTriIncidence(root, g), nu, lvl)
@@ -168,7 +169,7 @@ func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, n
 		return int(a.V - b.V)
 	})
 	union = slices.Compact(union)
-	uti := graph.NewTriangleIndex(graph.FromSortedEdges(g.NumVertices(), union))
+	uti, wu := unionIndex(g.NumVertices(), union)
 	uids := func(c Nucleus) []int32 {
 		var ids []int32
 		for _, pid := range c.TriIDs {
@@ -194,7 +195,7 @@ func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, n
 	if len(sub) > 0 {
 		out = append(out, scanCandidate{"subset of nucleus 0", sub})
 	}
-	return union, uti, out
+	return union, wu, out
 }
 
 // TestScanLanesMatchesReference is the global lane kernel's differential
@@ -245,14 +246,13 @@ func TestScanLanesMatchesReference(t *testing.T) {
 	qualified := make([]int, 5) // per k: reference qualifying credits seen
 	for _, name := range names {
 		g := graphs[name]
-		root := graph.NewTriangleIndex(g)
+		root := newIndex(g)
 		nu := refNucleusPeel(root)
 		for k := 0; k <= 4; k++ {
-			union, uti, cands := scanCandidates(rng, g, root, nu, k)
+			union, wu, cands := scanCandidates(rng, g, root, nu, k)
 			if len(cands) == 0 {
 				continue
 			}
-			wu := NewWorldCheckUnion(uti, union)
 			words := (len(union) + 63) / 64
 			// One bank of maxN worlds per (graph, k); every n scans its
 			// prefix. Keep probabilities are mixed per world so that some

@@ -8,6 +8,7 @@ import (
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/probgraph"
+	"probnucleus/internal/uf"
 )
 
 // MaxEdges bounds the graphs the oracle accepts; 2^22 worlds is the largest
@@ -53,12 +54,12 @@ func Tail(pg *probgraph.Graph, tri graph.Triangle, k int) TailProbs {
 			out.Local += p
 		}
 		// Global: the world itself is a deterministic k-nucleus.
-		if decomp.IsGlobalNucleusWorld(w, verts, k) {
+		if IsGlobalNucleusWorld(w, verts, k) {
 			out.Global += p
 		}
 		// Weakly-global: some subgraph of the world is a deterministic
 		// k-nucleus containing △.
-		if decomp.WorldNucleusMembership(w, k)[tri] {
+		if WorldNucleusMembership(w, k)[tri] {
 			out.Weak += p
 		}
 	}
@@ -82,6 +83,87 @@ func LocalNucleusness(pg *probgraph.Graph, tri graph.Triangle, theta float64) in
 			return k
 		}
 	}
+}
+
+// IsGlobalNucleusWorld reports whether a possible world qualifies as a
+// deterministic k-nucleus for the global (g) semantics of Definition 4:
+//
+//	1g(G, △, k) = 1  iff  △ is in G and G is a deterministic k-nucleus.
+//
+// Following the paper's own usage (Example 1 counts the world in which
+// vertex 4 hangs off the {1,2,3,5} clique by a single edge, and the
+// reliability reduction of Lemma 2 equates 0-nuclei with connected worlds),
+// "G is a deterministic k-nucleus" is evaluated as:
+//
+//   - G is connected over the fixed vertex set verts (the vertices of the
+//     candidate subgraph H whose worlds are being sampled); and
+//   - every triangle of G is contained in at least k 4-cliques of G; and
+//   - for k ≥ 1, the triangles of G are pairwise 4-clique-connected.
+//
+// For k = 0 the last two conditions are vacuous and the predicate collapses
+// to world connectivity, exactly as Lemma 2 requires. The world is
+// decomposed afresh: every triangle has at least k 4-cliques iff every
+// triangle's nucleusness is at least k, and 4-clique connectivity joins the
+// four triangles of every clique.
+func IsGlobalNucleusWorld(world *graph.Graph, verts []int32, k int) bool {
+	comp := uf.New(world.NumVertices())
+	for _, e := range world.Edges() {
+		comp.Union(e.U, e.V)
+	}
+	for _, v := range verts {
+		if comp.Find(v) != comp.Find(verts[0]) {
+			return false
+		}
+	}
+	if k == 0 {
+		return true
+	}
+	ti, nu := decomp.NucleusNumbers(world)
+	if ti.Len() == 0 {
+		// No triangles at all: there is nothing whose support can reach
+		// k ≥ 1, and a k-nucleus must contain triangles.
+		return false
+	}
+	for _, v := range nu {
+		if v < k {
+			return false
+		}
+	}
+	tris := uf.New(ti.Len())
+	decomp.LevelCliques(ti, decomp.NewTriIncidence(ti, world), nu, 0, func(cl [4]int32) {
+		tris.Union(cl[0], cl[1])
+		tris.Union(cl[0], cl[2])
+		tris.Union(cl[0], cl[3])
+	})
+	for t := int32(1); int(t) < ti.Len(); t++ {
+		if tris.Find(t) != tris.Find(0) {
+			return false
+		}
+	}
+	return true
+}
+
+// WorldNucleusMembership returns, for the given world, the set of triangles
+// (as canonical Triangles) whose deterministic nucleusness in the world is
+// at least k — equivalently, the triangles for which some subgraph of the
+// world is a deterministic k-nucleus containing them, which for k ≥ 1 are
+// the triangles of the world's level-k 4-cliques. At k = 0 every triangle
+// is its own connected 0-nucleus (Lemma 2 semantics).
+func WorldNucleusMembership(world *graph.Graph, k int) map[graph.Triangle]bool {
+	ti, nu := decomp.NucleusNumbers(world)
+	out := make(map[graph.Triangle]bool)
+	if k == 0 {
+		for _, tri := range ti.Tris {
+			out[tri] = true
+		}
+		return out
+	}
+	decomp.LevelCliques(ti, decomp.NewTriIncidence(ti, world), nu, k, func(cl [4]int32) {
+		for _, t := range cl {
+			out[ti.Tris[t]] = true
+		}
+	})
+	return out
 }
 
 func supportInWorld(w *graph.Graph, tri graph.Triangle) int {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"probnucleus/internal/par"
 )
 
 func mustBuild(t *testing.T, n int, edges [][2]int32) *Graph {
@@ -232,23 +234,10 @@ func TestMakeTriangleCanonical(t *testing.T) {
 	}
 }
 
-func TestTriangleOpposite(t *testing.T) {
-	tr := Triangle{1, 2, 3}
-	if got := tr.Opposite(2, 7); got != (Triangle{1, 3, 7}) {
-		t.Errorf("Opposite = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Opposite with non-member did not panic")
-		}
-	}()
-	tr.Opposite(9, 7)
-}
-
 func TestTriangleIndexComplete(t *testing.T) {
 	for n := 4; n <= 8; n++ {
 		g := completeGraph(n)
-		ti := NewTriangleIndex(g)
+		ti := NewTriangleIndex(g, par.NewPool(1))
 		wantTris := n * (n - 1) * (n - 2) / 6
 		if ti.Len() != wantTris {
 			t.Fatalf("K%d: Len = %d, want %d", n, ti.Len(), wantTris)
@@ -263,33 +252,94 @@ func TestTriangleIndexComplete(t *testing.T) {
 		if got := ti.CliqueCount(); got != wantCliques {
 			t.Errorf("K%d: CliqueCount = %d, want %d", n, got, wantCliques)
 		}
-		if got := len(ti.FourCliques()); got != wantCliques {
-			t.Errorf("K%d: FourCliques = %d, want %d", n, got, wantCliques)
+		if got := len(cliquesOf(ti)); got != wantCliques {
+			t.Errorf("K%d: cliques from Comps = %d, want %d", n, got, wantCliques)
 		}
 	}
 }
 
+// TestTriangleIndexLookup: the builder's lexicographic id order equals a
+// comparator sort of the triangles for every worker count, and ID answers
+// hits and misses identically on an enumerated root and on one assembled
+// from its parts the way the artifact loader does.
 func TestTriangleIndexLookup(t *testing.T) {
-	g := completeGraph(5)
-	ti := NewTriangleIndex(g)
-	for i, tr := range ti.Tris {
-		id, ok := ti.ID(tr)
-		if !ok || id != int32(i) {
-			t.Errorf("ID(%v) = %d,%v, want %d,true", tr, id, ok, i)
+	rng := rand.New(rand.NewSource(59))
+	graphs := []*Graph{completeGraph(5), NewBuilder(0).Build()}
+	for i := 0; i < 4; i++ {
+		graphs = append(graphs, randomGraph(rng, 30, 0.3))
+	}
+	for gi, g := range graphs {
+		for _, w := range []int{1, 2, 8} {
+			pool := par.NewPool(w)
+			ti := NewTriangleIndex(g, pool)
+			pool.Close()
+			if want := comparatorOrder(ti.Tris); !slices.Equal(ti.ByTri(), want) {
+				t.Fatalf("graph %d workers=%d: byTri %v, comparator sort %v", gi, w, ti.ByTri(), want)
+			}
+			loaded := IndexFromParts(ti.Tris, ti.Comps, comparatorOrder(ti.Tris))
+			for i, tr := range ti.Tris {
+				for _, idx := range []*TriangleIndex{ti, loaded} {
+					if id, ok := idx.ID(tr); !ok || id != int32(i) {
+						t.Fatalf("graph %d workers=%d: ID(%v) = %d,%v, want %d,true", gi, w, tr, id, ok, i)
+					}
+				}
+			}
+			n := int32(g.NumVertices())
+			for _, miss := range []Triangle{{0, 1, n + 5}, {-1, 0, 1}, {n, n + 1, n + 2}} {
+				for _, idx := range []*TriangleIndex{ti, loaded} {
+					if _, ok := idx.ID(miss); ok {
+						t.Fatalf("graph %d workers=%d: ID reported non-existent triangle %v", gi, w, miss)
+					}
+				}
+			}
+			for i := 0; i < 50 && n >= 3; i++ {
+				tr := MakeTriangle(rng.Int31n(n), rng.Int31n(n), rng.Int31n(n))
+				id1, ok1 := ti.ID(tr)
+				id2, ok2 := loaded.ID(tr)
+				want := g.HasEdge(tr.A, tr.B) && g.HasEdge(tr.A, tr.C) && g.HasEdge(tr.B, tr.C)
+				if ok1 != want || ok2 != want || id1 != id2 {
+					t.Fatalf("graph %d workers=%d: ID(%v) = (%d,%v) enumerated, (%d,%v) loaded, want found=%v",
+						gi, w, tr, id1, ok1, id2, ok2, want)
+				}
+			}
 		}
 	}
-	if _, ok := ti.ID(Triangle{0, 1, 99}); ok {
-		t.Error("ID reported a non-existent triangle")
+}
+
+// comparatorOrder is the reference lexicographic id order: the triangle ids
+// sorted by Triangle.Compare.
+func comparatorOrder(tris []Triangle) []int32 {
+	ids := make([]int32, len(tris))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	slices.SortFunc(ids, func(a, b int32) int { return tris[a].Compare(tris[b]) })
+	return ids
+}
+
+// cliquesOf reads every 4-clique of the indexed graph from the completion
+// lists, once each (at its triangle whose completion is the largest
+// vertex), as sorted 4-tuples in lexicographic order.
+func cliquesOf(ti *TriangleIndex) [][4]int32 {
+	var out [][4]int32
+	for i, tr := range ti.Tris {
+		for _, z := range ti.Comps[i] {
+			if z > tr.C {
+				out = append(out, [4]int32{tr.A, tr.B, tr.C, z})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b [4]int32) int { return slices.Compare(a[:], b[:]) })
+	return out
 }
 
 func TestFourCliquesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 30; iter++ {
 		g := randomGraph(rng, 10, 0.5)
-		ti := NewTriangleIndex(g)
+		ti := NewTriangleIndex(g, par.NewPool(1))
 		want := bruteFourCliques(g)
-		got := ti.FourCliques()
+		got := cliquesOf(ti)
 		if len(got) != len(want) {
 			t.Fatalf("iter %d: %d cliques, want %d", iter, len(got), len(want))
 		}

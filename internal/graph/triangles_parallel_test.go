@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"probnucleus/internal/par"
@@ -11,10 +12,11 @@ import (
 var diffWorkerCounts = []int{1, 2, 8}
 
 // newTriangleIndexTwoPass is the pre-fusion builder — per-vertex triangle
-// slices merged serially, and CSR completion lists laid out by a counting
-// pass plus a fill pass that re-runs each intersection. It is kept as the
-// differential oracle for the fused NewTriangleIndexPool: both must produce
-// byte-identical indices on every graph and worker count.
+// slices merged serially, CSR completion lists laid out by a counting pass
+// plus a fill pass that re-runs each intersection, and the lookup order by
+// comparator sort. It is kept as the differential oracle for the fused
+// NewTriangleIndex: both must produce byte-identical indices on every graph
+// and worker count.
 func newTriangleIndexTwoPass(g *Graph, pool *par.Pool) *TriangleIndex {
 	n := g.NumVertices()
 	fwd := g.forwardAdjacency(pool)
@@ -29,15 +31,9 @@ func newTriangleIndexTwoPass(g *Graph, pool *par.Pool) *TriangleIndex {
 	for _, s := range perVertex {
 		total += len(s)
 	}
-	ti := &TriangleIndex{
-		Tris: make([]Triangle, 0, total),
-		ids:  make(map[Triangle]int32, total),
-	}
+	ti := &TriangleIndex{Tris: make([]Triangle, 0, total)}
 	for _, s := range perVertex {
-		for _, t := range s {
-			ti.ids[t] = int32(len(ti.Tris))
-			ti.Tris = append(ti.Tris, t)
-		}
+		ti.Tris = append(ti.Tris, s...)
 	}
 	ti.Comps = make([][]int32, len(ti.Tris))
 	counts := make([]int, len(ti.Tris)+1)
@@ -54,7 +50,15 @@ func newTriangleIndexTwoPass(g *Graph, pool *par.Pool) *TriangleIndex {
 		dst := flat[counts[i]:counts[i]:counts[i+1]]
 		ti.Comps[i] = Intersect3SortedInto(dst, g.Neighbors(t.A), g.Neighbors(t.B), g.Neighbors(t.C))
 	})
+	ti.byTri = comparatorOrder(ti.Tris)
 	return ti
+}
+
+// newTriangleIndexWorkers builds g's index on a fresh pool of w workers.
+func newTriangleIndexWorkers(g *Graph, w int) *TriangleIndex {
+	pool := par.NewPool(w)
+	defer pool.Close()
+	return NewTriangleIndex(g, pool)
 }
 
 // intersect3SortedLen returns the size of the three-way intersection without
@@ -110,9 +114,9 @@ func TestTriangleIndexParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 8; iter++ {
 		g := randomTestGraph(rng, 40, 0.25)
-		want := NewTriangleIndex(g)
+		want := newTriangleIndexWorkers(g, 1)
 		for _, w := range diffWorkerCounts {
-			got := NewTriangleIndexParallel(g, w)
+			got := newTriangleIndexWorkers(g, w)
 			if !reflect.DeepEqual(got.Tris, want.Tris) {
 				t.Fatalf("iter %d workers=%d: triangle order differs", iter, w)
 			}
@@ -137,9 +141,9 @@ func TestTriangleIndexParallelEmptyAndTiny(t *testing.T) {
 	path := FromEdges(3, []Edge{{0, 1}, {1, 2}})
 	k4 := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	for _, g := range []*Graph{empty, path, k4} {
-		want := NewTriangleIndex(g)
+		want := newTriangleIndexWorkers(g, 1)
 		for _, w := range diffWorkerCounts {
-			got := NewTriangleIndexParallel(g, w)
+			got := newTriangleIndexWorkers(g, w)
 			if got.Len() != want.Len() {
 				t.Fatalf("workers=%d: %d triangles, want %d", w, got.Len(), want.Len())
 			}
@@ -169,13 +173,16 @@ func TestTriangleIndexFusedMatchesTwoPass(t *testing.T) {
 		for _, w := range diffWorkerCounts {
 			pool := par.NewPool(w)
 			want := newTriangleIndexTwoPass(g, pool)
-			got := NewTriangleIndexPool(g, pool)
+			got := NewTriangleIndex(g, pool)
 			pool.Close()
 			if !reflect.DeepEqual(got.Tris, want.Tris) {
 				t.Fatalf("graph %d workers=%d: fused triangle order differs", gi, w)
 			}
 			if !reflect.DeepEqual(got.Comps, want.Comps) {
 				t.Fatalf("graph %d workers=%d: fused completion lists differ", gi, w)
+			}
+			if !slices.Equal(got.byTri, want.byTri) {
+				t.Fatalf("graph %d workers=%d: fused lookup order differs", gi, w)
 			}
 			for i, tri := range want.Tris {
 				id, ok := got.ID(tri)
@@ -199,7 +206,7 @@ func TestTriangleIndexFusedAllocsBelowTwoPass(t *testing.T) {
 	g := randomTestGraph(rng, 80, 0.2)
 	pool := par.NewPool(2)
 	defer pool.Close()
-	fused := testing.AllocsPerRun(5, func() { NewTriangleIndexPool(g, pool) })
+	fused := testing.AllocsPerRun(5, func() { NewTriangleIndex(g, pool) })
 	twoPass := testing.AllocsPerRun(5, func() { newTriangleIndexTwoPass(g, pool) })
 	if fused >= twoPass {
 		t.Fatalf("fused builder allocates %.0f times, two-pass %.0f; fusion must allocate less",
@@ -208,23 +215,24 @@ func TestTriangleIndexFusedAllocsBelowTwoPass(t *testing.T) {
 	t.Logf("allocs per build: fused %.0f, two-pass %.0f", fused, twoPass)
 }
 
-// TestFourCliquesParallelMatchesSerial: clique enumeration is identical for
-// every worker count.
+// TestFourCliquesParallelMatchesSerial: the 4-cliques read from the
+// completion lists are identical for indexes built with every worker count,
+// and number CliqueCount.
 func TestFourCliquesParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 6; iter++ {
 		g := randomTestGraph(rng, 30, 0.35)
-		ti := NewTriangleIndex(g)
-		want := ti.FourCliques()
+		ti := newTriangleIndexWorkers(g, 1)
+		want := cliquesOf(ti)
 		for _, w := range diffWorkerCounts {
-			got := ti.FourCliquesParallel(w)
+			got := cliquesOf(newTriangleIndexWorkers(g, w))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d workers=%d: 4-clique lists differ (%d vs %d)",
 					iter, w, len(got), len(want))
 			}
 		}
 		if len(want) != ti.CliqueCount() {
-			t.Fatalf("iter %d: FourCliques len %d != CliqueCount %d",
+			t.Fatalf("iter %d: %d cliques != CliqueCount %d",
 				iter, len(want), ti.CliqueCount())
 		}
 	}

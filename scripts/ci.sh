@@ -69,16 +69,19 @@ echo "==> go vet + go test (perfbench module)"
 
 # The g-NuDecomp lane scan spreads a window's 64-world blocks over the pool
 # and sums per-worker counts, so its lane-vs-reference differential (1, 2
-# and 8 workers) and the worker-count and window differentials of the whole
-# global kernel get a repeated -race pass of their own.
-echo "==> go test -race global lane scan (lane differential, worker and window differentials)"
-go test -race -count=2 -run 'TestScanLanesMatchesReference' ./internal/decomp
+# and 8 workers), the differential of the union tables cut from the root
+# incidence against the view-and-lookup construction, and the worker-count
+# and window differentials of the whole global kernel get a repeated -race
+# pass of their own.
+echo "==> go test -race global lane scan and union (lane and union differentials, worker and window differentials)"
+go test -race -count=2 -run 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
 go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
 
 # The w-NuDecomp kernel cuts each candidate's peel seed from the shared root
 # incidence and scores 64-world blocks on per-worker scorers from shard-held
-# scratch, so the seed's differential against the view-based construction and
-# the weak kernel's worker-count and window differentials get the same
+# scratch, so the seed's differential against the reference that restricts
+# the root index to the candidate and resolves cliques by triangle-id lookup,
+# and the weak kernel's worker-count and window differentials get the same
 # repeated -race pass.
 echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
 go test -race -count=2 -run 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
