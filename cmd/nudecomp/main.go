@@ -273,7 +273,7 @@ func printStats(snap pn.EngineSnapshot) {
 		fmt.Printf("  artifacts: %d loaded, %s, mean %.1fms\n",
 			snap.ArtifactLoads, fmtBytes(snap.ArtifactLoadedBytes), snap.ArtifactLoadLatency.MeanMs)
 	}
-	fmt.Printf("  peeling: %d rounds\n", snap.PeelRounds)
+	fmt.Printf("  peeling: %d sub-rounds, %d triangles re-scored\n", snap.PeelRounds, snap.Rescored)
 	fmt.Printf("  pool: %d rounds, %d items, %.1fms busy\n", snap.PoolRounds, snap.PoolItems, snap.PoolTimeMs)
 }
 

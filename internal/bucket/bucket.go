@@ -107,6 +107,50 @@ func (q *Queue) Pop() (id int32, key int, ok bool) {
 	return 0, 0, false
 }
 
+// PopAtMost pops live items whose key is at most maxKey, in Pop's order,
+// and appends them to dst: all of them when limit < 1, otherwise at most
+// limit. A level-synchronous peel pops a whole level at once with it; with
+// limit 1 it pops exactly the item Pop would.
+func (q *Queue) PopAtMost(maxKey, limit int, dst []int32) []int32 {
+	popped := 0
+	for q.remain > 0 && q.cur <= maxKey && q.cur < len(q.buckets) && (limit < 1 || popped < limit) {
+		b := q.buckets[q.cur]
+		if len(b) == 0 {
+			q.cur++
+			continue
+		}
+		id := b[len(b)-1]
+		q.buckets[q.cur] = b[:len(b)-1]
+		if q.key[id] != int32(q.cur) {
+			continue // stale entry
+		}
+		q.key[id] = -1
+		q.remain--
+		dst = append(dst, id)
+		popped++
+	}
+	return dst
+}
+
+// MinKey returns the smallest key of a live item, or -1 when the queue is
+// empty. It discards the stale entries it passes on the way.
+func (q *Queue) MinKey() int {
+	if q.remain == 0 {
+		return -1
+	}
+	for ; q.cur < len(q.buckets); q.cur++ {
+		b := q.buckets[q.cur]
+		for len(b) > 0 && q.key[b[len(b)-1]] != int32(q.cur) {
+			b = b[:len(b)-1]
+		}
+		q.buckets[q.cur] = b
+		if len(b) > 0 {
+			return q.cur
+		}
+	}
+	return -1
+}
+
 func (q *Queue) grow(key int) {
 	for key >= len(q.buckets) {
 		q.buckets = append(q.buckets, nil)

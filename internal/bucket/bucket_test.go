@@ -183,3 +183,72 @@ func TestResetReuses(t *testing.T) {
 		t.Errorf("Reset round allocates %v, want 0", allocs)
 	}
 }
+
+// TestPopAtMostMatchesPop drives two queues through the same peeling
+// pattern — keys lowered toward the floor, sometimes twice to the same
+// value so stale duplicates pile up — popping one with Pop and the other
+// with MinKey and PopAtMost. With limit 1 PopAtMost must pop exactly the
+// items Pop pops, in order; with no limit it must pop exactly the live
+// items whose key is at most the bound, each once, in Pop's order.
+func TestPopAtMostMatchesPop(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for iter := 0; iter < 40; iter++ {
+		n := 1 + rng.Intn(60)
+		a, b := New(n, 20), New(n, 20)
+		key := make([]int, n)
+		for i := range key {
+			key[i] = rng.Intn(20)
+			a.Push(int32(i), key[i])
+			b.Push(int32(i), key[i])
+		}
+		lower := func(floor int) {
+			for j := 0; j < 4; j++ {
+				v := int32(rng.Intn(n))
+				if a.Key(v) > floor {
+					nk := floor + rng.Intn(a.Key(v)-floor+1)
+					a.Update(v, nk)
+					b.Update(v, nk)
+					if rng.Intn(3) == 0 { // away and back: a stale duplicate
+						a.Update(v, nk+1)
+						b.Update(v, nk+1)
+						a.Update(v, nk)
+						b.Update(v, nk)
+					}
+				}
+			}
+		}
+		limit := iter % 2 // 1: one at a time; 0: whole levels
+		floor := 0
+		var batch []int32
+		for b.Len() > 0 {
+			batch = b.PopAtMost(floor, limit, batch[:0])
+			if len(batch) == 0 {
+				if min := b.MinKey(); min <= floor {
+					t.Fatalf("iter %d: MinKey %d at floor %d after PopAtMost found nothing", iter, min, floor)
+				} else {
+					floor = min
+				}
+				continue
+			}
+			if limit == 1 && len(batch) != 1 {
+				t.Fatalf("iter %d: limit 1 popped %d", iter, len(batch))
+			}
+			for _, id := range batch {
+				wid, wk, ok := a.Pop()
+				if !ok || wid != id || wk > floor {
+					t.Fatalf("iter %d: PopAtMost(%d) popped %d, Pop popped %d at key %d", iter, floor, id, wid, wk)
+				}
+				if b.Key(id) != -1 {
+					t.Fatalf("iter %d: popped item %d still has key %d", iter, id, b.Key(id))
+				}
+			}
+			if limit == 0 && b.Len() > 0 && b.MinKey() <= floor {
+				t.Fatalf("iter %d: a live key at most %d survived PopAtMost", iter, floor)
+			}
+			lower(floor)
+		}
+		if a.Len() != 0 || b.MinKey() != -1 {
+			t.Fatalf("iter %d: queues not drained together", iter)
+		}
+	}
+}

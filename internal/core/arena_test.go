@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -303,12 +304,14 @@ func BenchmarkClosure(b *testing.B) {
 }
 
 // TestLocalScratchReuse: a shard's local-peel scratch carries nothing from
-// one peel into the next. Two clients share two engine shards and peel
-// graphs of different sizes, each query twice in a row, at thresholds and
-// modes that change from one query to the next, so each shard's scratch
-// grows, is reused by the same peel, by smaller graphs and by other
-// thresholds, and is dropped by the Prepare and Weak requests in between;
-// every answer must equal a fresh one-shot serial run.
+// one peel into the next. One shard first peels every query back to back,
+// graphs of different sizes and DP and AP interleaved. Then two clients
+// share two engine shards and peel graphs of different sizes, each query
+// twice in a row, at thresholds and modes that change from one query to
+// the next, so each shard's scratch grows, is reused by the same peel, by
+// smaller graphs and by other thresholds, and is dropped by the Prepare and
+// Weak requests in between; every answer must equal a fresh one-shot
+// serial run.
 func TestLocalScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pgs := []*probgraph.Graph{
@@ -336,6 +339,25 @@ func TestLocalScratchReuse(t *testing.T) {
 		want[i] = res.Nucleusness
 	}
 	ctx := context.Background()
+	// One shard first, with nothing in between that drops its scratch: the
+	// batch stamps, round counter, pair buffers and grouped slots one peel
+	// leaves behind — on a larger or smaller graph, in the other mode — are
+	// what the next peel starts from.
+	solo := NewEngine(1, 2)
+	defer solo.Close()
+	for r := 0; r < 2; r++ {
+		for i := range queries {
+			j := (i*5 + r) % len(queries) // mixes graphs and modes
+			q := queries[j]
+			res, err := solo.Local(ctx, pgs[q.g], LocalRequest{Theta: q.theta, Mode: q.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Nucleusness, want[j]) {
+				t.Errorf("one shard: graph %d, θ=%v, mode %v, round %d: nucleusness differs from a fresh run", q.g, q.theta, q.mode, r)
+			}
+		}
+	}
 	eng := NewEngine(2, 2)
 	defer eng.Close()
 	pres := make([]*Prepared, len(pgs))
@@ -432,6 +454,13 @@ func TestShardDropsLocalScratch(t *testing.T) {
 		defer func() { eng.free <- s }()
 		return cap(s.local.psFlat) > 0
 	}
+	// dropped reports that none of the scratch survives, the batch
+	// removal's stamps, pair buffers and grouped slots included.
+	dropped := func() bool {
+		s := <-eng.free
+		defer func() { eng.free <- s }()
+		return reflect.ValueOf(&s.local).Elem().IsZero()
+	}
 	pre, err := eng.Prepare(ctx, pg)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +488,7 @@ func TestShardDropsLocalScratch(t *testing.T) {
 		if err := other.run(); err != nil {
 			t.Fatal(err)
 		}
-		if held() {
+		if held() || !dropped() {
 			t.Errorf("the shard still holds local scratch after a %s request", other.name)
 		}
 	}

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sync/atomic"
 
 	"probnucleus/internal/bucket"
@@ -45,17 +44,20 @@ type Options struct {
 	// approximation method answered (AP instrumentation for the paper's
 	// accuracy discussion).
 	MethodCounts map[pbd.Method]int
-	// Workers bounds the worker pool used for triangle enumeration and
-	// support-tail scoring: 0 (the default) means runtime.GOMAXPROCS, 1 runs
-	// fully serial. Results are byte-identical for every value — parallel
-	// stages only ever write per-triangle slots and all queue mutations are
-	// applied in a fixed order.
+	// Workers bounds the worker pool used for triangle enumeration, the
+	// initial scoring and each peeling sub-round's clique kill and
+	// re-scoring: 0 (the default) means runtime.GOMAXPROCS, 1 runs fully
+	// serial. Results are byte-identical for every value — parallel stages
+	// only ever write per-triangle (or per-part) state, the affected
+	// triangles come out of a removal in an order that does not depend on
+	// the worker count, and all queue mutations are applied serially in
+	// that order.
 	Workers int
 }
 
-// rescoreParallelCutoff is the minimum number of affected triangles for
-// which a peeling step fans its re-scoring out to the worker pool; below it
-// the pool overhead outweighs the scoring work.
+// rescoreParallelCutoff is the minimum number of triangles a peeling
+// sub-round re-scores for which it fans their deconvolution and re-scoring
+// out to the worker pool; below it the pool overhead outweighs the work.
 const rescoreParallelCutoff = 16
 
 // scoreScratch is the per-worker reusable state of the scoring hot path: a
@@ -84,10 +86,13 @@ type localScratch struct {
 	scr     []scoreScratch
 	initK   []int
 	initM   []pbd.Method
-	stamp   []int32
-	todo    []int32
-	nks     []int
-	nms     []pbd.Method
+	// The peel's batches: the triangles popped for one sub-round, the
+	// removal's stamps, pair buffers and grouped slots, and the affected
+	// triangles' new scores and methods.
+	batchIDs []int32
+	batch    decomp.BatchRemoval
+	nks      []int
+	nms      []pbd.Method
 }
 
 // resize returns s with length n, reusing its backing array when it is large
@@ -133,13 +138,16 @@ func (r *LocalResult) incidence() *decomp.TriIncidence { return r.prepared().inc
 
 // LocalDecompose runs Algorithm 1 (ℓ-NuDecomp) on pg with threshold θ.
 //
+// The peel is level-synchronous: each sub-round removes every triangle at
+// the current level at once (DP mode; AP removes one triangle per
+// sub-round) and re-scores each triangle that lost cliques once.
 // Support queries are answered from one incrementally-maintained
-// Poisson-binomial distribution per triangle (pbd.Dist): when a peeling step
-// kills a 4-clique, its Bernoulli factor is deconvolved out of each affected
-// triangle's pmf in O(k) instead of reconvolving all surviving cliques in
-// O(c·k), and the Dist's stability guard rebuilds from scratch whenever that
-// could change an answer — so the output is byte-identical to the
-// from-scratch scorer.
+// Poisson-binomial distribution per triangle (pbd.Dist): when a sub-round
+// kills 4-cliques, their Bernoulli factors are deconvolved out of each
+// affected triangle's pmf in O(k) each instead of reconvolving all
+// surviving cliques in O(c·k), and the Dist's stability guard rebuilds from
+// scratch whenever that could change an answer — so the output is
+// byte-identical to the from-scratch scorer.
 //
 // The call is a thin wrapper over a one-shot one-shard Engine, so the
 // package-level path and the served path run the identical kernel.
@@ -171,7 +179,9 @@ func localRequest(theta float64, o Options) LocalRequest {
 // reusing the run's local working memory when it has some. The artifact is
 // only read, so concurrent calls sharing one Prepared are safe.
 // Cancellation of the pool's bound context is observed between pool chunks
-// and at every peeling step, returning ctx.Err().
+// and once per peeling sub-round, returning ctx.Err(); a DP sub-round
+// removes a whole level, so a cancelled call may finish the level's
+// removal and re-scoring first.
 func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	theta, mode, hyper := req.Theta, req.Mode, req.Hyper
 	if hyper == (pbd.Hyper{}) {
@@ -249,15 +259,67 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 		}
 	}
 
+	// apply is the second half of a batch removal, run for the i-th
+	// triangle that lost cliques (RemoveBatch has already killed them in
+	// the clique adjacency): it deconvolves their factors out of the
+	// triangle's distribution and, once peeling (scoring) has begun,
+	// re-scores it — once, however many cliques it lost — into nks/nms,
+	// clamped to floor. It touches only that triangle's state and its
+	// worker's scratch, so the affected triangles are applied in parallel.
+	// One closure serves the whole call: a func literal handed to the pool
+	// escapes, so building it per sub-round would allocate once per
+	// sub-round.
+	rb := &sx.batch
+	rb.Reset(n)
+	var q *bucket.Queue
+	scoring, floor := false, 0
+	nks, nms := sx.nks, sx.nms
+	apply := func(w, i int) {
+		o := rb.Tri(i)
+		for _, slot := range rb.Slots(i) {
+			dists[o].RemoveFactor(int(slot))
+		}
+		if scoring {
+			nk, m := score(o, &scr[w])
+			nks[i], nms[i] = max(nk, floor), m
+		}
+	}
+	// Once peeling has begun, a triangle whose key is already at most
+	// floor is left out of a removal's result: it will be popped at floor,
+	// and its distribution is never read again.
+	rb.Keep = func(o int32) bool { return !scoring || q.Key(o) > floor }
+	// remove kills every 4-clique of the batch's triangles and applies the
+	// loss to each live triangle that shared one.
+	remove := func(batch []int32) error {
+		ca.RemoveBatch(pool, batch, rb)
+		if err := pool.Err(); err != nil {
+			return err
+		}
+		m := rb.Len()
+		nks, nms = resize(nks, m), resize(nms, m)
+		if workers > 1 && m >= rescoreParallelCutoff {
+			pool.ForWorker(m, apply)
+		} else {
+			for i := 0; i < m; i++ {
+				apply(0, i)
+			}
+		}
+		return pool.Err()
+	}
+
 	// Phase 0: triangles with Pr(△) < θ can belong to no nucleus (even
 	// k = 0 requires the triangle itself to exist with probability ≥ θ).
-	// Remove them up front; their cliques disappear for everyone else.
-	drop := func(o int32, slot int) { dists[o].RemoveFactor(slot) }
+	// Remove them up front, as one batch; their cliques disappear for
+	// everyone else.
+	batch := sx.batchIDs[:0]
 	for t := int32(0); int(t) < n; t++ {
 		if triProb[t] < theta {
 			nu[t] = -1
-			ca.RemoveTriangle(t, drop)
+			batch = append(batch, t)
 		}
+	}
+	if err := remove(batch); err != nil {
+		return nil, err
 	}
 
 	// Phase 1: initial κ scores for the surviving triangles, evaluated in
@@ -276,7 +338,7 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	if err := pool.Err(); err != nil {
 		return nil, err
 	}
-	q := &sx.q
+	q = &sx.q
 	q.Reset(n, maxAliveCount(ca))
 	for t := int32(0); int(t) < n; t++ {
 		if nu[t] == -1 {
@@ -286,77 +348,52 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 		q.Push(t, initK[t])
 	}
 
-	// Phase 2: peel (Algorithm 1). Pop a minimum-κ triangle, fix its
-	// nucleusness, and re-score the live triangles that shared a 4-clique
-	// with it. The affected set is deduplicated with a stamp array and
-	// processed in sorted id order — and its scores may be computed by the
-	// worker pool, since all clique removals happen before any re-score — so
-	// queue updates land in a deterministic order for every worker count.
-	floor := 0
-	sx.stamp = resizeCleared(sx.stamp, n)
-	stamp := sx.stamp // last peel round that queued the triangle
-	round := int32(0)
-	todo, nks, nms := sx.todo, sx.nks, sx.nms
-	// One re-score closure for the whole peel: a func literal handed to the
-	// pool escapes, so building it per round would allocate once per
-	// parallel round and make allocations depend on the worker count.
-	rescore := func(w, i int) { nks[i], nms[i] = score(todo[i], &scr[w]) }
+	// Phase 2: peel (Algorithm 1), level-synchronously. Each sub-round pops
+	// every triangle whose key is at most floor, fixes their nucleusness at
+	// floor, removes them as one batch and re-scores the live triangles
+	// that shared a 4-clique with any of them, once each; when no key is at
+	// most floor, floor rises to the minimum key. In DP mode κ is a function
+	// of the live clique set alone and can only fall as cliques die, so the
+	// result does not depend on the order within a level (the generalized
+	// cores of Batagelj and Zaveršnik) and a level is one batch. The AP
+	// closed-form tails are not monotone under removal, so AP peels the
+	// same loop with batches of one triangle, in the queue's pop order, and
+	// the affected triangles of a batch of one come out of the removal in
+	// ascending id order. Queue updates are applied in the removal's order,
+	// which does not depend on the worker count, so neither does the queue.
+	limit := 0 // the whole level
+	if mode == ModeAP {
+		limit = 1
+	}
+	scoring = true
 	for q.Len() > 0 {
-		// One cancellation check per peeling step: cheap next to the
-		// re-scoring it gates, and it bounds a cancelled call's overrun by a
-		// single step.
+		// One cancellation check per sub-round, besides the pool's own
+		// between chunks.
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
-		t, k, _ := q.Pop()
-		if k > floor {
-			floor = k
+		batch = q.PopAtMost(floor, limit, batch[:0])
+		if len(batch) == 0 {
+			floor = q.MinKey()
+			continue
 		}
-		nu[t] = floor
-		round++
-		todo = todo[:0]
-		ca.RemoveTriangle(t, func(o int32, slot int) {
-			if q.Key(o) <= floor {
-				// Keys never rise and floor never falls, so o can never be
-				// re-scored again; skipping the deconvolution is safe and its
-				// distribution is simply never read after this point.
-				return
-			}
-			dists[o].RemoveFactor(slot)
-			if stamp[o] != round {
-				stamp[o] = round
-				todo = append(todo, o)
-			}
-		})
-		slices.Sort(todo)
-		if cap(nks) < len(todo) {
-			nks = make([]int, len(todo))
-			nms = make([]pbd.Method, len(todo))
+		for _, t := range batch {
+			nu[t] = floor
 		}
-		nks = nks[:len(todo)]
-		nms = nms[:len(todo)]
-		if workers > 1 && len(todo) >= rescoreParallelCutoff {
-			pool.ForWorker(len(todo), rescore)
-		} else {
-			for i, o := range todo {
-				nks[i], nms[i] = score(o, &scr[0])
-			}
+		if err := remove(batch); err != nil {
+			return nil, err
 		}
-		for i, o := range todo {
+		for i := 0; i < rb.Len(); i++ {
 			tally(nms[i])
-			nk := nks[i]
-			if nk < floor {
-				nk = floor
-			}
-			if nk < q.Key(o) {
-				q.Update(o, nk)
+			if o := rb.Tri(i); nks[i] < q.Key(o) {
+				q.Update(o, nks[i])
 			}
 		}
 		if r.obs != nil {
-			r.obs.PeelRound(len(todo))
+			r.obs.PeelRound(rb.Len())
 		}
 	}
-	sx.todo, sx.nks, sx.nms = todo, nks, nms
+	sx.batchIDs, sx.nks, sx.nms = batch, nks, nms
 	res := &LocalResult{PG: pg, TI: ti, Theta: theta, Nucleusness: nu}
 	res.pre.Store(r.pre)
 	return res, nil

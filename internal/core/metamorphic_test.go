@@ -101,3 +101,52 @@ func TestRelabelingPreservesNucleusness(t *testing.T) {
 		t.Fatalf("only %d triangles compared", checked)
 	}
 }
+
+// TestNucleusnessMonotoneInThetaDatasets is a metamorphic check: an
+// ℓ-(k,θ')-nucleus is an ℓ-(k,θ)-nucleus for every θ < θ', so in DP mode
+// no triangle's ν may rise as θ rises. TestNucleusnessMonotoneInTheta
+// checks four thresholds on small random graphs; this one sweeps 21 on the
+// paper's fixtures and three datasets, on one worker (ν does not depend on
+// the worker count; the batch differential checks that). The
+// level-synchronous peel's exactness rests on the same monotonicity — κ
+// can only fall as cliques die — so a kernel that broke it would show here
+// as well as in the differential against the sequential peel.
+func TestNucleusnessMonotoneInThetaDatasets(t *testing.T) {
+	if raceEnabled {
+		// 126 one-worker peels give the race detector nothing to check;
+		// under it they add about 23 s to the package.
+		t.Skip("sequential θ sweep; run without -race")
+	}
+	thetas := []float64{0.001, 0.01}
+	for i := 1; i <= 18; i++ {
+		thetas = append(thetas, float64(i)*0.05)
+	}
+	thetas = append(thetas, 1)
+	inputs := []struct {
+		name string
+		pg   *probgraph.Graph
+	}{
+		{"fig1", fixtures.Fig1()},
+		{"k5", fixtures.Fig3cK5()},
+		{"fig2a", fixtures.Fig2aNucleus()},
+		{"krogan@0.04", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))},
+		{"flickr@0.02", dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.02)))},
+		{"dblp@0.04", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.04)))},
+	}
+	for _, in := range inputs {
+		var prev []int
+		for _, theta := range thetas {
+			res, err := LocalDecompose(in.pg, theta, Options{Mode: ModeDP, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, nu := range res.Nucleusness {
+				if prev != nil && nu > prev[id] {
+					t.Errorf("%s: ν of %v rises to %d at θ=%v, from %d below it",
+						in.name, res.TI.Tris[id], nu, theta, prev[id])
+				}
+			}
+			prev = res.Nucleusness
+		}
+	}
+}

@@ -277,3 +277,249 @@ func (ca *CliqueAdj) RemoveTriangle(t int32, onUpdate func(other int32, slot int
 		}
 	}
 }
+
+// batchParallelCutoff is the minimum number of batch triangles for which
+// RemoveBatch kills their cliques on the worker pool; below it the pool
+// overhead outweighs the work.
+const batchParallelCutoff = 16
+
+// BatchRemoval is the working memory of CliqueAdj.RemoveBatch and, after a
+// call, its result: the live triangles outside the batch that lost
+// 4-cliques and that Keep selects (Len, Tri), each with the slots of the
+// cliques it lost (Slots). Its buffers grow to the largest removal it has
+// served and are reused by the next. Reset it for the triangle count of
+// the adjacency before the first RemoveBatch of a decomposition.
+type BatchRemoval struct {
+	// Keep, when set, selects the affected triangles a removal reports:
+	// the others lose their cliques all the same but are left out of the
+	// result. It is called on the calling goroutine only.
+	Keep func(t int32) bool
+	// stamp[t] == round marks t as a member of the batch being removed.
+	stamp []int32
+	round int32
+	// pairs[p] holds the sibling<<32 | slot pairs emitted for part p of
+	// the batch, the first parts of them in use. A buffer per part, not per
+	// worker, so what each must hold depends on the batch alone: a repeated
+	// decomposition finds every buffer already large enough.
+	pairs [][]uint64
+	parts int
+	// cnt[t] counts and then places t's pairs while grouping; it is zero
+	// between removals. skipped lists the triangles Keep left out.
+	cnt     []int32
+	tris    []int32
+	off     []int32
+	slots   []int32
+	skipped []int32
+	// The callbacks of the kill and of a one-triangle removal and their
+	// arguments, built once per BatchRemoval so that a removal allocates
+	// nothing.
+	ca     *CliqueAdj
+	batch  []int32
+	killFn func(w, p int)
+	emitFn func(o int32, slot int)
+}
+
+// Reset prepares b for a decomposition over n triangles: no stale batch
+// stamp or pair count of an earlier one survives it.
+func (b *BatchRemoval) Reset(n int) {
+	b.stamp = resizeCleared32(b.stamp, n)
+	b.cnt = resizeCleared32(b.cnt, n)
+	b.round = 0
+	b.tris = b.tris[:0]
+}
+
+// Len returns the number of affected triangles of the last removal.
+func (b *BatchRemoval) Len() int { return len(b.tris) }
+
+// Tri returns the i-th affected triangle of the last removal.
+func (b *BatchRemoval) Tri(i int) int32 { return b.tris[i] }
+
+// Slots returns the completion slots of Tri(i) whose cliques the last
+// removal killed.
+func (b *BatchRemoval) Slots(i int) []int32 { return b.slots[b.off[i]:b.off[i+1]] }
+
+// RemoveBatch marks every triangle of batch dead and kills every 4-clique
+// that contains one of them in all four of its triangles, as RemoveTriangle
+// on each would, and leaves in b the live triangles outside the batch that
+// lost cliques and that b.Keep selects, with their slots, for the caller to
+// update whatever it keeps per slot. Batch members must be distinct and
+// alive.
+//
+// The kill runs in parallel over contiguous parts of the batch, each
+// writing only its batch triangles' state and its own pair buffer: each
+// batch triangle clears its own slots, and a killed clique is owned by its
+// lowest-id batch triangle, which alone emits a (triangle, slot) pair for
+// each of the clique's siblings outside the batch. A counting scatter then
+// kills each pair's slot and groups the kept pairs by triangle. The affected
+// triangles come in the order the pairs first name them, and each one's
+// slots in the order of its pairs: the batch's order, then each batch
+// triangle's completion order. That order depends on batch's order but
+// not on the worker count, since the parts are contiguous runs of the
+// batch, scattered in turn. A batch of one triangle is removed by
+// RemoveTriangle, its affected triangles ascending. A pool cancelled
+// mid-removal leaves a partial removal; the caller must discard the
+// decomposition.
+func (ca *CliqueAdj) RemoveBatch(pool *par.Pool, batch []int32, b *BatchRemoval) {
+	if b.killFn == nil {
+		b.killFn = func(_, p int) {
+			lo, hi := p*len(b.batch)/b.parts, (p+1)*len(b.batch)/b.parts
+			out := b.pairs[p]
+			for _, t := range b.batch[lo:hi] {
+				out = b.ca.killOwned(t, b, out)
+			}
+			b.pairs[p] = out
+		}
+		b.emitFn = func(o int32, slot int) {
+			if b.Keep == nil || b.Keep(o) {
+				b.pairs[0] = append(b.pairs[0], uint64(o)<<32|uint64(slot))
+			}
+		}
+	}
+	if len(batch) == 1 {
+		ca.removeOne(batch[0], b)
+		return
+	}
+	b.round++
+	for _, t := range batch {
+		b.stamp[t] = b.round
+	}
+	b.ca, b.batch = ca, batch
+	workers := pool.Workers()
+	b.parts = 1
+	if workers > 1 && len(batch) >= batchParallelCutoff {
+		// Several parts per worker balance the uneven per-triangle work.
+		b.parts = min(len(batch), 8*workers)
+	}
+	for len(b.pairs) < b.parts {
+		b.pairs = append(b.pairs, nil)
+	}
+	for p := range b.pairs[:b.parts] {
+		b.pairs[p] = b.pairs[p][:0]
+	}
+	if b.parts > 1 {
+		pool.ForWorker(b.parts, b.killFn)
+	} else {
+		b.killFn(0, 0)
+	}
+	ca.group(b)
+	b.ca, b.batch = nil, nil
+}
+
+// removeOne removes a batch of the one triangle t, as every batch of an AP
+// peel is. t shares at most one clique with any other triangle, so each
+// affected triangle loses one slot: RemoveTriangle kills the cliques in all
+// four triangles at once, and sorting the kept pairs it reports lists
+// their triangles ascending.
+func (ca *CliqueAdj) removeOne(t int32, b *BatchRemoval) {
+	if len(b.pairs) == 0 {
+		b.pairs = append(b.pairs, nil)
+	}
+	b.pairs[0] = b.pairs[0][:0]
+	ca.RemoveTriangle(t, b.emitFn)
+	ps := b.pairs[0]
+	slices.Sort(ps)
+	tris, off, slots := b.tris[:0], b.off[:0], b.slots[:0]
+	for i, p := range ps {
+		tris = append(tris, int32(p>>32))
+		off = append(off, int32(i))
+		slots = append(slots, int32(uint32(p)))
+	}
+	b.tris, b.off, b.slots = tris, append(off, int32(len(ps))), slots
+}
+
+// killOwned marks batch triangle t dead, clears its live slots, and
+// appends to out a sibling<<32 | slot pair for every sibling outside the
+// batch of each killed clique t owns: a clique is owned by its lowest-id
+// batch triangle, so each batch triangle of a clique walks it but only one
+// reports it. It writes no other triangle's state — the affected
+// triangles' slots die when the pairs are grouped — so the batch is killed
+// in parallel. A live clique's four triangles are all alive (a dead
+// triangle's cliques died with it), so every sibling outside the batch is
+// live.
+func (ca *CliqueAdj) killOwned(t int32, b *BatchRemoval, out []uint64) []uint64 {
+	ca.Dead[t] = true
+	tri := ca.TI.Tris[t]
+	missing := [3]int32{tri.C, tri.B, tri.A}
+	sib := ca.inc.siblings(t)
+	base := ca.off[t]
+	for i, z := range ca.TI.Comps[t] {
+		if !ca.alive[base+i] {
+			continue
+		}
+		ca.alive[base+i] = false
+		os := sib.next(z)
+		if os[0] < t && b.stamp[os[0]] == b.round ||
+			os[1] < t && b.stamp[os[1]] == b.round ||
+			os[2] < t && b.stamp[os[2]] == b.round {
+			continue // a lower-id batch triangle owns the clique
+		}
+		for j, o := range os {
+			if b.stamp[o] == b.round {
+				continue
+			}
+			slot, _ := slices.BinarySearch(ca.TI.Comps[o], missing[j])
+			out = append(out, uint64(o)<<32|uint64(slot))
+		}
+	}
+	ca.AliveCount[t] = 0
+	return out
+}
+
+// group lists the distinct triangles of the emitted pairs that Keep
+// selects, in the order the pairs first name them, scatters each of their
+// pairs' slots into the triangle's range of slots (a counting sort by
+// triangle over the pairs), kills every pair's slot, and leaves cnt
+// zeroed. Its cost follows the pairs, not the triangle count.
+func (ca *CliqueAdj) group(b *BatchRemoval) {
+	// cnt[o] counts a kept triangle's pairs and is -1 for one Keep left out.
+	tris, skipped := b.tris[:0], b.skipped[:0]
+	for _, ps := range b.pairs[:b.parts] {
+		for _, p := range ps {
+			o := int32(p >> 32)
+			switch c := b.cnt[o]; {
+			case c > 0:
+				b.cnt[o]++
+			case c < 0:
+			case b.Keep == nil || b.Keep(o):
+				tris = append(tris, o)
+				b.cnt[o] = 1
+			default:
+				skipped = append(skipped, o)
+				b.cnt[o] = -1
+			}
+		}
+	}
+	if cap(b.off) < len(tris)+1 {
+		b.off = make([]int32, len(tris)+1)
+	}
+	b.off = b.off[:len(tris)+1]
+	total := int32(0)
+	for i, o := range tris {
+		b.off[i] = total
+		total += b.cnt[o]
+		b.cnt[o] = b.off[i] // now o's fill cursor
+	}
+	b.off[len(tris)] = total
+	if cap(b.slots) < int(total) {
+		b.slots = make([]int32, total)
+	}
+	b.slots = b.slots[:total]
+	for _, ps := range b.pairs[:b.parts] {
+		for _, p := range ps {
+			o, s := int32(p>>32), int32(uint32(p))
+			ca.alive[ca.off[o]+int(s)] = false
+			ca.AliveCount[o]--
+			if c := b.cnt[o]; c >= 0 {
+				b.slots[c] = s
+				b.cnt[o] = c + 1
+			}
+		}
+	}
+	for _, o := range tris {
+		b.cnt[o] = 0
+	}
+	for _, o := range skipped {
+		b.cnt[o] = 0
+	}
+	b.tris, b.skipped = tris, skipped
+}

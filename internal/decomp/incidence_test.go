@@ -11,6 +11,7 @@ import (
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/dataset"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/par"
 	"probnucleus/internal/uf"
 )
 
@@ -189,6 +190,101 @@ func TestRemoveTriangleMatchesReference(t *testing.T) {
 		}
 		if c.ti.Len() == 0 {
 			t.Errorf("%s: empty index, differential is vacuous", c.name)
+		}
+	}
+}
+
+// TestRemoveBatchMatchesRemoveTriangle: removing triangles a batch at a
+// time — batches of random size, batches of one among them, over a random
+// order, with one BatchRemoval per adjacency reused throughout — kills
+// exactly the cliques RemoveTriangle on each batch member in turn kills,
+// leaving the same supports and liveness behind, and reports every live
+// triangle outside the batch that lost cliques once, with exactly the
+// slots those removals report for it; a batch of one reports them
+// ascending. Half the batches set a Keep filter: the triangles it leaves
+// out lose the same cliques but are not reported. Pools of 1, 2 and 8 workers, removing the same batches in
+// lockstep, report the same triangles and slots in the same order.
+func TestRemoveBatchMatchesRemoveTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	workers := []int{1, 2, 8}
+	pools := make([]*par.Pool, len(workers))
+	for i, w := range workers {
+		pools[i] = par.NewPool(w)
+		defer pools[i].Close()
+	}
+	bs := make([]BatchRemoval, len(workers))
+	for _, c := range peelCases(t) {
+		n := c.ti.Len()
+		ref := NewCliqueAdjFromIndex(c.ti, c.inc)
+		cas := make([]*CliqueAdj, len(workers))
+		for i := range cas {
+			cas[i] = NewCliqueAdjFromIndex(c.ti, c.inc)
+			bs[i].Reset(n)
+		}
+		order := rng.Perm(n)
+		for len(order) > 0 {
+			size := 1
+			if rng.Intn(3) > 0 {
+				size = 1 + rng.Intn(min(len(order), 1+n/4))
+			}
+			batch := make([]int32, size)
+			in := make(map[int32]bool, size)
+			for i, t := range order[:size] {
+				batch[i] = int32(t)
+				in[int32(t)] = true
+			}
+			order = order[size:]
+			var keep func(int32) bool
+			if rng.Intn(2) == 0 {
+				left := int32(rng.Intn(3))
+				keep = func(o int32) bool { return o%3 != left }
+			}
+			for i := range bs {
+				bs[i].Keep = keep
+			}
+			want := map[int32][]int32{}
+			for _, t := range batch {
+				ref.RemoveTriangle(t, func(o int32, slot int) {
+					if !in[o] && (keep == nil || keep(o)) {
+						want[o] = append(want[o], int32(slot))
+					}
+				})
+			}
+			for i, ca := range cas {
+				b := &bs[i]
+				ca.RemoveBatch(pools[i], batch, b)
+				if b.Len() != len(want) {
+					t.Fatalf("%s workers=%d: batch of %d affected %d triangles, RemoveTriangle %d", c.name, workers[i], size, b.Len(), len(want))
+				}
+				seen := make(map[int32]bool, b.Len())
+				for k := 0; k < b.Len(); k++ {
+					o := b.Tri(k)
+					if seen[o] {
+						t.Fatalf("%s workers=%d: triangle %d reported twice", c.name, workers[i], o)
+					}
+					seen[o] = true
+					if size == 1 && k > 0 && o <= b.Tri(k-1) {
+						t.Fatalf("%s workers=%d: affected triangles of a batch of one not ascending", c.name, workers[i])
+					}
+					got := slices.Clone(b.Slots(k))
+					slices.Sort(got)
+					w := want[o]
+					slices.Sort(w)
+					if !slices.Equal(got, w) {
+						t.Fatalf("%s workers=%d: triangle %d lost slots %v, RemoveTriangle %v", c.name, workers[i], o, b.Slots(k), w)
+					}
+					if i > 0 && (o != bs[0].Tri(k) || !slices.Equal(b.Slots(k), bs[0].Slots(k))) {
+						t.Fatalf("%s workers=%d: affected triangle %d is %d with slots %v, at 1 worker %d with %v",
+							c.name, workers[i], k, o, b.Slots(k), bs[0].Tri(k), bs[0].Slots(k))
+					}
+				}
+				if !slices.Equal(ca.AliveCount, ref.AliveCount) || !slices.Equal(ca.Dead, ref.Dead) {
+					t.Fatalf("%s workers=%d: supports or dead flags differ from RemoveTriangle's", c.name, workers[i])
+				}
+				if !slices.Equal(ca.alive, ref.alive) {
+					t.Fatalf("%s workers=%d: clique liveness differs from RemoveTriangle's", c.name, workers[i])
+				}
+			}
 		}
 	}
 }

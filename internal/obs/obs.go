@@ -95,7 +95,7 @@ func (r Reject) String() string {
 // RequestRejected (no shard: overload bound hit, engine closed, or context
 // expired while waiting), and after a started request runs,
 // RequestFinished. Kernel progress events — WorldBatch for each shared
-// Monte-Carlo bank draw, PeelRound per peeling step, Candidate per
+// Monte-Carlo bank draw, PeelRound per peeling sub-round, Candidate per
 // validated global/weak candidate, PoolRound per worker-pool parallel
 // round — arrive between Started and Finished of the request that caused
 // them.
@@ -126,8 +126,9 @@ type Observer interface {
 	// WorldBatch: one shared Monte-Carlo world bank of `worlds` possible
 	// worlds × `words` mask words each was drawn.
 	WorldBatch(worlds, words int)
-	// PeelRound: one peeling step of the local decomposition fixed a
-	// triangle's nucleusness and re-scored `affected` neighbours.
+	// PeelRound: one sub-round of the level-synchronous local peel fixed
+	// the nucleusness of a batch of triangles and re-scored `affected`
+	// triangles that shared cliques with them.
 	PeelRound(affected int)
 	// Candidate: the global/weak pipeline validated one candidate of `tris`
 	// triangles against the shared world stream.

@@ -8,10 +8,12 @@
 # pools at 1/2/8 workers, so `go test -race` drives every concurrent path,
 # including the g-NuDecomp lane scan, whose 64-world blocks merge per-worker
 # counts; dedicated -race passes then re-run that scan's differentials, the
-# serving Engine's concurrent stress and cancellation tests for extra
-# scheduling variation, and the fault-tolerance chaos suite (deterministic
-# injected panics/delays/cancels, shard quarantine/rebuild, goroutine-leak
-# gate).
+# level-synchronous local peel's batch differential and scratch tests (its
+# sub-rounds kill cliques into per-part buffers and re-score triangles in
+# parallel), the serving Engine's concurrent stress and cancellation tests
+# for extra scheduling variation, and the fault-tolerance chaos suite
+# (deterministic injected panics/delays/cancels, shard quarantine/rebuild,
+# goroutine-leak gate).
 #
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — closure
@@ -86,6 +88,19 @@ go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindow
 echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
 go test -race -count=2 -run 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
 go test -race -count=2 -run 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
+
+# The ℓ-NuDecomp peel is level-synchronous: each sub-round kills the
+# cliques of a whole level in parallel, every batch triangle writing its own
+# slots and its part's pair buffer, and then deconvolves and re-scores the
+# affected triangles in parallel, each writing only its own state. So the
+# differential against the sequential peel (1, 2 and 8 workers, DP and AP),
+# the batch removal's differential against RemoveTriangle, and the tests
+# that one shard's scratch — batch stamps, pair buffers, grouped slots —
+# carries nothing from one peel into the next and allocates no more with
+# more workers get a repeated -race pass of their own.
+echo "==> go test -race level-synchronous local peel (batch differential, scratch reuse, allocation gates)"
+go test -race -count=2 -run 'TestBatchPeelMatchesSequential|TestLocalScratchReuse|TestLocalWarmPeelAllocatesLittle|TestLocalAllocsWorkerIndependent|TestShardDropsLocalScratch' ./internal/core
+go test -race -count=2 -run 'TestRemoveBatchMatchesRemoveTriangle' ./internal/decomp
 
 # The serving engine's concurrency contract gets extra scheduling variation
 # beyond the one -race pass above: repeated runs of the stress test (N
