@@ -177,7 +177,8 @@ func localDPRow(name string, theta, ns, allocs float64) gatedRow {
 
 // fig4LocalDPRows, like globalRows and weakRows, carry the baselines
 // measured at commit 5affd80 (-benchtime 2x), immediately before the
-// memory-shaped validation kernels.
+// memory-shaped validation kernels — except the allocsPerOp of globalRows
+// and engineContendedRows, which are today's counts (see globalRows).
 var fig4LocalDPRows = []gatedRow{
 	localDPRow("krogan", 0.1, 18152633, 1468),
 	localDPRow("krogan", 0.4, 15937006, 1437),
@@ -272,10 +273,15 @@ func nucleiShape(name string, k int, nuclei nucleiFunc) func(testing.TB) func() 
 	}
 }
 
+// globalRows and engineContendedRows gate allocations at the counts
+// TestBenchmarkAllocs measures on the word-parallel world scan (the same
+// within 0.1% at GOMAXPROCS 1, 2 and 8), so one extra allocation per
+// 64-world lane block of the scan fails them; their nsPerOp keep the older
+// baselines.
 var globalRows = []gatedRow{
-	{name: "krogan", shape: nucleiShape("krogan", 1, pn.GlobalNuclei), nsPerOp: 158785179, allocsPerOp: 12001},
-	{name: "dblp", shape: nucleiShape("dblp", 1, pn.GlobalNuclei), nsPerOp: 1315506262, allocsPerOp: 40669},
-	{name: "flickr", shape: nucleiShape("flickr", 1, pn.GlobalNuclei), nsPerOp: 28174649844, allocsPerOp: 179534},
+	{name: "krogan", shape: nucleiShape("krogan", 1, pn.GlobalNuclei), nsPerOp: 158785179, allocsPerOp: 2423},
+	{name: "dblp", shape: nucleiShape("dblp", 1, pn.GlobalNuclei), nsPerOp: 1315506262, allocsPerOp: 7968},
+	{name: "flickr", shape: nucleiShape("flickr", 1, pn.GlobalNuclei), nsPerOp: 28174649844, allocsPerOp: 36413},
 }
 
 var weakRows = []gatedRow{
@@ -467,15 +473,15 @@ func BenchmarkColdStart(b *testing.B) {
 // request crosses admission, queueing, and the kernel hook sites. The
 // observer=metrics row must stay within a few percent of observer=nil —
 // the nil-observer fast path is a single branch, and EngineMetrics is
-// atomics-only. Both rows carry baselines from commit c274ddd, before the
-// fault-tolerance layer: disabled fault injection returns the inner
+// atomics-only. Both rows carry ns/op baselines from commit c274ddd, before
+// the fault-tolerance layer: disabled fault injection returns the inner
 // observer unchanged, so it must keep the contended path within noise of
-// them.
+// them. Their allocs/op are today's counts, as for globalRows.
 func BenchmarkEngineContended(b *testing.B) { benchGated(b, engineContendedRows) }
 
 var engineContendedRows = []gatedRow{
-	{name: "observer=nil", shape: contendedShape(false), parallel: true, nsPerOp: 170169506, allocsPerOp: 12003},
-	{name: "observer=metrics", shape: contendedShape(true), parallel: true, nsPerOp: 170780706, allocsPerOp: 12000},
+	{name: "observer=nil", shape: contendedShape(false), parallel: true, nsPerOp: 170169506, allocsPerOp: 2416},
+	{name: "observer=metrics", shape: contendedShape(true), parallel: true, nsPerOp: 170780706, allocsPerOp: 2416},
 }
 
 // contendedShape is one global request on a two-shard engine, observed by
@@ -641,17 +647,6 @@ func BenchmarkParallelLocalAP(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := pn.LocalDecompose(g, 0.3, pn.Options{Mode: pn.ModeAP, Workers: workers}); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkParallelWorlds(b *testing.B) {
-	g := benchGraph("dblp", 0.15)
-	benchWorkersPair(b, func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			if ws := pn.SampleWorlds(g, 256, workers, 42); len(ws) != 256 {
-				b.Fatal("short sample")
 			}
 		}
 	})

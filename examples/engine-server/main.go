@@ -17,10 +17,10 @@
 // LRU of local results, so repeated queries against a registered graph skip
 // enumeration entirely and hot (θ, mode) pairs skip peeling too. /graphs
 // lists and creates graphs (409 on a duplicate name, 413 on an edge-list
-// body over 64 MiB), /graphs/{name} reads or deletes one (404 when
-// unknown), and /graphs/{name}/local and /graphs/{name}/nuclei are the
-// per-graph query routes. The startup dataset is registered under its own
-// name.
+// body over 64 MiB or with vertex ids too sparse for its edge count),
+// /graphs/{name} reads or deletes one (404 when unknown), and
+// /graphs/{name}/local and /graphs/{name}/nuclei are the per-graph query
+// routes. The startup dataset is registered under its own name.
 //
 // -artifacts makes the registry durable: every registered graph's prepared
 // artifact is persisted into the directory (versioned binary format, see the
@@ -206,7 +206,8 @@ var graphName = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // graphs, POST registers a new one — from a named simulated dataset
 // (?dataset=krogan&scale=0.04) or from a `u v p` edge list in the request
 // body of at most maxBody bytes — answering 409 when the name is taken and
-// 413 when the body is too large.
+// 413 when the body is too large or names vertex ids too sparse for its
+// edge count (pn.ErrInputTooLarge).
 func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -245,6 +246,10 @@ func (s *server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				http.Error(w, fmt.Sprintf("edge-list body exceeds %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
+				return
+			}
+			if errors.Is(err, pn.ErrInputTooLarge) {
+				http.Error(w, fmt.Sprintf("edge-list body: %v", err), http.StatusRequestEntityTooLarge)
 				return
 			}
 			http.Error(w, fmt.Sprintf("edge-list body: %v (or pass ?dataset=)", err), http.StatusBadRequest)

@@ -508,8 +508,9 @@ func TestArtifactDirWarmStart(t *testing.T) {
 	}
 }
 
-// TestCreateGraphBodyLimit: an edge-list body over the server's bound is
-// refused with 413 and registers nothing; a body within it registers.
+// TestCreateGraphBodyLimit: an edge-list body over the server's bound, or
+// one whose vertex ids are too sparse for its edge count, is refused with
+// 413 and registers nothing; a body within both bounds registers.
 func TestCreateGraphBodyLimit(t *testing.T) {
 	s := newTestServer(t, 1, -1)
 	s.maxBody = 64
@@ -520,6 +521,13 @@ func TestCreateGraphBodyLimit(t *testing.T) {
 	}
 	if _, err := s.reg.Get("big"); err == nil {
 		t.Fatal("oversized body was registered")
+	}
+	w = do(t, h, "POST", "/graphs?name=sparse", "0 2147483646 0.5\n")
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "input too large") {
+		t.Fatalf("sparse vertex ids: %d %q, want 413", w.Code, w.Body.String())
+	}
+	if _, err := s.reg.Get("sparse"); err == nil {
+		t.Fatal("sparse-id body was registered")
 	}
 	w = do(t, h, "POST", "/graphs?name=small", "0 1 0.9\n1 2 0.8\n0 2 0.7\n")
 	if w.Code != http.StatusCreated {

@@ -113,7 +113,7 @@ func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalE
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
 	}
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
-	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), 16, 1)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), 16, 0, 16, 1)
 	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), 16, 0.001)
 	if est.words != words {
 		t.Fatalf("estimator words %d != bank words %d", est.words, words)
@@ -255,7 +255,7 @@ func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	defer pool.Close()
 	union := unionEdges(cands)
 	const n = 100 // two blocks, the second partial
-	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 1)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), n, 0, n, 1)
 	var lanes mc.Lanes
 	lanes.Transpose(masks, n, words)
 	inc := local.incidence()

@@ -279,8 +279,8 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := LocalDecompose(fig, 1.5, Options{Workers: 1}); !errors.Is(err, ErrTheta) {
 		t.Errorf("LocalDecompose theta=1.5: %v, want ErrTheta", err)
 	}
-	if _, _, err := InitialKappa(fig, -0.2, Options{Workers: 1}); !errors.Is(err, ErrTheta) {
-		t.Errorf("InitialKappa theta=-0.2: %v, want ErrTheta", err)
+	if _, _, err := initialKappa(fig, -0.2, Options{Workers: 1}); !errors.Is(err, ErrTheta) {
+		t.Errorf("initialKappa theta=-0.2: %v, want ErrTheta", err)
 	}
 	if _, err := GlobalNuclei(fig, -3, 0.3, MCOptions{Workers: 1}); !errors.Is(err, ErrNegativeK) {
 		t.Errorf("GlobalNuclei k=-3: %v, want ErrNegativeK", err)

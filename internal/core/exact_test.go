@@ -111,7 +111,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			// Full bank: every candidate scanned against the whole bank in one
 			// window, unpruned; the per-triangle estimates are read back.
 			full := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
-			masks, _ := bank.WorldMasks(pool, upg, n, s)
+			masks, _ := bank.WorldMasksWindow(pool, upg, n, 0, n, s)
 			full.setWindow(masks, n)
 			fullP := make([][]float64, len(closures))
 			for c, closure := range closures {
@@ -171,9 +171,9 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 // blocks, each candidate's peel seed is rebound per window and its
 // per-triangle losses accumulated block by block, and a
 // candidate triangle's estimate is its share of worlds without a loss — 0
-// outside the candidate's level-k core. full, when set, draws the whole bank
-// in one WorldMasks call instead of windows.
-func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k, n, window int, full bool, seed int64) [][]float64 {
+// outside the candidate's level-k core. window = n draws the whole bank in
+// one call.
+func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k, n, window int, seed int64) [][]float64 {
 	union := unionEdges(cands)
 	upg := local.PG.SubgraphOfEdges(union)
 	inc := local.incidence()
@@ -182,20 +182,11 @@ func weakEstimates(pool *par.Pool, local *LocalResult, cands []decomp.Nucleus, k
 	var ps decomp.WorldPeelSeed
 	var scorer decomp.WorldMembershipScorer
 	var lanes mc.Lanes
-	if full {
-		window = n
-	}
 	totals := make([][]int32, len(cands))
 	out := make([][]float64, len(cands))
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
-		var masks []uint64
-		var words int
-		if full {
-			masks, words = bank.WorldMasks(pool, upg, n, seed)
-		} else {
-			masks, words = bank.WorldMasksWindow(pool, upg, n, lo, hi, seed)
-		}
+		masks, words := bank.WorldMasksWindow(pool, upg, n, lo, hi, seed)
 		lanes.Transpose(masks, hi-lo, words)
 		for c, cand := range cands {
 			ps.Seed(local.TI, inc, cand.TriIDs, laneOf, k)
@@ -275,8 +266,8 @@ func TestWeakEstimatorExactConformance(t *testing.T) {
 			fails[c] = make([]int, len(cand.Triangles))
 		}
 		for s := int64(1); s <= seeds; s++ {
-			fullP := weakEstimates(pool, local, cands, in.k, n, 0, true, s)
-			winP := weakEstimates(pool, local, cands, in.k, n, window, false, s)
+			fullP := weakEstimates(pool, local, cands, in.k, n, n, s)
+			winP := weakEstimates(pool, local, cands, in.k, n, window, s)
 			for c := range cands {
 				for j, want := range exactTail[c] {
 					p := fullP[c][j]

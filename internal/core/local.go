@@ -18,7 +18,6 @@ import (
 	"probnucleus/internal/bucket"
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
-	"probnucleus/internal/par"
 	"probnucleus/internal/pbd"
 	"probnucleus/internal/probgraph"
 )
@@ -472,42 +471,6 @@ func (r *LocalResult) MaxNucleusness() int {
 // level-k clique is resolved once through the incidence the peel walked.
 func (r *LocalResult) NucleiForK(k int) []decomp.Nucleus {
 	return decomp.KNuclei(r.TI, r.incidence(), r.Nucleusness, k)
-}
-
-// InitialKappa computes, without any peeling, the initial κ score of every
-// triangle: max{k : Pr(X_{G,△,ℓ} ≥ k) ≥ θ} over the whole graph (Sec. 5.1).
-// This is the quantity the exact enumeration oracle can validate directly.
-func InitialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.TriangleIndex, []int, error) {
-	if !(theta > 0 && theta <= 1) {
-		return nil, nil, errTheta(theta)
-	}
-	if opts.Hyper == (pbd.Hyper{}) {
-		opts.Hyper = pbd.DefaultHyper
-	}
-	pool := par.NewPool(opts.Workers)
-	defer pool.Close()
-	workers := pool.Workers()
-	ti := graph.NewTriangleIndex(pg.G, pool)
-	kappa := make([]int, ti.Len())
-	methods := make([]pbd.Method, ti.Len())
-	scr := make([]scoreScratch, workers)
-	pool.ForWorker(ti.Len(), func(w, t int) {
-		sc := &scr[w]
-		pTri, probs := cliqueFactors(pg, ti.Tris[t], ti.Comps[t], sc.probs[:0])
-		sc.probs = probs
-		thr := theta / pTri
-		if opts.Mode == ModeAP {
-			kappa[t], methods[t] = pbd.ApproxMaxKScratch(probs, thr, opts.Hyper, &sc.dp)
-		} else {
-			kappa[t], methods[t] = pbd.MaxKScratch(probs, thr, &sc.dp), pbd.MethodDP
-		}
-	})
-	if opts.MethodCounts != nil && opts.Mode == ModeAP {
-		for _, m := range methods {
-			opts.MethodCounts[m]++
-		}
-	}
-	return ti, kappa, nil
 }
 
 // NucleusnessOf returns ν(△) for a canonical triangle, or -1 when the

@@ -9,6 +9,7 @@ import (
 	"probnucleus/internal/exact"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
+	"probnucleus/internal/par"
 	"probnucleus/internal/pbd"
 	"probnucleus/internal/probgraph"
 )
@@ -129,7 +130,7 @@ func TestInitialKappaAgainstOracle(t *testing.T) {
 			continue
 		}
 		theta := 0.05 + 0.5*rng.Float64()
-		ti, kappa, err := InitialKappa(pg, theta, Options{Mode: ModeDP})
+		ti, kappa, err := initialKappa(pg, theta, Options{Mode: ModeDP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,4 +345,35 @@ func randomDetGraph(rng *rand.Rand, n int, density float64) *graph.Graph {
 		}
 	}
 	return b.Build()
+}
+
+// initialKappa computes, without any peeling, the initial κ score of every
+// triangle: max{k : Pr(X_{G,△,ℓ} ≥ k) ≥ θ} over the whole graph (Sec. 5.1).
+// This is the quantity the exact enumeration oracle can validate directly;
+// it is a standalone reference for the peel's own initial scoring loop.
+func initialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.TriangleIndex, []int, error) {
+	if !(theta > 0 && theta <= 1) {
+		return nil, nil, errTheta(theta)
+	}
+	if opts.Hyper == (pbd.Hyper{}) {
+		opts.Hyper = pbd.DefaultHyper
+	}
+	pool := par.NewPool(opts.Workers)
+	defer pool.Close()
+	workers := pool.Workers()
+	ti := graph.NewTriangleIndex(pg.G, pool)
+	kappa := make([]int, ti.Len())
+	scr := make([]scoreScratch, workers)
+	pool.ForWorker(ti.Len(), func(w, t int) {
+		sc := &scr[w]
+		pTri, probs := cliqueFactors(pg, ti.Tris[t], ti.Comps[t], sc.probs[:0])
+		sc.probs = probs
+		thr := theta / pTri
+		if opts.Mode == ModeAP {
+			kappa[t], _ = pbd.ApproxMaxKScratch(probs, thr, opts.Hyper, &sc.dp)
+		} else {
+			kappa[t] = pbd.MaxKScratch(probs, thr, &sc.dp)
+		}
+	})
+	return ti, kappa, nil
 }

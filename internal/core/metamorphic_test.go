@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"probnucleus/internal/dataset"
@@ -147,6 +148,99 @@ func TestNucleusnessMonotoneInThetaDatasets(t *testing.T) {
 				}
 			}
 			prev = res.Nucleusness
+		}
+	}
+}
+
+// TestNucleiMonotoneInTheta is a metamorphic check of g- and w-NuDecomp.
+// Sampled outputs are not monotone in θ in general — the candidates, their
+// edge union and so the worlds all follow the local decomposition at θ —
+// but with one Local (computed at θ₀), one sample count and one seed, every
+// θ ≥ θ₀ sees the same candidates and the same worlds, and θ only decides
+// which estimates pass. Raising θ may then only shrink both outputs: every
+// g-nucleus at the higher θ is one at the lower θ (so the union of their
+// triangle sets shrinks), and the weak output's triangle set shrinks. Weak
+// nuclei can split as triangles drop out, so the weak side compares
+// triangle sets, not nucleus sets.
+func TestNucleiMonotoneInTheta(t *testing.T) {
+	type input struct {
+		name   string
+		pg     *probgraph.Graph
+		theta0 float64
+	}
+	inputs := []input{
+		{"fig1", fixtures.Fig1(), 0.01},
+		{"k5", fixtures.Fig3cK5(), 0.01},
+		{"fig2a", fixtures.Fig2aNucleus(), 0.01},
+	}
+	if !raceEnabled {
+		// One-worker kernels give the race detector nothing to check.
+		inputs = append(inputs,
+			input{"krogan@0.04", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))), 0.001},
+			input{"dblp@0.04", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.04))), 0.001})
+	}
+	thetas := []float64{0.05, 0.2, 0.4, 0.7, 1}
+	triSet := func(nuclei []ProbNucleus) map[graph.Triangle]bool {
+		set := make(map[graph.Triangle]bool)
+		for _, nuc := range nuclei {
+			for _, tri := range nuc.Triangles {
+				set[tri] = true
+			}
+		}
+		return set
+	}
+	for _, in := range inputs {
+		local, err := LocalDecompose(in.pg, in.theta0, Options{Mode: ModeDP, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			opts := MCOptions{Samples: 100, Seed: 3, Local: local, Workers: 1}
+			var prevG []ProbNucleus
+			var prevGTris, prevWTris map[graph.Triangle]bool
+			shrank := false
+			for i, theta := range append([]float64{in.theta0}, thetas...) {
+				g, err := GlobalNuclei(in.pg, k, theta, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := WeaklyGlobalNuclei(in.pg, k, theta, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gTris, wTris := triSet(g), triSet(w)
+				if i == 0 {
+					t.Logf("%s k=%d θ₀=%v: %d g-nuclei over %d triangles, %d weak triangles",
+						in.name, k, theta, len(g), len(gTris), len(wTris))
+					if k == 1 && (len(gTris) == 0 || len(wTris) == 0) {
+						t.Fatalf("%s k=1 θ₀=%v: empty output, nothing to compare", in.name, theta)
+					}
+				} else {
+					shrank = shrank || len(gTris) < len(prevGTris) || len(wTris) < len(prevWTris)
+					for _, nuc := range g {
+						if !slices.ContainsFunc(prevG, func(p ProbNucleus) bool {
+							return slices.Equal(p.Triangles, nuc.Triangles)
+						}) {
+							t.Errorf("%s k=%d θ=%v: g-nucleus on %v is not a g-nucleus below θ",
+								in.name, k, theta, nuc.Vertices)
+						}
+					}
+					for tri := range gTris {
+						if !prevGTris[tri] {
+							t.Errorf("%s k=%d θ=%v: g-nucleus triangle %v is in none below θ", in.name, k, theta, tri)
+						}
+					}
+					for tri := range wTris {
+						if !prevWTris[tri] {
+							t.Errorf("%s k=%d θ=%v: weak triangle %v is not weak below θ", in.name, k, theta, tri)
+						}
+					}
+				}
+				prevG, prevGTris, prevWTris = g, gTris, wTris
+			}
+			if k == 1 && !shrank {
+				t.Errorf("%s k=1: no output shrank from θ₀ to θ=1; the sweep checks nothing", in.name)
+			}
 		}
 	}
 }

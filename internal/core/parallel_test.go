@@ -66,12 +66,12 @@ func TestLocalDecomposeDifferential(t *testing.T) {
 func TestInitialKappaDifferential(t *testing.T) {
 	for name, pg := range diffGraphs() {
 		for _, mode := range []Mode{ModeDP, ModeAP} {
-			_, base, err := InitialKappa(pg, 0.2, Options{Mode: mode, Workers: 1})
+			_, base, err := initialKappa(pg, 0.2, Options{Mode: mode, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range diffWorkerCounts[1:] {
-				_, got, err := InitialKappa(pg, 0.2, Options{Mode: mode, Workers: w})
+				_, got, err := initialKappa(pg, 0.2, Options{Mode: mode, Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -39,9 +40,9 @@ func weakPerCandidateEstimates(t *testing.T, local *LocalResult, cand decomp.Nuc
 	t.Helper()
 	h := local.PG.SubgraphOfEdges(cand.Edges)
 	counts := make(map[graph.Triangle]int, len(cand.Triangles))
-	s := mc.NewSampler(h, seed)
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < statSamples; i++ {
-		member := exact.WorldNucleusMembership(s.Next(), k)
+		member := exact.WorldNucleusMembership(h.SampleWorld(rng), k)
 		for _, tri := range cand.Triangles {
 			if member[tri] {
 				counts[tri]++
@@ -63,7 +64,7 @@ func weakSharedWorldEstimates(t *testing.T, local *LocalResult, cands []decomp.N
 	pool := par.NewPool(1)
 	defer pool.Close()
 	union := unionEdges(cands)
-	masks, words := mc.WorldMasksPool(pool, local.PG.SubgraphOfEdges(union), statSamples, seed)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, local.PG.SubgraphOfEdges(union), statSamples, 0, statSamples, seed)
 	var ps decomp.WorldPeelSeed
 	ps.Seed(local.TI, local.incidence(), cand.TriIDs, decomp.LaneIndex(nil, local.PG.G, union), k)
 	losses := make([]int32, ps.Len())
@@ -149,9 +150,9 @@ func TestGlobalSharedWorldEstimatorUnbiased(t *testing.T) {
 
 		h := pg.SubgraphOfEdges(edges)
 		counts := make([]int, len(tris))
-		s := mc.NewSampler(h, seed)
+		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < statSamples; i++ {
-			world := s.Next()
+			world := h.SampleWorld(rng)
 			if !exact.IsGlobalNucleusWorld(world, verts, k) {
 				continue
 			}

@@ -206,7 +206,7 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	defer pool.Close()
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	const n = 64
-	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 7)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), n, 0, n, 7)
 	worlds := make([]*graph.Graph, n)
 	for i := range worlds {
 		var es []graph.Edge

@@ -140,7 +140,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 	}
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	const n = 4
-	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 5)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), n, 0, n, 5)
 	worlds := make([]*graph.Graph, n)
 	for i := range worlds {
 		var es []graph.Edge

@@ -1,24 +1,28 @@
 // Package mc holds the Monte-Carlo sampling machinery for the global and
 // weakly-global decompositions: the Hoeffding sample-size bound (Lemma 4 of
-// the paper) and batched possible-world sampling with deterministic seeds.
+// the paper), the possible-world mask bank every kernel draws its worlds
+// from (Bank.WorldMasksWindow), and the lane-major transpose the kernels
+// scan (Lanes).
 //
 // # Determinism contract
 //
-// The parallel samplers partition the world index range [0, n) into fixed
-// chunks of WorldChunk consecutive worlds. Chunk c is drawn from its own
-// PRNG seeded DeriveSeed(root, c) — a SplitMix64 mix of the root seed and
-// the chunk index. The chunk layout depends only on n, never on the worker
-// count, so world i has identical content whether it is drawn by 1 worker or
-// 64. Workers claim chunks dynamically; any per-world reduction that is
-// insensitive to processing order (per-slot writes, integer counting) is
-// therefore reproducible from the root seed alone.
+// An n-world bank partitions the world index range [0, n) into fixed chunks
+// of WorldChunk consecutive worlds. Chunk c is drawn from its own PRNG
+// seeded DeriveSeed(root, c) — a SplitMix64 mix of the root seed and the
+// chunk index — with one Float64 per edge of the graph's canonical edge
+// list, world after world, the same stream probgraph.Graph.SampleWorld
+// consumes. The chunk layout depends only on n, so world i's mask is a
+// function of (root, i) alone: never of the worker count, of which worker
+// claims the chunk, or of the windows [0, n) is streamed through. Workers
+// claim chunks dynamically; any per-world reduction that is insensitive to
+// processing order (per-slot writes, integer counting) is therefore
+// reproducible from the root seed alone.
 package mc
 
 import (
 	"math"
 	"math/rand"
 
-	"probnucleus/internal/graph"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
@@ -31,41 +35,6 @@ func SampleSize(eps, delta float64) int {
 		panic("mc: eps and delta must lie in (0,1]")
 	}
 	return int(math.Ceil(math.Log(2/delta) / (2 * eps * eps)))
-}
-
-// Sampler draws possible worlds of a probabilistic graph reproducibly.
-type Sampler struct {
-	pg  *probgraph.Graph
-	rng *rand.Rand
-}
-
-// NewSampler creates a sampler over pg seeded with seed.
-func NewSampler(pg *probgraph.Graph, seed int64) *Sampler {
-	return &Sampler{pg: pg, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next draws the next possible world.
-func (s *Sampler) Next() *graph.Graph { return s.pg.SampleWorld(s.rng) }
-
-// Worlds draws n possible worlds.
-func (s *Sampler) Worlds(n int) []*graph.Graph {
-	out := make([]*graph.Graph, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
-}
-
-// EstimateMean runs f over n sampled worlds and returns the mean of its
-// [0,1]-bounded return values. With n from SampleSize(ε,δ), the result is
-// an (ε,δ)-approximation of E[f].
-func EstimateMean(pg *probgraph.Graph, n int, seed int64, f func(*graph.Graph) float64) float64 {
-	s := NewSampler(pg, seed)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += f(s.Next())
-	}
-	return sum / float64(n)
 }
 
 // WorldChunk is the number of consecutive worlds drawn from one derived
@@ -83,86 +52,27 @@ func DeriveSeed(root int64, chunk int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// ParallelWorlds draws n possible worlds of pg over a worker pool
-// (workers < 1 means all available parallelism). World i is the
-// (i mod WorldChunk)-th draw of the PRNG seeded DeriveSeed(seed, i/WorldChunk),
-// so the returned slice is byte-identical for every worker count, including
-// the serial workers = 1 run.
-func ParallelWorlds(pg *probgraph.Graph, n, workers int, seed int64) []*graph.Graph {
-	out := make([]*graph.Graph, n)
-	ForEachWorld(pg, n, workers, seed, func(_, i int, w *graph.Graph) {
-		out[i] = w
-	})
-	return out
-}
-
-// ForEachWorld samples the same n worlds as ParallelWorlds and invokes
-// fn(worker, i, world) for each, where worker ∈ [0, workers) identifies the
-// goroutine so callers can keep per-worker accumulators. World content is
-// deterministic; the worker↔world assignment is not — only order-insensitive
-// reductions (per-index writes, commutative sums) preserve reproducibility.
-func ForEachWorld(pg *probgraph.Graph, n, workers int, seed int64, fn func(worker, i int, w *graph.Graph)) {
-	workers = par.Workers(workers)
-	if n <= 0 {
-		return
-	}
-	chunks := (n + WorldChunk - 1) / WorldChunk
-	if workers > chunks {
-		workers = chunks
-	}
-	par.ForWorker(chunks, workers, worldChunkRunner(pg, n, seed, fn))
-}
-
-// ForEachWorldPool is ForEachWorld on a caller-owned worker pool: worker ids
-// span [0, pool.Workers()) and no goroutines are spawned or torn down per
-// call — the pool's parked helpers are reused, which matters when a
-// decomposition validates many small candidates in sequence. The worlds are
-// the same as ForEachWorld's for every pool size.
-func ForEachWorldPool(pool *par.Pool, pg *probgraph.Graph, n int, seed int64, fn func(worker, i int, w *graph.Graph)) {
-	if n <= 0 {
-		return
-	}
-	chunks := (n + WorldChunk - 1) / WorldChunk
-	pool.ForWorker(chunks, worldChunkRunner(pg, n, seed, fn))
-}
-
-// WorldMasksPool samples the same n worlds as ParallelWorlds on a
-// caller-owned pool, but represents each as a bitmask over pg's canonical
-// edge list instead of a CSR graph: bit e of
-// world i (at masks[i*words+e/64], bit e%64) is set iff edge pg.Edges()[e]
-// exists in the world. The whole bank lives in one flat allocation, and
-// world i is drawn from the identical PRNG stream as SampleWorld — one
-// Float64 per edge in canonical order — so masks and materialized graphs
-// from the same seed describe the same worlds, for every pool size.
-//
-// This is the shared-world engine's working representation: candidates
+// Bank draws possible worlds as bitmasks over a probabilistic graph's
+// canonical edge list: bit e of a world's row (at masks[row*words+e/64], bit
+// e%64) is set iff edge pg.Edges()[e] exists in that world. Kernels
 // precompute the union edge ids of their triangles once, then evaluate each
-// world with O(1) bit tests instead of per-world adjacency binary searches
-// and per-world graph construction.
-func WorldMasksPool(pool *par.Pool, pg *probgraph.Graph, n int, seed int64) (masks []uint64, words int) {
-	var b Bank
-	return b.WorldMasks(pool, pg, n, seed)
-}
-
-// Bank is a reusable backing for shared world-mask banks. WorldMasks draws
-// exactly the bank WorldMasksPool draws — same PRNG streams, same mask
-// layout — but keeps the flat mask allocation and the per-worker PRNGs
-// across calls, growing them only when a call needs more than any call
-// before it ever did. A server answering many queries at the same (ε,δ) —
-// the world count is a function of (ε,δ) — over similarly-sized candidate
-// unions therefore reaches a steady state where drawing a fresh bank
-// allocates nothing; engine shards own one Bank each for exactly that.
+// world with O(1) bit tests instead of per-world graph construction.
+//
+// The Bank keeps the flat mask backing and the per-worker PRNGs across
+// calls, growing them only when a call needs more than any call before it
+// ever did. A server answering many queries at the same (ε,δ) — the world
+// count is a function of (ε,δ) — over similarly-sized candidate unions
+// therefore reaches a steady state where drawing a window allocates nothing;
+// engine shards own one Bank each for exactly that.
 //
 // A Bank serves one call at a time, and the masks it returns alias its
-// backing: they are valid until the next WorldMasks or WorldMasksWindow call
-// on the same Bank. WorldMasksWindow streams the identical bank through a
-// bounded window — see its documentation for the PRNG stream-equivalence
-// contract.
+// backing: they are valid until the next WorldMasksWindow call on the same
+// Bank.
 type Bank struct {
-	// Tap, when non-nil, is invoked once at the end of every WorldMasks call
-	// with the drawn world count and the mask words per world — the engine's
-	// world-batch observability hook. It runs on the calling goroutine, after
-	// the bank is filled.
+	// Tap, when non-nil, is invoked once at the end of every non-empty
+	// WorldMasksWindow call with the window's world count and the mask words
+	// per world — the engine's world-batch observability hook. It runs on the
+	// calling goroutine, after the window is filled.
 	Tap func(worlds, words int)
 
 	buf  []uint64
@@ -173,47 +83,36 @@ type Bank struct {
 	edges  []probgraph.ProbEdge
 	masks  []uint64
 	words  int
-	n      int
 	seed   int64
 	winLo  int
 	winHi  int
 	chunk0 int
 }
 
-// WorldMasks is WorldMasksPool drawing into the Bank's reusable backing; see
-// the Bank documentation for the reuse and aliasing contract.
-func (b *Bank) WorldMasks(pool *par.Pool, pg *probgraph.Graph, n int, seed int64) (masks []uint64, words int) {
-	return b.worldMasksRange(pool, pg, n, 0, n, seed)
-}
-
-// WorldMasksWindow draws the window [lo, hi) of the n-world bank that
-// WorldMasks(pool, pg, n, seed) would draw, into the Bank's reusable backing:
-// row (i-lo) of the returned masks is byte-identical to row i of the full
-// bank, for every pool size and every way of cutting [0, n) into windows. The
-// equivalence holds because world i's content is a function of its chunk seed
-// DeriveSeed(seed, i/WorldChunk) and its offset within the chunk alone: a
-// window that starts mid-chunk reseeds that chunk's PRNG and burns the draws
-// of the skipped leading worlds (one Float64 per edge each), then fills its
-// rows from the identical stream position the full bank would have reached.
+// WorldMasksWindow draws the window [lo, hi) of the n-world bank of pg
+// rooted at seed into the Bank's reusable backing and returns its hi-lo rows
+// of words mask words each; [0, n) draws the whole bank. Row (i-lo) is
+// byte-identical to row i of the whole bank, for every pool size and every
+// way of cutting [0, n) into windows, because world i's content is a
+// function of its chunk seed DeriveSeed(seed, i/WorldChunk) and its offset
+// within the chunk alone (see the package determinism contract): a window
+// that starts mid-chunk reseeds that chunk's PRNG and burns the draws of the
+// skipped leading worlds (one Float64 per edge each), then fills its rows
+// from the identical stream position the whole bank would have reached.
 //
 // Peak backing memory is (hi-lo)×words mask words — the window, not the bank.
 // Streaming a huge world count through a fixed window therefore bounds peak
-// memory while reproducing the full bank mask-for-mask; callers accumulate
-// order-insensitive per-world reductions across windows. The aliasing
-// contract is WorldMasks's: the returned masks alias the Bank's backing and
-// are valid only until the next call on the same Bank — a caller must finish
-// reducing one window before drawing the next.
+// memory while reproducing the whole bank mask-for-mask; callers accumulate
+// order-insensitive per-world reductions across windows, and must finish
+// reducing one window before drawing the next (see the Bank aliasing
+// contract).
 func (b *Bank) WorldMasksWindow(pool *par.Pool, pg *probgraph.Graph, n, lo, hi int, seed int64) (masks []uint64, words int) {
 	if lo < 0 || hi > n || lo > hi {
 		panic("mc: WorldMasksWindow range out of [0, n]")
 	}
-	return b.worldMasksRange(pool, pg, n, lo, hi, seed)
-}
-
-func (b *Bank) worldMasksRange(pool *par.Pool, pg *probgraph.Graph, n, lo, hi int, seed int64) (masks []uint64, words int) {
 	edges := pg.Edges()
 	words = (len(edges) + 63) / 64
-	if n <= 0 || hi <= lo {
+	if hi == lo {
 		return nil, words
 	}
 	if total := (hi - lo) * words; cap(b.buf) < total {
@@ -233,14 +132,11 @@ func (b *Bank) worldMasksRange(pool *par.Pool, pg *probgraph.Graph, n, lo, hi in
 			rng.Seed(DeriveSeed(b.seed, ca))
 			clo := ca * WorldChunk
 			chi := clo + WorldChunk
-			if chi > b.n {
-				chi = b.n
-			}
-			if chi > b.winHi {
+			if chi > b.winHi { // hi ≤ n, so this also clips the bank's ragged tail
 				chi = b.winHi
 			}
 			// A window starting mid-chunk skips the chunk's leading worlds but
-			// must leave the PRNG where the full bank would: burn their draws.
+			// must leave the PRNG where the whole bank would: burn their draws.
 			for i := clo; i < b.winLo && i < chi; i++ {
 				for range b.edges {
 					rng.Float64()
@@ -261,7 +157,7 @@ func (b *Bank) worldMasksRange(pool *par.Pool, pg *probgraph.Graph, n, lo, hi in
 			}
 		}
 	}
-	b.edges, b.masks, b.words, b.n, b.seed = edges, b.buf[:(hi-lo)*words], words, n, seed
+	b.edges, b.masks, b.words, b.seed = edges, b.buf[:(hi-lo)*words], words, seed
 	b.winLo, b.winHi, b.chunk0 = lo, hi, lo/WorldChunk
 	chunks := (hi+WorldChunk-1)/WorldChunk - b.chunk0
 	pool.ForWorker(chunks, b.fill)
@@ -271,20 +167,4 @@ func (b *Bank) worldMasksRange(pool *par.Pool, pg *probgraph.Graph, n, lo, hi in
 		b.Tap(hi-lo, words)
 	}
 	return masks, words
-}
-
-// worldChunkRunner adapts per-chunk world generation to a parallel-for body:
-// chunk c draws its WorldChunk worlds from the PRNG seeded DeriveSeed(seed, c).
-func worldChunkRunner(pg *probgraph.Graph, n int, seed int64, fn func(worker, i int, w *graph.Graph)) func(worker, c int) {
-	return func(worker, c int) {
-		rng := rand.New(rand.NewSource(DeriveSeed(seed, c)))
-		lo := c * WorldChunk
-		hi := lo + WorldChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i, pg.SampleWorld(rng))
-		}
-	}
 }

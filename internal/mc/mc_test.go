@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"probnucleus/internal/graph"
 	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 )
@@ -30,58 +29,36 @@ func TestSampleSize(t *testing.T) {
 	SampleSize(0, 0.1)
 }
 
-func TestEstimateMeanEdgeProbability(t *testing.T) {
-	pg := probgraph.MustNew(2, []probgraph.ProbEdge{{U: 0, V: 1, P: 0.35}})
-	n := SampleSize(0.03, 0.01)
-	got := EstimateMean(pg, n, 7, func(w *graph.Graph) float64 {
-		if w.HasEdge(0, 1) {
-			return 1
-		}
-		return 0
-	})
-	if math.Abs(got-0.35) > 0.03 {
-		t.Errorf("estimated edge probability = %v, want 0.35 ± 0.03", got)
-	}
-}
-
-func TestSamplerReproducible(t *testing.T) {
-	pg := probgraph.MustNew(4, []probgraph.ProbEdge{
-		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}, {U: 2, V: 3, P: 0.5},
-	})
-	a := NewSampler(pg, 123).Worlds(20)
-	b := NewSampler(pg, 123).Worlds(20)
-	for i := range a {
-		if a[i].NumEdges() != b[i].NumEdges() {
-			t.Fatalf("world %d differs across identical seeds", i)
-		}
-		for _, e := range a[i].Edges() {
-			if !b[i].HasEdge(e.U, e.V) {
-				t.Fatalf("world %d differs across identical seeds", i)
-			}
-		}
-	}
-	c := NewSampler(pg, 124).Worlds(20)
-	same := true
-	for i := range a {
-		if a[i].NumEdges() != c[i].NumEdges() {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical 20-world sequences (suspicious)")
-	}
-}
-
+// TestWorldsCount: a window [lo, hi) of the n-world bank comes back as
+// hi-lo rows of words mask words each, one bit per canonical edge, and an
+// empty window draws nothing.
 func TestWorldsCount(t *testing.T) {
-	pg := probgraph.MustNew(2, []probgraph.ProbEdge{{U: 0, V: 1, P: 0.5}})
-	if got := len(NewSampler(pg, 1).Worlds(37)); got != 37 {
-		t.Errorf("Worlds(37) = %d worlds", got)
+	es := make([]probgraph.ProbEdge, 0, 69)
+	for v := int32(1); v < 70; v++ {
+		es = append(es, probgraph.ProbEdge{U: 0, V: v, P: 0.5})
+	}
+	pg := probgraph.MustNew(70, es) // 69 edges: two mask words per world
+	pool := par.NewPool(2)
+	defer pool.Close()
+	var b Bank
+	for _, w := range []struct{ n, lo, hi int }{{37, 0, 37}, {37, 5, 30}, {200, 64, 190}} {
+		masks, words := b.WorldMasksWindow(pool, pg, w.n, w.lo, w.hi, 1)
+		if words != 2 || len(masks) != (w.hi-w.lo)*words {
+			t.Errorf("window [%d,%d) of %d: %d words × %d, want %d rows of 2 words",
+				w.lo, w.hi, w.n, len(masks), words, w.hi-w.lo)
+		}
+	}
+	if masks, words := b.WorldMasksWindow(pool, pg, 37, 9, 9, 1); masks != nil || words != 2 {
+		t.Errorf("empty window returned %d mask words (words=%d), want none", len(masks), words)
+	}
+	if masks, _ := b.WorldMasksWindow(pool, pg, 0, 0, 0, 1); masks != nil {
+		t.Errorf("zero-world bank returned %d mask words, want none", len(masks))
 	}
 }
 
-// TestBankTap: the world-batch tap fires once per WorldMasks call with the
-// drawn world count and words per world, after the bank is filled, and a
-// nil tap changes nothing.
+// TestBankTap: the world-batch tap fires once per non-empty WorldMasksWindow
+// call with the window's world count and words per world, after the window
+// is filled, and a nil tap changes nothing.
 func TestBankTap(t *testing.T) {
 	pg := probgraph.MustNew(4, []probgraph.ProbEdge{
 		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.9}, {U: 2, V: 3, P: 0.2},
@@ -90,21 +67,25 @@ func TestBankTap(t *testing.T) {
 	defer pool.Close()
 
 	var b Bank
-	ref, refWords := b.WorldMasks(pool, pg, 10, 3)
+	ref, refWords := b.WorldMasksWindow(pool, pg, 10, 0, 10, 3)
 	refCopy := append([]uint64(nil), ref...)
 
 	var tapped Bank
 	calls, worlds, words := 0, 0, 0
 	tapped.Tap = func(n, w int) { calls, worlds, words = calls+1, n, w }
-	got, gotWords := tapped.WorldMasks(pool, pg, 10, 3)
+	got, gotWords := tapped.WorldMasksWindow(pool, pg, 10, 0, 10, 3)
 	if calls != 1 || worlds != 10 || words != refWords {
 		t.Errorf("tap saw calls=%d worlds=%d words=%d, want 1/10/%d", calls, worlds, words, refWords)
 	}
 	if gotWords != refWords || !slices.Equal(got, refCopy) {
 		t.Errorf("tapped bank drew different masks than the untapped one")
 	}
-	tapped.WorldMasks(pool, pg, 4, 3)
+	tapped.WorldMasksWindow(pool, pg, 10, 6, 10, 3)
 	if calls != 2 || worlds != 4 {
 		t.Errorf("second call: tap saw calls=%d worlds=%d, want 2/4", calls, worlds)
+	}
+	tapped.WorldMasksWindow(pool, pg, 10, 6, 6, 3)
+	if calls != 2 {
+		t.Errorf("empty window fired the tap: calls=%d, want 2", calls)
 	}
 }

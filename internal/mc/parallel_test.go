@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"probnucleus/internal/graph"
@@ -25,113 +27,57 @@ func randomishProbGraph(n int) *probgraph.Graph {
 	return probgraph.MustNew(n, es)
 }
 
-func worldsEqual(a, b *graph.Graph) bool {
-	if a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	for _, e := range a.Edges() {
-		if !b.HasEdge(e.U, e.V) {
-			return false
+// sampledWorlds materializes the n worlds of the bank rooted at seed as
+// graphs, straight from the determinism contract: chunk c's worlds are
+// consecutive probgraph.Graph.SampleWorld draws of the PRNG seeded
+// DeriveSeed(seed, c). It is the reference the masks are checked against.
+func sampledWorlds(pg *probgraph.Graph, n int, seed int64) []*graph.Graph {
+	out := make([]*graph.Graph, 0, n)
+	for c := 0; len(out) < n; c++ {
+		rng := rand.New(rand.NewSource(DeriveSeed(seed, c)))
+		for j := 0; j < WorldChunk && len(out) < n; j++ {
+			out = append(out, pg.SampleWorld(rng))
 		}
 	}
-	return true
+	return out
 }
 
-// TestParallelWorldsDifferential: the n-world sample is identical for every
-// worker count — the chunk-derived seeding makes world i's content a
-// function of (seed, i) only.
+// TestParallelWorldsDifferential: the n-world bank is identical for every
+// pool size — the chunk-derived seeding makes world i's content a function
+// of (seed, i) only.
 func TestParallelWorldsDifferential(t *testing.T) {
 	pg := randomishProbGraph(24)
 	// 150 worlds spans multiple chunks (WorldChunk = 64) including a ragged
 	// final chunk.
 	const n = 150
-	base := ParallelWorlds(pg, n, 1, 99)
-	if len(base) != n {
-		t.Fatalf("serial sample has %d worlds, want %d", len(base), n)
-	}
-	for _, w := range diffWorkerCounts[1:] {
-		got := ParallelWorlds(pg, n, w, 99)
-		if len(got) != n {
-			t.Fatalf("workers=%d: %d worlds, want %d", w, len(got), n)
+	var base []uint64
+	for _, w := range diffWorkerCounts {
+		pool := par.NewPool(w)
+		got, words := new(Bank).WorldMasksWindow(pool, pg, n, 0, n, 99)
+		pool.Close()
+		if len(got) != n*words {
+			t.Fatalf("pool=%d: %d mask words, want %d worlds × %d", w, len(got), n, words)
 		}
-		for i := range got {
-			if !worldsEqual(got[i], base[i]) {
-				t.Fatalf("workers=%d: world %d differs from serial", w, i)
-			}
+		if base == nil {
+			base = got
+			continue
+		}
+		if !slices.Equal(got, base) {
+			t.Fatalf("pool=%d: bank differs from the one-worker bank", w)
 		}
 	}
 }
 
 // TestParallelWorldsSeedSensitivity: different root seeds must give
-// different world sequences.
+// different banks.
 func TestParallelWorldsSeedSensitivity(t *testing.T) {
 	pg := randomishProbGraph(24)
-	a := ParallelWorlds(pg, 64, 2, 1)
-	b := ParallelWorlds(pg, 64, 2, 2)
-	same := true
-	for i := range a {
-		if !worldsEqual(a[i], b[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("seeds 1 and 2 produced identical 64-world sequences (suspicious)")
-	}
-}
-
-// TestForEachWorldVisitsEveryIndexOnce across worker counts.
-func TestForEachWorldVisitsEveryIndexOnce(t *testing.T) {
-	pg := randomishProbGraph(10)
-	const n = 130
-	for _, w := range diffWorkerCounts {
-		visits := make([]int32, n)
-		done := make(chan struct{})
-		counts := make(chan int, n)
-		go func() {
-			for i := range counts {
-				visits[i]++
-			}
-			close(done)
-		}()
-		ForEachWorld(pg, n, w, 7, func(_, i int, world *graph.Graph) {
-			if world == nil {
-				t.Errorf("nil world at index %d", i)
-			}
-			counts <- i
-		})
-		close(counts)
-		<-done
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
-			}
-		}
-	}
-}
-
-// TestForEachWorldPoolMatchesForEachWorld: running the sampler on a
-// caller-owned pool must produce the same worlds at the same indices as the
-// per-call path, for every pool size, including across repeated batches on
-// one pool (the shared-pool server pattern).
-func TestForEachWorldPoolMatchesForEachWorld(t *testing.T) {
-	pg := randomishProbGraph(24)
-	const n = 150
-	base := ParallelWorlds(pg, n, 1, 42)
-	for _, w := range diffWorkerCounts {
-		pool := par.NewPool(w)
-		for round := 0; round < 3; round++ {
-			got := make([]*graph.Graph, n)
-			ForEachWorldPool(pool, pg, n, 42, func(_, i int, world *graph.Graph) {
-				got[i] = world
-			})
-			for i := range got {
-				if got[i] == nil || !worldsEqual(got[i], base[i]) {
-					t.Fatalf("pool=%d round %d: world %d differs from serial", w, round, i)
-				}
-			}
-		}
-		pool.Close()
+	pool := par.NewPool(2)
+	defer pool.Close()
+	a, _ := new(Bank).WorldMasksWindow(pool, pg, 64, 0, 64, 1)
+	b, _ := new(Bank).WorldMasksWindow(pool, pg, 64, 0, 64, 2)
+	if slices.Equal(a, b) {
+		t.Error("seeds 1 and 2 produced identical 64-world banks (suspicious)")
 	}
 }
 
@@ -154,28 +100,39 @@ func TestDeriveSeedDecorrelates(t *testing.T) {
 	}
 }
 
-// TestParallelWorldsStatistics: the chunked sampler still estimates edge
-// probabilities correctly (it is a different stream than Sampler, not a
-// different distribution).
+// TestParallelWorldsStatistics: the frequency of each edge's bit across the
+// bank's worlds estimates the edge's probability, for edges in both mask
+// words (the chunked streams are many streams, not a different
+// distribution).
 func TestParallelWorldsStatistics(t *testing.T) {
-	pg := probgraph.MustNew(2, []probgraph.ProbEdge{{U: 0, V: 1, P: 0.35}})
-	n := SampleSize(0.03, 0.01)
-	hits := 0
-	for _, w := range ParallelWorlds(pg, n, 4, 7) {
-		if w.HasEdge(0, 1) {
-			hits++
-		}
+	ps := []float64{0.35, 0.9, 0.05}
+	es := make([]probgraph.ProbEdge, 0, 66)
+	for v := int32(1); v <= 66; v++ {
+		es = append(es, probgraph.ProbEdge{U: 0, V: v, P: ps[int(v)%len(ps)]})
 	}
-	got := float64(hits) / float64(n)
-	if got < 0.32 || got > 0.38 {
-		t.Errorf("estimated edge probability = %v, want 0.35 ± 0.03", got)
+	pg := probgraph.MustNew(67, es)
+	n := SampleSize(0.03, 0.01)
+	pool := par.NewPool(4)
+	defer pool.Close()
+	masks, words := new(Bank).WorldMasksWindow(pool, pg, n, 0, n, 7)
+	for _, e := range []int{0, 1, 2, 64, 65} { // word 0 and word 1
+		hits := 0
+		for i := 0; i < n; i++ {
+			if masks[i*words+e>>6]&(1<<(uint(e)&63)) != 0 {
+				hits++
+			}
+		}
+		p := pg.Edges()[e].P
+		if got := float64(hits) / float64(n); got < p-0.03 || got > p+0.03 {
+			t.Errorf("edge %d: estimated probability = %v, want %v ± 0.03", e, got, p)
+		}
 	}
 }
 
 // TestBankWorldMasksMatchesPool: a reused Bank must draw bit-identical banks
-// to the per-call WorldMasksPool path for every pool size and across calls
-// that grow, shrink, and reseed the bank — the in-place PRNG reseeding is
-// stream-equivalent to constructing fresh PRNGs.
+// to a fresh Bank for every pool size and across calls that grow, shrink,
+// and reseed the bank — the in-place PRNG reseeding is stream-equivalent to
+// constructing fresh PRNGs.
 func TestBankWorldMasksMatchesPool(t *testing.T) {
 	pg := randomishProbGraph(24)
 	var bank Bank
@@ -194,16 +151,15 @@ func TestBankWorldMasksMatchesPool(t *testing.T) {
 		{200, 7},  // grow the backing
 	}
 	for _, c := range cases {
-		ref, words := WorldMasksPool(pools[0], pg, c.n, c.seed)
-		refCopy := append([]uint64(nil), ref...)
+		ref, words := new(Bank).WorldMasksWindow(pools[0], pg, c.n, 0, c.n, c.seed)
 		for i, pool := range pools {
-			got, gw := bank.WorldMasks(pool, pg, c.n, c.seed)
+			got, gw := bank.WorldMasksWindow(pool, pg, c.n, 0, c.n, c.seed)
 			if gw != words {
 				t.Fatalf("n=%d seed=%d pool=%d: words = %d, want %d", c.n, c.seed, diffWorkerCounts[i], gw, words)
 			}
 			for j := range got {
-				if got[j] != refCopy[j] {
-					t.Fatalf("n=%d seed=%d pool=%d: mask word %d differs from per-call bank",
+				if got[j] != ref[j] {
+					t.Fatalf("n=%d seed=%d pool=%d: mask word %d differs from a fresh bank",
 						c.n, c.seed, diffWorkerCounts[i], j)
 				}
 			}
@@ -220,8 +176,7 @@ func TestBankWorldMasksWindowMatchesFullBank(t *testing.T) {
 	pg := randomishProbGraph(24)
 	const n, seed = 150, int64(42) // multiple chunks plus a ragged tail
 	refPool := par.NewPool(1)
-	ref, words := WorldMasksPool(refPool, pg, n, seed)
-	refCopy := append([]uint64(nil), ref...)
+	ref, words := new(Bank).WorldMasksWindow(refPool, pg, n, 0, n, seed)
 	refPool.Close()
 	for _, w := range diffWorkerCounts {
 		pool := par.NewPool(w)
@@ -240,7 +195,7 @@ func TestBankWorldMasksWindowMatchesFullBank(t *testing.T) {
 				}
 				for i := lo; i < hi; i++ {
 					for j := 0; j < words; j++ {
-						if got[(i-lo)*words+j] != refCopy[i*words+j] {
+						if got[(i-lo)*words+j] != ref[i*words+j] {
 							t.Fatalf("pool=%d win=%d: world %d word %d differs from full bank",
 								w, win, i, j)
 						}
@@ -250,9 +205,9 @@ func TestBankWorldMasksWindowMatchesFullBank(t *testing.T) {
 		}
 		// An interleaved full-bank draw on the same Bank must stay identical
 		// after windowed calls (the per-call state fully resets).
-		full, _ := bank.WorldMasks(pool, pg, n, seed)
+		full, _ := bank.WorldMasksWindow(pool, pg, n, 0, n, seed)
 		for j := range full {
-			if full[j] != refCopy[j] {
+			if full[j] != ref[j] {
 				t.Fatalf("pool=%d: full bank after windowed draws differs at word %d", w, j)
 			}
 		}
@@ -312,8 +267,8 @@ func TestBankWorldMasksMatchSampledWorlds(t *testing.T) {
 	defer pool.Close()
 	const n, seed = 100, int64(9)
 	var bank Bank
-	masks, words := bank.WorldMasks(pool, pg, n, seed)
-	worlds := ParallelWorlds(pg, n, 1, seed)
+	masks, words := bank.WorldMasksWindow(pool, pg, n, 0, n, seed)
+	worlds := sampledWorlds(pg, n, seed)
 	edges := pg.Edges()
 	for i := 0; i < n; i++ {
 		m := masks[i*words : (i+1)*words]
@@ -337,11 +292,11 @@ func TestBankReuseAllocationFree(t *testing.T) {
 	defer pool.Close()
 	n := SampleSize(0.2, 0.1) // a fixed (ε,δ): every call needs the same n
 	var bank Bank
-	bank.WorldMasks(pool, pg, n, 1)
+	bank.WorldMasksWindow(pool, pg, n, 0, n, 1)
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		seed++
-		bank.WorldMasks(pool, pg, n, seed)
+		bank.WorldMasksWindow(pool, pg, n, 0, n, seed)
 	})
 	if allocs != 0 {
 		t.Errorf("warmed bank allocates %v per draw at fixed (ε,δ), want 0", allocs)

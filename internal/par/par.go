@@ -2,12 +2,13 @@
 // parallel execution paths of the decomposition packages (graph enumeration,
 // tail scoring, Monte-Carlo sampling).
 //
-// Every helper follows the same determinism discipline: work item i may only
-// write state owned by i (a slice slot, a per-worker accumulator), so the
-// result of a parallel run is byte-identical to the serial run regardless of
-// worker count or scheduling. Callers that need per-worker scratch state use
-// ForWorker and merge the per-worker results in worker order (or with a
-// commutative reduction such as integer summation).
+// Pool is the one parallel-for. Every caller follows the same determinism
+// discipline: work item i may only write state owned by i (a slice slot, a
+// per-worker accumulator), so the result of a parallel run is byte-identical
+// to the serial run regardless of worker count or scheduling. Callers that
+// need per-worker scratch state use Pool.ForWorker and merge the per-worker
+// results in worker order (or with a commutative reduction such as integer
+// summation).
 package par
 
 import (
@@ -54,20 +55,11 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// For runs fn(i) for every i in [0, n), fanning out over the given number of
-// workers (resolved with Workers). With workers ≤ 1 it degenerates to a plain
-// loop with no goroutine or atomic overhead. fn must confine its writes to
-// state owned by index i.
-func For(n, workers int, fn func(i int)) {
-	ForWorker(n, workers, func(_, i int) { fn(i) })
-}
-
 // Pool is a reusable team of worker goroutines for repeated parallel-for
-// calls. For and ForWorker on a Pool have the same semantics and determinism
-// discipline as the package-level functions, but the helper goroutines are
-// spawned once and parked between calls — which matters on hot loops like
-// triangle peeling, where a decomposition issues thousands of small batches
-// and per-call goroutine spawns would dominate.
+// calls. The helper goroutines are spawned once and parked between calls —
+// which matters on hot loops like triangle peeling, where a decomposition
+// issues thousands of small batches and per-call goroutine spawns would
+// dominate.
 //
 // A Pool is driven by one caller goroutine at a time (the caller itself acts
 // as worker 0). Close releases the helper goroutines.
@@ -168,9 +160,9 @@ func (p *Pool) For(n int, fn func(i int)) {
 }
 
 // ForWorker runs fn(worker, i) for every i in [0, n), with worker ids in
-// [0, Workers()); the calling goroutine is worker 0. As with the package
-// function, index-to-worker assignment is dynamic, so only per-index writes
-// and commutative reductions preserve determinism.
+// [0, Workers()); the calling goroutine is worker 0. Index-to-worker
+// assignment is dynamic and not deterministic, so only per-index writes and
+// commutative reductions preserve determinism.
 //
 // A panic in fn never crashes the process from a helper goroutine: the first
 // panicking worker's value and stack are captured, remaining workers stop
@@ -268,29 +260,4 @@ func (p *Pool) Close() {
 		close(c)
 	}
 	p.wake = nil
-}
-
-// ForWorker is For with the worker id (in [0, workers)) passed to fn, so
-// callers can keep per-worker accumulators. The assignment of indices to
-// workers is dynamic and NOT deterministic; only reductions that are
-// insensitive to that assignment (commutative, or per-index writes) preserve
-// determinism. It is a one-shot Pool; callers issuing repeated batches
-// should hold a Pool instead.
-func ForWorker(n, workers int, fn func(worker, i int)) {
-	workers = Workers(workers)
-	if n <= 0 {
-		return
-	}
-	if workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	p.ForWorker(n, fn)
 }

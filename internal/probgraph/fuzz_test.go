@@ -2,40 +2,18 @@ package probgraph
 
 import (
 	"bytes"
-	"strconv"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// maxFuzzVertexID bounds the vertex ids the fuzz harness will follow into
-// graph construction: the CSR builder allocates O(max id) memory, which is
-// legitimate for sparse id spaces but would let the fuzzer spend its budget
-// on multi-gigabyte allocations instead of parser states.
-const maxFuzzVertexID = 1 << 20
-
-func hasHugeVertexID(input string) bool {
-	for _, line := range strings.Split(input, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		for i, f := range fields {
-			if i >= 2 {
-				break // third field is the probability
-			}
-			if id, err := strconv.ParseInt(f, 10, 32); err == nil && id > maxFuzzVertexID {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FuzzReadEdgeList hammers the untrusted-input surface: ReadEdgeList must
 // never panic, and whenever it accepts an input, the resulting graph must
-// satisfy the probabilistic-graph invariants and survive a write/read
-// round-trip.
+// satisfy the probabilistic-graph invariants, keep its vertex count within
+// the edge-count bound (so its memory follows the input), and survive a
+// write/read round-trip.
 func FuzzReadEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"0 1 0.5\n1 2 0.8\n0 2 0.9\n", // well-formed triangle
@@ -56,18 +34,19 @@ func FuzzReadEdgeList(f *testing.F) {
 		"0\n",                 // too few fields
 		"0 1 0.5 extra\n",     // too many fields
 		"99999999999 1 0.5\n", // id overflows int32
+		"0 2147483646 0.5\n",  // largest int32 id: 2³¹ vertices for one edge
 		"0 1 0.5\r\n1 2 0.5\r\n",
 		"\x00\x01\x02",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		if hasHugeVertexID(input) {
-			t.Skip("vertex id beyond fuzz resource bound")
-		}
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
 			return // rejected input: any error is fine, panics are not
+		}
+		if limit := maxVertexSlack + maxVerticesPerEdge*g.NumEdges(); g.NumVertices() > limit {
+			t.Errorf("accepted %d vertices for %d edges, over the bound %d", g.NumVertices(), g.NumEdges(), limit)
 		}
 		seen := make(map[[2]int32]bool)
 		for _, e := range g.Edges() {
@@ -129,5 +108,32 @@ func TestReadEdgeListRejectsHostileInputs(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(tc.input)); err == nil {
 			t.Errorf("%s: input %q accepted, want error", tc.name, tc.input)
 		}
+	}
+}
+
+// TestReadEdgeListBoundsVertexIDs: one 16-byte line naming vertex 2³¹−2
+// would size the graph's arrays at 2³¹ entries; it is refused with
+// ErrInputTooLarge before anything is built, allocating under 1 MiB. Ids
+// up to the bound are accepted, one past it refused.
+func TestReadEdgeListBoundsVertexIDs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdgeList(strings.NewReader("0 2147483646 0.5\n"))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInputTooLarge) {
+		t.Fatalf("sparse id: err = %v, want ErrInputTooLarge", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the sparse id allocated %d bytes, want < 1 MiB", got)
+	}
+
+	limit := maxVertexSlack + maxVerticesPerEdge*2 // two edges
+	at := fmt.Sprintf("0 1 0.5\n1 %d 0.5\n", limit-1)
+	if g, err := ReadEdgeList(strings.NewReader(at)); err != nil || g.NumVertices() != limit {
+		t.Errorf("id %d with 2 edges: err = %v, want %d vertices accepted", limit-1, err, limit)
+	}
+	past := fmt.Sprintf("0 1 0.5\n1 %d 0.5\n", limit)
+	if _, err := ReadEdgeList(strings.NewReader(past)); !errors.Is(err, ErrInputTooLarge) {
+		t.Errorf("id %d with 2 edges: err = %v, want ErrInputTooLarge", limit, err)
 	}
 }

@@ -2,6 +2,7 @@ package probgraph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,10 +18,17 @@ import (
 //
 // Vertex ids are non-negative integers; p may be omitted, defaulting to 1
 // (a deterministic edge). Duplicate edges are an error.
+//
+// The graph's arrays are sized by the largest vertex id, not by the input,
+// so ids are bounded by the edge count before anything is built: an input
+// whose largest id exceeds maxVertexSlack + maxVerticesPerEdge·edges − 1 is
+// refused with an error wrapping ErrInputTooLarge, and memory stays
+// proportional to the input.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var edges []ProbEdge
+	maxID := int64(-1)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -48,12 +56,30 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 		}
 		edges = append(edges, ProbEdge{U: int32(u), V: int32(v), P: p})
+		maxID = max(maxID, u, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("probgraph: read: %w", err)
 	}
+	if limit := maxVertexSlack + maxVerticesPerEdge*int64(len(edges)); maxID+1 > limit {
+		return nil, fmt.Errorf("%w: vertex id %d needs %d vertices, over the %d that %d edges allow",
+			ErrInputTooLarge, maxID, maxID+1, limit, len(edges))
+	}
 	return New(0, edges)
 }
+
+// ErrInputTooLarge reports an edge list whose vertex ids are too sparse for
+// its edge count (see ReadEdgeList); match it with errors.Is.
+var ErrInputTooLarge = errors.New("probgraph: input too large")
+
+// An edge list of m edges may name at most maxVertexSlack +
+// maxVerticesPerEdge·m vertices. Every generated dataset has n/m ≤ 0.3, and
+// a graph needs at least one edge per two non-isolated vertices, so only
+// ids far beyond the edges' reach are refused.
+const (
+	maxVerticesPerEdge = 16
+	maxVertexSlack     = 1024
+)
 
 // ReadEdgeListFile opens and parses path with ReadEdgeList.
 func ReadEdgeListFile(path string) (*Graph, error) {

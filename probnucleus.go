@@ -93,8 +93,16 @@ type Stats = probgraph.Stats
 // probabilities, duplicate edges and self-loops.
 func NewGraph(n int, edges []ProbEdge) (*Graph, error) { return probgraph.New(n, edges) }
 
-// ReadEdgeList parses a `u v p` edge list (p optional, default 1).
+// ReadEdgeList parses a `u v p` edge list (p optional, default 1). An edge
+// list whose vertex ids are too sparse for its edge count is refused with
+// ErrInputTooLarge before the graph is built.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return probgraph.ReadEdgeList(r) }
+
+// ErrInputTooLarge reports an edge list whose largest vertex id exceeds
+// 16 × its edge count + 1023: the graph's arrays are sized by the largest
+// id, so such an input would allocate far beyond its own size. Map it to
+// HTTP 413.
+var ErrInputTooLarge = probgraph.ErrInputTooLarge
 
 // ReadEdgeListFile parses an edge-list file.
 func ReadEdgeListFile(path string) (*Graph, error) { return probgraph.ReadEdgeListFile(path) }
@@ -380,18 +388,6 @@ var (
 	// as HTTP 409); Put replaces instead.
 	ErrDuplicateGraph = registry.ErrDuplicateGraph
 )
-
-// World is one sampled possible world: a deterministic graph over the same
-// vertex-id space as the probabilistic graph it was drawn from.
-type World = graph.Graph
-
-// SampleWorlds draws n possible worlds of pg over a worker pool (workers
-// 0 = all cores, 1 = serial). World i is drawn from the PRNG of world chunk
-// i/mc.WorldChunk, seeded by a SplitMix64 mix of seed and the chunk index,
-// so the result depends only on (n, seed) — never on the worker count.
-func SampleWorlds(pg *Graph, n, workers int, seed int64) []*World {
-	return mc.ParallelWorlds(pg, n, workers, seed)
-}
 
 // --- Baselines ---
 

@@ -4,13 +4,15 @@
 # Runs the tier-1 verify (build + tests) plus the static and dynamic race
 # checks that exercise the parallel decomposition engine: `go vet` over every
 # package and the full test suite under the race detector. The differential
-# tests in internal/core, internal/graph, and internal/mc run the worker
-# pools at 1/2/8 workers, so `go test -race` drives every concurrent path,
-# including the g-NuDecomp lane scan, whose 64-world blocks merge per-worker
-# counts; dedicated -race passes then re-run that scan's differentials, the
-# level-synchronous local peel's batch differential and scratch tests (its
-# sub-rounds kill cliques into per-part buffers and re-score triangles in
-# parallel), the serving Engine's concurrent stress and cancellation tests
+# tests in internal/core, internal/decomp, internal/graph, and internal/mc
+# run the worker pools at 1/2/8 workers, so `go test -race` drives every
+# concurrent path, including the g-NuDecomp lane scan, whose 64-world blocks
+# merge per-worker counts; dedicated -race passes then re-run that scan's
+# differentials, the weak seed and kernel differentials, the world-mask
+# bank's pool and window differentials (internal/mc, the one world sampler),
+# the level-synchronous local peel's batch differential and scratch tests
+# (its sub-rounds kill cliques into per-part buffers and re-score triangles
+# in parallel), the serving Engine's concurrent stress and cancellation tests
 # for extra scheduling variation, and the fault-tolerance chaos suite
 # (deterministic injected panics/delays/cancels, shard quarantine/rebuild,
 # goroutine-leak gate).
@@ -89,6 +91,15 @@ go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindow
 echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
 go test -race -count=2 -run 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
 go test -race -count=2 -run 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
+
+# Every g- and w-NuDecomp world is drawn by mc.Bank.WorldMasksWindow, the
+# one world sampler. Its pool workers reseed per-worker PRNGs in place, and
+# its fill closure is hoisted onto the Bank and reads per-call fields, so
+# the whole package — the 1/2/8-worker bank differential, every window cut
+# against the full bank, the comparison with materialized SampleWorld
+# worlds, and the reuse tests — gets a repeated -race pass.
+echo "==> go test -race world-mask bank (pool and window differentials, bank reuse)"
+go test -race -count=2 ./internal/mc
 
 # The ℓ-NuDecomp peel is level-synchronous: each sub-round kills the
 # cliques of a whole level in parallel, every batch triangle writing its own
