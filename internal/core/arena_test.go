@@ -21,12 +21,7 @@ import (
 // krogan dataset, the setup shared by the steady-state allocation tests
 // below.
 func arenaFixture(t testing.TB) *candidateSpace {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
-	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := newCandidateSpace(local, 1)
+	cs := newCandidateSpace(sharedKroganLocal(t), 1)
 	if len(cs.triangles) < 4 {
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
 	}
@@ -103,11 +98,8 @@ func TestTriSetDedupSemantics(t *testing.T) {
 // 16-world shared bank at θ = 0.001 (so the θ-prune never short-cuts the
 // scan), the setup shared by the global-kernel allocation tests below.
 func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalEstimator) {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
-	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := sharedKroganLocal(t)
+	pg := local.PG
 	cs := newCandidateSpace(local, 1)
 	if len(cs.triangles) < 4 {
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
@@ -123,11 +115,15 @@ func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalE
 }
 
 // validateOneWindow is the g-NuDecomp kernel's step for one candidate of a
-// one-window run: seed the candidate from the union tables, apply the
-// θ-prune, scan the window into the reused totals, and take the verdict.
+// one-window run: apply the θ-prune to the closure, seed the candidate from
+// the union tables, apply it to the seed's extra triangles, scan the window
+// into the reused totals, and take the verdict.
 func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int32) (float64, bool) {
+	if est.closurePruned(closure, 0) {
+		return 0, false
+	}
 	m := est.seedCandidate(closure, k)
-	if est.pruned(0) {
+	if est.extrasPruned(0) {
 		return 0, false
 	}
 	*tot = resizeCleared(*tot, m)
@@ -167,11 +163,8 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 // contract of the windowed bank path: peak memory is the window, and
 // cycling windows costs no churn.
 func TestWindowStreamingScanAllocationFree(t *testing.T) {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
-	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := sharedKroganLocal(t)
+	pg := local.PG
 	cs := newCandidateSpace(local, 1)
 	if len(cs.triangles) < 4 {
 		t.Fatalf("fixture too small: %d candidate triangles", len(cs.triangles))
@@ -225,8 +218,10 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		est.seedCandidate(closures[i%len(closures)], 1)
-		est.pruned(0)
+		closure := closures[i%len(closures)]
+		est.closurePruned(closure, 0)
+		est.seedCandidate(closure, 1)
+		est.extrasPruned(0)
 		i++
 	})
 	if allocs != 0 {
@@ -242,11 +237,8 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 // window's transposition is per window, not per candidate, and is gated
 // separately (mc's TestLanesTransposeReuseAllocationFree).
 func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
-	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := sharedKroganLocal(t)
+	pg := local.PG
 	cands := local.NucleiForK(1)
 	if len(cands) < 2 {
 		t.Fatalf("fixture too small: %d candidates", len(cands))

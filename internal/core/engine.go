@@ -75,7 +75,9 @@ type NucleiRequest struct {
 	// (see MCOptions.MemBudget).
 	MemBudget int64
 	// Local optionally supplies a precomputed exact local decomposition at
-	// Theta to prune the search space; when nil it is computed per request.
+	// a θ no higher than Theta to prune the search space (a lower θ only
+	// widens the candidate space); when nil one at Theta is computed per
+	// request. Validate refuses a Local above Theta with ErrLocalTheta.
 	Local *LocalResult
 }
 
@@ -90,6 +92,9 @@ func (r NucleiRequest) Validate() error {
 	}
 	if !(r.Theta > 0 && r.Theta <= 1) {
 		return errTheta(r.Theta)
+	}
+	if r.Local != nil && r.Local.Theta > r.Theta {
+		return fmt.Errorf("core: local theta = %v above theta = %v: %w", r.Local.Theta, r.Theta, ErrLocalTheta)
 	}
 	return r.validateSampleSpec()
 }

@@ -336,6 +336,78 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestLocalThetaAboveRequestRefused: a supplied Local decomposed above the
+// request's θ has too small a candidate space, so global and weak requests
+// refuse it with ErrLocalTheta — on the package-level functions, the Engine
+// and NucleiRequest.Validate alike — while a Local at exactly the request's
+// θ or below it is accepted and matches the run that computes its own.
+func TestLocalThetaAboveRequestRefused(t *testing.T) {
+	fig := fixtures.Fig1()
+	const theta0 = 0.35
+	local, err := LocalDecompose(fig, theta0, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(1, 1)
+	defer eng.Close()
+	ctx := context.Background()
+	type nucleiFunc func(float64, MCOptions) ([]ProbNucleus, error)
+	sems := []struct {
+		name   string
+		pkg    nucleiFunc
+		engine func(NucleiRequest) ([]ProbNucleus, error)
+	}{
+		{"global",
+			func(theta float64, o MCOptions) ([]ProbNucleus, error) { return GlobalNuclei(fig, 1, theta, o) },
+			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.Global(ctx, fig, req) }},
+		{"weak",
+			func(theta float64, o MCOptions) ([]ProbNucleus, error) { return WeaklyGlobalNuclei(fig, 1, theta, o) },
+			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.Weak(ctx, fig, req) }},
+	}
+	for _, sem := range sems {
+		for _, theta := range []float64{0.34, math.Nextafter(theta0, 0)} {
+			o := MCOptions{Samples: 64, Seed: 1, Workers: 1, Local: local}
+			if _, err := sem.pkg(theta, o); !errors.Is(err, ErrLocalTheta) {
+				t.Errorf("%s θ=%v, Local at %v: %v, want ErrLocalTheta", sem.name, theta, theta0, err)
+			}
+			if _, err := sem.engine(nucleiRequest(1, theta, o)); !errors.Is(err, ErrLocalTheta) {
+				t.Errorf("Engine %s θ=%v, Local at %v: %v, want ErrLocalTheta", sem.name, theta, theta0, err)
+			}
+		}
+		nonEmpty := false
+		for _, theta := range []float64{theta0, 0.5} {
+			own, err := sem.pkg(theta, MCOptions{Samples: 64, Seed: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := MCOptions{Samples: 64, Seed: 1, Workers: 1, Local: local}
+			got, err := sem.pkg(theta, o)
+			if err != nil {
+				t.Errorf("%s θ=%v, Local at %v: %v, want accepted", sem.name, theta, theta0, err)
+			}
+			viaEngine, err := sem.engine(nucleiRequest(1, theta, o))
+			if err != nil {
+				t.Errorf("Engine %s θ=%v, Local at %v: %v, want accepted", sem.name, theta, theta0, err)
+			}
+			if theta == theta0 && !(reflect.DeepEqual(got, own) && reflect.DeepEqual(viaEngine, own)) {
+				t.Errorf("%s θ=%v: results with the supplied Local differ from the computed one", sem.name, theta)
+			}
+			nonEmpty = nonEmpty || len(got) > 0
+		}
+		if !nonEmpty {
+			t.Errorf("%s: no nuclei at θ ≥ %v; the accepted cases are vacuous", sem.name, theta0)
+		}
+	}
+	req := NucleiRequest{K: 1, Theta: 0.2, Local: local}
+	if err := req.Validate(); !errors.Is(err, ErrLocalTheta) {
+		t.Errorf("NucleiRequest.Validate θ=0.2, Local at %v: %v, want ErrLocalTheta", theta0, err)
+	}
+	req.Theta = theta0
+	if err := req.Validate(); err != nil {
+		t.Errorf("NucleiRequest.Validate θ=%v, Local at %v: %v, want nil", theta0, theta0, err)
+	}
+}
+
 // TestEngineOverload: with admission bounded, a request arriving while every
 // shard is busy and the queue is full returns ErrOverloaded immediately
 // instead of parking on the free list. Run under -race by the ci.sh

@@ -11,7 +11,7 @@ import (
 // Sentinel validation errors shared by every decomposition entry point —
 // the package-level functions, the request Validate methods, and the Engine.
 // Call sites wrap them with the offending value (fmt.Errorf %w), so match
-// them with errors.Is; package probnucleus re-exports all three.
+// them with errors.Is; package probnucleus re-exports them.
 var (
 	// ErrTheta reports a probability threshold θ outside (0,1].
 	ErrTheta = errors.New("theta outside (0,1]")
@@ -20,6 +20,10 @@ var (
 	// ErrBadSampleSpec reports an unusable Monte-Carlo sample specification:
 	// a negative explicit sample count, or ε/δ outside (0,1] when set.
 	ErrBadSampleSpec = errors.New("bad Monte-Carlo sample spec")
+	// ErrLocalTheta reports a nuclei request whose supplied Local was
+	// decomposed at a θ above the request's: its candidate space would be
+	// too small and nuclei would be missed. A Local at a lower θ is allowed.
+	ErrLocalTheta = errors.New("local decomposition above the request's theta")
 	// ErrEngineClosed reports a request issued against a closed Engine.
 	ErrEngineClosed = errors.New("engine closed")
 	// ErrOverloaded reports a request rejected by the Engine's admission

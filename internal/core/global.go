@@ -22,8 +22,10 @@ type MCOptions struct {
 	Delta   float64
 	Samples int
 	Seed    int64
-	// Local supplies a precomputed exact local decomposition at the same θ
-	// to prune the search space; when nil it is computed internally.
+	// Local supplies a precomputed exact local decomposition at a θ no
+	// higher than the call's to prune the search space; when nil one at the
+	// call's θ is computed internally. A Local above the call's θ is refused
+	// with ErrLocalTheta.
 	Local *LocalResult
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds
@@ -104,10 +106,11 @@ type ProbNucleus struct {
 // The per-seed pipeline is allocation-free at steady state and proportional
 // to the candidate, not the graph: candidate growth runs on stamp arrays
 // over a CSR clique layout, deduplication hashes sorted triangle-id sets,
-// and each candidate's world-check seed is cut from tables built once per
-// call from the root incidence (decomp.WorldCheckUnion) by marking the
-// candidate's edges — no per-candidate graph, index restriction or
-// triangle-id lookup.
+// and the θ-prune reads the closure's own triangles' alive-world counts
+// first, so a candidate it drops is never seeded. Only the survivors'
+// world-check seeds are cut, from tables built once per call from the root
+// incidence (decomp.WorldCheckUnion), by marking the candidate's edges —
+// no per-candidate graph, index restriction or triangle-id lookup.
 //
 // The call is a thin wrapper over a one-shot one-shard Engine, so the
 // package-level path and the served path run the identical kernel.
@@ -134,7 +137,10 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 // totals, so every window cut reaches the same verdicts. A candidate is
 // dropped as soon as some triangle is alive in fewer than `need` worlds even
 // if it were alive in every world still to come: a triangle qualifies only
-// where it is alive, so the scan could only confirm the failure.
+// where it is alive, so the scan could only confirm the failure. The
+// closure's triangles are tested before the candidate is seeded, the few
+// view triangles outside the closure after; a candidate dropped on the first
+// window of a multi-window run keeps an empty span of totals.
 func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
 	k, theta, pool := req.K, req.Theta, r.pool
 	local, err := r.localResult(pg, req)
@@ -202,15 +208,25 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 			if err := pool.Err(); err != nil {
 				return nil, err
 			}
+			// The closure's triangles are view triangles, so the θ-prune
+			// runs on them before any seed is cut; the seed then adds only
+			// the view triangles outside the closure.
 			closure := cands.set(c)
-			m := est.seedCandidate(closure, k)
+			m := 0
+			dropped := est.closurePruned(closure, n-hi)
+			if !dropped {
+				m = est.seedCandidate(closure, k)
+				dropped = est.extrasPruned(n - hi)
+			}
 			if multi && lo == 0 {
-				for i := 0; i < m; i++ {
-					totFlat = append(totFlat, 0)
+				// A candidate dropped on the first window keeps an empty
+				// span of totals and never comes back.
+				if !dropped {
+					totFlat = append(totFlat, make([]int32, m)...)
 				}
 				totOff = append(totOff, int32(len(totFlat)))
 			}
-			if est.pruned(n - hi) {
+			if dropped {
 				continue
 			}
 			kept = append(kept, c)
@@ -442,7 +458,7 @@ func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]
 // every union triangle's alive-world count — its three edges present — once
 // per window. Accumulated across windows, those counts bound any candidate
 // triangle's qualifying count from above, which is what the θ-prune
-// (pruned) reads.
+// (closurePruned, extrasPruned) reads.
 type globalEstimator struct {
 	pool  *par.Pool
 	words int
@@ -519,19 +535,38 @@ func (ge *globalEstimator) seedCandidate(closure []int32, k int) int {
 	return m
 }
 
-// pruned reports whether the candidate most recently bound with
-// seedCandidate must fail with `remaining` worlds still to come after the
-// current window: some triangle's alive-world count so far, plus every
-// remaining world, falls short of `need`. A triangle qualifies only in
-// worlds where it is alive, so scanning on could only confirm the failure.
-// With no world remaining this is the plain alive-count bound.
-func (ge *globalEstimator) pruned(remaining int) bool {
+// The θ-prune drops a candidate that must fail with `remaining` worlds
+// still to come after the current window: some view triangle's alive-world
+// count so far, plus every remaining world, falls short of `need`. A
+// triangle qualifies only in worlds where it is alive, so scanning on could
+// only confirm the failure; with no world remaining this is the plain
+// alive-count bound. The view is the closure plus the seed's extras, so the
+// prune fires iff closurePruned or, once seeded, extrasPruned does.
+
+// closurePruned runs the θ-prune on the closure's own triangles (sorted
+// root ids), which needs no seed.
+func (ge *globalEstimator) closurePruned(closure []int32, remaining int) bool {
 	floor := ge.need - int32(remaining)
 	if floor <= 0 {
 		return false
 	}
-	for t := 0; t < ge.seed.Len(); t++ {
-		if ge.aliveCnt[ge.seed.AliveUID(t)] < floor {
+	for _, t := range closure {
+		if ge.aliveCnt[ge.wu.UID(t)] < floor {
+			return true
+		}
+	}
+	return false
+}
+
+// extrasPruned runs the θ-prune on the view triangles of the candidate most
+// recently bound with seedCandidate that lie outside its closure.
+func (ge *globalEstimator) extrasPruned(remaining int) bool {
+	floor := ge.need - int32(remaining)
+	if floor <= 0 {
+		return false
+	}
+	for _, u := range ge.seed.Extras() {
+		if ge.aliveCnt[u] < floor {
 			return true
 		}
 	}

@@ -124,15 +124,29 @@ func withSortedIDIndex(pre *Prepared) *Prepared {
 	return NewPreparedFromParts(pre.Graph(), graph.IndexFromParts(ti.Tris, ti.Comps, lexIDs(ti.Tris)), nil)
 }
 
+// seedRef is one candidate's reference: its closure, the reference seed,
+// and for every world of the shared bank the exact oracle's verdict and
+// credited view ids. It depends only on the closure's triangles and the
+// bank, never on how the index is laid out, so one is built per candidate
+// and replayed for every index form of the same graph.
+type seedRef struct {
+	closure []int32
+	ref     *refSeed
+	wantOK  []bool
+	wantIDs [][]int32
+}
+
 // checkSeedsAgainstReference grows every deduplicated candidate of the
 // level-k candidate space of local, seeds it through the estimator, and
 // requires the seed to equal the reference seed — view triangles in order,
 // union ids, completion lists, completion view and union ids, vertex set —
 // and the lane kernel (ScanLanes, each world scanned as a one-lane block) to
 // credit exactly the triangles the exact oracle's per-world predicate
-// credits on the reference view, for every world of a shared bank. It
-// returns the number of candidates checked.
-func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, local *LocalResult, k int, pool *par.Pool) int {
+// credits on the reference view, for every world of a shared bank. The
+// references are taken from *refs in candidate order, after checking that
+// the candidate grew to the same closure, and built and appended where
+// *refs runs out. It returns the number of candidates checked.
+func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, local *LocalResult, k int, pool *par.Pool, refs *[]seedRef) int {
 	t.Helper()
 	cs := newCandidateSpace(local, k)
 	if len(cs.triangles) == 0 {
@@ -162,10 +176,22 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		if !seen.insert(closure) {
 			continue
 		}
+		where := fmt.Sprintf("%s k=%d seed=%d", name, k, seedT)
+		if checked == len(*refs) {
+			sr := seedRef{closure: slices.Clone(closure), ref: referenceSeed(cs.ti, pg.NumVertices(), closure)}
+			for _, world := range worlds {
+				ids, ok := sr.ref.qualifying(world, k)
+				sr.wantOK, sr.wantIDs = append(sr.wantOK, ok), append(sr.wantIDs, ids)
+			}
+			*refs = append(*refs, sr)
+		}
+		sr := &(*refs)[checked]
+		if !slices.Equal(sr.closure, closure) {
+			t.Fatalf("%s: candidate %d grew to %v, the reference's closure is %v", where, checked, closure, sr.closure)
+		}
+		ref := sr.ref
 		checked++
 		m := est.seedCandidate(closure, k)
-		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
-		where := fmt.Sprintf("%s k=%d seed=%d", name, k, seedT)
 		if m != ref.hti.Len() {
 			t.Fatalf("%s: seed view has %d triangles, reference %d", where, m, ref.hti.Len())
 		}
@@ -205,7 +231,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 			t.Fatalf("%s: seed vertices %v, reference %v", where, verts, ref.verts)
 		}
 		counts := make([]int32, m)
-		for i, world := range worlds {
+		for i := range worlds {
 			clear(counts)
 			lanes.Transpose(masks[i*words:(i+1)*words], 1, words)
 			viaLanes.ScanLanes(&est.seed, lanes.Block(0), lanes.Valid(0), counts)
@@ -215,7 +241,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 					got = append(got, int32(id))
 				}
 			}
-			wantIDs, wantOK := ref.qualifying(world, k)
+			wantIDs, wantOK := sr.wantIDs[i], sr.wantOK[i]
 			if !slices.Equal(got, wantIDs) {
 				t.Fatalf("%s world %d: lane kernel credits %v, reference (%v, %v)",
 					where, i, got, wantOK, wantIDs)
@@ -255,13 +281,15 @@ func TestWorldCheckSeedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One reference per candidate and level, shared by both index forms.
+		refs := make([][]seedRef, in.maxK+1)
 		for _, pre := range []*Prepared{fresh, withSortedIDIndex(fresh)} {
 			local, err := localDecompose(&run{pool: pool, pre: pre}, LocalRequest{Theta: in.theta, Mode: ModeDP})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k <= in.maxK; k++ {
-				total += checkSeedsAgainstReference(t, in.name, in.pg, local, k, pool)
+				total += checkSeedsAgainstReference(t, in.name, in.pg, local, k, pool, &refs[k])
 			}
 		}
 	}

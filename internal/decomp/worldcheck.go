@@ -182,6 +182,10 @@ func (u *WorldCheckUnion) Len() int { return len(u.root) }
 // seed's triangles (see WorldCheckSeed.AliveUID) in the root index.
 func (u *WorldCheckUnion) Root(uid int32) int32 { return u.root[uid] }
 
+// UID returns root triangle t's union id, or -1 for a triangle outside the
+// union: t's slot in any per-union-triangle accumulator.
+func (u *WorldCheckUnion) UID(t int32) int32 { return u.uid[t] }
+
 // CountAlive adds to cnt[t], for every union triangle t, the number of valid
 // worlds of one 64-world lane block (lanes indexed by union edge id, as
 // mc.Lanes.Block returns them) in which t's three edges are all present.
@@ -221,13 +225,18 @@ type WorldCheckSeed struct {
 	adjOff  []int32
 	adjVert []int32
 	adjBit  []int32
+	// extra: the union ids of the view triangles outside the seeding
+	// triangles, ascending (see Extras).
+	extra []int32
 	// Per-union scratch reused across Seed calls: edgeStamp marks the
-	// current candidate's union edges and vertStamp its vertices (current iff
-	// equal to gen), local maps a marked vertex to its candidate-local id,
-	// viewID a candidate triangle's union id to its view id.
+	// current candidate's union edges, vertStamp its vertices and triStamp
+	// its seeding triangles (current iff equal to gen), local maps a marked
+	// vertex to its candidate-local id, viewID a candidate triangle's union
+	// id to its view id.
 	gen       int32
 	edgeStamp []int32
 	vertStamp []int32
+	triStamp  []int32
 	local     []int32
 	viewID    []int32
 	edges     []int32
@@ -235,13 +244,17 @@ type WorldCheckSeed struct {
 }
 
 // Seed binds the seed to the candidate spanned by the union triangles tris
-// (root ids, in any order; its edges are the triangles' edges) at nucleus
-// level k. The candidate's view holds every union triangle whose three edges
-// are candidate edges — the closure's own triangles and any others they
-// span — and its completions are the union completions whose z-edges are
-// candidate edges. No step touches the root index or more of the union
-// than the candidate's edges and their triangles; all storage is reused
-// across candidates of any size.
+// (root ids; its edges are the triangles' edges) at nucleus level k. The
+// candidate's view holds every union triangle whose three edges are
+// candidate edges — the seeding triangles themselves and any extra ones
+// their edges span (see Extras) — and its completions are the union
+// completions whose z-edges are candidate edges. tris is best given in
+// ascending order, as closures are: union ids follow root order, so the
+// seeding triangles then enter the view already sorted and only the extras,
+// usually none, are sorted and merged in; any other order is sorted first.
+// No step touches the root index or more of the union than the candidate's
+// edges and their triangles; all storage is reused across candidates of any
+// size.
 func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 	s.u, s.k = u, k
 	if ne := len(u.edgeEnd) / 2; len(s.edgeStamp) < ne {
@@ -253,14 +266,26 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 	}
 	if len(s.viewID) < u.Len() {
 		s.viewID = make([]int32, u.Len())
+		s.triStamp = make([]int32, u.Len())
 	}
 	s.gen++
 	gen := s.gen
 	marked := func(e int32) bool { return s.edgeStamp[e] == gen }
 
-	edges := s.edges[:0]
+	// The seeding triangles are view triangles: stamp them and take their
+	// union ids in the order given while marking their edges.
+	uids, edges := s.triUID[:0], s.edges[:0]
+	sorted := true
 	for _, rt := range tris {
 		t := u.uid[rt]
+		if s.triStamp[t] == gen {
+			continue
+		}
+		s.triStamp[t] = gen
+		if n := len(uids); n > 0 && uids[n-1] > t {
+			sorted = false
+		}
+		uids = append(uids, t)
 		for _, e := range u.triEdge[3*t : 3*t+3] {
 			if !marked(e) {
 				s.edgeStamp[e] = gen
@@ -268,18 +293,27 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 			}
 		}
 	}
+	if !sorted {
+		slices.Sort(uids)
+	}
 	s.edges = edges
 
-	uids := s.triUID[:0]
+	// The edge walk reaches every view triangle once, from its lowest edge;
+	// only the unstamped ones are new.
+	extra := s.extra[:0]
 	for _, e := range edges {
 		for _, t := range u.byEdge[u.byEdgeOff[e]:u.byEdgeOff[e+1]] {
 			b := 3 * t
-			if marked(u.triEdge[b]) && marked(u.triEdge[b+1]) && marked(u.triEdge[b+2]) {
-				uids = append(uids, t)
+			if s.triStamp[t] != gen && marked(u.triEdge[b]) && marked(u.triEdge[b+1]) && marked(u.triEdge[b+2]) {
+				extra = append(extra, t)
 			}
 		}
 	}
-	slices.Sort(uids)
+	s.extra = extra
+	if len(extra) > 0 {
+		slices.Sort(extra)
+		uids = mergeAscending(uids, extra)
+	}
 	s.triUID = uids
 	for i, t := range uids {
 		s.viewID[t] = int32(i)
@@ -346,6 +380,27 @@ func (s *WorldCheckSeed) Len() int { return len(s.triUID) }
 // slot in any per-union-triangle accumulator, such as the alive-world counts
 // of WorldCheckUnion.CountAlive.
 func (s *WorldCheckSeed) AliveUID(t int) int32 { return s.triUID[t] }
+
+// Extras returns the union ids, ascending, of the view triangles that are
+// not among the seeding triangles: the ones the candidate's edges span
+// beyond them. The slice aliases the seed.
+func (s *WorldCheckSeed) Extras() []int32 { return s.extra }
+
+// mergeAscending merges the ascending, disjoint id list b into the
+// ascending list a, from the back so no scratch is needed, and returns the
+// merged list (a grown by len(b)).
+func mergeAscending(a, b []int32) []int32 {
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for w := len(a) - 1; j >= 0; w-- {
+		if i >= 0 && a[i] > b[j] {
+			a[w], i = a[i], i-1
+		} else {
+			a[w], j = b[j], j-1
+		}
+	}
+	return a
+}
 
 // Completions and AppendVertices are test-support accessors: they expose
 // the seed's completion tables and vertex set so tests in other packages

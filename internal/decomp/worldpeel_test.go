@@ -353,10 +353,13 @@ func TestNonQualifyingMaskMatchesGraph(t *testing.T) {
 // exact oracle on the materialized world restricted to the candidate: same
 // verdict, and the credited triangles are that world's triangles, for
 // candidates spanned by a random subset of the union's triangles and worlds
-// sampled over a union larger than the candidate.
+// sampled over a union larger than the candidate. The seed's view ids must
+// ascend, its extras must be exactly the view triangles outside the
+// seeding subset, and seeding from the subset in shuffled order must cut
+// the same view.
 func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
-	checked := 0
+	checked, extras := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		g := randomGraph(rng, 10, 0.6)
 		union := unionWith(rng, g)
@@ -380,16 +383,39 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 				verts = append(verts, v)
 			}
 		}
-		var seed WorldCheckSeed
+		var seed, shuffled WorldCheckSeed
 		var viaLanes WorldChecker
 		var viaMask refMaskChecker
 		var lanes mc.Lanes
 		row := make([]uint64, (wu.Len()+63)/64)
+		perm := slices.Clone(tris)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		for k := 0; k <= 2; k++ {
 			seed.Seed(wu, tris, k)
 			if seed.Len() != hti.Len() {
 				t.Fatalf("trial %d k=%d: seed view has %d triangles, candidate has %d", trial, k, seed.Len(), hti.Len())
 			}
+			// Every union triangle is a triangle of uti, so union ids are
+			// uti ids and tris is ascending in both.
+			shuffled.Seed(wu, perm, k)
+			var view, outside []int32
+			for j := 0; j < seed.Len(); j++ {
+				view = append(view, seed.AliveUID(j))
+				if _, in := slices.BinarySearch(tris, seed.AliveUID(j)); !in {
+					outside = append(outside, seed.AliveUID(j))
+				}
+				if j >= shuffled.Len() || shuffled.AliveUID(j) != seed.AliveUID(j) {
+					t.Fatalf("trial %d k=%d: shuffled seeding order cut a different view", trial, k)
+				}
+			}
+			if !slices.IsSorted(view) {
+				t.Fatalf("trial %d k=%d: view ids %v not ascending", trial, k, view)
+			}
+			if !slices.Equal(seed.Extras(), outside) || !slices.Equal(shuffled.Extras(), outside) {
+				t.Fatalf("trial %d k=%d: extras %v (shuffled %v), view triangles outside the seeding set %v",
+					trial, k, seed.Extras(), shuffled.Extras(), outside)
+			}
+			extras += len(outside)
 			got := seed.AppendVertices(nil)
 			slices.Sort(got)
 			if !slices.Equal(got, verts) {
@@ -440,8 +466,8 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no worlds checked")
+	if checked == 0 || extras == 0 {
+		t.Fatalf("vacuous: %d worlds checked, %d extra view triangles", checked, extras)
 	}
 }
 

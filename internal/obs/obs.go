@@ -96,7 +96,7 @@ func (r Reject) String() string {
 // expired while waiting), and after a started request runs,
 // RequestFinished. Kernel progress events — WorldBatch for each shared
 // Monte-Carlo bank draw, PeelRound per peeling sub-round, Candidate per
-// validated global/weak candidate, PoolRound per worker-pool parallel
+// enumerated global/weak candidate, PoolRound per worker-pool parallel
 // round — arrive between Started and Finished of the request that caused
 // them.
 type Observer interface {
@@ -130,8 +130,10 @@ type Observer interface {
 	// the nucleusness of a batch of triangles and re-scored `affected`
 	// triangles that shared cliques with them.
 	PeelRound(affected int)
-	// Candidate: the global/weak pipeline validated one candidate of `tris`
-	// triangles against the shared world stream.
+	// Candidate: the global/weak pipeline admitted one distinct candidate of
+	// `tris` triangles, before any θ-prune or world scan: g-NuDecomp reports
+	// each deduplicated closure as it is enumerated, w-NuDecomp each
+	// candidate's seed on the first window.
 	Candidate(tris int)
 	// PoolRound: one worker-pool parallel round processed `items` work items
 	// in wall-clock time d (the internal/par chunk-timing tap).

@@ -240,6 +240,10 @@ var (
 	// ErrBadSampleSpec reports an unusable Monte-Carlo sample specification:
 	// a negative Samples count, or ε/δ outside (0,1] when set.
 	ErrBadSampleSpec = core.ErrBadSampleSpec
+	// ErrLocalTheta reports a global or weak request whose supplied Local
+	// was decomposed at a θ above the request's, which would shrink the
+	// candidate space and miss nuclei. A Local at a lower θ is allowed.
+	ErrLocalTheta = core.ErrLocalTheta
 	// ErrEngineClosed reports a request that was still waiting for a shard
 	// when its Engine was closed.
 	ErrEngineClosed = core.ErrEngineClosed

@@ -77,7 +77,9 @@ echo "==> go vet + go test (perfbench module)"
 # and 8 workers), the differential of the union tables cut from the root
 # incidence against the view-and-lookup construction, and the worker-count
 # and window differentials of the whole global kernel get a repeated -race
-# pass of their own.
+# pass of their own. The window differential's early-prune case drops
+# closures before they are seeded on the first window and on later ones, so
+# this pass also covers the multi-window path of the closure-first prune.
 echo "==> go test -race global lane scan and union (lane and union differentials, worker and window differentials)"
 go test -race -count=2 -run 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
 go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
