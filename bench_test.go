@@ -353,8 +353,9 @@ func benchLevels(b *testing.B, nuclei nucleiFunc) {
 
 // BenchmarkEngineReuse measures what warm reuse buys a server over the cold
 // per-request path, for both the local and global request shapes. The cold
-// rows are the raw engine path: every iteration re-enumerates the triangle
-// index and peels (and, for global, samples worlds). The warm rows go
+// rows are the raw engine path: every iteration prepares the graph —
+// re-enumerating its triangle index — and queries the new artifact, which
+// peels (and, for global, samples worlds). The warm rows go
 // through a Registry whose graph was registered — prepared artifact built —
 // and whose local result was computed before the timer: a warm local query
 // is a pure cache hit (no enumeration, no peel), and a warm global query
@@ -402,7 +403,11 @@ func BenchmarkEngineReuse(b *testing.B) {
 	}
 
 	b.Run("local-cold", cold(func(eng *pn.Engine) error {
-		_, err := eng.Local(ctx, g, localReq)
+		pre, err := eng.Prepare(ctx, g)
+		if err != nil {
+			return err
+		}
+		_, err = eng.LocalPrepared(ctx, pre, localReq)
 		return err
 	}))
 	b.Run("local-warm", warm(func(reg *pn.Registry) error {
@@ -410,7 +415,11 @@ func BenchmarkEngineReuse(b *testing.B) {
 		return err
 	}))
 	b.Run("global-cold", cold(func(eng *pn.Engine) error {
-		_, err := eng.Global(ctx, g, globReq)
+		pre, err := eng.Prepare(ctx, g)
+		if err != nil {
+			return err
+		}
+		_, err = eng.GlobalPrepared(ctx, pre, globReq)
 		return err
 	}))
 	b.Run("global-warm", warm(func(reg *pn.Registry) error {
@@ -501,8 +510,12 @@ func contendedShape(metrics bool) func(testing.TB) func() error {
 		eng := pn.NewEngine(2, 1, opts...)
 		tb.Cleanup(eng.Close)
 		ctx := context.Background()
+		pre, err := eng.Prepare(ctx, g)
+		if err != nil {
+			tb.Fatal(err)
+		}
 		return func() error {
-			_, err := eng.Global(ctx, g, req)
+			_, err := eng.GlobalPrepared(ctx, pre, req)
 			return err
 		}
 	}

@@ -17,19 +17,9 @@ import (
 // path.
 func newFaultyTestServer(t *testing.T, shards, maxQueue int, cfg fault.Config) *server {
 	t.Helper()
-	var edges []pn.ProbEdge
-	for u := int32(0); u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			edges = append(edges, pn.ProbEdge{U: u, V: v, P: 0.9})
-		}
-	}
-	pg, err := pn.NewGraph(5, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := new(pn.EngineMetrics)
 	s := &server{
-		pg:      pg,
+		pre:     preparedK5(),
 		eng:     pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(fault.Wrap(m, fault.New(cfg)))),
 		metrics: m,
 		timeout: 10 * time.Second,

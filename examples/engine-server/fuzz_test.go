@@ -13,24 +13,12 @@ import (
 // fuzzServer is one shared tiny server for the fuzz targets: requests whose
 // parameters fail to parse never reach the engine, so the handler round-trip
 // below stays cheap, and building it once keeps the fuzz iteration rate up.
-var fuzzServer = func() *server {
-	var edges []pn.ProbEdge
-	for u := int32(0); u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			edges = append(edges, pn.ProbEdge{U: u, V: v, P: 0.9})
-		}
-	}
-	pg, err := pn.NewGraph(5, edges)
-	if err != nil {
-		panic(err)
-	}
-	return &server{
-		pg:      pg,
-		eng:     pn.NewEngine(1, 1),
-		metrics: new(pn.EngineMetrics),
-		timeout: time.Second,
-	}
-}()
+var fuzzServer = &server{
+	pre:     preparedK5(),
+	eng:     pn.NewEngine(1, 1),
+	metrics: new(pn.EngineMetrics),
+	timeout: time.Second,
+}
 
 // request builds an *http.Request with a raw (possibly malformed) query
 // string, exactly as the net/http server would hand it to the handler.

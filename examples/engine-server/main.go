@@ -20,14 +20,17 @@
 // body over 64 MiB or with vertex ids too sparse for its edge count),
 // /graphs/{name} reads or deletes one (404 when unknown), and
 // /graphs/{name}/local and /graphs/{name}/nuclei are the per-graph query
-// routes. The startup dataset is registered under its own name.
+// routes. The startup dataset is registered under its own name, and /local
+// and /nuclei query it from an artifact prepared once at startup.
 //
 // -artifacts makes the registry durable: every registered graph's prepared
 // artifact is persisted into the directory (versioned binary format, see the
 // README's Persistent artifacts section), and a restarted server warm-starts
-// from it — every graph found on disk is served again without re-enumerating
-// a single triangle, including the startup dataset when its name is already
-// persisted. Artifact save/load counters appear in /metrics.
+// from it — every graph found on disk is served again on the /graphs routes
+// without re-enumerating a single triangle, including the startup dataset
+// when its name is already persisted (the artifact behind /local and
+// /nuclei is still prepared at startup). Artifact save/load counters appear
+// in /metrics.
 //
 // Every connection is bounded in time as well: the server drops a client
 // that takes too long to send its headers or its whole request, or idles
@@ -71,7 +74,9 @@ import (
 // server bundles the serving state the handlers close over, so tests can
 // build one around an httptest listener without going through main.
 type server struct {
-	pg      *pn.Graph
+	// pre is the startup graph's artifact, prepared once; /local and
+	// /nuclei run from it.
+	pre     *pn.Prepared
 	eng     *pn.Engine
 	reg     *pn.Registry
 	metrics *pn.EngineMetrics
@@ -129,8 +134,12 @@ func main() {
 	if *artDir != "" {
 		regOpts = append(regOpts, pn.WithArtifactDir(*artDir))
 	}
+	pre, err := eng.Prepare(context.Background(), pn.MustDataset(*name, *scale))
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv := &server{
-		pg:      pn.MustDataset(*name, *scale),
+		pre:     pre,
 		eng:     eng,
 		reg:     pn.NewRegistry(eng, regOpts...),
 		metrics: metrics,
@@ -144,7 +153,7 @@ func main() {
 	// already warm-start it — a persisted copy serves the same queries
 	// without re-enumerating, which is the point of -artifacts.
 	if _, err := srv.reg.Get(*name); err != nil {
-		if _, err := srv.reg.Put(context.Background(), *name, srv.pg); err != nil {
+		if _, err := srv.reg.Put(context.Background(), *name, pre.Graph()); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -154,7 +163,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("serving %s (%d edges) on http://%s — %d shards × %d workers, queue %d, %v timeout",
-		*name, srv.pg.NumEdges(), ln.Addr(), srv.eng.Shards(), srv.eng.Workers(), *maxQueue, *timeout)
+		*name, pre.Graph().NumEdges(), ln.Addr(), srv.eng.Shards(), srv.eng.Workers(), *maxQueue, *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -409,7 +418,7 @@ func (s *server) handleLocal(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	res, err := s.eng.Local(ctx, s.pg, req)
+	res, err := s.eng.LocalPrepared(ctx, s.pre, req)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -459,9 +468,9 @@ func (s *server) handleNuclei(w http.ResponseWriter, r *http.Request) {
 	}
 	var nuclei []pn.ProbNucleus
 	if sem == "weak" {
-		nuclei, err = s.eng.Weak(ctx, s.pg, req)
+		nuclei, err = s.eng.WeakPrepared(ctx, s.pre, req)
 	} else {
-		nuclei, err = s.eng.Global(ctx, s.pg, req)
+		nuclei, err = s.eng.GlobalPrepared(ctx, s.pre, req)
 	}
 	if err != nil {
 		s.writeError(w, err)

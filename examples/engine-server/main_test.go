@@ -22,8 +22,28 @@ import (
 // concurrency.
 func newTestServer(t *testing.T, shards, maxQueue int) *server {
 	t.Helper()
-	// K5 with uniform probability 0.9: every triangle sits in several
-	// 4-cliques, so all three semantics return non-empty answers quickly.
+	m := new(pn.EngineMetrics)
+	eng := pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(m))
+	s := &server{
+		pre:     preparedK5(),
+		eng:     eng,
+		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m)),
+		metrics: m,
+		timeout: 10 * time.Second,
+		maxBody: defaultMaxBody,
+	}
+	if _, err := s.reg.Put(context.Background(), "k5", s.pre.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.eng.Close)
+	return s
+}
+
+// preparedK5 is the test servers' startup graph, prepared: K5 with uniform
+// probability 0.9, where every triangle sits in several 4-cliques, so all
+// three semantics return non-empty answers quickly. It is prepared off any
+// server engine, so a fault-injecting observer sees only the requests.
+func preparedK5() *pn.Prepared {
 	var edges []pn.ProbEdge
 	for u := int32(0); u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
@@ -32,23 +52,13 @@ func newTestServer(t *testing.T, shards, maxQueue int) *server {
 	}
 	pg, err := pn.NewGraph(5, edges)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	m := new(pn.EngineMetrics)
-	eng := pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(m))
-	s := &server{
-		pg:      pg,
-		eng:     eng,
-		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m)),
-		metrics: m,
-		timeout: 10 * time.Second,
-		maxBody: defaultMaxBody,
+	pre, err := pn.Prepare(pg, 1)
+	if err != nil {
+		panic(err)
 	}
-	if _, err := s.reg.Put(context.Background(), "k5", pg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.eng.Close)
-	return s
+	return pre
 }
 
 func get(t *testing.T, h http.Handler, target string) *httptest.ResponseRecorder {
@@ -141,6 +151,30 @@ func TestGoodRequests(t *testing.T) {
 	}
 }
 
+// TestStartupGraphPreparedOnce: /local and /nuclei run from the startup
+// graph's artifact, prepared before the first request, so repeated queries
+// of every semantics build no triangle index.
+func TestStartupGraphPreparedOnce(t *testing.T) {
+	s := newTestServer(t, 1, -1)
+	h := s.handler()
+	builds := s.metrics.Snapshot().IndexBuilds
+	for i := 0; i < 3; i++ {
+		for _, target := range []string{
+			"/local?theta=0.3",
+			"/local?theta=0.3&mode=ap",
+			"/nuclei?k=1&theta=0.3&samples=20",
+			"/nuclei?semantics=weak&k=1&theta=0.3&samples=20",
+		} {
+			if w := get(t, h, target); w.Code != http.StatusOK {
+				t.Fatalf("GET %s = %d, body %q", target, w.Code, w.Body.String())
+			}
+		}
+	}
+	if got := s.metrics.Snapshot().IndexBuilds; got != builds {
+		t.Fatalf("index builds went from %d at startup to %d after 12 queries, want no change", builds, got)
+	}
+}
+
 // TestExpiredDeadline: a request arriving with its context already expired
 // is a 504, not a 500 — the timeout mapping the serving loop relies on.
 func TestExpiredDeadline(t *testing.T) {
@@ -163,6 +197,10 @@ func TestOverloaded(t *testing.T) {
 	s := newTestServer(t, 1, 0)
 	h := s.handler()
 
+	big, err := s.eng.Prepare(context.Background(), pn.MustDataset("krogan", 0.04))
+	if err != nil {
+		t.Fatal(err)
+	}
 	holdCtx, release := context.WithCancel(context.Background())
 	defer release()
 	holderDone := make(chan struct{})
@@ -171,8 +209,7 @@ func TestOverloaded(t *testing.T) {
 		// Hold the only shard through the engine until released: a request
 		// over a graph big enough to run for many seconds uncancelled. The
 		// cancellation error is expected and discarded.
-		big := pn.MustDataset("krogan", 0.04)
-		s.eng.Global(holdCtx, big, pn.NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1}) //nolint:errcheck
+		s.eng.GlobalPrepared(holdCtx, big, pn.NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1}) //nolint:errcheck
 	}()
 
 	// Wait until the holder has actually checked out the shard — visible on
@@ -449,7 +486,10 @@ func TestGracefulShutdown(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := s.eng.Local(context.Background(), s.pg, pn.LocalRequest{Theta: 0.3}); !errors.Is(err, pn.ErrEngineClosed) {
+	if _, err := s.eng.Prepare(context.Background(), s.pre.Graph()); !errors.Is(err, pn.ErrEngineClosed) {
+		t.Fatalf("post-shutdown prepare returned %v, want ErrEngineClosed", err)
+	}
+	if _, err := s.eng.LocalPrepared(context.Background(), s.pre, pn.LocalRequest{Theta: 0.3}); !errors.Is(err, pn.ErrEngineClosed) {
 		t.Fatalf("post-shutdown request returned %v, want ErrEngineClosed", err)
 	}
 }
@@ -478,7 +518,7 @@ func TestArtifactDirWarmStart(t *testing.T) {
 	eng := pn.NewEngine(1, 1, pn.WithObserver(m))
 	t.Cleanup(eng.Close)
 	warm := &server{
-		pg:      cold.pg,
+		pre:     cold.pre,
 		eng:     eng,
 		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m), pn.WithArtifactDir(dir)),
 		metrics: m,

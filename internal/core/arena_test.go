@@ -206,13 +206,7 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	cs, est := globalArenaFixture(t, pool)
-	var closures [][]int32
-	var seen triSetDedup
-	for _, seed := range cs.triangles {
-		if closure := cs.closure(seed, 1); seen.insert(closure) {
-			closures = append(closures, slices.Clone(closure))
-		}
-	}
+	closures := candidateClosures(cs, 1)
 	for _, closure := range closures { // warm every scratch buffer
 		est.seedCandidate(closure, 1)
 	}
@@ -337,11 +331,15 @@ func TestLocalScratchReuse(t *testing.T) {
 	// what the next peel starts from.
 	solo := NewEngine(1, 2)
 	defer solo.Close()
+	pres := make([]*Prepared, len(pgs))
+	for g, pg := range pgs {
+		pres[g] = mustPrepare(t, solo, pg)
+	}
 	for r := 0; r < 2; r++ {
 		for i := range queries {
 			j := (i*5 + r) % len(queries) // mixes graphs and modes
 			q := queries[j]
-			res, err := solo.Local(ctx, pgs[q.g], LocalRequest{Theta: q.theta, Mode: q.mode})
+			res, err := solo.LocalPrepared(ctx, pres[q.g], LocalRequest{Theta: q.theta, Mode: q.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,13 +350,6 @@ func TestLocalScratchReuse(t *testing.T) {
 	}
 	eng := NewEngine(2, 2)
 	defer eng.Close()
-	pres := make([]*Prepared, len(pgs))
-	for g, pg := range pgs {
-		var err error
-		if pres[g], err = eng.Prepare(ctx, pg); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)

@@ -39,13 +39,18 @@ func waitHealthy(t *testing.T, e *Engine) Health {
 // fully serviceable — all observed through Health and the metrics counters.
 func TestEngineQuarantineRebuild(t *testing.T) {
 	pg := fixtures.Fig1()
+	// Prepared off the engine, so the one injected panic hits the request.
+	pre, err := Prepare(pg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := new(obs.Metrics)
 	inj := fault.New(fault.Config{Seed: 1, Panic: 1, Limit: 1})
 	eng := NewEngine(2, 2, WithMaxQueue(4), WithObserver(fault.Wrap(m, inj)))
 	defer eng.Close()
 
 	ctx := context.Background()
-	_, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+	_, err = eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("request under Panic:1 returned %v, want ErrInternal", err)
 	}
@@ -80,7 +85,7 @@ func TestEngineQuarantineRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+		res, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 		if err != nil {
 			t.Fatalf("request %d after rebuild: %v", i, err)
 		}
@@ -101,6 +106,7 @@ func TestEngineDoomedAdmission(t *testing.T) {
 	m := new(obs.Metrics)
 	eng := NewEngine(1, 1, WithObserver(m))
 	defer eng.Close()
+	pre := mustPrepare(t, eng, pg)
 
 	// Prime the latency ledger: 32 finished local requests at ~50ms put the
 	// observed p50 in the [33.5ms, 67.1ms) bucket, well past the min-sample
@@ -116,7 +122,7 @@ func TestEngineDoomedAdmission(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	_, err = eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+	_, err = eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 	cancel()
 	if !errors.Is(err, ErrDoomed) {
 		t.Fatalf("10ms-deadline request against ~67ms p50 returned %v, want ErrDoomed", err)
@@ -128,7 +134,7 @@ func TestEngineDoomedAdmission(t *testing.T) {
 	// Weak semantics has no latency samples yet: the same tight deadline
 	// must NOT be shed on an unobserved ledger (it expires waiting instead).
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
-	_, err = eng.Weak(ctx, pg, NucleiRequest{K: 1, Theta: 0.35, Samples: 50})
+	_, err = eng.WeakPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.35, Samples: 50})
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unprimed semantics returned %v, want DeadlineExceeded from queueing", err)
@@ -140,7 +146,7 @@ func TestEngineDoomedAdmission(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+		_, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 		done <- err
 	}()
 	// Give the goroutine time to enter the queue, then free the shard.
@@ -149,19 +155,24 @@ func TestEngineDoomedAdmission(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("generous-deadline queued request failed: %v", err)
 	}
-	if _, err := eng.Local(context.Background(), pg, LocalRequest{Theta: 0.35}); err != nil {
+	if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.35}); err != nil {
 		t.Fatalf("deadline-free request failed: %v", err)
 	}
 }
 
 // TestEngineChaos is the acceptance chaos suite: randomized injected panics,
-// delays, and forced cancels across all three semantics, under concurrent
-// load (run under -race by scripts/ci.sh). The invariants: the process never
-// crashes, callers only ever observe typed errors, injected panics surface
-// as ErrInternal wrapping the injected value, and after the storm capacity
-// converges back to Shards() with every shard distinct.
+// delays, and forced cancels across all three semantics and the prepare
+// stage, under concurrent load (run under -race by scripts/ci.sh). The
+// invariants: the process never crashes, callers only ever observe typed
+// errors, injected panics surface as ErrInternal wrapping the injected
+// value, and after the storm capacity converges back to Shards() with every
+// shard distinct.
 func TestEngineChaos(t *testing.T) {
 	pg := fixtures.Fig1()
+	pre, err := Prepare(pg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := new(obs.Metrics)
 	inj := fault.New(fault.Config{
 		Seed:     42,
@@ -187,13 +198,15 @@ func TestEngineChaos(t *testing.T) {
 					disarm := inj.Arm(cancel)
 					defer disarm()
 					var err error
-					switch (g + i) % 3 {
+					switch (g + i) % 4 {
 					case 0:
-						_, err = eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+						_, err = eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 					case 1:
-						_, err = eng.Global(ctx, pg, NucleiRequest{K: 1, Theta: 0.35, Samples: 100, Seed: int64(i)})
+						_, err = eng.GlobalPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.35, Samples: 100, Seed: int64(i)})
+					case 2:
+						_, err = eng.WeakPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.35, Samples: 100, Seed: int64(i)})
 					default:
-						_, err = eng.Weak(ctx, pg, NucleiRequest{K: 1, Theta: 0.35, Samples: 100, Seed: int64(i)})
+						_, err = eng.Prepare(ctx, pg)
 					}
 					errc <- err
 				}()
@@ -290,11 +303,18 @@ func waitNoEngineGoroutines(t *testing.T, what string) {
 // of a chaos storm.
 func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 	pg := fixtures.Fig1()
+	pre, err := Prepare(pg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("plain", func(t *testing.T) {
 		eng := NewEngine(2, 4)
+		if _, err := eng.Prepare(context.Background(), pg); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 4; i++ {
-			if _, err := eng.Local(context.Background(), pg, LocalRequest{Theta: 0.35}); err != nil {
+			if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.35}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -305,7 +325,7 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 	t.Run("after-rebuild", func(t *testing.T) {
 		inj := fault.New(fault.Config{Seed: 9, Panic: 1, Limit: 1})
 		eng := NewEngine(2, 4, WithObserver(fault.Wrap(obs.NopObserver{}, inj)))
-		if _, err := eng.Local(context.Background(), pg, LocalRequest{Theta: 0.35}); !errors.Is(err, ErrInternal) {
+		if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.35}); !errors.Is(err, ErrInternal) {
 			t.Fatalf("got %v, want ErrInternal", err)
 		}
 		// Close without waiting for the rebuild: it must drain the
@@ -324,7 +344,7 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 6; i++ {
 					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-					_, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.35})
+					_, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.35})
 					cancel()
 					switch {
 					case err == nil,

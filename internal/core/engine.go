@@ -15,9 +15,9 @@ import (
 	"probnucleus/internal/probgraph"
 )
 
-// LocalRequest parameterizes Engine.Local: one ℓ-NuDecomp query — the
-// fields of Options a caller chooses per query, without the worker count,
-// which is the engine's.
+// LocalRequest parameterizes Engine.LocalPrepared: one ℓ-NuDecomp query —
+// the fields of Options a caller chooses per query, without the worker
+// count, which is the engine's.
 type LocalRequest struct {
 	// Theta is the probability threshold θ of the decomposition.
 	Theta float64
@@ -33,8 +33,8 @@ type LocalRequest struct {
 }
 
 // Validate reports whether the request is well-formed without running it;
-// Engine.Local calls it first, and failures match the package's sentinel
-// errors via errors.Is.
+// Engine.LocalPrepared calls it first, and failures match the package's
+// sentinel errors via errors.Is.
 func (r LocalRequest) Validate() error {
 	if !(r.Theta > 0 && r.Theta <= 1) {
 		return errTheta(r.Theta)
@@ -42,10 +42,10 @@ func (r LocalRequest) Validate() error {
 	return nil
 }
 
-// NucleiRequest parameterizes Engine.Global and Engine.Weak: one g- or
-// w-NuDecomp query. It unifies the (k, θ) call arguments and the MCOptions
-// sampling knobs of the package-level functions into a single validated
-// request struct, the one every g- and w-NuDecomp call runs from.
+// NucleiRequest parameterizes Engine.GlobalPrepared and Engine.WeakPrepared:
+// one g- or w-NuDecomp query. It unifies the (k, θ) call arguments and the
+// MCOptions sampling knobs of the package-level functions into a single
+// validated request struct, the one every g- and w-NuDecomp call runs from.
 type NucleiRequest struct {
 	// K is the nucleus level.
 	K int
@@ -82,8 +82,8 @@ type NucleiRequest struct {
 }
 
 // Validate reports whether the request is well-formed without running it;
-// Engine.Global and Engine.Weak call it first, and failures match the
-// package's sentinel errors via errors.Is.
+// Engine.GlobalPrepared and Engine.WeakPrepared call it first, and failures
+// match the package's sentinel errors via errors.Is.
 func (r NucleiRequest) Validate() error {
 	// k first: the pinned validation order reports a negative k even when θ
 	// is also out of range (see TestNegativeKRejectedBeforeWork).
@@ -219,15 +219,18 @@ func WithObserver(o obs.Observer) EngineOption {
 // semantics: a fixed set of shards — each owning a persistent worker pool,
 // the peeling/validation scratch that grows inside it, and a reusable
 // world-mask bank (mc.Bank, re-grown but never re-allocated across calls at
-// the same (ε,δ)) — dispatched to callers through a free list. N goroutines
-// may issue mixed Local/Global/Weak requests simultaneously; at most
-// Shards() of them decompose at once while the rest wait on the free list or
-// their contexts, and WithMaxQueue bounds how many may wait.
+// the same (ε,δ)) — dispatched to callers through a free list. Every query
+// runs from a prepared artifact: Prepare enumerates a graph's triangle index
+// once, and LocalPrepared, GlobalPrepared and WeakPrepared answer from it.
+// N goroutines may issue mixed requests simultaneously; at most Shards() of
+// them run at once while the rest wait on the free list or their contexts,
+// and WithMaxQueue bounds how many may wait.
 //
-// Results are byte-identical to the package-level functions for every shard
-// and worker count. Cancellation is checked between worker-pool chunks and
-// Monte-Carlo world batches: a cancelled call returns ctx.Err() promptly and
-// its shard goes straight back on the free list, reusable.
+// Results are byte-identical to the package-level functions on the
+// artifact's graph for every shard and worker count. Cancellation is
+// checked between worker-pool chunks and Monte-Carlo world batches: a
+// cancelled call returns ctx.Err() promptly and its shard goes straight back
+// on the free list, reusable.
 //
 // The engine also survives its own bugs: a panic anywhere in a request —
 // kernel serial sections, worker-pool rounds, observer hooks — is contained
@@ -288,9 +291,10 @@ type engineShard struct {
 
 // run is what a shard hands one kernel call besides its request: the
 // shard's worker pool and world-mask bank, the engine's observer (nil when
-// off), the prepare-stage artifact the call runs from (nil until prepared),
-// the local-peel working memory to reuse (nil gives the peel fresh memory),
-// and the Monte-Carlo working memory the global and weak kernels reuse.
+// off), the prepare-stage artifact the call runs from, whose graph every
+// kernel reads, the local-peel working memory to reuse (nil gives the peel
+// fresh memory), and the Monte-Carlo working memory the global and weak
+// kernels reuse.
 type run struct {
 	pool  *par.Pool
 	bank  *mc.Bank
@@ -300,29 +304,12 @@ type run struct {
 	weak  *weakScratch
 }
 
-// prepare gives the run a prepared artifact for pg, enumerating pg's
-// triangle index on the run's pool unless the run already has one.
-func (r *run) prepare(pg *probgraph.Graph) error {
-	if r.pre != nil {
-		return nil
-	}
-	pre, err := newPrepared(pg, r.pool, r.obs)
-	if err != nil {
-		return err
-	}
-	r.pre = pre
-	return nil
-}
-
 // localResult resolves the pruning local decomposition the global and weak
 // kernels run from: the request's own when it brings one, otherwise an
-// exact DP decomposition at the request's θ on the run's pool.
-func (r *run) localResult(pg *probgraph.Graph, req NucleiRequest) (*LocalResult, error) {
+// exact DP decomposition at the request's θ of the run's artifact.
+func (r *run) localResult(req NucleiRequest) (*LocalResult, error) {
 	if req.Local != nil {
 		return req.Local, nil
-	}
-	if err := r.prepare(pg); err != nil {
-		return nil, err
 	}
 	return localDecompose(r, LocalRequest{Theta: req.Theta, Mode: ModeDP})
 }
@@ -556,27 +543,39 @@ func (e *Engine) release(s *engineShard) {
 	e.free <- s
 }
 
-// guarded runs one request body with panic containment: a normal return
-// (including a cancellation error) releases the shard for reuse, while a
-// panic — from the kernel's serial sections, a worker-pool round
-// (surfacing as *par.PanicError), or an observer hook — quarantines the
-// shard instead of returning its possibly-corrupted scratch to the free
-// list, and comes back as an *InternalError matching ErrInternal. The
-// process never crashes, and a poisoned shard never serves a second
-// request.
-func (e *Engine) guarded(s *engineShard, sem obs.Semantics, body func() error) (err error) {
+// serve runs one request for sem on a free shard (see acquire) and reports
+// it to the observer. A normal return (including a cancellation error)
+// releases the shard for reuse, while a panic — from the kernel's serial
+// sections, a worker-pool round (surfacing as *par.PanicError), or an
+// observer hook — quarantines the shard instead of returning its
+// possibly-corrupted scratch to the free list, and comes back as an
+// *InternalError matching ErrInternal with a zero result. The process never
+// crashes, and a poisoned shard never serves a second request.
+func serve[T any](e *Engine, ctx context.Context, sem obs.Semantics, body func(*engineShard) (T, error)) (out T, err error) {
+	var start time.Time
+	if e.obs != nil { // time.Now stays off the path of unobserved engines
+		start = time.Now()
+	}
+	s, err := e.acquire(ctx, sem)
+	if err != nil {
+		return out, err
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = newInternalError(r)
+			var zero T
+			out, err = zero, newInternalError(r)
 			if e.obs != nil {
 				e.obs.RequestPanicked(sem)
 			}
 			e.quarantine(s)
-			return
+		} else {
+			e.release(s)
 		}
-		e.release(s)
+		if e.obs != nil {
+			e.obs.RequestFinished(sem, time.Since(start), err != nil)
+		}
 	}()
-	return body()
+	return body(s)
 }
 
 // quarantine pulls a shard whose request panicked out of service — its
@@ -607,149 +606,93 @@ func (e *Engine) rebuild(old *engineShard) {
 	e.free <- s
 }
 
-// finish reports a completed request to the observer.
-func (e *Engine) finish(sem obs.Semantics, start time.Time, err error) {
-	if e.obs != nil {
-		e.obs.RequestFinished(sem, time.Since(start), err != nil)
-	}
-}
-
-// now returns the wall clock only when the engine observes — time.Now stays
-// off the request path of unobserved engines.
-func (e *Engine) now() time.Time {
-	if e.obs == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
 // Prepare builds the read-only prepare-stage artifact for pg on a free
 // shard: the triangle index and 4-clique completion lists every query needs,
 // enumerated once. The returned Prepared is safe to share across concurrent
-// requests and shards; hand it to the *Prepared request variants (or a
-// registry) so repeated queries skip enumeration entirely. A cancelled ctx
-// returns ctx.Err(), and a panicking enumeration returns ErrInternal while
-// its shard is quarantined and rebuilt.
+// requests and shards; every query of the graph runs from it (hand it to
+// the *Prepared methods, or register the graph in a registry), so repeated
+// queries skip enumeration entirely. A cancelled ctx returns ctx.Err(), and
+// a panicking enumeration returns ErrInternal while its shard is
+// quarantined and rebuilt.
 func (e *Engine) Prepare(ctx context.Context, pg *probgraph.Graph) (*Prepared, error) {
-	start := e.now()
-	s, err := e.acquire(ctx, obs.SemPrepare)
-	if err != nil {
-		return nil, err
-	}
-	s.dropLocal()
-	s.dropWeak()
-	var pre *Prepared
-	err = e.guarded(s, obs.SemPrepare, func() error {
-		var kerr error
-		pre, kerr = newPrepared(pg, s.pool, e.obs)
-		return kerr
+	return serve(e, ctx, obs.SemPrepare, func(s *engineShard) (*Prepared, error) {
+		s.dropLocal()
+		s.dropWeak()
+		return newPrepared(pg, s.pool, e.obs)
 	})
-	if err != nil {
-		pre = nil // a panic mid-enumeration may have left a partial artifact
-	}
-	e.finish(obs.SemPrepare, start, err)
-	return pre, err
 }
 
-// Local answers one ℓ-NuDecomp request on a free shard. The result is
-// byte-identical to LocalDecompose at the same θ/Mode/Hyper; a cancelled ctx
-// makes it return ctx.Err() instead, and a panicking decomposition returns
+// LocalPrepared answers one ℓ-NuDecomp request from a prepared artifact on
+// a free shard. The result is byte-identical to LocalDecompose on the
+// artifact's graph at the same θ/Mode/Hyper; a cancelled ctx makes it
+// return ctx.Err() instead, and a panicking decomposition returns
 // ErrInternal while its shard is quarantined and rebuilt.
-func (e *Engine) Local(ctx context.Context, pg *probgraph.Graph, req LocalRequest) (*LocalResult, error) {
-	return e.local(ctx, pg, nil, req)
-}
-
-// LocalPrepared answers one ℓ-NuDecomp request from a prepared artifact,
-// skipping triangle enumeration. Results are byte-identical to Local on the
-// artifact's graph.
 func (e *Engine) LocalPrepared(ctx context.Context, pre *Prepared, req LocalRequest) (*LocalResult, error) {
-	return e.local(ctx, pre.pg, pre, req)
-}
-
-func (e *Engine) local(ctx context.Context, pg *probgraph.Graph, pre *Prepared, req LocalRequest) (*LocalResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	start := e.now()
-	s, err := e.acquire(ctx, obs.SemLocal)
-	if err != nil {
-		return nil, err
-	}
-	s.dropWeak()
-	var res *LocalResult
-	err = e.guarded(s, obs.SemLocal, func() error {
-		r := run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, local: &s.local}
-		if err := r.prepare(pg); err != nil {
-			return err
-		}
-		var kerr error
-		res, kerr = localDecompose(&r, req)
-		return kerr
+	return serve(e, ctx, obs.SemLocal, func(s *engineShard) (*LocalResult, error) {
+		s.dropWeak()
+		return localDecompose(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, local: &s.local}, req)
 	})
-	if err != nil {
-		res = nil // a panic mid-kernel may have left a partial result behind
-	}
-	e.finish(obs.SemLocal, start, err)
-	return res, err
 }
 
-// Global answers one g-NuDecomp request on a free shard, sampling its
-// possible worlds into the shard's reusable mask bank. The result is
-// byte-identical to GlobalNuclei with the same parameters; a cancelled ctx
-// makes it return ctx.Err() instead, and a panicking decomposition returns
-// ErrInternal while its shard is quarantined and rebuilt.
-func (e *Engine) Global(ctx context.Context, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
-	return e.nuclei(ctx, pg, nil, req, obs.SemGlobal)
-}
-
-// GlobalPrepared answers one g-NuDecomp request from a prepared artifact:
-// the internal pruning decomposition runs from the artifact's index instead
-// of re-enumerating. Results are byte-identical to Global on the artifact's
-// graph. A caller-supplied req.Local still takes precedence over the
-// artifact.
+// GlobalPrepared answers one g-NuDecomp request from a prepared artifact on
+// a free shard, sampling its possible worlds from the artifact's graph into
+// the shard's reusable mask bank. The internal pruning decomposition runs
+// from the artifact's index; a caller-supplied req.Local takes precedence
+// over it. The result is byte-identical to GlobalNuclei on the artifact's
+// graph with the same parameters; a cancelled ctx makes it return ctx.Err()
+// instead, and a panicking decomposition returns ErrInternal while its shard
+// is quarantined and rebuilt.
 func (e *Engine) GlobalPrepared(ctx context.Context, pre *Prepared, req NucleiRequest) ([]ProbNucleus, error) {
-	return e.nuclei(ctx, pre.pg, pre, req, obs.SemGlobal)
-}
-
-// Weak answers one w-NuDecomp request on a free shard, sampling its possible
-// worlds into the shard's reusable mask bank. The result is byte-identical
-// to WeaklyGlobalNuclei with the same parameters; a cancelled ctx makes it
-// return ctx.Err() instead, and a panicking decomposition returns
-// ErrInternal while its shard is quarantined and rebuilt.
-func (e *Engine) Weak(ctx context.Context, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
-	return e.nuclei(ctx, pg, nil, req, obs.SemWeak)
+	return e.nuclei(ctx, pre, req, obs.SemGlobal)
 }
 
 // WeakPrepared answers one w-NuDecomp request from a prepared artifact; see
-// GlobalPrepared.
+// GlobalPrepared. The result is byte-identical to WeaklyGlobalNuclei on the
+// artifact's graph with the same parameters.
 func (e *Engine) WeakPrepared(ctx context.Context, pre *Prepared, req NucleiRequest) ([]ProbNucleus, error) {
-	return e.nuclei(ctx, pre.pg, pre, req, obs.SemWeak)
+	return e.nuclei(ctx, pre, req, obs.SemWeak)
 }
 
-func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared, req NucleiRequest, sem obs.Semantics) ([]ProbNucleus, error) {
+func (e *Engine) nuclei(ctx context.Context, pre *Prepared, req NucleiRequest, sem obs.Semantics) ([]ProbNucleus, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	start := e.now()
-	s, err := e.acquire(ctx, sem)
-	if err != nil {
-		return nil, err
+	kernel := globalNuclei
+	if sem == obs.SemWeak {
+		kernel = weaklyGlobalNuclei
 	}
-	s.dropLocal()
-	var out []ProbNucleus
-	err = e.guarded(s, sem, func() error {
-		r := &run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, weak: &s.weak}
-		kernel := globalNuclei
-		if sem == obs.SemWeak {
-			kernel = weaklyGlobalNuclei
-		}
-		var kerr error
-		out, kerr = kernel(r, pg, req)
-		return kerr
+	return serve(e, ctx, sem, func(s *engineShard) ([]ProbNucleus, error) {
+		s.dropLocal()
+		return kernel(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, weak: &s.weak}, req)
 	})
-	if err != nil {
-		out = nil
+}
+
+// oneShot is the body of the package-level LocalDecompose, GlobalNuclei and
+// WeaklyGlobalNuclei: it validates req first, so a malformed request starts
+// no worker team and builds no index, then answers it with query on a
+// one-shot one-shard engine of the given worker count. The artifact it runs
+// from is the one local was decomposed on when the request brings a local
+// result, and one prepared from pg otherwise.
+func oneShot[Req interface{ Validate() error }, Res any](pg *probgraph.Graph, workers int, req Req, local *LocalResult,
+	query func(*Engine, context.Context, *Prepared, Req) (Res, error)) (Res, error) {
+	var zero Res
+	if err := req.Validate(); err != nil {
+		return zero, err
 	}
-	e.finish(sem, start, err)
-	return out, err
+	e := NewEngine(1, workers)
+	defer e.Close()
+	ctx := context.Background()
+	var pre *Prepared
+	if local != nil {
+		pre = local.prepared()
+	} else {
+		var err error
+		if pre, err = e.Prepare(ctx, pg); err != nil {
+			return zero, err
+		}
+	}
+	return query(e, ctx, pre, req)
 }

@@ -56,32 +56,25 @@ func engineCases(t testing.TB) []engineCase {
 	return cases
 }
 
-// checkEngineCase runs all three semantics for c on eng and byte-compares
-// each result against the package-level reference.
+// mustPrepare prepares pg on eng, failing the test on error.
+func mustPrepare(t testing.TB, eng *Engine, pg *probgraph.Graph) *Prepared {
+	t.Helper()
+	pre, err := eng.Prepare(context.Background(), pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pre
+}
+
+// checkEngineCase prepares c's graph on eng and checks all three semantics
+// from the artifact against the package-level references
+// (checkPreparedCase).
 func checkEngineCase(ctx context.Context, eng *Engine, c engineCase) error {
-	local, err := eng.Local(ctx, c.pg, LocalRequest{Theta: c.theta})
+	pre, err := eng.Prepare(ctx, c.pg)
 	if err != nil {
-		return fmt.Errorf("%s: engine local: %w", c.name, err)
+		return fmt.Errorf("%s: engine prepare: %w", c.name, err)
 	}
-	if !reflect.DeepEqual(local.Nucleusness, c.wantLocal) {
-		return fmt.Errorf("%s: engine local nucleusness differs from LocalDecompose", c.name)
-	}
-	req := NucleiRequest{K: c.k, Theta: c.theta, Samples: c.samples, Seed: c.seed}
-	glob, err := eng.Global(ctx, c.pg, req)
-	if err != nil {
-		return fmt.Errorf("%s: engine global: %w", c.name, err)
-	}
-	if !reflect.DeepEqual(glob, c.wantGlob) {
-		return fmt.Errorf("%s: engine global nuclei differ from GlobalNuclei", c.name)
-	}
-	weak, err := eng.Weak(ctx, c.pg, req)
-	if err != nil {
-		return fmt.Errorf("%s: engine weak: %w", c.name, err)
-	}
-	if !reflect.DeepEqual(weak, c.wantWeak) {
-		return fmt.Errorf("%s: engine weak nuclei differ from WeaklyGlobalNuclei", c.name)
-	}
-	return nil
+	return checkPreparedCase(ctx, eng, pre, c)
 }
 
 // TestEngineMatchesPackageFunctions: every (shard count, worker count)
@@ -148,6 +141,7 @@ func TestEngineCancellationMidRun(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
 	eng := NewEngine(1, 2)
 	defer eng.Close()
+	pre := mustPrepare(t, eng, pg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -157,7 +151,7 @@ func TestEngineCancellationMidRun(t *testing.T) {
 	// Uncancelled, this request runs for many seconds (thousands of shared
 	// worlds over every candidate).
 	start := time.Now()
-	_, err := eng.Global(ctx, pg, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1})
+	_, err := eng.GlobalPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Global returned %v, want context.Canceled", err)
 	}
@@ -192,9 +186,10 @@ func TestEngineDeadline(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
 	eng := NewEngine(1, 2, WithObserver(&stallObserver{d: 60 * time.Millisecond}))
 	defer eng.Close()
+	pre := mustPrepare(t, eng, pg)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := eng.Weak(ctx, pg, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.WeakPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out Weak returned %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -204,12 +199,16 @@ func TestEngineDeadline(t *testing.T) {
 func TestEngineCancelledBeforeCall(t *testing.T) {
 	eng := NewEngine(1, 1)
 	defer eng.Close()
+	pre := mustPrepare(t, eng, fixtures.Fig1())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Local(ctx, fixtures.Fig1(), LocalRequest{Theta: 0.3}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Prepare(ctx, fixtures.Fig1()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Prepare returned %v, want context.Canceled", err)
+	}
+	if _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled Local returned %v, want context.Canceled", err)
 	}
-	if _, err := eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3}); err != nil {
+	if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3}); err != nil {
 		t.Fatalf("engine unusable after a pre-cancelled call: %v", err)
 	}
 }
@@ -219,6 +218,7 @@ func TestEngineCancelledBeforeCall(t *testing.T) {
 // free list no shard will ever return to.
 func TestEngineCloseUnblocksWaiters(t *testing.T) {
 	eng := NewEngine(1, 1)
+	pre := mustPrepare(t, eng, fixtures.Fig1())
 	s, err := eng.acquire(context.Background(), obs.SemLocal)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestEngineCloseUnblocksWaiters(t *testing.T) {
 	// a context that can never be cancelled.
 	waitErr := make(chan error, 1)
 	go func() {
-		_, err := eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3})
+		_, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3})
 		waitErr <- err
 	}()
 	// Close concurrently; it blocks until the held shard is released.
@@ -257,13 +257,14 @@ func TestEngineRejectsInvalidRequests(t *testing.T) {
 	eng := NewEngine(1, 1)
 	defer eng.Close()
 	ctx := context.Background()
-	if _, err := eng.Local(ctx, fixtures.Fig1(), LocalRequest{Theta: 0}); !errors.Is(err, ErrTheta) {
+	pre := mustPrepare(t, eng, fixtures.Fig1())
+	if _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0}); !errors.Is(err, ErrTheta) {
 		t.Errorf("Local theta=0: %v, want ErrTheta", err)
 	}
-	if _, err := eng.Global(ctx, fixtures.Fig1(), NucleiRequest{K: -1, Theta: 0.3}); !errors.Is(err, ErrNegativeK) {
+	if _, err := eng.GlobalPrepared(ctx, pre, NucleiRequest{K: -1, Theta: 0.3}); !errors.Is(err, ErrNegativeK) {
 		t.Errorf("Global k=-1: %v, want ErrNegativeK", err)
 	}
-	if _, err := eng.Weak(ctx, fixtures.Fig1(), NucleiRequest{K: 1, Theta: 0.3, Samples: -2}); !errors.Is(err, ErrBadSampleSpec) {
+	if _, err := eng.WeakPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.3, Samples: -2}); !errors.Is(err, ErrBadSampleSpec) {
 		t.Errorf("Weak samples=-2: %v, want ErrBadSampleSpec", err)
 	}
 }
@@ -302,6 +303,7 @@ func TestSentinelErrors(t *testing.T) {
 	// functions and on an Engine alike.
 	eng := NewEngine(1, 1)
 	defer eng.Close()
+	pre := mustPrepare(t, eng, fig)
 	for _, o := range []MCOptions{{Eps: 1e-10}, {Samples: math.MaxInt32 + 1}} {
 		o.Workers = 1
 		if _, err := GlobalNuclei(fig, 1, 0.1, o); !errors.Is(err, ErrBadSampleSpec) {
@@ -311,11 +313,11 @@ func TestSentinelErrors(t *testing.T) {
 			t.Errorf("WeaklyGlobalNuclei eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
 		}
 		req := nucleiRequest(1, 0.1, o)
-		if _, err := eng.Global(context.Background(), fig, req); !errors.Is(err, ErrBadSampleSpec) {
-			t.Errorf("Engine.Global eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		if _, err := eng.GlobalPrepared(context.Background(), pre, req); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("Engine.GlobalPrepared eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
 		}
-		if _, err := eng.Weak(context.Background(), fig, req); !errors.Is(err, ErrBadSampleSpec) {
-			t.Errorf("Engine.Weak eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
+		if _, err := eng.WeakPrepared(context.Background(), pre, req); !errors.Is(err, ErrBadSampleSpec) {
+			t.Errorf("Engine.WeakPrepared eps=%v samples=%d: %v, want ErrBadSampleSpec", o.Eps, o.Samples, err)
 		}
 	}
 
@@ -351,6 +353,7 @@ func TestLocalThetaAboveRequestRefused(t *testing.T) {
 	eng := NewEngine(1, 1)
 	defer eng.Close()
 	ctx := context.Background()
+	pre := mustPrepare(t, eng, fig)
 	type nucleiFunc func(float64, MCOptions) ([]ProbNucleus, error)
 	sems := []struct {
 		name   string
@@ -359,10 +362,10 @@ func TestLocalThetaAboveRequestRefused(t *testing.T) {
 	}{
 		{"global",
 			func(theta float64, o MCOptions) ([]ProbNucleus, error) { return GlobalNuclei(fig, 1, theta, o) },
-			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.Global(ctx, fig, req) }},
+			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.GlobalPrepared(ctx, pre, req) }},
 		{"weak",
 			func(theta float64, o MCOptions) ([]ProbNucleus, error) { return WeaklyGlobalNuclei(fig, 1, theta, o) },
-			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.Weak(ctx, fig, req) }},
+			func(req NucleiRequest) ([]ProbNucleus, error) { return eng.WeakPrepared(ctx, pre, req) }},
 	}
 	for _, sem := range sems {
 		for _, theta := range []float64{0.34, math.Nextafter(theta0, 0)} {
@@ -415,12 +418,13 @@ func TestLocalThetaAboveRequestRefused(t *testing.T) {
 func TestEngineOverload(t *testing.T) {
 	eng := NewEngine(1, 1, WithMaxQueue(0))
 	defer eng.Close()
+	pre := mustPrepare(t, eng, fixtures.Fig1())
 	s, err := eng.acquire(context.Background(), obs.SemLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3})
+	_, err = eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated engine returned %v, want ErrOverloaded", err)
 	}
@@ -429,7 +433,7 @@ func TestEngineOverload(t *testing.T) {
 	}
 	eng.release(s)
 	// Capacity back: the engine serves again.
-	if _, err := eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3}); err != nil {
+	if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3}); err != nil {
 		t.Fatalf("engine unusable after overload rejection: %v", err)
 	}
 }
@@ -440,6 +444,7 @@ func TestEngineOverload(t *testing.T) {
 func TestEngineOverloadQueueDepth(t *testing.T) {
 	eng := NewEngine(1, 1, WithMaxQueue(1))
 	defer eng.Close()
+	pre := mustPrepare(t, eng, fixtures.Fig1())
 	s, err := eng.acquire(context.Background(), obs.SemLocal)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +452,7 @@ func TestEngineOverloadQueueDepth(t *testing.T) {
 	// One waiter is admitted and parks.
 	waited := make(chan error, 1)
 	go func() {
-		_, err := eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3})
+		_, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3})
 		waited <- err
 	}()
 	// Poll until the waiter is counted, so the overflow request below is
@@ -458,7 +463,7 @@ func TestEngineOverloadQueueDepth(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := eng.Local(context.Background(), fixtures.Fig1(), LocalRequest{Theta: 0.3}); !errors.Is(err, ErrOverloaded) {
+	if _, err := eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.3}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue-overflow request returned %v, want ErrOverloaded", err)
 	}
 	eng.release(s)
@@ -495,6 +500,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 func TestEngineConcurrentCloseStress(t *testing.T) {
 	pg := fixtures.Fig1()
 	eng := NewEngine(2, 1, WithMaxQueue(2))
+	pre := mustPrepare(t, eng, pg)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines*16)
@@ -504,13 +510,15 @@ func TestEngineConcurrentCloseStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
 				var err error
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
-					_, err = eng.Local(context.Background(), pg, LocalRequest{Theta: 0.35})
+					_, err = eng.LocalPrepared(context.Background(), pre, LocalRequest{Theta: 0.35})
 				case 1:
-					_, err = eng.Global(context.Background(), pg, NucleiRequest{K: 1, Theta: 0.35, Samples: 20, Seed: 1})
+					_, err = eng.GlobalPrepared(context.Background(), pre, NucleiRequest{K: 1, Theta: 0.35, Samples: 20, Seed: 1})
+				case 2:
+					_, err = eng.WeakPrepared(context.Background(), pre, NucleiRequest{K: 1, Theta: 0.35, Samples: 20, Seed: 1})
 				default:
-					_, err = eng.Weak(context.Background(), pg, NucleiRequest{K: 1, Theta: 0.35, Samples: 20, Seed: 1})
+					_, err = eng.Prepare(context.Background(), pg)
 				}
 				if err != nil {
 					if !errors.Is(err, ErrEngineClosed) && !errors.Is(err, ErrOverloaded) {
@@ -542,14 +550,15 @@ func TestEngineObserverEvents(t *testing.T) {
 	eng := NewEngine(1, 2, WithMaxQueue(0), WithObserver(m))
 	defer eng.Close()
 	ctx := context.Background()
-	if _, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.3}); err != nil {
+	pre := mustPrepare(t, eng, pg)
+	if _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.3}); err != nil {
 		t.Fatal(err)
 	}
 	req := NucleiRequest{K: 1, Theta: 0.001, Samples: 40, Seed: 1}
-	if _, err := eng.Global(ctx, pg, req); err != nil {
+	if _, err := eng.GlobalPrepared(ctx, pre, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Weak(ctx, pg, req); err != nil {
+	if _, err := eng.WeakPrepared(ctx, pre, req); err != nil {
 		t.Fatal(err)
 	}
 	// One overload rejection for the ledger: a weak-semantics goroutine holds
@@ -558,7 +567,7 @@ func TestEngineObserverEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.3}); !errors.Is(err, ErrOverloaded) {
+	if _, err := eng.LocalPrepared(ctx, pre, LocalRequest{Theta: 0.3}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
 	eng.release(s)

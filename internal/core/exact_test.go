@@ -82,13 +82,8 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		}
 		union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 		upg := in.pg.SubgraphOfEdges(union)
-		var closures [][]int32
-		var seen triSetDedup
-		for _, seedT := range cs.triangles {
-			if closure := cs.closure(seedT, in.k); seen.insert(closure) {
-				closures = append(closures, append([]int32(nil), closure...))
-			}
-		}
+		checkCandidates(t, in.name, cs, in.k)
+		closures := candidateClosures(cs, in.k)
 		// Exact tails per candidate view triangle, in view order.
 		exactTail := make([][]float64, len(closures))
 		{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,4 +25,37 @@ func sharedKroganLocal(tb testing.TB) *LocalResult {
 		tb.Fatal(err)
 	}
 	return local
+}
+
+// candidateClosures returns the distinct level-k candidates of cs, in
+// enumeration order (candidateSpace.candidates). The closures alias the
+// enumeration's arena, which nothing else writes.
+func candidateClosures(cs *candidateSpace, k int) [][]int32 {
+	cands, _ := cs.candidates(k, nil) // a nil stop never ends it early
+	out := make([][]int32, cands.len())
+	for c := range out {
+		out[c] = cands.set(int32(c))
+	}
+	return out
+}
+
+// checkCandidates requires cs.candidates at level k to equal the reference
+// enumeration that grows a closure from every seed of C and keeps the new
+// ones in the order first grown — at k = 0 too, where candidates skips the
+// seeds an earlier closure already holds.
+func checkCandidates(t *testing.T, name string, cs *candidateSpace, k int) {
+	t.Helper()
+	var want triSetDedup
+	for _, seed := range cs.triangles {
+		want.insert(cs.closure(seed, k))
+	}
+	got := candidateClosures(cs, k)
+	if len(got) != want.len() {
+		t.Fatalf("%s k=%d: %d candidates, growing every seed gives %d", name, k, len(got), want.len())
+	}
+	for c, closure := range got {
+		if !slices.Equal(closure, want.set(int32(c))) {
+			t.Fatalf("%s k=%d: candidate %d is %v, growing every seed gives %v", name, k, c, closure, want.set(int32(c)))
+		}
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"math"
 	"slices"
 
@@ -25,7 +24,9 @@ type MCOptions struct {
 	// Local supplies a precomputed exact local decomposition at a θ no
 	// higher than the call's to prune the search space; when nil one at the
 	// call's θ is computed internally. A Local above the call's θ is refused
-	// with ErrLocalTheta.
+	// with ErrLocalTheta. When set, the call runs from the prepared artifact
+	// Local was decomposed on and samples its worlds from Local.PG, so it
+	// enumerates nothing.
 	Local *LocalResult
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds
@@ -112,16 +113,11 @@ type ProbNucleus struct {
 // incidence (decomp.WorldCheckUnion), by marking the candidate's edges —
 // no per-candidate graph, index restriction or triangle-id lookup.
 //
-// The call is a thin wrapper over a one-shot one-shard Engine, so the
-// package-level path and the served path run the identical kernel.
+// The call serves the request on a one-shot one-shard Engine (see
+// MCOptions.Local for the artifact it runs from), so the package-level path
+// and the served path run the identical kernel.
 func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	req := nucleiRequest(k, theta, opts)
-	if err := req.Validate(); err != nil {
-		return nil, err // fail fast: no worker team for a malformed request
-	}
-	e := NewEngine(1, opts.Workers)
-	defer e.Close()
-	return e.Global(context.Background(), pg, req)
+	return oneShot(pg, opts.Workers, nucleiRequest(k, theta, opts), opts.Local, (*Engine).GlobalPrepared)
 }
 
 // globalNuclei is the GlobalNuclei kernel for a validated request; it runs
@@ -141,9 +137,9 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 // closure's triangles are tested before the candidate is seeded, the few
 // view triangles outside the closure after; a candidate dropped on the first
 // window of a multi-window run keeps an empty span of totals.
-func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
+func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	k, theta, pool := req.K, req.Theta, r.pool
-	local, err := r.localResult(pg, req)
+	local, err := r.localResult(req)
 	if err != nil {
 		return nil, err
 	}
@@ -154,20 +150,16 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 	if len(cand.triangles) == 0 {
 		return nil, nil
 	}
-	var cands triSetDedup
-	for _, seed := range cand.triangles {
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		closure := cand.closure(seed, k)
-		if !cands.insert(closure) {
-			continue
-		}
-		if r.obs != nil {
-			r.obs.Candidate(len(closure))
-		}
+	cands, err := cand.candidates(k, pool.Err)
+	if err != nil {
+		return nil, err
 	}
 	nc := cands.len()
+	if r.obs != nil {
+		for c := 0; c < nc; c++ {
+			r.obs.Candidate(len(cands.set(int32(c))))
+		}
+	}
 
 	// One shared world stream over the union of all candidate edges (every
 	// candidate is a subgraph of it), sampled as a flat bank of edge
@@ -175,7 +167,7 @@ func globalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus
 	union := appendTriangleEdges(nil, cand.ti, cand.triangles)
 	n := req.sampleCount()
 	window := req.windowSize(n, len(union))
-	upg := pg.SubgraphOfEdges(union)
+	upg := r.pre.pg.SubgraphOfEdges(union)
 	// The root edge → union lane table lives in the shard's Monte-Carlo
 	// scratch, which the weak kernel builds the same table in.
 	r.weak.laneOf = decomp.LaneIndex(r.weak.laneOf, cand.g, union)
@@ -377,6 +369,32 @@ func (cs *candidateSpace) closure(seed int32, k int) []int32 {
 	slices.Sort(members)
 	cs.members, cs.queue = members, queue
 	return members
+}
+
+// candidates enumerates the distinct candidates of Algorithm 2 (lines
+// 4-7): it grows a closure from every seed triangle of C, in increasing id
+// order, and keeps each one not grown before, in the order first grown.
+// stop, when non-nil, is called before each seed is grown, and its error
+// ends the enumeration.
+//
+// At k = 0 a closure takes every clique of every member, so it is its
+// seed's whole 4-clique component: a seed that an earlier closure of this
+// enumeration holds would only regrow that closure, and is skipped.
+func (cs *candidateSpace) candidates(k int, stop func() error) (triSetDedup, error) {
+	var d triSetDedup
+	first := cs.gen + 1 // the generation of this enumeration's first closure
+	for _, seed := range cs.triangles {
+		if k == 0 && cs.triStamp[seed] >= first {
+			continue
+		}
+		if stop != nil {
+			if err := stop(); err != nil {
+				return d, err
+			}
+		}
+		d.insert(cs.closure(seed, k))
+	}
+	return d, nil
 }
 
 // appendTriangleEdges appends the edges spanned by the given triangles to

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"sync/atomic"
 
 	"probnucleus/internal/bucket"
@@ -59,21 +58,12 @@ type Options struct {
 // out to the worker pool; below it the pool overhead outweighs the work.
 const rescoreParallelCutoff = 16
 
-// scoreScratch is the per-worker reusable state of the scoring hot path: a
-// staging buffer for live clique probabilities (AP mode) and the DP pmf
-// buffer, so no support query allocates.
-type scoreScratch struct {
-	probs []float64
-	dp    pbd.Scratch
-}
-
 // localScratch is the working memory of a local decomposition: the clique
 // adjacency, every triangle's support distribution with the flat factor and
-// pmf arenas behind them, the per-worker scoring scratch, and the peel's
-// queue and bookkeeping. An engine shard keeps one from one local request
-// to the next (see engineShard), so a run of local queries allocates
-// little more than their results instead of tens of MB each on a large
-// graph. Every call re-initialises all of it that it reads.
+// pmf arenas behind them, and the peel's queue and bookkeeping. An engine
+// shard keeps one from one local request to the next (see engineShard), so
+// a run of local queries allocates little more than their results instead
+// of tens of MB each on a large graph. Every call re-initialises all of it that it reads.
 type localScratch struct {
 	ca      decomp.CliqueAdj
 	q       bucket.Queue
@@ -82,7 +72,6 @@ type localScratch struct {
 	off     []int
 	psFlat  []float64
 	pmfFlat []float64
-	scr     []scoreScratch
 	initK   []int
 	initM   []pbd.Method
 	// The peel's batches: the triangles popped for one sub-round, the
@@ -148,16 +137,11 @@ func (r *LocalResult) incidence() *decomp.TriIncidence { return r.prepared().inc
 // scratch whenever that could change an answer — so the output is
 // byte-identical to the from-scratch scorer.
 //
-// The call is a thin wrapper over a one-shot one-shard Engine, so the
-// package-level path and the served path run the identical kernel.
+// The call prepares pg and serves the request on a one-shot one-shard
+// Engine, so the package-level path and the served path run the identical
+// kernel.
 func LocalDecompose(pg *probgraph.Graph, theta float64, opts Options) (*LocalResult, error) {
-	req := localRequest(theta, opts)
-	if err := req.Validate(); err != nil {
-		return nil, err // fail fast: no worker team for a malformed request
-	}
-	e := NewEngine(1, opts.Workers)
-	defer e.Close()
-	return e.Local(context.Background(), pg, req)
+	return oneShot(pg, opts.Workers, localRequest(theta, opts), nil, (*Engine).LocalPrepared)
 }
 
 // localRequest lifts θ plus the per-query fields of o into the request
@@ -227,13 +211,11 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	}
 
 	nu := make([]int, n)
-	sx.scr = resize(sx.scr, workers)
-	scr := sx.scr
 
 	// Score evaluates max{k : Pr(△)·Pr[ζ ≥ k] ≥ θ} over the live cliques of
-	// triangle t. It touches only triangle t's distribution and the caller's
-	// scratch, so concurrent calls for distinct triangles with distinct
-	// scratches are safe; method tallies are applied by the caller.
+	// triangle t. It only reads triangle t's distribution, so concurrent
+	// calls for distinct triangles are safe; method tallies are applied by
+	// the caller.
 	//
 	// In AP mode the Sec. 5.3 method selection reads the Dist's maintained
 	// µ/σ²/max-p aggregates (amortized O(1), bit-compatible with rescanning
@@ -241,7 +223,7 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	// aggregates (Dist.MaxKClosed — no per-query pack of the live factor
 	// slice), and the DP fallback answers from the incrementally-maintained
 	// pmf instead of re-running the from-scratch dynamic program.
-	score := func(t int32, sc *scoreScratch) (int, pbd.Method) {
+	score := func(t int32) (int, pbd.Method) {
 		thr := theta / triProb[t]
 		if mode == ModeAP {
 			m := dists[t].Choose(hyper)
@@ -263,8 +245,8 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	// the clique adjacency): it deconvolves their factors out of the
 	// triangle's distribution and, once peeling (scoring) has begun,
 	// re-scores it — once, however many cliques it lost — into nks/nms,
-	// clamped to floor. It touches only that triangle's state and its
-	// worker's scratch, so the affected triangles are applied in parallel.
+	// clamped to floor. It touches only that triangle's state, so the
+	// affected triangles are applied in parallel.
 	// One closure serves the whole call: a func literal handed to the pool
 	// escapes, so building it per sub-round would allocate once per
 	// sub-round.
@@ -273,13 +255,13 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	var q *bucket.Queue
 	scoring, floor := false, 0
 	nks, nms := sx.nks, sx.nms
-	apply := func(w, i int) {
+	apply := func(_, i int) {
 		o := rb.Tri(i)
 		for _, slot := range rb.Slots(i) {
 			dists[o].RemoveFactor(int(slot))
 		}
 		if scoring {
-			nk, m := score(o, &scr[w])
+			nk, m := score(o)
 			nks[i], nms[i] = max(nk, floor), m
 		}
 	}
@@ -327,12 +309,12 @@ func localDecompose(r *run, req LocalRequest) (*LocalResult, error) {
 	sx.initK = resize(sx.initK, n)
 	sx.initM = resize(sx.initM, n)
 	initK, initM := sx.initK, sx.initM
-	pool.ForWorker(n, func(w, idx int) {
+	pool.ForWorker(n, func(_, idx int) {
 		t := int32(idx)
 		if nu[t] == -1 {
 			return
 		}
-		initK[t], initM[t] = score(t, &scr[w])
+		initK[t], initM[t] = score(t)
 	})
 	if err := pool.Err(); err != nil {
 		return nil, err
@@ -456,15 +438,7 @@ func maxAliveCount(ca *decomp.CliqueAdj) int {
 
 // MaxNucleusness returns the largest ν value in the result (0 for a graph
 // with no qualifying triangles).
-func (r *LocalResult) MaxNucleusness() int {
-	max := 0
-	for _, v := range r.Nucleusness {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
+func (r *LocalResult) MaxNucleusness() int { return decomp.MaxNucleusness(r.Nucleusness) }
 
 // NucleiForK assembles the ℓ-(k,θ)-nuclei: maximal unions of 4-cliques whose
 // triangles all have ν ≥ k, split into 4-clique-connected components. Each

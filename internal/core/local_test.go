@@ -363,7 +363,12 @@ func initialKappa(pg *probgraph.Graph, theta float64, opts Options) (*graph.Tria
 	workers := pool.Workers()
 	ti := graph.NewTriangleIndex(pg.G, pool)
 	kappa := make([]int, ti.Len())
-	scr := make([]scoreScratch, workers)
+	// Per-worker scratch: a staging buffer for the clique probabilities and
+	// the DP pmf buffer.
+	scr := make([]struct {
+		probs []float64
+		dp    pbd.Scratch
+	}, workers)
 	pool.ForWorker(ti.Len(), func(w, t int) {
 		sc := &scr[w]
 		pTri, probs := cliqueFactors(pg, ti.Tris[t], ti.Comps[t], sc.probs[:0])

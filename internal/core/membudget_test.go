@@ -75,15 +75,16 @@ func runBudgeted(t *testing.T, c membudgetCase, budget int64, weak bool) ([]Prob
 	m := new(obs.Metrics)
 	e := NewEngine(1, 1, WithObserver(m))
 	defer e.Close()
+	pre := mustPrepare(t, e, c.pg)
 	req := NucleiRequest{K: c.k, Theta: c.theta, Samples: c.samples, Seed: c.seed, MemBudget: budget}
 	var (
 		out []ProbNucleus
 		err error
 	)
 	if weak {
-		out, err = e.Weak(context.Background(), c.pg, req)
+		out, err = e.WeakPrepared(context.Background(), pre, req)
 	} else {
-		out, err = e.Global(context.Background(), c.pg, req)
+		out, err = e.GlobalPrepared(context.Background(), pre, req)
 	}
 	if err != nil {
 		t.Fatal(err)

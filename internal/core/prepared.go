@@ -117,8 +117,8 @@ func newPrepared(pg *probgraph.Graph, pool *par.Pool, o obs.Observer) (*Prepared
 
 // Prepare enumerates pg's triangle index once, up front, on a fresh pool of
 // the given worker count (0 = all cores), returning the read-only artifact
-// the *Prepared request variants accept. Use Engine.Prepare to build one on
-// a serving shard instead.
+// the Engine's *Prepared methods answer from. Use Engine.Prepare to build
+// one on a serving shard instead.
 func Prepare(pg *probgraph.Graph, workers int) (*Prepared, error) {
 	pool := par.NewPool(workers)
 	defer pool.Close()

@@ -43,8 +43,8 @@ func checkPreparedCase(ctx context.Context, eng *Engine, pre *Prepared, c engine
 
 // TestPreparedMatchesPerCall: the prepare/execute split is a dispatch
 // concern, never a semantic one — every semantics executed against a
-// prepared artifact must reproduce the per-call package-level results
-// byte-for-byte, across worker counts.
+// prepared artifact must reproduce the package-level results, each of which
+// prepares its graph per call, byte-for-byte, across worker counts.
 func TestPreparedMatchesPerCall(t *testing.T) {
 	cases := engineCases(t)
 	for _, workers := range []int{1, 2} {
@@ -92,7 +92,7 @@ func TestPackagePrepareMatchesEngine(t *testing.T) {
 
 // TestPreparedConcurrentShared: N goroutines share ONE prepared artifact per
 // graph and issue mixed local/global/weak requests against it, every result
-// byte-compared against the per-call references. Run under -race
+// byte-compared against the package-level references. Run under -race
 // (scripts/ci.sh does), this pins the artifact's concurrency contract: the
 // triangle index is read-only after construction, and all mutable peeling
 // state lives in per-request scratch.
@@ -137,7 +137,7 @@ func TestPreparedConcurrentShared(t *testing.T) {
 // TestPrepareBuildsIndexOnce: the observer's accounting proves the split
 // actually skips work — Prepare enumerates exactly one index, and every
 // query against the artifact (all three semantics) enumerates zero more,
-// while each per-call request pays for its own build.
+// while each Prepare pays for its own build.
 func TestPrepareBuildsIndexOnce(t *testing.T) {
 	m := new(obs.Metrics)
 	eng := NewEngine(1, 1, WithObserver(m))
@@ -165,18 +165,19 @@ func TestPrepareBuildsIndexOnce(t *testing.T) {
 	if got := m.IndexBuilds(); got != 1 {
 		t.Fatalf("after three prepared queries: %d index builds, want still 1", got)
 	}
-	// The per-call path pays per request: one more build.
-	if _, err := eng.Local(ctx, pg, LocalRequest{Theta: 0.35}); err != nil {
+	// The engine keeps no artifacts of its own: preparing the graph again
+	// pays one more build.
+	if _, err := eng.Prepare(ctx, pg); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.IndexBuilds(); got != 2 {
-		t.Fatalf("after a per-call query: %d index builds, want 2", got)
+		t.Fatalf("after a second Prepare: %d index builds, want 2", got)
 	}
 }
 
-// TestPreparedValidation: prepared execution validates like the per-call
-// path — bad θ and bad k are the same sentinels, and no artifact state is
-// consumed by a rejected request.
+// TestPreparedValidation: prepared execution validates like the
+// package-level functions — bad θ and bad k are the same sentinels, and no
+// artifact state is consumed by a rejected request.
 func TestPreparedValidation(t *testing.T) {
 	eng := NewEngine(1, 1)
 	defer eng.Close()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 
 	"probnucleus/internal/decomp"
@@ -41,25 +40,20 @@ import (
 // are counted into flat per-triangle slots by reusable per-worker scorers,
 // and scores are recovered as worlds-minus-losses over the candidate core.
 //
-// The call is a thin wrapper over a one-shot one-shard Engine, so the
-// package-level path and the served path run the identical kernel.
+// The call serves the request on a one-shot one-shard Engine (see
+// MCOptions.Local for the artifact it runs from), so the package-level path
+// and the served path run the identical kernel.
 func WeaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
-	req := nucleiRequest(k, theta, opts)
-	if err := req.Validate(); err != nil {
-		return nil, err // fail fast: no worker team for a malformed request
-	}
-	e := NewEngine(1, opts.Workers)
-	defer e.Close()
-	return e.Weak(context.Background(), pg, req)
+	return oneShot(pg, opts.Workers, nucleiRequest(k, theta, opts), opts.Local, (*Engine).WeakPrepared)
 }
 
 // weaklyGlobalNuclei is the WeaklyGlobalNuclei kernel for a validated
 // request; it runs entirely on r's pool. Cancellation of the pool's bound
 // context is observed between pool chunks, between Monte-Carlo world
 // batches, and at every candidate, returning ctx.Err().
-func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbNucleus, error) {
+func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	k, theta, pool := req.K, req.Theta, r.pool
-	local, err := r.localResult(pg, req)
+	local, err := r.localResult(req)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +75,7 @@ func weaklyGlobalNuclei(r *run, pg *probgraph.Graph, req NucleiRequest) ([]ProbN
 	// nuclei — are byte-identical at every window size.
 	union := unionEdges(cands)
 	window := req.windowSize(n, len(union))
-	upg := pg.SubgraphOfEdges(union)
+	upg := r.pre.pg.SubgraphOfEdges(union)
 	inc := local.incidence()
 	sx.laneOf = decomp.LaneIndex(sx.laneOf, local.PG.G, union)
 

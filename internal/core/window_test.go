@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"probnucleus/internal/dataset"
@@ -108,10 +107,7 @@ func viewPruned(ge *globalEstimator, remaining int) bool {
 // ever disagrees with the reference prune over the whole view.
 func midStreamPrunes(t *testing.T, c windowDiffCase, local *LocalResult, window int) (early, dropped []int) {
 	cs := newCandidateSpace(local, c.k)
-	var cands triSetDedup
-	for _, seed := range cs.triangles {
-		cands.insert(cs.closure(seed, c.k))
-	}
+	cands, _ := cs.candidates(c.k, nil) // a nil stop never ends it early
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	upg := c.pg.SubgraphOfEdges(union)
 	pool := par.NewPool(1)
@@ -292,15 +288,9 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 		worlds[i] = graph.FromSortedEdges(pg.NumVertices(), es)
 	}
 	// Reference per-triangle qualifying-world counts, per candidate.
-	var closures [][]int32
+	closures := candidateClosures(cs, 1)
 	var refCounts [][]int32
-	var seen triSetDedup
-	for _, seedT := range cs.triangles {
-		closure := cs.closure(seedT, 1)
-		if !seen.insert(closure) {
-			continue
-		}
-		closures = append(closures, slices.Clone(closure))
+	for _, closure := range closures {
 		ref := referenceSeed(cs.ti, pg.NumVertices(), closure)
 		counts := make([]int32, ref.hti.Len())
 		for _, world := range worlds {

@@ -167,16 +167,11 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 	}
 	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0.5)
 	est.setWindow(masks, n)
-	var seen triSetDedup
 	var viaLanes decomp.WorldChecker
 	var lanes mc.Lanes
 	checked := 0
-	for _, seedT := range cs.triangles {
-		closure := cs.closure(seedT, k)
-		if !seen.insert(closure) {
-			continue
-		}
-		where := fmt.Sprintf("%s k=%d seed=%d", name, k, seedT)
+	for c, closure := range candidateClosures(cs, k) {
+		where := fmt.Sprintf("%s k=%d candidate=%d", name, k, c)
 		if checked == len(*refs) {
 			sr := seedRef{closure: slices.Clone(closure), ref: referenceSeed(cs.ti, pg.NumVertices(), closure)}
 			for _, world := range worlds {
@@ -265,15 +260,18 @@ func TestWorldCheckSeedMatchesReference(t *testing.T) {
 		pg    *probgraph.Graph
 		theta float64
 		maxK  int
+		// growAll also checks the k = 0 enumeration against growing every
+		// seed, which is cheap on small graphs only.
+		growAll bool
 	}
 	inputs := []input{
-		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.03))), 0.1, 1},
-		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.02))), 0.3, 1},
-		{"flickr", dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.01))), 0.1, 1},
+		{"krogan", dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.03))), 0.1, 1, false},
+		{"dblp", dataset.Generate(dataset.MustLoad("dblp", dataset.Scale(0.02))), 0.3, 1, false},
+		{"flickr", dataset.Generate(dataset.MustLoad("flickr", dataset.Scale(0.01))), 0.1, 1, false},
 	}
 	rng := rand.New(rand.NewSource(131))
 	for i := 0; i < 8; i++ {
-		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomProbGraph(rng, 10, 0.9), 0.001, 3})
+		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomProbGraph(rng, 10, 0.9), 0.001, 3, true})
 	}
 	total := 0
 	for _, in := range inputs {
@@ -287,6 +285,9 @@ func TestWorldCheckSeedMatchesReference(t *testing.T) {
 			local, err := localDecompose(&run{pool: pool, pre: pre}, LocalRequest{Theta: in.theta, Mode: ModeDP})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if in.growAll {
+				checkCandidates(t, in.name, newCandidateSpace(local, 0), 0)
 			}
 			for k := 0; k <= in.maxK; k++ {
 				total += checkSeedsAgainstReference(t, in.name, in.pg, local, k, pool, &refs[k])

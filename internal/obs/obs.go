@@ -19,11 +19,11 @@ import (
 type Semantics uint8
 
 const (
-	// SemLocal is an ℓ-NuDecomp request (Engine.Local).
+	// SemLocal is an ℓ-NuDecomp request (Engine.LocalPrepared).
 	SemLocal Semantics = iota
-	// SemGlobal is a g-NuDecomp request (Engine.Global).
+	// SemGlobal is a g-NuDecomp request (Engine.GlobalPrepared).
 	SemGlobal
-	// SemWeak is a w-NuDecomp request (Engine.Weak).
+	// SemWeak is a w-NuDecomp request (Engine.WeakPrepared).
 	SemWeak
 	// SemPrepare is an index-preparation request (Engine.Prepare): triangle
 	// enumeration and 4-clique completion without a decomposition.
@@ -132,8 +132,8 @@ type Observer interface {
 	PeelRound(affected int)
 	// Candidate: the global/weak pipeline admitted one distinct candidate of
 	// `tris` triangles, before any θ-prune or world scan: g-NuDecomp reports
-	// each deduplicated closure as it is enumerated, w-NuDecomp each
-	// candidate's seed on the first window.
+	// each deduplicated closure once the enumeration is complete, w-NuDecomp
+	// each candidate's seed on the first window.
 	Candidate(tris int)
 	// PoolRound: one worker-pool parallel round processed `items` work items
 	// in wall-clock time d (the internal/par chunk-timing tap).

@@ -281,7 +281,7 @@ func (r *Registry) Stats() Stats {
 // Local answers one ℓ-NuDecomp query against a registered graph, serving
 // from the keyed result cache when the (graph, θ, mode) was computed before
 // — a hit skips triangle enumeration and peeling entirely. Results are
-// byte-identical to Engine.Local on the same graph. req.MethodCounts is
+// byte-identical to Engine.LocalPrepared on the graph's artifact. req.MethodCounts is
 // tallied only when the request actually computes (a cache hit or coalesced
 // wait runs no support queries).
 func (r *Registry) Local(ctx context.Context, name string, req core.LocalRequest) (*core.LocalResult, error) {
@@ -296,7 +296,8 @@ func (r *Registry) Local(ctx context.Context, name string, req core.LocalRequest
 // pruning local decomposition comes from the result cache (computed and
 // cached on first need); the Monte-Carlo validation itself always runs, on
 // the graph's prepared artifact. A caller-supplied req.Local bypasses the
-// cache. Results are byte-identical to Engine.Global on the same graph.
+// cache. Results are byte-identical to Engine.GlobalPrepared on the
+// graph's artifact.
 func (r *Registry) Global(ctx context.Context, name string, req core.NucleiRequest) ([]core.ProbNucleus, error) {
 	// Validate before touching the cache so the pinned error order (k before
 	// θ) survives the cached path.

@@ -121,7 +121,7 @@ func TestRegistryValidationOrder(t *testing.T) {
 	}
 }
 
-// TestRegistryDifferential is the prepare≡per-call differential of the
+// TestRegistryDifferential is the registry≡package-level differential of the
 // acceptance criteria: every semantics served through the registry — cold
 // (miss) and warm (hit) — must be byte-identical to the package-level
 // from-scratch path, and the warm pass must rebuild zero triangle indexes.

@@ -29,18 +29,21 @@
 //	    fmt.Println(nucleus.Vertices)
 //	}
 //
-// Each package-level decomposition runs on a one-shot Engine it closes
-// before returning. Serving many callers, hold an Engine yourself: a fixed
-// set of shards — each a worker pool with its world bank and scratch —
-// behind a free list, so concurrent goroutines issue mixed context-aware
-// requests against one long-lived object (see the README's Serving section):
+// Each package-level decomposition prepares its graph on a one-shot Engine
+// it closes before returning. Serving many callers, hold an Engine
+// yourself: a fixed set of shards — each a worker pool with its world bank
+// and scratch — behind a free list, so concurrent goroutines issue mixed
+// context-aware requests against one long-lived object. Every query runs
+// from a prepared artifact, the graph's triangle index enumerated once (see
+// the README's Serving section):
 //
 //	eng := probnucleus.NewEngine(4, 2) // 4 shards × 2 workers
 //	defer eng.Close()
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
-//	res, _ := eng.Local(ctx, pg, probnucleus.LocalRequest{Theta: 0.3})
-//	nuclei, _ := eng.Global(ctx, pg, probnucleus.NucleiRequest{K: 1, Theta: 0.3, Samples: 500})
+//	pre, _ := eng.Prepare(ctx, pg)
+//	res, _ := eng.LocalPrepared(ctx, pre, probnucleus.LocalRequest{Theta: 0.3})
+//	nuclei, _ := eng.GlobalPrepared(ctx, pre, probnucleus.NucleiRequest{K: 1, Theta: 0.3, Samples: 500})
 //
 // Serving many graphs, layer a Registry over the engine: graphs register by
 // name as immutable prepared artifacts (triangle index enumerated once, at
@@ -173,22 +176,24 @@ func HoeffdingSampleSize(eps, delta float64) int { return mc.SampleSize(eps, del
 // Engine is the concurrent-safe serving surface over the three decomposition
 // semantics: a fixed set of shards — each owning a persistent worker pool
 // and a reusable world-mask bank — dispatched to callers through a free
-// list. N goroutines may issue mixed Local/Global/Weak requests
+// list. Every query runs from a prepared artifact: Engine.Prepare builds one
+// per graph, and Engine.LocalPrepared, Engine.GlobalPrepared and
+// Engine.WeakPrepared answer from it. N goroutines may issue mixed requests
 // simultaneously; every method takes a context.Context, and a cancelled
 // request returns ctx.Err() promptly while an uncancelled one is
-// byte-identical to the package-level functions. A panic inside a request is
+// byte-identical to the package-level functions on the artifact's graph. A panic inside a request is
 // contained (the caller sees ErrInternal, never a crash) and the shard that
 // ran it is quarantined and rebuilt, so corruption cannot leak across
 // requests; Engine.Health reports capacity and supervision counters.
 type Engine = core.Engine
 
-// LocalRequest parameterizes Engine.Local: one ℓ-NuDecomp query. Its
+// LocalRequest parameterizes Engine.LocalPrepared: one ℓ-NuDecomp query. Its
 // Validate method reports malformed requests via the sentinel errors below.
 type LocalRequest = core.LocalRequest
 
-// NucleiRequest parameterizes Engine.Global and Engine.Weak, unifying the
-// (k, θ) arguments and the MCOptions sampling knobs into one validated
-// request struct.
+// NucleiRequest parameterizes Engine.GlobalPrepared and Engine.WeakPrepared,
+// unifying the (k, θ) arguments and the MCOptions sampling knobs into one
+// validated request struct.
 type NucleiRequest = core.NucleiRequest
 
 // NewEngine creates an Engine with the given number of shards (< 1 means
@@ -275,7 +280,7 @@ type EngineHealth = core.Health
 // Prepared is the immutable prepare-stage artifact of the split request
 // path: a graph's triangle index and 4-clique completion lists, enumerated
 // once and shared by every query that consumes it. Build one with Prepare or
-// Engine.Prepare and hand it to the *Prepared request variants
+// Engine.Prepare and hand it to the Engine's query methods
 // (Engine.LocalPrepared, Engine.GlobalPrepared, Engine.WeakPrepared) — or
 // register the graph in a Registry, which manages artifacts by name. A
 // Prepared is safe to share across concurrent requests and shards.
@@ -283,8 +288,8 @@ type Prepared = core.Prepared
 
 // Prepare enumerates pg's triangle index up front on a fresh pool of the
 // given worker count (0 = all cores), returning the reusable artifact.
-// Results from prepared-artifact queries are byte-identical to the per-call
-// path.
+// Results from prepared-artifact queries are byte-identical to the
+// package-level functions on the same graph.
 func Prepare(pg *Graph, workers int) (*Prepared, error) { return core.Prepare(pg, workers) }
 
 // SaveArtifact persists a Prepared to path in the versioned "PBNUCART"

@@ -106,7 +106,12 @@ func TestEnginePublicAPI(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			local, err := eng.Local(ctx, g, pn.LocalRequest{Theta: 0.42})
+			pre, err := eng.Prepare(ctx, g)
+			if err != nil {
+				errc <- err
+				return
+			}
+			local, err := eng.LocalPrepared(ctx, pre, pn.LocalRequest{Theta: 0.42})
 			if err != nil {
 				errc <- err
 				return
@@ -114,7 +119,7 @@ func TestEnginePublicAPI(t *testing.T) {
 			if !reflect.DeepEqual(local.Nucleusness, wantLocal.Nucleusness) {
 				t.Error("engine local result differs from LocalDecompose")
 			}
-			glob, err := eng.Global(ctx, g, pn.NucleiRequest{K: 1, Theta: 0.35, Samples: 500, Seed: 1})
+			glob, err := eng.GlobalPrepared(ctx, pre, pn.NucleiRequest{K: 1, Theta: 0.35, Samples: 500, Seed: 1})
 			if err != nil {
 				errc <- err
 				return
@@ -130,10 +135,14 @@ func TestEnginePublicAPI(t *testing.T) {
 		t.Error(err)
 	}
 
-	if _, err := eng.Local(context.Background(), g, pn.LocalRequest{Theta: -1}); !errors.Is(err, pn.ErrTheta) {
+	pre, err := eng.Prepare(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.LocalPrepared(context.Background(), pre, pn.LocalRequest{Theta: -1}); !errors.Is(err, pn.ErrTheta) {
 		t.Errorf("theta=-1: %v, want ErrTheta", err)
 	}
-	if _, err := eng.Global(context.Background(), g, pn.NucleiRequest{K: -1, Theta: 0.3}); !errors.Is(err, pn.ErrNegativeK) {
+	if _, err := eng.GlobalPrepared(context.Background(), pre, pn.NucleiRequest{K: -1, Theta: 0.3}); !errors.Is(err, pn.ErrNegativeK) {
 		t.Errorf("k=-1: %v, want ErrNegativeK", err)
 	}
 	if err := (pn.NucleiRequest{K: 1, Theta: 0.3, Eps: 5}).Validate(); !errors.Is(err, pn.ErrBadSampleSpec) {
@@ -141,7 +150,7 @@ func TestEnginePublicAPI(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Weak(ctx, g, pn.NucleiRequest{K: 1, Theta: 0.38, Samples: 100}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.WeakPrepared(ctx, pre, pn.NucleiRequest{K: 1, Theta: 0.38, Samples: 100}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled weak: %v, want context.Canceled", err)
 	}
 }

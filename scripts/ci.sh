@@ -42,6 +42,31 @@ cd "$(dirname "$0")/.."
 
 pkgs="${1:-./...}"
 
+# race_pass PATTERN PKG... re-runs the tests PATTERN selects in the packages
+# under the race detector, twice. `go test -run` with a pattern that names no
+# test passes with "no tests to run", so a renamed test would leave its pass
+# silently empty: first, every |-separated alternative of PATTERN must match
+# a test that `go test -list` reports in the packages, as -run would match
+# it (unanchored), or the gate fails.
+race_pass() {
+	pattern="$1"
+	shift
+	listed="$(go test -list "$pattern" "$@")"
+	names="$(printf '%s\n' "$listed" | grep -E '^(Test|Fuzz|Example)' || true)"
+	old_ifs="$IFS"
+	IFS='|'
+	set -f
+	for alt in $pattern; do
+		if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+			echo "race pass: '$alt' of -run '$pattern' names no test in $*" >&2
+			exit 1
+		fi
+	done
+	set +f
+	IFS="$old_ifs"
+	go test -race -count=2 -run "$pattern" "$@"
+}
+
 # gofmt -l lists every Go file whose formatting differs from gofmt's (the
 # nested perfbench module included; hidden directories such as the
 # benchmark's .bench_build cache are skipped); any listed file fails the
@@ -81,8 +106,8 @@ echo "==> go vet + go test (perfbench module)"
 # closures before they are seeded on the first window and on later ones, so
 # this pass also covers the multi-window path of the closure-first prune.
 echo "==> go test -race global lane scan and union (lane and union differentials, worker and window differentials)"
-go test -race -count=2 -run 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
-go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
+race_pass 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
+race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
 
 # The w-NuDecomp kernel cuts each candidate's peel seed from the shared root
 # incidence and scores 64-world blocks on per-worker scorers from shard-held
@@ -91,8 +116,8 @@ go test -race -count=2 -run 'TestGlobalNucleiDifferential|TestGlobalNucleiWindow
 # and the weak kernel's worker-count and window differentials get the same
 # repeated -race pass.
 echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
-go test -race -count=2 -run 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
-go test -race -count=2 -run 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
+race_pass 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
+race_pass 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
 
 # Every g- and w-NuDecomp world is drawn by mc.Bank.WorldMasksWindow, the
 # one world sampler. Its pool workers reseed per-worker PRNGs in place, and
@@ -113,32 +138,33 @@ go test -race -count=2 ./internal/mc
 # carries nothing from one peel into the next and allocates no more with
 # more workers get a repeated -race pass of their own.
 echo "==> go test -race level-synchronous local peel (batch differential, scratch reuse, allocation gates)"
-go test -race -count=2 -run 'TestBatchPeelMatchesSequential|TestLocalScratchReuse|TestLocalWarmPeelAllocatesLittle|TestLocalAllocsWorkerIndependent|TestShardDropsLocalScratch' ./internal/core
-go test -race -count=2 -run 'TestRemoveBatchMatchesRemoveTriangle' ./internal/decomp
+race_pass 'TestBatchPeelMatchesSequential|TestLocalScratchReuse|TestLocalWarmPeelAllocatesLittle|TestLocalAllocsWorkerIndependent|TestShardDropsLocalScratch' ./internal/core
+race_pass 'TestRemoveBatchMatchesRemoveTriangle' ./internal/decomp
 
 # The serving engine's concurrency contract gets extra scheduling variation
 # beyond the one -race pass above: repeated runs of the stress test (N
-# goroutines × mixed local/global/weak on shared shards, byte-compared
-# against the package-level functions), the cancellation tests that prove a
+# goroutines each preparing a graph and querying all three semantics from
+# the artifact on shared shards, byte-compared against the package-level
+# functions), the cancellation tests that prove a
 # cancelled shard is reusable, and the overload/shutdown tests — bounded
 # admission rejecting with ErrOverloaded while saturated, idempotent Close
 # racing in-flight traffic — that back the 503/graceful-drain behaviour of
 # examples/engine-server (whose httptest suite re-runs under -race too).
 echo "==> go test -race engine stress (concurrent serving + overload/shutdown)"
-go test -race -count=2 -run 'TestEngineConcurrentStress|TestEngineCancellation|TestEngineDeadline|TestEngineOverload|TestEngineCloseIdempotent|TestEngineConcurrentCloseStress' ./internal/core
+race_pass 'TestEngineConcurrentStress|TestEngineCancellation|TestEngineDeadline|TestEngineOverload|TestEngineCloseIdempotent|TestEngineConcurrentCloseStress' ./internal/core
 go test -race -count=2 ./examples/engine-server
 
 # The prepare/execute split and the multi-graph registry get their own -race
 # passes. TestPreparedConcurrentShared and TestRegistryDifferential are the
 # split's semantic gate: results computed against a shared prepared artifact
 # — or served from the registry's cache — must be byte-identical to the
-# per-call package-level path, with zero triangle-index rebuilds after
-# registration. TestRegistrySingleflight pins one-compute-per-burst
+# package-level functions, which prepare their graph on every call, with
+# zero triangle-index rebuilds after registration (or after Prepare). TestRegistrySingleflight pins one-compute-per-burst
 # coalescing, and TestRegistryChurn is the eviction-churn chaos case:
 # concurrent Put/Delete racing cached queries may only ever fail with
 # ErrUnknownGraph, never serve a stale or torn result.
 echo "==> go test -race registry suite (prepared differential, singleflight, churn)"
-go test -race -count=2 -run 'TestPreparedMatchesPerCall|TestPreparedConcurrentShared|TestPrepareBuildsIndexOnce' ./internal/core
+race_pass 'TestPreparedMatchesPerCall|TestPreparedConcurrentShared|TestPrepareBuildsIndexOnce' ./internal/core
 go test -race -count=2 ./internal/registry
 
 # The persistent-artifact subsystem re-runs under -race alongside the
@@ -159,7 +185,7 @@ go test -race -count=2 ./internal/artifact
 # goroutine behind. The par-level panic containment and the injector's
 # determinism run alongside.
 echo "==> go test -race chaos suite (fault injection, quarantine/rebuild, leak gate)"
-go test -race -count=2 -run 'TestEngineChaos|TestEngineQuarantineRebuild|TestEngineDoomedAdmission|TestEngineCloseLeaksNoGoroutines|TestPoolPanicPropagates|TestPoolAllWorkersPanic|TestPoolSingleWorkerPanicUnwrapped' ./internal/core ./internal/par
+race_pass 'TestEngineChaos|TestEngineQuarantineRebuild|TestEngineDoomedAdmission|TestEngineCloseLeaksNoGoroutines|TestPoolPanicPropagates|TestPoolAllWorkersPanic|TestPoolSingleWorkerPanicUnwrapped' ./internal/core ./internal/par
 go test -race -count=2 ./internal/fault
 
 echo "==> goldendump -check (global/weak snapshot)"
