@@ -111,6 +111,7 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"Fig4LocalDP", fig4LocalDPRows},
 		{"Global", globalRows},
 		{"Weak", weakRows},
+		{"GlobalServed", globalServedRows},
 		{"EngineContended", engineContendedRows},
 	} {
 		for _, r := range set.rows {
@@ -177,8 +178,9 @@ func localDPRow(name string, theta, ns, allocs float64) gatedRow {
 
 // fig4LocalDPRows, like globalRows and weakRows, carry the baselines
 // measured at commit 5affd80 (-benchtime 2x), immediately before the
-// memory-shaped validation kernels — except the allocsPerOp of globalRows
-// and engineContendedRows, which are today's counts (see globalRows).
+// memory-shaped validation kernels — except the allocsPerOp of globalRows,
+// weakRows and engineContendedRows, which are today's counts (see
+// globalRows), and globalServedRows, whose baselines are both today's.
 var fig4LocalDPRows = []gatedRow{
 	localDPRow("krogan", 0.1, 18152633, 1468),
 	localDPRow("krogan", 0.4, 15937006, 1437),
@@ -249,9 +251,10 @@ func BenchmarkFig5WeaklyGlobal(b *testing.B) {
 //
 // BenchmarkGlobal and BenchmarkWeak measure the Monte-Carlo validation
 // pipeline in isolation: the local decomposition is precomputed outside the
-// timer and injected through MCOptions.Local, so allocs/op counts only the
-// candidate growth, possible-world sampling, and per-world checks. Their
-// rows are gated like fig4LocalDPRows.
+// timer and injected through MCOptions.Local. Every op shares that Local,
+// so after the first it runs from the candidate plan the first published on
+// it, and allocs/op counts only the possible-world sampling, the per-world
+// checks and the results. Their rows are gated like fig4LocalDPRows.
 
 type nucleiFunc func(*pn.Graph, int, float64, pn.MCOptions) ([]pn.ProbNucleus, error)
 
@@ -273,21 +276,21 @@ func nucleiShape(name string, k int, nuclei nucleiFunc) func(testing.TB) func() 
 	}
 }
 
-// globalRows and engineContendedRows gate allocations at the counts
-// TestBenchmarkAllocs measures on the word-parallel world scan (the same
-// within 0.1% at GOMAXPROCS 1, 2 and 8), so one extra allocation per
-// 64-world lane block of the scan fails them; their nsPerOp keep the older
-// baselines.
+// globalRows, weakRows and engineContendedRows gate allocations at the
+// counts TestBenchmarkAllocs measures on ops that run from a published
+// candidate plan (the same at GOMAXPROCS 1 and 2), so one extra allocation
+// per 64-world lane block of the scan fails them, as does a candidate plan
+// rebuilt on every op; their nsPerOp keep the older baselines.
 var globalRows = []gatedRow{
-	{name: "krogan", shape: nucleiShape("krogan", 1, pn.GlobalNuclei), nsPerOp: 158785179, allocsPerOp: 2423},
-	{name: "dblp", shape: nucleiShape("dblp", 1, pn.GlobalNuclei), nsPerOp: 1315506262, allocsPerOp: 7968},
-	{name: "flickr", shape: nucleiShape("flickr", 1, pn.GlobalNuclei), nsPerOp: 28174649844, allocsPerOp: 36413},
+	{name: "krogan", shape: nucleiShape("krogan", 1, pn.GlobalNuclei), nsPerOp: 158785179, allocsPerOp: 944},
+	{name: "dblp", shape: nucleiShape("dblp", 1, pn.GlobalNuclei), nsPerOp: 1315506262, allocsPerOp: 1763},
+	{name: "flickr", shape: nucleiShape("flickr", 1, pn.GlobalNuclei), nsPerOp: 28174649844, allocsPerOp: 146},
 }
 
 var weakRows = []gatedRow{
-	{name: "krogan", shape: nucleiShape("krogan", 1, pn.WeaklyGlobalNuclei), nsPerOp: 18662049, allocsPerOp: 738},
-	{name: "dblp", shape: nucleiShape("dblp", 1, pn.WeaklyGlobalNuclei), nsPerOp: 113875021, allocsPerOp: 1349},
-	{name: "flickr", shape: nucleiShape("flickr", 1, pn.WeaklyGlobalNuclei), nsPerOp: 1592818490, allocsPerOp: 1246},
+	{name: "krogan", shape: nucleiShape("krogan", 1, pn.WeaklyGlobalNuclei), nsPerOp: 18662049, allocsPerOp: 198},
+	{name: "dblp", shape: nucleiShape("dblp", 1, pn.WeaklyGlobalNuclei), nsPerOp: 113875021, allocsPerOp: 328},
+	{name: "flickr", shape: nucleiShape("flickr", 1, pn.WeaklyGlobalNuclei), nsPerOp: 1592818490, allocsPerOp: 215},
 }
 
 func BenchmarkGlobal(b *testing.B) { benchGated(b, globalRows) }
@@ -324,6 +327,45 @@ func BenchmarkWeakServed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGlobalServed times the g-NuDecomp request shape of the
+// benchmark's global-dblp workload — dblp at scale 0.04, k = 1, θ = 0.57,
+// 100 samples, cycling through 8 seeds — the way a server runs it: through
+// a Registry on one Engine shard of 2 workers. The warm row's registry
+// caches the local result, so every op after the first runs from the
+// candidate plan the first published on it and only draws and scans its
+// worlds. The cold row's registry caches nothing, so every op peels a fresh
+// local result and builds its plan: the cost of the first request after a
+// graph is written. Its baselines were measured on a 2-CPU Intel Xeon
+// (-benchtime 40x); the warm row's allocation gate fails if ops stop
+// reusing the plan.
+func BenchmarkGlobalServed(b *testing.B) { benchGated(b, globalServedRows) }
+
+var globalServedRows = []gatedRow{
+	{name: "warm", shape: globalServedShape(pn.DefaultCacheCapacity), nsPerOp: 6379793, allocsPerOp: 118},
+	{name: "cold", shape: globalServedShape(0), nsPerOp: 28020804, allocsPerOp: 1594},
+}
+
+// globalServedShape is one served global-dblp request on a registry of the
+// given result-cache capacity; successive ops take successive seeds.
+func globalServedShape(cache int) func(testing.TB) func() error {
+	return func(tb testing.TB) func() error {
+		eng := pn.NewEngine(1, 2)
+		tb.Cleanup(eng.Close)
+		reg := pn.NewRegistry(eng, pn.WithCacheCapacity(cache))
+		ctx := context.Background()
+		if _, err := reg.Put(ctx, "dblp", benchGraph("dblp", 0.04)); err != nil {
+			tb.Fatal(err)
+		}
+		i := 0
+		return func() error {
+			req := pn.NucleiRequest{K: 1, Theta: 0.57, Samples: 100, Seed: int64(1 + i%8)}
+			i++
+			_, err := reg.Global(ctx, "dblp", req)
+			return err
+		}
 	}
 }
 
@@ -489,8 +531,8 @@ func BenchmarkColdStart(b *testing.B) {
 func BenchmarkEngineContended(b *testing.B) { benchGated(b, engineContendedRows) }
 
 var engineContendedRows = []gatedRow{
-	{name: "observer=nil", shape: contendedShape(false), parallel: true, nsPerOp: 170169506, allocsPerOp: 2416},
-	{name: "observer=metrics", shape: contendedShape(true), parallel: true, nsPerOp: 170780706, allocsPerOp: 2416},
+	{name: "observer=nil", shape: contendedShape(false), parallel: true, nsPerOp: 170169506, allocsPerOp: 937},
+	{name: "observer=metrics", shape: contendedShape(true), parallel: true, nsPerOp: 170780706, allocsPerOp: 937},
 }
 
 // contendedShape is one global request on a two-shard engine, observed by

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -15,12 +16,23 @@ import (
 // newFaultyTestServer is newTestServer with a fault injector mounted between
 // the engine and its metrics, so tests can script panics into the serving
 // path.
+// The startup graph is registered through a clean engine into an artifact
+// directory that the server's registry warm-starts from, so the injector
+// sees only the requests.
 func newFaultyTestServer(t *testing.T, shards, maxQueue int, cfg fault.Config) *server {
 	t.Helper()
+	dir := t.TempDir()
+	clean := pn.NewEngine(1, 1)
+	defer clean.Close()
+	if _, err := pn.NewRegistry(clean, pn.WithArtifactDir(dir)).Put(context.Background(), "k5", k5Graph()); err != nil {
+		t.Fatal(err)
+	}
 	m := new(pn.EngineMetrics)
+	eng := pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(fault.Wrap(m, fault.New(cfg))))
 	s := &server{
-		pre:     preparedK5(),
-		eng:     pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(fault.Wrap(m, fault.New(cfg)))),
+		graph:   "k5",
+		eng:     eng,
+		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m), pn.WithArtifactDir(dir)),
 		metrics: m,
 		timeout: 10 * time.Second,
 	}

@@ -14,7 +14,7 @@ import (
 // parameters fail to parse never reach the engine, so the handler round-trip
 // below stays cheap, and building it once keeps the fuzz iteration rate up.
 var fuzzServer = &server{
-	pre:     preparedK5(),
+	graph:   "k5",
 	eng:     pn.NewEngine(1, 1),
 	metrics: new(pn.EngineMetrics),
 	timeout: time.Second,

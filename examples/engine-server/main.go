@@ -21,16 +21,17 @@
 // /graphs/{name} reads or deletes one (404 when unknown), and
 // /graphs/{name}/local and /graphs/{name}/nuclei are the per-graph query
 // routes. The startup dataset is registered under its own name, and /local
-// and /nuclei query it from an artifact prepared once at startup.
+// and /nuclei query that registration, sharing its cached local results and
+// their candidate plans with /graphs/{name}/….
 //
 // -artifacts makes the registry durable: every registered graph's prepared
 // artifact is persisted into the directory (versioned binary format, see the
 // README's Persistent artifacts section), and a restarted server warm-starts
-// from it — every graph found on disk is served again on the /graphs routes
-// without re-enumerating a single triangle, including the startup dataset
-// when its name is already persisted (the artifact behind /local and
-// /nuclei is still prepared at startup). Artifact save/load counters appear
-// in /metrics.
+// from it — every graph found on disk is served again without
+// re-enumerating a single triangle, including the startup dataset when its
+// name is already persisted: it is then neither generated nor enumerated,
+// and a cold start enumerates it once, when it is registered. Artifact
+// save/load counters appear in /metrics.
 //
 // Every connection is bounded in time as well: the server drops a client
 // that takes too long to send its headers or its whole request, or idles
@@ -74,9 +75,9 @@ import (
 // server bundles the serving state the handlers close over, so tests can
 // build one around an httptest listener without going through main.
 type server struct {
-	// pre is the startup graph's artifact, prepared once; /local and
-	// /nuclei run from it.
-	pre     *pn.Prepared
+	// graph names the startup graph's registration; /local and /nuclei
+	// query it.
+	graph   string
 	eng     *pn.Engine
 	reg     *pn.Registry
 	metrics *pn.EngineMetrics
@@ -134,12 +135,8 @@ func main() {
 	if *artDir != "" {
 		regOpts = append(regOpts, pn.WithArtifactDir(*artDir))
 	}
-	pre, err := eng.Prepare(context.Background(), pn.MustDataset(*name, *scale))
-	if err != nil {
-		log.Fatal(err)
-	}
 	srv := &server{
-		pre:     pre,
+		graph:   *name,
 		eng:     eng,
 		reg:     pn.NewRegistry(eng, regOpts...),
 		metrics: metrics,
@@ -149,13 +146,9 @@ func main() {
 	if warm := srv.reg.List(); len(warm) > 0 {
 		log.Printf("warm start: %d graph(s) loaded from %s, no enumeration", len(warm), *artDir)
 	}
-	// The startup dataset registers only when the artifact dir did not
-	// already warm-start it — a persisted copy serves the same queries
-	// without re-enumerating, which is the point of -artifacts.
-	if _, err := srv.reg.Get(*name); err != nil {
-		if _, err := srv.reg.Put(context.Background(), *name, pre.Graph()); err != nil {
-			log.Fatal(err)
-		}
+	startup, err := srv.registerStartup(context.Background(), func() *pn.Graph { return pn.MustDataset(*name, *scale) })
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -163,7 +156,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("serving %s (%d edges) on http://%s — %d shards × %d workers, queue %d, %v timeout",
-		*name, pre.Graph().NumEdges(), ln.Addr(), srv.eng.Shards(), srv.eng.Workers(), *maxQueue, *timeout)
+		*name, startup.Edges, ln.Addr(), srv.eng.Shards(), srv.eng.Workers(), *maxQueue, *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -171,6 +164,18 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Print("drained and closed")
+}
+
+// registerStartup registers the startup graph under s.graph, generating it
+// with load, unless the registry already warm-started it from its artifact
+// directory: a persisted copy serves the same queries without being
+// generated or enumerated, which is the point of -artifacts. It returns the
+// registration's handle.
+func (s *server) registerStartup(ctx context.Context, load func() *pn.Graph) (pn.GraphHandle, error) {
+	if h, err := s.reg.Get(s.graph); err == nil {
+		return h, nil
+	}
+	return s.reg.Put(ctx, s.graph, load())
 }
 
 // run serves on ln until ctx is cancelled, then drains in-flight requests
@@ -328,9 +333,13 @@ func (s *server) handleGraph(w http.ResponseWriter, r *http.Request, name string
 	}
 }
 
-// handleGraphLocal is /graphs/{name}/local: the registry-backed counterpart
-// of /local — repeated queries at the same (θ, mode) are cache hits that run
-// no decomposition at all.
+// handleLocal is /local: /graphs/{name}/local on the startup graph.
+func (s *server) handleLocal(w http.ResponseWriter, r *http.Request) {
+	s.handleGraphLocal(w, r, s.graph)
+}
+
+// handleGraphLocal is /graphs/{name}/local: repeated queries at the same
+// (θ, mode) are cache hits that run no decomposition at all.
 func (s *server) handleGraphLocal(w http.ResponseWriter, r *http.Request, name string) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -354,10 +363,15 @@ func (s *server) handleGraphLocal(w http.ResponseWriter, r *http.Request, name s
 	})
 }
 
-// handleGraphNuclei is /graphs/{name}/nuclei: the registry-backed
-// counterpart of /nuclei — the pruning local decomposition comes from the
-// result cache and the Monte-Carlo validation runs on the graph's prepared
-// artifact, never re-enumerating triangles.
+// handleNuclei is /nuclei: /graphs/{name}/nuclei on the startup graph.
+func (s *server) handleNuclei(w http.ResponseWriter, r *http.Request) {
+	s.handleGraphNuclei(w, r, s.graph)
+}
+
+// handleGraphNuclei is /graphs/{name}/nuclei: the pruning local
+// decomposition and its candidate plans come from the result cache and the
+// Monte-Carlo validation runs on the graph's prepared artifact, never
+// re-enumerating triangles.
 func (s *server) handleGraphNuclei(w http.ResponseWriter, r *http.Request, name string) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -410,28 +424,6 @@ func parseLocalQuery(r *http.Request) (pn.LocalRequest, error) {
 	return req, q.err
 }
 
-func (s *server) handleLocal(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	req, err := parseLocalQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	res, err := s.eng.LocalPrepared(ctx, s.pre, req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	maxK := res.MaxNucleusness()
-	writeJSON(w, map[string]any{
-		"theta":          res.Theta,
-		"triangles":      len(res.Nucleusness),
-		"maxNucleusness": maxK,
-		"nucleiAtMax":    len(res.NucleiForK(maxK)),
-	})
-}
-
 // parseNucleiQuery builds the /nuclei request and resolved semantics
 // ("global" or "weak") from URL parameters; any malformed parameter is an
 // error (served as 400), never a silent default.
@@ -456,27 +448,6 @@ func parseNucleiQuery(r *http.Request) (pn.NucleiRequest, string, error) {
 		q.fail("semantics must be global or weak, got %q", sem)
 	}
 	return req, sem, q.err
-}
-
-func (s *server) handleNuclei(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	req, sem, err := parseNucleiQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var nuclei []pn.ProbNucleus
-	if sem == "weak" {
-		nuclei, err = s.eng.WeakPrepared(ctx, s.pre, req)
-	} else {
-		nuclei, err = s.eng.GlobalPrepared(ctx, s.pre, req)
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, map[string]any{"k": req.K, "theta": req.Theta, "nuclei": nucleusSummaries(nuclei)})
 }
 
 // handleMetrics serves a point-in-time snapshot of the engine's observer —

@@ -25,25 +25,24 @@ func newTestServer(t *testing.T, shards, maxQueue int) *server {
 	m := new(pn.EngineMetrics)
 	eng := pn.NewEngine(shards, 1, pn.WithMaxQueue(maxQueue), pn.WithObserver(m))
 	s := &server{
-		pre:     preparedK5(),
+		graph:   "k5",
 		eng:     eng,
 		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m)),
 		metrics: m,
 		timeout: 10 * time.Second,
 		maxBody: defaultMaxBody,
 	}
-	if _, err := s.reg.Put(context.Background(), "k5", s.pre.Graph()); err != nil {
+	if _, err := s.registerStartup(context.Background(), k5Graph); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.eng.Close)
 	return s
 }
 
-// preparedK5 is the test servers' startup graph, prepared: K5 with uniform
-// probability 0.9, where every triangle sits in several 4-cliques, so all
-// three semantics return non-empty answers quickly. It is prepared off any
-// server engine, so a fault-injecting observer sees only the requests.
-func preparedK5() *pn.Prepared {
+// k5Graph is the test servers' startup graph: K5 with uniform probability
+// 0.9, where every triangle sits in several 4-cliques, so all three
+// semantics return non-empty answers quickly.
+func k5Graph() *pn.Graph {
 	var edges []pn.ProbEdge
 	for u := int32(0); u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
@@ -54,11 +53,7 @@ func preparedK5() *pn.Prepared {
 	if err != nil {
 		panic(err)
 	}
-	pre, err := pn.Prepare(pg, 1)
-	if err != nil {
-		panic(err)
-	}
-	return pre
+	return pg
 }
 
 func get(t *testing.T, h http.Handler, target string) *httptest.ResponseRecorder {
@@ -151,27 +146,70 @@ func TestGoodRequests(t *testing.T) {
 	}
 }
 
-// TestStartupGraphPreparedOnce: /local and /nuclei run from the startup
-// graph's artifact, prepared before the first request, so repeated queries
-// of every semantics build no triangle index.
+// TestStartupGraphPreparedOnce: /local and /nuclei query the startup
+// graph's registration, so its triangle index is enumerated once on a cold
+// start — when it is registered — and not at all on a warm start from an
+// artifact directory that already holds it, where the graph is not even
+// generated; repeated queries of every semantics, through /local, /nuclei
+// and /graphs/{name}/…, build no index after that.
 func TestStartupGraphPreparedOnce(t *testing.T) {
-	s := newTestServer(t, 1, -1)
-	h := s.handler()
-	builds := s.metrics.Snapshot().IndexBuilds
-	for i := 0; i < 3; i++ {
-		for _, target := range []string{
-			"/local?theta=0.3",
-			"/local?theta=0.3&mode=ap",
-			"/nuclei?k=1&theta=0.3&samples=20",
-			"/nuclei?semantics=weak&k=1&theta=0.3&samples=20",
-		} {
-			if w := get(t, h, target); w.Code != http.StatusOK {
-				t.Fatalf("GET %s = %d, body %q", target, w.Code, w.Body.String())
+	dir := t.TempDir()
+	for _, start := range []struct {
+		name             string
+		builds, loads    int64
+		generatesStartup bool
+	}{
+		{"cold", 1, 0, true},
+		{"warm", 0, 1, false},
+	} {
+		m := new(pn.EngineMetrics)
+		eng := pn.NewEngine(1, 1, pn.WithObserver(m))
+		t.Cleanup(eng.Close)
+		s := &server{
+			graph:   "k5",
+			eng:     eng,
+			reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m), pn.WithArtifactDir(dir)),
+			metrics: m,
+			timeout: 10 * time.Second,
+		}
+		generated := false
+		if _, err := s.registerStartup(context.Background(), func() *pn.Graph {
+			generated = true
+			return k5Graph()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if generated != start.generatesStartup {
+			t.Errorf("%s start: startup graph generated = %v, want %v", start.name, generated, start.generatesStartup)
+		}
+		snap := m.Snapshot()
+		if snap.IndexBuilds != start.builds || snap.ArtifactLoads != start.loads {
+			t.Fatalf("%s start: %d index builds, %d artifact loads; want %d, %d",
+				start.name, snap.IndexBuilds, snap.ArtifactLoads, start.builds, start.loads)
+		}
+		h := s.handler()
+		for i := 0; i < 3; i++ {
+			for _, target := range []string{
+				"/local?theta=0.3",
+				"/local?theta=0.3&mode=ap",
+				"/nuclei?k=1&theta=0.3&samples=20",
+				"/nuclei?semantics=weak&k=1&theta=0.3&samples=20",
+				"/graphs/k5/nuclei?k=1&theta=0.3&samples=20&seed=2",
+			} {
+				if w := get(t, h, target); w.Code != http.StatusOK {
+					t.Fatalf("%s start: GET %s = %d, body %q", start.name, target, w.Code, w.Body.String())
+				}
 			}
 		}
-	}
-	if got := s.metrics.Snapshot().IndexBuilds; got != builds {
-		t.Fatalf("index builds went from %d at startup to %d after 12 queries, want no change", builds, got)
+		snap = m.Snapshot()
+		if snap.IndexBuilds != start.builds {
+			t.Fatalf("%s start: index builds went from %d at startup to %d after 15 queries, want no change", start.name, start.builds, snap.IndexBuilds)
+		}
+		// /local, /nuclei and /graphs/k5/… share the registration's
+		// cached results: one peel per (θ, mode), DP and AP at θ = 0.3.
+		if snap.CacheMisses != 2 {
+			t.Errorf("%s start: cache misses = %d after 15 queries at two (θ, mode) pairs, want 2", start.name, snap.CacheMisses)
+		}
 	}
 }
 
@@ -265,7 +303,8 @@ func TestOverloaded(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics returns a JSON snapshot whose ledger
-// reflects served traffic.
+// reflects served traffic: three /local queries at one θ are one peel on
+// the engine and two hits of the registry's result cache.
 func TestMetricsEndpoint(t *testing.T) {
 	h := newTestServer(t, 1, -1).handler()
 	for i := 0; i < 3; i++ {
@@ -285,13 +324,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, r := range snap.Requests {
 		if r.Semantics == "local" {
 			found = true
-			if r.Finished != 3 || r.Failed != 0 {
-				t.Errorf("local ledger finished=%d failed=%d, want 3/0", r.Finished, r.Failed)
+			if r.Finished != 1 || r.Failed != 0 {
+				t.Errorf("local ledger finished=%d failed=%d, want 1/0", r.Finished, r.Failed)
 			}
-			if r.Latency.Count != 3 {
-				t.Errorf("local latency samples = %d, want 3", r.Latency.Count)
+			if r.Latency.Count != 1 {
+				t.Errorf("local latency samples = %d, want 1", r.Latency.Count)
 			}
 		}
+	}
+	if snap.CacheHits != 2 || snap.CacheMisses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want 2/1", snap.CacheHits, snap.CacheMisses)
 	}
 	if !found {
 		t.Fatalf("no local entry in metrics snapshot: %s", w.Body.String())
@@ -486,10 +528,14 @@ func TestGracefulShutdown(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := s.eng.Prepare(context.Background(), s.pre.Graph()); !errors.Is(err, pn.ErrEngineClosed) {
+	if _, err := s.eng.Prepare(context.Background(), k5Graph()); !errors.Is(err, pn.ErrEngineClosed) {
 		t.Fatalf("post-shutdown prepare returned %v, want ErrEngineClosed", err)
 	}
-	if _, err := s.eng.LocalPrepared(context.Background(), s.pre, pn.LocalRequest{Theta: 0.3}); !errors.Is(err, pn.ErrEngineClosed) {
+	pre, err := pn.Prepare(k5Graph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.eng.LocalPrepared(context.Background(), pre, pn.LocalRequest{Theta: 0.3}); !errors.Is(err, pn.ErrEngineClosed) {
 		t.Fatalf("post-shutdown request returned %v, want ErrEngineClosed", err)
 	}
 }
@@ -518,7 +564,7 @@ func TestArtifactDirWarmStart(t *testing.T) {
 	eng := pn.NewEngine(1, 1, pn.WithObserver(m))
 	t.Cleanup(eng.Close)
 	warm := &server{
-		pre:     cold.pre,
+		graph:   cold.graph,
 		eng:     eng,
 		reg:     pn.NewRegistry(eng, pn.WithRegistryObserver(m), pn.WithArtifactDir(dir)),
 		metrics: m,

@@ -106,7 +106,7 @@ func globalArenaFixture(t *testing.T, pool *par.Pool) (*candidateSpace, *globalE
 	}
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
 	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), 16, 0, 16, 1)
-	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), 16, 0.001)
+	est := planEstimator(t, pool, local, 1, 16, 0.001)
 	if est.words != words {
 		t.Fatalf("estimator words %d != bank words %d", est.words, words)
 	}
@@ -136,8 +136,8 @@ func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int3
 // the lane scan of the window's 64-world blocks, count accumulation, and
 // the verdict — must not allocate once the estimator's scratch has reached
 // steady state. This is the allocation contract of the shared-world engine:
-// the only per-call allocations are the union tables and the union worlds,
-// built once.
+// the union tables are built once per candidate plan, and a call allocates
+// only its union worlds and the estimator's per-call state, once each.
 func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
@@ -175,7 +175,7 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	upg := pg.SubgraphOfEdges(union)
 	var bank mc.Bank
 	const n, win = 64, 16
-	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0.001)
+	est := planEstimator(t, pool, local, 1, n, 0.001)
 	closure := slices.Clone(cs.closure(cs.triangles[0], 1))
 	var totals []int32
 	for lo := 0; lo < n; lo += win { // warm every scratch buffer

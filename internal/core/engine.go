@@ -78,6 +78,8 @@ type NucleiRequest struct {
 	// a θ no higher than Theta to prune the search space (a lower θ only
 	// widens the candidate space); when nil one at Theta is computed per
 	// request. Validate refuses a Local above Theta with ErrLocalTheta.
+	// Requests that share a Local share its candidate plans (see
+	// MCOptions.Local), as registry queries share the cached result.
 	Local *LocalResult
 }
 
@@ -283,9 +285,8 @@ type engineShard struct {
 	// local is the working memory of the shard's last local peel, kept for
 	// as long as the shard goes on serving local requests (see dropLocal).
 	local localScratch
-	// weak is the working memory of the shard's last w-NuDecomp call, whose
-	// lane table g-NuDecomp calls build their union in too, kept until the
-	// shard serves a local peel or a prepare (see dropWeak).
+	// weak is the working memory of the shard's last w-NuDecomp call, kept
+	// until the shard serves a local peel or a prepare (see dropWeak).
 	weak weakScratch
 }
 
@@ -293,8 +294,7 @@ type engineShard struct {
 // shard's worker pool and world-mask bank, the engine's observer (nil when
 // off), the prepare-stage artifact the call runs from, whose graph every
 // kernel reads, the local-peel working memory to reuse (nil gives the peel
-// fresh memory), and the Monte-Carlo working memory the global and weak
-// kernels reuse.
+// fresh memory), and the working memory the weak kernel reuses.
 type run struct {
 	pool  *par.Pool
 	bank  *mc.Bank

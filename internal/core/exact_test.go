@@ -87,7 +87,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		// Exact tails per candidate view triangle, in view order.
 		exactTail := make([][]float64, len(closures))
 		{
-			est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
+			est := planEstimator(t, pool, local, in.k, n, 0)
 			for c, closure := range closures {
 				h := in.pg.SubgraphOfEdges(appendTriangleEdges(nil, cs.ti, closure))
 				m := est.seedCandidate(closure, in.k)
@@ -105,7 +105,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 		for s := int64(1); s <= seeds; s++ {
 			// Full bank: every candidate scanned against the whole bank in one
 			// window, unpruned; the per-triangle estimates are read back.
-			full := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
+			full := planEstimator(t, pool, local, in.k, n, 0)
 			masks, _ := bank.WorldMasksWindow(pool, upg, n, 0, n, s)
 			full.setWindow(masks, n)
 			fullP := make([][]float64, len(closures))
@@ -118,7 +118,7 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			}
 			// Windowed: stream the same worlds window by window past every
 			// candidate, accumulating totals as the kernel does.
-			win := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0)
+			win := planEstimator(t, pool, local, in.k, n, 0)
 			totals := make([][]int32, len(closures))
 			for c := range closures {
 				totals[c] = make([]int32, len(exactTail[c]))

@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"probnucleus/internal/dataset"
+	"probnucleus/internal/par"
 )
 
 // kroganLocal is the package's shared global-kernel fixture: the exact DP
 // local decomposition of krogan at scale 0.08 and θ = 0.1, built once per
 // test binary for every test that cuts candidates from it. The result is
-// read-only; each test builds its own candidate space and estimator on it.
+// read-only; each test builds its own candidate space and estimator on it,
+// the estimators on the plans the first of them publishes on the result.
 var kroganLocal = sync.OnceValues(func() (*LocalResult, error) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	return LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
@@ -25,6 +27,18 @@ func sharedKroganLocal(tb testing.TB) *LocalResult {
 		tb.Fatal(err)
 	}
 	return local
+}
+
+// planEstimator binds an estimator for n sampled worlds at θ to the union
+// tables of local's g-NuDecomp plan at level k, built and published on
+// local by the first call, as globalNuclei binds its estimator.
+func planEstimator(tb testing.TB, pool *par.Pool, local *LocalResult, k, n int, theta float64) *globalEstimator {
+	tb.Helper()
+	p, err := local.globalPlan(k, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newGlobalEstimator(pool, p.wu, p.upg.NumEdges(), n, theta)
 }
 
 // candidateClosures returns the distinct level-k candidates of cs, in

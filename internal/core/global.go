@@ -26,7 +26,10 @@ type MCOptions struct {
 	// call's θ is computed internally. A Local above the call's θ is refused
 	// with ErrLocalTheta. When set, the call runs from the prepared artifact
 	// Local was decomposed on and samples its worlds from Local.PG, so it
-	// enumerates nothing.
+	// enumerates nothing. Repeated calls with one Local reuse the candidate
+	// plans the first call at each k published on it (candidates, edge
+	// union, union tables), whatever their Seed, Samples, Window, MemBudget
+	// or Workers; the plans live as long as Local does.
 	Local *LocalResult
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds
@@ -109,9 +112,15 @@ type ProbNucleus struct {
 // over a CSR clique layout, deduplication hashes sorted triangle-id sets,
 // and the θ-prune reads the closure's own triangles' alive-world counts
 // first, so a candidate it drops is never seeded. Only the survivors'
-// world-check seeds are cut, from tables built once per call from the root
+// world-check seeds are cut, from union tables built from the root
 // incidence (decomp.WorldCheckUnion), by marking the candidate's edges —
 // no per-candidate graph, index restriction or triangle-id lookup.
+//
+// The candidates, their edge union and the union tables depend only on the
+// pruning local result and k, so they form a candidate plan that the first
+// call builds and publishes on the local result: repeated calls with one
+// MCOptions.Local, at any seed, sample count or window, reuse it and only
+// draw and scan their worlds.
 //
 // The call serves the request on a one-shot one-shard Engine (see
 // MCOptions.Local for the artifact it runs from), so the package-level path
@@ -122,11 +131,13 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 
 // globalNuclei is the GlobalNuclei kernel for a validated request; it runs
 // entirely on r's pool. Cancellation of the pool's bound context is observed
-// between pool chunks, between Monte-Carlo world batches, and at every
-// candidate, returning ctx.Err().
+// between pool chunks, between Monte-Carlo world batches, at every
+// candidate, and at every seed of a plan's enumeration, returning
+// ctx.Err(); a cancelled enumeration publishes no plan.
 //
-// It enumerates the deduplicated candidates once, then streams the shared
-// bank past them window by window — the whole bank in one window by
+// It takes the deduplicated candidates and their union tables from the
+// local result's plan at k (building it on first use), then streams the
+// shared bank past them window by window — the whole bank in one window by
 // default, fixed-size windows when the request bounds the bank's memory.
 // Each window's worlds are drawn from the same chunk-derived PRNG streams
 // and add the same integers to a candidate's per-triangle qualifying-world
@@ -143,18 +154,15 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// C: union of ℓ-(k,θ)-nuclei, with its level-k clique structure. Its
-	// distinct closures are the candidates; the dedup arena keeps each one.
-	cand := newCandidateSpace(local, k)
-	if len(cand.triangles) == 0 {
-		return nil, nil
-	}
-	cands, err := cand.candidates(k, pool.Err)
+	plan, err := local.globalPlan(k, pool.Err)
 	if err != nil {
 		return nil, err
 	}
+	cands := &plan.cands
 	nc := cands.len()
+	if nc == 0 {
+		return nil, nil
+	}
 	if r.obs != nil {
 		for c := 0; c < nc; c++ {
 			r.obs.Candidate(len(cands.set(int32(c))))
@@ -164,14 +172,9 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	// One shared world stream over the union of all candidate edges (every
 	// candidate is a subgraph of it), sampled as a flat bank of edge
 	// bitmasks.
-	union := appendTriangleEdges(nil, cand.ti, cand.triangles)
 	n := req.sampleCount()
-	window := req.windowSize(n, len(union))
-	upg := r.pre.pg.SubgraphOfEdges(union)
-	// The root edge → union lane table lives in the shard's Monte-Carlo
-	// scratch, which the weak kernel builds the same table in.
-	r.weak.laneOf = decomp.LaneIndex(r.weak.laneOf, cand.g, union)
-	est := newGlobalEstimator(pool, cand, union, r.weak.laneOf, n, theta)
+	window := req.windowSize(n, plan.upg.NumEdges())
+	est := newGlobalEstimator(pool, plan.wu, plan.upg.NumEdges(), n, theta)
 	// live lists the candidates not dropped yet, in enumeration order.
 	live := make([]int32, nc)
 	for c := range live {
@@ -190,7 +193,7 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	var nb nucleusBuilder
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
-		masks, _ := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
+		masks, _ := r.bank.WorldMasksWindow(pool, plan.upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
@@ -234,7 +237,7 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 				continue
 			}
 			if minProb, ok := est.tailVerdict(tot); ok {
-				out = append(out, nb.build(cand.ti, closure, k, theta, minProb))
+				out = append(out, nb.build(local.TI, closure, k, theta, minProb))
 			}
 		}
 		live = kept
@@ -462,13 +465,13 @@ func (d *triSetDedup) len() int { return max(len(d.offs)-1, 0) }
 // set returns stored set i, in insertion order; it aliases the arena.
 func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]] }
 
-// globalEstimator holds the per-candidate Monte-Carlo validation state of
+// globalEstimator holds the per-call Monte-Carlo validation state of
 // Algorithm 2: the current window of the shared world bank in lane-major
-// form, the union tables every candidate's world-check seed is cut from, the
-// per-union-triangle alive-world counts, one WorldChecker and count slice
-// per pool worker, and the current candidate's seed. All of it is reused
-// across candidates, so validating one more candidate allocates nothing at
-// steady state.
+// form, the plan's union tables every candidate's world-check seed is cut
+// from (shared, read-only), the per-union-triangle alive-world counts, one
+// WorldChecker and count slice per pool worker, and the current candidate's
+// seed. All of it is reused across candidates, so validating one more
+// candidate allocates nothing at steady state.
 //
 // Each window is transposed once into per-edge lane words (mc.Lanes), shared
 // by every candidate scanned against it: WorldChecker.ScanLanes tests the
@@ -490,7 +493,7 @@ type globalEstimator struct {
 	counts   [][]int32
 	seed     decomp.WorldCheckSeed
 
-	// wu: the per-call seeding tables of the candidate union.
+	// wu: the plan's seeding tables of the candidate union.
 	wu *decomp.WorldCheckUnion
 	// aliveCnt[u]: the worlds, over every window bound so far, in which
 	// union triangle u's three edges are present.
@@ -502,26 +505,23 @@ type globalEstimator struct {
 }
 
 // newGlobalEstimator binds an estimator for n sampled worlds at θ to the
-// candidate space cs and its edge union, with laneOf the root edge → union
-// lane table of decomp.LaneIndex.
-func newGlobalEstimator(pool *par.Pool, cs *candidateSpace, union []graph.Edge, laneOf []int32, n int, theta float64) *globalEstimator {
+// union tables wu of a candidate plan, whose union has unionEdges edges.
+// Candidates are edge-subgraphs of the union, so their triangles all appear
+// in wu; the alive counts are indexed by its union ids and every candidate
+// seed is cut from it.
+func newGlobalEstimator(pool *par.Pool, wu *decomp.WorldCheckUnion, unionEdges, n int, theta float64) *globalEstimator {
 	w := pool.Workers()
 	ge := &globalEstimator{
 		pool:     pool,
-		words:    (len(union) + 63) / 64,
+		words:    (unionEdges + 63) / 64,
 		n:        n,
 		theta:    theta,
 		need:     thetaNeed(theta, n),
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
+		wu:       wu,
+		aliveCnt: make([]int32, wu.Len()),
 	}
-	// The union tables: every triangle the union's edges span, with dense
-	// ids in root order, cut from the root incidence. Candidates are
-	// edge-subgraphs of the union, so their triangles all appear here; the
-	// alive counts are indexed by these ids and every candidate seed is cut
-	// from the tables built over them.
-	ge.wu = decomp.NewWorldCheckUnion(cs.ti, cs.inc, cs.triangles, union, laneOf)
-	ge.aliveCnt = make([]int32, ge.wu.Len())
 	ge.blockFn = func(worker, b int) {
 		ge.checkers[worker].ScanLanes(&ge.seed, ge.lanes.Block(b), ge.lanes.Valid(b), ge.counts[worker])
 	}

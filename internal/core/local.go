@@ -96,6 +96,11 @@ func resize[T any](s []T, n int) []T {
 // and the θ-nucleusness ν(△) of every triangle — the largest k such that △
 // belongs to an ℓ-(k,θ)-nucleus. Triangles whose own existence probability
 // is below θ cannot belong to any nucleus and get ν = −1.
+//
+// A LocalResult is read-only once returned: g- and w-NuDecomp calls that
+// prune with it (MCOptions.Local, NucleiRequest.Local) derive candidate
+// plans from Nucleusness and keep them on the result, so a result whose
+// fields change after its first such call would serve stale candidates.
 type LocalResult struct {
 	PG          *probgraph.Graph
 	TI          *graph.TriangleIndex
@@ -106,6 +111,10 @@ type LocalResult struct {
 	// the mapping TI aliases. Set by the peel; a result assembled another
 	// way gets one on first use (see prepared).
 	pre atomic.Pointer[Prepared]
+	// globalPlans and weakPlans hold the candidate plans built from the
+	// result, per level k (see plan.go); they live as long as the result.
+	globalPlans plans[globalPlan]
+	weakPlans   plans[weakPlan]
 }
 
 // prepared returns the artifact the result was peeled from, wrapping PG and
@@ -443,6 +452,8 @@ func (r *LocalResult) MaxNucleusness() int { return decomp.MaxNucleusness(r.Nucl
 // NucleiForK assembles the ℓ-(k,θ)-nuclei: maximal unions of 4-cliques whose
 // triangles all have ν ≥ k, split into 4-clique-connected components. Each
 // level-k clique is resolved once through the incidence the peel walked.
+// Every call assembles the nuclei afresh, so the caller owns the returned
+// slices; the w-NuDecomp plan keeps its own copy of the candidates.
 func (r *LocalResult) NucleiForK(k int) []decomp.Nucleus {
 	return decomp.KNuclei(r.TI, r.incidence(), r.Nucleusness, k)
 }

@@ -57,7 +57,10 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := local.NucleiForK(k)
+	// The candidates and their edge union depend only on local and k: they
+	// come from the result's plan, built by the first call at k.
+	plan := local.weakPlan(k)
+	cands := plan.tris
 	if len(cands) == 0 {
 		return nil, nil
 	}
@@ -73,11 +76,9 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	// persistent per-candidate totals; the totals are sums of the same
 	// integers the one-window run sums, so the scores — and the assembled
 	// nuclei — are byte-identical at every window size.
-	union := unionEdges(cands)
-	window := req.windowSize(n, len(union))
-	upg := r.pre.pg.SubgraphOfEdges(union)
+	window := req.windowSize(n, len(plan.union))
 	inc := local.incidence()
-	sx.laneOf = decomp.LaneIndex(sx.laneOf, local.PG.G, union)
+	sx.laneOf = decomp.LaneIndex(sx.laneOf, local.PG.G, plan.union)
 
 	var out []ProbNucleus
 	// losses[w][t]: number of window worlds in which candidate triangle t
@@ -100,7 +101,7 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	var lostFlat []int32
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
-		masks, words := r.bank.WorldMasksWindow(pool, upg, n, lo, hi, req.Seed)
+		masks, words := r.bank.WorldMasksWindow(pool, plan.upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
@@ -109,8 +110,8 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 			if err := pool.Err(); err != nil {
 				return nil, err
 			}
-			cand := &cands[ci]
-			seed.Seed(local.TI, inc, cand.TriIDs, sx.laneOf, k)
+			tris := cands[ci]
+			seed.Seed(local.TI, inc, tris, sx.laneOf, k)
 			m := seed.Len()
 			if lo == 0 {
 				if r.obs != nil {
@@ -145,7 +146,7 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 			// lies in the view, since the candidate spans its own
 			// triangles' edges.
 			qual = resizeFilled(qual, m, -1)
-			for _, pid := range cand.TriIDs {
+			for _, pid := range tris {
 				id := seed.ViewID(pid)
 				if !seed.InCore(id) {
 					continue
@@ -168,11 +169,10 @@ func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 
 // weakScratch is the working memory of a w-NuDecomp call: the candidate
 // peel seed with its root-indexed stamps, the per-worker scorers and loss
-// slices, the window's lane words, and the root edge → union lane table,
-// which a g-NuDecomp call also fills to build its union tables. An engine
-// shard keeps one from one Monte-Carlo request to the next (see
-// engineShard), so a run of such queries re-grows none of it. Every call
-// re-initialises all of it that it reads.
+// slices, the window's lane words, and the root edge → union lane table of
+// the plan's union. An engine shard keeps one from one w-NuDecomp request
+// to the next (see engineShard), so a run of such queries re-grows none of
+// it. Every call re-initialises all of it that it reads.
 type weakScratch struct {
 	seed    decomp.WorldPeelSeed
 	scorers []decomp.WorldMembershipScorer

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"probnucleus/internal/dataset"
-	"probnucleus/internal/decomp"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
@@ -113,7 +112,7 @@ func midStreamPrunes(t *testing.T, c windowDiffCase, local *LocalResult, window 
 	pool := par.NewPool(1)
 	defer pool.Close()
 	n := c.samples
-	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, c.theta)
+	est := planEstimator(t, pool, local, c.k, n, c.theta)
 	var bank mc.Bank
 	live := make([]int32, cands.len())
 	for i := range live {
@@ -306,7 +305,7 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	}
 	passed, failed, pruned, earlyAll := 0, 0, 0, 0
 	for _, theta := range []float64{0.05, 0.3, 0.8} {
-		est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, theta)
+		est := planEstimator(t, pool, local, 1, n, theta)
 		est.setWindow(masks, n)
 		early := 0
 		for c, closure := range closures {

@@ -165,7 +165,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		}
 		worlds[i] = graph.FromSortedEdges(pg.NumVertices(), es)
 	}
-	est := newGlobalEstimator(pool, cs, union, decomp.LaneIndex(nil, cs.g, union), n, 0.5)
+	est := planEstimator(t, pool, local, k, n, 0.5)
 	est.setWindow(masks, n)
 	var viaLanes decomp.WorldChecker
 	var lanes mc.Lanes

@@ -148,6 +148,9 @@ func NewWorldCheckUnion(ti *graph.TriangleIndex, inc *TriIncidence, tris []int32
 		}
 		u.compOff[i+1] = int32(len(u.compOther) / 3)
 	}
+	// A union may be kept for many calls (a candidate plan): hold only the
+	// surviving slots, not the bound on them.
+	u.compOther = slices.Clone(u.compOther)
 	// (A,z) and (B,z) are edges of (A,B,z), and (C,z) of (A,C,z).
 	u.compEdge = make([]int32, len(u.compOther))
 	for i, t := range root {

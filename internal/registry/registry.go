@@ -294,7 +294,8 @@ func (r *Registry) Local(ctx context.Context, name string, req core.LocalRequest
 
 // Global answers one g-NuDecomp query against a registered graph. The
 // pruning local decomposition comes from the result cache (computed and
-// cached on first need); the Monte-Carlo validation itself always runs, on
+// cached on first need), and with it the candidate plan the first query at
+// each k published on it; the Monte-Carlo validation itself always runs, on
 // the graph's prepared artifact. A caller-supplied req.Local bypasses the
 // cache. Results are byte-identical to Engine.GlobalPrepared on the
 // graph's artifact.

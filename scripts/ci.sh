@@ -19,7 +19,7 @@
 #
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — closure
-# growth, seeding from the per-call union tables, the per-window transpose,
+# growth, seeding from the plan's union tables, the per-window transpose,
 # lane scan, verdict, weak seed cut from the root incidence + lane scoring —
 # must allocate nothing) and the benchmark allocation gates (the root
 # package's TestBenchmarkAllocs holds the BenchmarkFig4LocalDP,
@@ -108,6 +108,13 @@ echo "==> go vet + go test (perfbench module)"
 echo "==> go test -race global lane scan and union (lane and union differentials, worker and window differentials)"
 race_pass 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
 race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
+
+# Both kernels run from candidate plans published on the local result by
+# the first call at each k, which any number of shards then read at once:
+# concurrent first callers must share the one plan that wins the publish,
+# and a cancelled build must publish nothing.
+echo "==> go test -race candidate plans (concurrent first callers, cancelled build)"
+race_pass 'TestPlanConcurrentFirstCallers|TestPlanCancelledBuildPublishesNothing' ./internal/core
 
 # The w-NuDecomp kernel cuts each candidate's peel seed from the shared root
 # incidence and scores 64-world blocks on per-worker scorers from shard-held
