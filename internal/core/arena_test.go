@@ -122,12 +122,12 @@ func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int3
 	if est.closurePruned(closure, 0) {
 		return 0, false
 	}
-	m := est.seedCandidate(closure, k)
-	if est.extrasPruned(0) {
+	m := est.seedCandidate(0, closure, k)
+	if est.extrasPruned(0, 0) {
 		return 0, false
 	}
 	*tot = resizeCleared(*tot, m)
-	est.scanInto(*tot)
+	est.scanInto(0, *tot)
 	return est.tailVerdict(*tot)
 }
 
@@ -136,8 +136,9 @@ func validateOneWindow(est *globalEstimator, closure []int32, k int, tot *[]int3
 // the lane scan of the window's 64-world blocks, count accumulation, and
 // the verdict — must not allocate once the estimator's scratch has reached
 // steady state. This is the allocation contract of the shared-world engine:
-// the union tables are built once per candidate plan, and a call allocates
-// only its union worlds and the estimator's per-call state, once each.
+// the union tables are built once per candidate plan, and the estimator,
+// with its per-worker seeds and checkers, is kept on the engine shard from
+// one call to the next.
 func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
@@ -153,6 +154,46 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("closure + seed + scan allocates %v per candidate, want 0", allocs)
+	}
+}
+
+// TestGlobalWindowRoundAllocationFree: a whole g-NuDecomp run past a
+// published plan's candidates — binding the estimator, and per window the
+// bank draw, the window rebind and the one round of scoreWindow (every live
+// candidate pruned, seeded, scanned and judged into its own slot) with the
+// compaction of the live list — must not allocate once the estimator's
+// scratch has reached steady state: in one window, and in windows of 16
+// worlds, whose first lays the persistent totals out in the worker's arena.
+// The pool has one worker, so which worker scores which candidate, and
+// with it how far each worker's scratch has grown, is fixed.
+func TestGlobalWindowRoundAllocationFree(t *testing.T) {
+	local := sharedKroganLocal(t)
+	plan, err := local.globalPlan(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(1)
+	defer pool.Close()
+	const n = 64
+	var bank mc.Bank
+	est := new(globalEstimator)
+	run := func(window int) {
+		est.bind(pool, plan.wu, plan.upg.NumEdges(), n, 0.001)
+		est.startRun(&plan.cands, 1, window < n)
+		for lo := 0; lo < n; lo += window {
+			masks, _ := bank.WorldMasksWindow(pool, plan.upg, n, lo, lo+window, 1)
+			est.setWindow(masks, window)
+			est.scoreWindow(lo, lo+window)
+		}
+	}
+	for _, window := range []int{n, 16} {
+		run(window) // warm every scratch buffer
+		if len(est.live) == 0 {
+			t.Fatalf("window %d: no candidate accepted; the round scans nothing on its last window", window)
+		}
+		if allocs := testing.AllocsPerRun(2, func() { run(window) }); allocs != 0 {
+			t.Errorf("window %d: a run of window rounds allocates %v, want 0", window, allocs)
+		}
 	}
 }
 
@@ -181,16 +222,16 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	for lo := 0; lo < n; lo += win { // warm every scratch buffer
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, lo+win, 1)
 		est.setWindow(masks, win)
-		m := est.seedCandidate(closure, 1)
+		m := est.seedCandidate(0, closure, 1)
 		totals = resizeCleared(totals, m)
-		est.scanInto(totals)
+		est.scanInto(0, totals)
 	}
 	lo := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, lo+win, 1)
 		est.setWindow(masks, win)
-		est.seedCandidate(closure, 1)
-		est.scanInto(totals)
+		est.seedCandidate(0, closure, 1)
+		est.scanInto(0, totals)
 		lo = (lo + win) % n
 	})
 	if allocs != 0 {
@@ -208,14 +249,14 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 	cs, est := globalArenaFixture(t, pool)
 	closures := candidateClosures(cs, 1)
 	for _, closure := range closures { // warm every scratch buffer
-		est.seedCandidate(closure, 1)
+		est.seedCandidate(0, closure, 1)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		closure := closures[i%len(closures)]
 		est.closurePruned(closure, 0)
-		est.seedCandidate(closure, 1)
-		est.extrasPruned(0)
+		est.seedCandidate(0, closure, 1)
+		est.extrasPruned(0, 0)
 		i++
 	})
 	if allocs != 0 {

@@ -285,23 +285,26 @@ type engineShard struct {
 	// local is the working memory of the shard's last local peel, kept for
 	// as long as the shard goes on serving local requests (see dropLocal).
 	local localScratch
-	// weak is the working memory of the shard's last w-NuDecomp call, kept
-	// until the shard serves a local peel or a prepare (see dropWeak).
-	weak weakScratch
+	// weak and global are the working memory of the shard's last w- and
+	// g-NuDecomp calls, kept until the shard serves a local peel or a prepare
+	// (see dropMC).
+	weak   weakScratch
+	global globalEstimator
 }
 
 // run is what a shard hands one kernel call besides its request: the
 // shard's worker pool and world-mask bank, the engine's observer (nil when
 // off), the prepare-stage artifact the call runs from, whose graph every
 // kernel reads, the local-peel working memory to reuse (nil gives the peel
-// fresh memory), and the working memory the weak kernel reuses.
+// fresh memory), and the working memory the weak and global kernels reuse.
 type run struct {
-	pool  *par.Pool
-	bank  *mc.Bank
-	obs   obs.Observer
-	pre   *Prepared
-	local *localScratch
-	weak  *weakScratch
+	pool   *par.Pool
+	bank   *mc.Bank
+	obs    obs.Observer
+	pre    *Prepared
+	local  *localScratch
+	weak   *weakScratch
+	global *globalEstimator
 }
 
 // localResult resolves the pruning local decomposition the global and weak
@@ -321,11 +324,14 @@ func (r *run) localResult(req NucleiRequest) (*LocalResult, error) {
 // larger of a peel's memory and a Monte-Carlo kernel's, not their sum.
 func (s *engineShard) dropLocal() { s.local = localScratch{} }
 
-// dropWeak releases the shard's weak working memory. A local peel or a
-// prepare calls it, as every other request calls dropLocal, so a shard never
-// holds a peel's and a Monte-Carlo kernel's scratch at once; the world-mask
-// bank stays, as the global and weak kernels share it.
-func (s *engineShard) dropWeak() { s.weak = weakScratch{} }
+// dropMC releases the shard's weak and global working memory. A local peel
+// or a prepare calls it, as every other request calls dropLocal, so a shard
+// never holds a peel's and a Monte-Carlo kernel's scratch at once; the
+// world-mask bank stays, as the global and weak kernels share it.
+func (s *engineShard) dropMC() {
+	s.weak = weakScratch{}
+	s.global = globalEstimator{}
+}
 
 // NewEngine creates an engine with the given number of shards (values < 1
 // mean one) of workersPerShard workers each (0 = all cores, 1 = serial).
@@ -617,7 +623,7 @@ func (e *Engine) rebuild(old *engineShard) {
 func (e *Engine) Prepare(ctx context.Context, pg *probgraph.Graph) (*Prepared, error) {
 	return serve(e, ctx, obs.SemPrepare, func(s *engineShard) (*Prepared, error) {
 		s.dropLocal()
-		s.dropWeak()
+		s.dropMC()
 		return newPrepared(pg, s.pool, e.obs)
 	})
 }
@@ -632,7 +638,7 @@ func (e *Engine) LocalPrepared(ctx context.Context, pre *Prepared, req LocalRequ
 		return nil, err
 	}
 	return serve(e, ctx, obs.SemLocal, func(s *engineShard) (*LocalResult, error) {
-		s.dropWeak()
+		s.dropMC()
 		return localDecompose(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, local: &s.local}, req)
 	})
 }
@@ -666,7 +672,7 @@ func (e *Engine) nuclei(ctx context.Context, pre *Prepared, req NucleiRequest, s
 	}
 	return serve(e, ctx, sem, func(s *engineShard) ([]ProbNucleus, error) {
 		s.dropLocal()
-		return kernel(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, weak: &s.weak}, req)
+		return kernel(&run{pool: s.pool, bank: &s.bank, obs: e.obs, pre: pre, weak: &s.weak, global: &s.global}, req)
 	})
 }
 

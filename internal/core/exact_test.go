@@ -90,9 +90,9 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			est := planEstimator(t, pool, local, in.k, n, 0)
 			for c, closure := range closures {
 				h := in.pg.SubgraphOfEdges(appendTriangleEdges(nil, cs.ti, closure))
-				m := est.seedCandidate(closure, in.k)
+				m := est.seedCandidate(0, closure, in.k)
 				for j := 0; j < m; j++ {
-					tri := cs.ti.Tris[est.wu.Root(est.seed.AliveUID(j))]
+					tri := cs.ti.Tris[est.wu.Root(est.workers[0].seed.AliveUID(j))]
 					exactTail[c] = append(exactTail[c], exact.Tail(h, tri, in.k).Global)
 				}
 			}
@@ -110,8 +110,8 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 			full.setWindow(masks, n)
 			fullP := make([][]float64, len(closures))
 			for c, closure := range closures {
-				counts := make([]int32, full.seedCandidate(closure, in.k))
-				full.scanInto(counts)
+				counts := make([]int32, full.seedCandidate(0, closure, in.k))
+				full.scanInto(0, counts)
 				for j := range exactTail[c] {
 					fullP[c] = append(fullP[c], float64(counts[j])/float64(n))
 				}
@@ -128,8 +128,8 @@ func TestGlobalEstimatorExactConformance(t *testing.T) {
 				wmasks, _ := bank.WorldMasksWindow(pool, upg, n, lo, hi, s)
 				win.setWindow(wmasks, hi-lo)
 				for c, closure := range closures {
-					win.seedCandidate(closure, in.k)
-					win.scanInto(totals[c])
+					win.seedCandidate(0, closure, in.k)
+					win.scanInto(0, totals[c])
 				}
 			}
 			for c := range closures {

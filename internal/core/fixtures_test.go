@@ -38,7 +38,9 @@ func planEstimator(tb testing.TB, pool *par.Pool, local *LocalResult, k, n int, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return newGlobalEstimator(pool, p.wu, p.upg.NumEdges(), n, theta)
+	est := new(globalEstimator)
+	est.bind(pool, p.wu, p.upg.NumEdges(), n, theta)
+	return est
 }
 
 // candidateClosures returns the distinct level-k candidates of cs, in

@@ -107,6 +107,14 @@ type ProbNucleus struct {
 // one bit lane per world. Every part of the predicate is a monotone
 // fixpoint, so each lane reaches exactly its world's verdict.
 //
+// The unit of parallel work is the candidate: each window's candidates are
+// scored in one worker-pool round, a worker pruning, seeding, scanning and
+// judging whole candidates on its own seed and checker, so a request pays
+// one round per window however many candidates survive the prune. Every
+// candidate writes only its own verdict slot and totals, and the nuclei
+// are built serially in enumeration order afterwards, so the result does
+// not depend on the worker count.
+//
 // The per-seed pipeline is allocation-free at steady state and proportional
 // to the candidate, not the graph: candidate growth runs on stamp arrays
 // over a CSR clique layout, deduplication hashes sorted triangle-id sets,
@@ -139,15 +147,18 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 // local result's plan at k (building it on first use), then streams the
 // shared bank past them window by window — the whole bank in one window by
 // default, fixed-size windows when the request bounds the bank's memory.
-// Each window's worlds are drawn from the same chunk-derived PRNG streams
-// and add the same integers to a candidate's per-triangle qualifying-world
-// totals, so every window cut reaches the same verdicts. A candidate is
-// dropped as soon as some triangle is alive in fewer than `need` worlds even
-// if it were alive in every world still to come: a triangle qualifies only
-// where it is alive, so the scan could only confirm the failure. The
-// closure's triangles are tested before the candidate is seeded, the few
-// view triangles outside the closure after; a candidate dropped on the first
-// window of a multi-window run keeps an empty span of totals.
+// Each window is scored in one pool round over the candidates still live
+// (globalEstimator.scoreWindow): a worker takes whole candidates and prunes,
+// seeds, scans and judges each on its own seed and checker, writing only the
+// candidate's own slots. Each window's worlds are drawn from the same
+// chunk-derived PRNG streams and add the same integers to a candidate's
+// per-triangle qualifying-world totals, so every window cut and every worker
+// count reaches the same verdicts, and the accepted candidates are built
+// into nuclei serially, in enumeration order, after the last window. A
+// candidate is dropped as soon as some triangle is alive in fewer than
+// `need` worlds even if it were alive in every world still to come: a
+// triangle qualifies only where it is alive, so the scan could only confirm
+// the failure.
 func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	k, theta, pool := req.K, req.Theta, r.pool
 	local, err := r.localResult(req)
@@ -174,78 +185,27 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	// bitmasks.
 	n := req.sampleCount()
 	window := req.windowSize(n, plan.upg.NumEdges())
-	est := newGlobalEstimator(pool, plan.wu, plan.upg.NumEdges(), n, theta)
-	// live lists the candidates not dropped yet, in enumeration order.
-	live := make([]int32, nc)
-	for c := range live {
-		live[c] = int32(c)
-	}
-	// A run of several windows keeps every candidate's per-triangle totals
-	// from one window to the next, in totFlat[totOff[c]:totOff[c+1]] (laid
-	// out on the first window); a one-window run needs only the totals of
-	// the candidate at hand, in one reused slice.
-	multi := window < n
-	var totOff, totFlat, one []int32
-	if multi {
-		totOff = make([]int32, 1, nc+1)
-	}
-	var out []ProbNucleus
-	var nb nucleusBuilder
+	ge := r.global
+	ge.bind(pool, plan.wu, plan.upg.NumEdges(), n, theta)
+	ge.startRun(cands, k, window < n)
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
 		masks, _ := r.bank.WorldMasksWindow(pool, plan.upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
-		est.setWindow(masks, hi-lo)
-		kept := live[:0]
-		for _, c := range live {
-			if err := pool.Err(); err != nil {
-				return nil, err
-			}
-			// The closure's triangles are view triangles, so the θ-prune
-			// runs on them before any seed is cut; the seed then adds only
-			// the view triangles outside the closure.
-			closure := cands.set(c)
-			m := 0
-			dropped := est.closurePruned(closure, n-hi)
-			if !dropped {
-				m = est.seedCandidate(closure, k)
-				dropped = est.extrasPruned(n - hi)
-			}
-			if multi && lo == 0 {
-				// A candidate dropped on the first window keeps an empty
-				// span of totals and never comes back.
-				if !dropped {
-					totFlat = append(totFlat, make([]int32, m)...)
-				}
-				totOff = append(totOff, int32(len(totFlat)))
-			}
-			if dropped {
-				continue
-			}
-			kept = append(kept, c)
-			var tot []int32
-			if multi {
-				tot = totFlat[totOff[c]:totOff[c+1]]
-			} else {
-				one = resizeCleared(one, m)
-				tot = one
-			}
-			est.scanInto(tot)
-			if hi < n {
-				continue
-			}
-			if minProb, ok := est.tailVerdict(tot); ok {
-				out = append(out, nb.build(local.TI, closure, k, theta, minProb))
-			}
+		ge.setWindow(masks, hi-lo)
+		ge.scoreWindow(lo, hi)
+		// A cancelled round leaves some candidates unscored.
+		if err := pool.Err(); err != nil {
+			return nil, err
 		}
-		live = kept
 	}
-	// The last candidate may have been scanned against a half-filled world
-	// batch; one final check keeps cancelled calls from returning it.
-	if err := pool.Err(); err != nil {
-		return nil, err
+	// After the last window the live candidates are the accepted ones.
+	var out []ProbNucleus
+	var nb nucleusBuilder
+	for _, c := range ge.live {
+		out = append(out, nb.build(local.TI, cands.set(c), k, theta, ge.slots[c].minProb))
 	}
 	sortNuclei(out)
 	return out, nil
@@ -465,13 +425,17 @@ func (d *triSetDedup) len() int { return max(len(d.offs)-1, 0) }
 // set returns stored set i, in insertion order; it aliases the arena.
 func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]] }
 
-// globalEstimator holds the per-call Monte-Carlo validation state of
-// Algorithm 2: the current window of the shared world bank in lane-major
-// form, the plan's union tables every candidate's world-check seed is cut
-// from (shared, read-only), the per-union-triangle alive-world counts, one
-// WorldChecker and count slice per pool worker, and the current candidate's
-// seed. All of it is reused across candidates, so validating one more
-// candidate allocates nothing at steady state.
+// globalEstimator holds the Monte-Carlo validation state of Algorithm 2:
+// the current window of the shared world bank in lane-major form, the plan's
+// union tables every candidate's world-check seed is cut from (shared,
+// read-only), the per-union-triangle alive-world counts, one seed, checker
+// and totals scratch per pool worker, and one verdict slot per candidate. An
+// engine shard keeps one from one g-NuDecomp request to the next (see
+// engineShard), so validating one more candidate — or serving one more
+// request — re-grows none of it; every call re-initialises all of it that it
+// reads. Between calls it still points at the last call's plan (its
+// candidates and union tables), which the shard's next g-NuDecomp call
+// rebinds and a local peel or prepare drops.
 //
 // Each window is transposed once into per-edge lane words (mc.Lanes), shared
 // by every candidate scanned against it: WorldChecker.ScanLanes tests the
@@ -479,7 +443,8 @@ func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]
 // every union triangle's alive-world count — its three edges present — once
 // per window. Accumulated across windows, those counts bound any candidate
 // triangle's qualifying count from above, which is what the θ-prune
-// (closurePruned, extrasPruned) reads.
+// (closurePruned, extrasPruned) reads. Both are set before a window's
+// candidate round and only read inside it.
 type globalEstimator struct {
 	pool  *par.Pool
 	words int
@@ -489,43 +454,83 @@ type globalEstimator struct {
 	// lanes holds the current window, transposed.
 	lanes mc.Lanes
 
-	checkers []decomp.WorldChecker
-	counts   [][]int32
-	seed     decomp.WorldCheckSeed
-
 	// wu: the plan's seeding tables of the candidate union.
 	wu *decomp.WorldCheckUnion
 	// aliveCnt[u]: the worlds, over every window bound so far, in which
 	// union triangle u's three edges are present.
 	aliveCnt []int32
+	// workers[w] is pool worker w's scratch.
+	workers []globalWorker
 
-	// The hoisted pool closure (one per estimator, not one per candidate —
-	// keeping the per-candidate steady state allocation-free).
-	blockFn func(worker, b int)
+	// The run's candidates at level k and the ids of those still live, in
+	// enumeration order; slots[c] is candidate c's verdict slot. multi
+	// reports a run of several windows, and [lo, hi) is the window being
+	// scored.
+	cands  *triSetDedup
+	k      int
+	live   []int32
+	slots  []candidateSlot
+	multi  bool
+	lo, hi int
+
+	// The hoisted round body (one per estimator, not one per window or
+	// request).
+	candFn func(worker, i int)
 }
 
-// newGlobalEstimator binds an estimator for n sampled worlds at θ to the
+// globalWorker is one pool worker's scratch for scoring whole candidates:
+// the world-check seed of the candidate at hand, the checker that scans it,
+// the totals of a one-window run's candidate at hand, and, in a run of
+// several windows, the arena holding the persistent totals of the
+// candidates this worker laid out on the first window.
+type globalWorker struct {
+	seed    decomp.WorldCheckSeed
+	checker decomp.WorldChecker
+	one     []int32
+	arena   []int32
+}
+
+// candidateSlot is what one candidate's scoring leaves for the serial code
+// after a window's round; only the worker scoring the candidate writes it.
+type candidateSlot struct {
+	// keep: the candidate survives the window — on the last window, it is
+	// accepted, with smallest estimate minProb.
+	keep    bool
+	minProb float64
+	// In a run of several windows, the candidate's totals are
+	// workers[worker].arena[off:off+m], laid out on the first window.
+	worker, off int32
+}
+
+// bind readies the estimator for n sampled worlds at θ on pool, over the
 // union tables wu of a candidate plan, whose union has unionEdges edges.
 // Candidates are edge-subgraphs of the union, so their triangles all appear
 // in wu; the alive counts are indexed by its union ids and every candidate
 // seed is cut from it.
-func newGlobalEstimator(pool *par.Pool, wu *decomp.WorldCheckUnion, unionEdges, n int, theta float64) *globalEstimator {
-	w := pool.Workers()
-	ge := &globalEstimator{
-		pool:     pool,
-		words:    (unionEdges + 63) / 64,
-		n:        n,
-		theta:    theta,
-		need:     thetaNeed(theta, n),
-		checkers: make([]decomp.WorldChecker, w),
-		counts:   make([][]int32, w),
-		wu:       wu,
-		aliveCnt: make([]int32, wu.Len()),
+func (ge *globalEstimator) bind(pool *par.Pool, wu *decomp.WorldCheckUnion, unionEdges, n int, theta float64) {
+	ge.pool, ge.wu = pool, wu
+	ge.words = (unionEdges + 63) / 64
+	ge.n, ge.theta, ge.need = n, theta, thetaNeed(theta, n)
+	ge.aliveCnt = resizeCleared(ge.aliveCnt, wu.Len())
+	ge.workers = resize(ge.workers, pool.Workers())
+	if ge.candFn == nil {
+		ge.candFn = ge.scoreCandidate
 	}
-	ge.blockFn = func(worker, b int) {
-		ge.checkers[worker].ScanLanes(&ge.seed, ge.lanes.Block(b), ge.lanes.Valid(b), ge.counts[worker])
+}
+
+// startRun binds the estimator to the plan's candidates at level k, every
+// one of them live, for a run of several windows when multi is set.
+func (ge *globalEstimator) startRun(cands *triSetDedup, k int, multi bool) {
+	nc := cands.len()
+	ge.cands, ge.k, ge.multi = cands, k, multi
+	ge.slots = resize(ge.slots, nc)
+	ge.live = resize(ge.live, nc)
+	for c := range ge.live {
+		ge.live[c] = int32(c)
 	}
-	return ge
+	for w := range ge.workers {
+		ge.workers[w].arena = ge.workers[w].arena[:0]
+	}
 }
 
 // setWindow binds the estimator to the next window of the shared bank —
@@ -540,17 +545,77 @@ func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 	}
 }
 
-// seedCandidate binds the estimator to the candidate grown as closure (its
-// sorted root triangle ids): cut the candidate's world-check seed from the
-// union tables and clear the per-worker counts. Returns the candidate view's
-// triangle count.
-func (ge *globalEstimator) seedCandidate(closure []int32, k int) int {
-	ge.seed.Seed(ge.wu, closure, k)
-	m := ge.seed.Len()
-	for w := range ge.counts {
-		ge.counts[w] = resizeCleared(ge.counts[w], m)
+// scoreWindow scores every live candidate against the window [lo, hi) bound
+// by setWindow in one pool round, a worker taking whole candidates
+// (scoreCandidate), then compacts live to the candidates the window kept, in
+// enumeration order. A one-worker pool runs the round inline, as one serial
+// loop over the candidates. After a cancelled round live is meaningless.
+func (ge *globalEstimator) scoreWindow(lo, hi int) {
+	ge.lo, ge.hi = lo, hi
+	ge.pool.ForWorker(len(ge.live), ge.candFn)
+	kept := ge.live[:0]
+	for _, c := range ge.live {
+		if ge.slots[c].keep {
+			kept = append(kept, c)
+		}
 	}
-	return m
+	ge.live = kept
+}
+
+// scoreCandidate is the round body of scoreWindow: worker scores live
+// candidate i against the current window and records the outcome in the
+// candidate's slot. The closure's triangles are view triangles, so the
+// θ-prune runs on them before any seed is cut; the seed then adds only the
+// view triangles outside the closure. A surviving candidate's window is
+// scanned into its totals — the worker's reused ones in a one-window run,
+// persistent ones laid out on the first window otherwise (a candidate
+// dropped on the first window never gets any and never comes back) — and
+// the last window turns them into its verdict.
+func (ge *globalEstimator) scoreCandidate(worker, i int) {
+	if ge.pool.Err() != nil {
+		return
+	}
+	c := ge.live[i]
+	s := &ge.slots[c]
+	s.keep = false
+	closure := ge.cands.set(c)
+	remaining := ge.n - ge.hi
+	if ge.closurePruned(closure, remaining) {
+		return
+	}
+	m := ge.seedCandidate(worker, closure, ge.k)
+	if ge.extrasPruned(worker, remaining) {
+		return
+	}
+	gw := &ge.workers[worker]
+	var tot []int32
+	if ge.multi {
+		if ge.lo == 0 {
+			off := len(gw.arena)
+			s.worker, s.off = int32(worker), int32(off)
+			gw.arena = slices.Grow(gw.arena, m)[:off+m]
+			clear(gw.arena[off:])
+		}
+		tot = ge.workers[s.worker].arena[s.off : int(s.off)+m]
+	} else {
+		gw.one = resizeCleared(gw.one, m)
+		tot = gw.one
+	}
+	ge.scanInto(worker, tot)
+	if ge.hi < ge.n {
+		s.keep = true
+		return
+	}
+	s.minProb, s.keep = ge.tailVerdict(tot)
+}
+
+// seedCandidate binds worker's seed to the candidate grown as closure (its
+// sorted root triangle ids), cut from the union tables, and returns the
+// candidate view's triangle count.
+func (ge *globalEstimator) seedCandidate(worker int, closure []int32, k int) int {
+	seed := &ge.workers[worker].seed
+	seed.Seed(ge.wu, closure, k)
+	return seed.Len()
 }
 
 // The θ-prune drops a candidate that must fail with `remaining` worlds
@@ -577,13 +642,13 @@ func (ge *globalEstimator) closurePruned(closure []int32, remaining int) bool {
 }
 
 // extrasPruned runs the θ-prune on the view triangles of the candidate most
-// recently bound with seedCandidate that lie outside its closure.
-func (ge *globalEstimator) extrasPruned(remaining int) bool {
+// recently bound to worker's seed that lie outside its closure.
+func (ge *globalEstimator) extrasPruned(worker, remaining int) bool {
 	floor := ge.need - int32(remaining)
 	if floor <= 0 {
 		return false
 	}
-	for _, u := range ge.seed.Extras() {
+	for _, u := range ge.workers[worker].seed.Extras() {
 		if ge.aliveCnt[u] < floor {
 			return true
 		}
@@ -592,18 +657,16 @@ func (ge *globalEstimator) extrasPruned(remaining int) bool {
 }
 
 // scanInto runs the current window's worlds against the candidate most
-// recently bound with seedCandidate — 64-world lane blocks scored by
-// per-worker checkers, connectivity walked over the candidate's own
-// adjacency so union edges outside the candidate never connect it — and adds
-// each triangle's qualifying-world count to totals, summing the per-worker
-// counts in worker order: integer sums, so totals accumulated over any
-// window cut and any worker count equal the serial full-bank counts exactly.
-func (ge *globalEstimator) scanInto(totals []int32) {
-	ge.pool.ForWorker(ge.lanes.Blocks(), ge.blockFn)
-	for _, cw := range ge.counts {
-		for j, c := range cw {
-			totals[j] += c
-		}
+// recently bound to worker's seed — every 64-world lane block scored by the
+// worker's checker, connectivity walked over the candidate's own adjacency
+// so union edges outside the candidate never connect it — and adds each
+// triangle's qualifying-world count to totals: integer sums, so totals
+// accumulated over any window cut, by any worker, equal the serial
+// full-bank counts exactly.
+func (ge *globalEstimator) scanInto(worker int, totals []int32) {
+	gw := &ge.workers[worker]
+	for b := 0; b < ge.lanes.Blocks(); b++ {
+		gw.checker.ScanLanes(&gw.seed, ge.lanes.Block(b), ge.lanes.Valid(b), totals)
 	}
 }
 

@@ -90,8 +90,8 @@ func viewPruned(ge *globalEstimator, remaining int) bool {
 	if floor <= 0 {
 		return false
 	}
-	for t := 0; t < ge.seed.Len(); t++ {
-		if ge.aliveCnt[ge.seed.AliveUID(t)] < floor {
+	for t := 0; t < ge.workers[0].seed.Len(); t++ {
+		if ge.aliveCnt[ge.workers[0].seed.AliveUID(t)] < floor {
 			return true
 		}
 	}
@@ -128,11 +128,11 @@ func midStreamPrunes(t *testing.T, c windowDiffCase, local *LocalResult, window 
 		for _, ci := range live {
 			closure := cands.set(ci)
 			first := est.closurePruned(closure, n-hi)
-			est.seedCandidate(closure, c.k)
+			est.seedCandidate(0, closure, c.k)
 			full := viewPruned(est, n-hi)
-			if full != (first || est.extrasPruned(n-hi)) {
+			if full != (first || est.extrasPruned(0, n-hi)) {
 				t.Fatalf("%s window=%d [%d,%d) candidate %d: closure prune %v, extras prune %v, whole-view prune %v",
-					c.name, window, lo, hi, ci, first, est.extrasPruned(n-hi), full)
+					c.name, window, lo, hi, ci, first, est.extrasPruned(0, n-hi), full)
 			}
 			switch {
 			case first:
@@ -311,7 +311,7 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 		for c, closure := range closures {
 			p0, ok0 := est.tailVerdict(refCounts[c])
 			first := est.closurePruned(closure, 0)
-			totals := make([]int32, est.seedCandidate(closure, 1))
+			totals := make([]int32, est.seedCandidate(0, closure, 1))
 			fires := viewPruned(est, 0)
 			if first {
 				early++
@@ -322,11 +322,11 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 					t.Errorf("θ=%v candidate %d: closure prune fired on a candidate the reference passes (%v)", theta, c, p0)
 				}
 			}
-			if fires != (first || est.extrasPruned(0)) {
+			if fires != (first || est.extrasPruned(0, 0)) {
 				t.Errorf("θ=%v candidate %d: whole-view prune %v, closure prune %v, extras prune %v",
-					theta, c, fires, first, est.extrasPruned(0))
+					theta, c, fires, first, est.extrasPruned(0, 0))
 			}
-			est.scanInto(totals)
+			est.scanInto(0, totals)
 			p1, ok1 := est.tailVerdict(totals)
 			if p0 != p1 || ok0 != ok1 {
 				t.Errorf("θ=%v candidate %d: aliveness scan (%v,%v) != materialized-world predicate (%v,%v)",

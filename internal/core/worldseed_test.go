@@ -186,23 +186,23 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		}
 		ref := sr.ref
 		checked++
-		m := est.seedCandidate(closure, k)
+		m := est.seedCandidate(0, closure, k)
 		if m != ref.hti.Len() {
 			t.Fatalf("%s: seed view has %d triangles, reference %d", where, m, ref.hti.Len())
 		}
 		for j := 0; j < m; j++ {
-			uid := est.seed.AliveUID(j)
+			uid := est.workers[0].seed.AliveUID(j)
 			if rid := est.wu.Root(uid); rid != ref.pids[j] || cs.ti.Tris[rid] != ref.hti.Tris[j] {
 				t.Fatalf("%s: view triangle %d is root %d %v, reference root %d %v",
 					where, j, rid, cs.ti.Tris[rid], ref.pids[j], ref.hti.Tris[j])
 			}
-			other := est.seed.Completions(j)
+			other := est.workers[0].seed.Completions(j)
 			if !slices.Equal(other, ref.other[j]) {
 				t.Fatalf("%s: triangle %d completions %v, reference %v", where, j, other, ref.other[j])
 			}
 			otherUID := make([]int32, len(other))
 			for i, o := range other {
-				otherUID[i] = est.seed.AliveUID(int(o))
+				otherUID[i] = est.workers[0].seed.AliveUID(int(o))
 			}
 			// The completion vertex is the one the first other triangle
 			// (tri.A, tri.B, z) adds to the triangle.
@@ -220,7 +220,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 				t.Fatalf("%s: triangle %d completion list %v, reference %v", where, j, zs, ref.hti.Comps[j])
 			}
 		}
-		verts := est.seed.AppendVertices(nil)
+		verts := est.workers[0].seed.AppendVertices(nil)
 		slices.Sort(verts)
 		if !slices.Equal(verts, ref.verts) {
 			t.Fatalf("%s: seed vertices %v, reference %v", where, verts, ref.verts)
@@ -229,7 +229,7 @@ func checkSeedsAgainstReference(t *testing.T, name string, pg *probgraph.Graph, 
 		for i := range worlds {
 			clear(counts)
 			lanes.Transpose(masks[i*words:(i+1)*words], 1, words)
-			viaLanes.ScanLanes(&est.seed, lanes.Block(0), lanes.Valid(0), counts)
+			viaLanes.ScanLanes(&est.workers[0].seed, lanes.Block(0), lanes.Valid(0), counts)
 			var got []int32
 			for id, c := range counts {
 				if c != 0 {

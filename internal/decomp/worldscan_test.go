@@ -205,8 +205,8 @@ func scanCandidates(rng *rand.Rand, g *graph.Graph, root *graph.TriangleIndex, n
 // view triangle, exactly the qualifying-world count the per-world reference
 // predicate gives — for world counts n that end in partial 64-lane blocks,
 // windows that are not multiples of 64, and 1, 2 and 8 workers scanning
-// blocks into per-worker counts merged by integer sum, as the g-NuDecomp
-// kernel does. The lanes past a block's valid worlds are filled with ones
+// blocks into per-worker counts merged by integer sum, which any split of
+// a candidate's blocks must match. The lanes past a block's valid worlds are filled with ones
 // (every edge present) before the scan, so a kernel that read them as
 // worlds would over-count. A window of at most 64 worlds is one block,
 // which one worker scans whatever the pool size, so those windows run on

@@ -6,8 +6,9 @@
 # package and the full test suite under the race detector. The differential
 # tests in internal/core, internal/decomp, internal/graph, and internal/mc
 # run the worker pools at 1/2/8 workers, so `go test -race` drives every
-# concurrent path, including the g-NuDecomp lane scan, whose 64-world blocks
-# merge per-worker counts; dedicated -race passes then re-run that scan's
+# concurrent path, including the g-NuDecomp window round, whose workers each
+# score whole candidates on their own seeds and write only those
+# candidates' slots; dedicated -race passes then re-run that round's
 # differentials, the weak seed and kernel differentials, the world-mask
 # bank's pool and window differentials (internal/mc, the one world sampler),
 # the level-synchronous local peel's batch differential and scratch tests
@@ -97,17 +98,23 @@ go test -race "$pkgs"
 echo "==> go vet + go test (perfbench module)"
 (cd perfbench && go vet ./... && go test ./...)
 
-# The g-NuDecomp lane scan spreads a window's 64-world blocks over the pool
-# and sums per-worker counts, so its lane-vs-reference differential (1, 2
-# and 8 workers), the differential of the union tables cut from the root
-# incidence against the view-and-lookup construction, and the worker-count
-# and window differentials of the whole global kernel get a repeated -race
-# pass of their own. The window differential's early-prune case drops
-# closures before they are seeded on the first window and on later ones, so
-# this pass also covers the multi-window path of the closure-first prune.
-echo "==> go test -race global lane scan and union (lane and union differentials, worker and window differentials)"
+# The g-NuDecomp kernel scores each window's candidates in one pool round:
+# a worker takes whole candidates, prunes, seeds and scans each on its own
+# seed and checker, and writes only that candidate's verdict slot and
+# totals (a run of several windows keeps them in per-worker arenas laid out
+# on the first window). So the lane scan's differential against the
+# per-world reference, the differential of the union tables cut from the
+# root incidence against the view-and-lookup construction, the worker-count
+# and window differentials of the whole global kernel, the heavy-prune
+# differential on the served global-dblp shape (1, 2 and 8 workers, three
+# window sizes, a call cancelled mid-round) and the one-round-per-window
+# count get a repeated -race pass of their own. The window differential's
+# early-prune case drops closures before they are seeded on the first
+# window and on later ones, so this pass also covers the multi-window path
+# of the closure-first prune.
+echo "==> go test -race global window round (lane, union, worker, window and heavy-prune differentials, rounds per window)"
 race_pass 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
-race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential' ./internal/core
+race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential|TestGlobalHeavyPruneDifferential|TestGlobalPoolRoundsPerWindow' ./internal/core
 
 # Both kernels run from candidate plans published on the local result by
 # the first call at each k, which any number of shards then read at once:
