@@ -157,6 +157,48 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	}
 }
 
+// TestGlobalReservedScratchAllocationFree: the end of a call evens every
+// worker's seed, checker and totals out to the largest candidate any worker
+// has seeded, so on the next call a worker that scored none of the plan's
+// candidates seeds and scans every one of them without growing anything:
+// what a warm shard allocates does not depend on which worker scores which
+// candidate. Worker 0 seeds every candidate in the first call; worker 1
+// takes them all in the second. The count is read around the loop itself,
+// not by testing.AllocsPerRun, whose warm-up run would grow the scratch
+// before it counts.
+func TestGlobalReservedScratchAllocationFree(t *testing.T) {
+	local := sharedKroganLocal(t)
+	plan, err := local.globalPlan(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	const n = 64
+	masks, _ := new(mc.Bank).WorldMasksWindow(pool, plan.upg, n, 0, n, 1)
+	est := planEstimator(t, pool, local, 1, n, 0.001)
+	scoreAll := func(worker int) {
+		for c := int32(0); int(c) < plan.cands.len(); c++ {
+			m := est.seedCandidate(worker, plan.cands.set(c), 1)
+			tot := resizeCleared(est.workers[worker].one, m)
+			est.scanInto(worker, tot)
+		}
+	}
+	est.setWindow(masks, n)
+	scoreAll(0)
+	est.release()
+	est.bind(pool, plan, n, 0.001)
+	est.setWindow(masks, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scoreAll(1)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("worker 1 seeding and scanning the plan's %d candidates after worker 0 did allocates %d times, want 0",
+			plan.cands.len(), allocs)
+	}
+}
+
 // TestGlobalWindowRoundAllocationFree: a whole g-NuDecomp run past a
 // published plan's candidates — binding the estimator, and per window the
 // bank draw, the window rebind and the one round of scoreWindow (every live
@@ -178,7 +220,7 @@ func TestGlobalWindowRoundAllocationFree(t *testing.T) {
 	var bank mc.Bank
 	est := new(globalEstimator)
 	run := func(window int) {
-		est.bind(pool, plan.wu, plan.upg.NumEdges(), n, 0.001)
+		est.bind(pool, plan, n, 0.001)
 		est.startRun(&plan.cands, 1, window < n)
 		for lo := 0; lo < n; lo += window {
 			masks, _ := bank.WorldMasksWindow(pool, plan.upg, n, lo, lo+window, 1)

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"probnucleus/internal/dataset"
+	"probnucleus/internal/decomp"
 	"probnucleus/internal/mc"
 	"probnucleus/internal/obs"
 	"probnucleus/internal/par"
@@ -252,4 +254,59 @@ func cancelMidRound(t *testing.T, o *roundObserver, answer func(context.Context,
 		return fmt.Errorf("cancelled with %d rounds of the call ended, want %d (the candidate round in flight)", inFlight, last)
 	}
 	return nil
+}
+
+// TestGlobalCallReleasesPlan: a served g-NuDecomp call leaves its shard
+// holding no reference into the candidate plan it ran from — neither its
+// candidates nor its union tables — whether the call answers or is
+// cancelled while a candidate round is in flight, so a plan is freed with
+// the local result holding it while the shard serves on.
+func TestGlobalCallReleasesPlan(t *testing.T) {
+	o := &roundObserver{}
+	eng := NewEngine(1, 2, WithObserver(o))
+	defer eng.Close()
+	for _, cancel := range []bool{false, true} {
+		freed := servePlanOnce(t, eng, o, cancel)
+		for i := 0; freed.Load() < 2; i++ {
+			if i == 100 {
+				t.Fatalf("cancel=%v: %d of the plan and its union tables freed after the call, want both", cancel, freed.Load())
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// servePlanOnce builds a fresh local result of krogan, publishes its plan
+// at k = 1, and serves one g-NuDecomp request from it on eng, cancelled
+// mid-round when cancel is set. It returns how many of the plan and its
+// union tables have been finalized; nothing it builds stays reachable
+// except through eng.
+func servePlanOnce(t *testing.T, eng *Engine, o *roundObserver, cancel bool) *atomic.Int32 {
+	t.Helper()
+	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
+	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := local.globalPlan(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := new(atomic.Int32)
+	runtime.SetFinalizer(plan, func(*globalPlan) { freed.Add(1) })
+	runtime.SetFinalizer(plan.wu, func(*decomp.WorldCheckUnion) { freed.Add(1) })
+	pre := local.prepared()
+	answer := func(ctx context.Context, seed int64, window int) ([]ProbNucleus, error) {
+		return eng.GlobalPrepared(ctx, pre, NucleiRequest{K: 1, Theta: 0.1, Samples: 64, Seed: seed, Window: window, Local: local})
+	}
+	if cancel {
+		err = cancelMidRound(t, o, answer, 0)
+	} else {
+		_, err = answer(context.Background(), 1, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freed
 }

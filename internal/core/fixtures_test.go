@@ -39,7 +39,7 @@ func planEstimator(tb testing.TB, pool *par.Pool, local *LocalResult, k, n int, 
 		tb.Fatal(err)
 	}
 	est := new(globalEstimator)
-	est.bind(pool, p.wu, p.upg.NumEdges(), n, theta)
+	est.bind(pool, p, n, theta)
 	return est
 }
 

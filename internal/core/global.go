@@ -186,7 +186,8 @@ func globalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	n := req.sampleCount()
 	window := req.windowSize(n, plan.upg.NumEdges())
 	ge := r.global
-	ge.bind(pool, plan.wu, plan.upg.NumEdges(), n, theta)
+	ge.bind(pool, plan, n, theta)
+	defer ge.release()
 	ge.startRun(cands, k, window < n)
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
@@ -433,9 +434,11 @@ func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]
 // engine shard keeps one from one g-NuDecomp request to the next (see
 // engineShard), so validating one more candidate — or serving one more
 // request — re-grows none of it; every call re-initialises all of it that it
-// reads. Between calls it still points at the last call's plan (its
-// candidates and union tables), which the shard's next g-NuDecomp call
-// rebinds and a local peel or prepare drops.
+// reads. Each call binds it to its plan (its candidates and union tables)
+// and releases the plan when it returns, so between calls a shard keeps no
+// plan alive: a plan lives and dies with its local result. The release also
+// evens the workers' scratch out to the largest candidate any of them has
+// seeded, so a warm shard's allocations do not depend on scheduling.
 //
 // Each window is transposed once into per-edge lane words (mc.Lanes), shared
 // by every candidate scanned against it: WorldChecker.ScanLanes tests the
@@ -482,12 +485,14 @@ type globalEstimator struct {
 // the world-check seed of the candidate at hand, the checker that scans it,
 // the totals of a one-window run's candidate at hand, and, in a run of
 // several windows, the arena holding the persistent totals of the
-// candidates this worker laid out on the first window.
+// candidates this worker laid out on the first window. high is the size of
+// the largest candidate the worker has seeded (see release).
 type globalWorker struct {
 	seed    decomp.WorldCheckSeed
 	checker decomp.WorldChecker
 	one     []int32
 	arena   []int32
+	high    decomp.CheckSize
 }
 
 // candidateSlot is what one candidate's scoring leaves for the serial code
@@ -503,19 +508,47 @@ type candidateSlot struct {
 }
 
 // bind readies the estimator for n sampled worlds at θ on pool, over the
-// union tables wu of a candidate plan, whose union has unionEdges edges.
-// Candidates are edge-subgraphs of the union, so their triangles all appear
-// in wu; the alive counts are indexed by its union ids and every candidate
-// seed is cut from it.
-func (ge *globalEstimator) bind(pool *par.Pool, wu *decomp.WorldCheckUnion, unionEdges, n int, theta float64) {
-	ge.pool, ge.wu = pool, wu
-	ge.words = (unionEdges + 63) / 64
+// union tables of candidate plan p. Candidates are edge-subgraphs of the
+// union, so their triangles all appear in the tables; the alive counts are
+// indexed by its union ids and every candidate seed is cut from it.
+func (ge *globalEstimator) bind(pool *par.Pool, p *globalPlan, n int, theta float64) {
+	ge.pool, ge.wu = pool, p.wu
+	ge.words = (p.upg.NumEdges() + 63) / 64
 	ge.n, ge.theta, ge.need = n, theta, thetaNeed(theta, n)
-	ge.aliveCnt = resizeCleared(ge.aliveCnt, wu.Len())
+	ge.aliveCnt = resizeCleared(ge.aliveCnt, p.wu.Len())
 	ge.workers = resize(ge.workers, pool.Workers())
 	if ge.candFn == nil {
 		ge.candFn = ge.scoreCandidate
 	}
+}
+
+// release ends a call. With several workers it first reserves every
+// worker's seed, checker and totals for the largest candidate any of them
+// has seeded so far, so that the scratch a later call grows depends on the
+// candidates it meets, never on which worker happened to score which. It
+// then drops the estimator's references into the plan it was bound to —
+// its candidates, its union tables and the seeds cut from them — so that a
+// shard keeps no plan alive after the local result holding it is evicted.
+// The next call binds them again.
+func (ge *globalEstimator) release() {
+	if len(ge.workers) > 1 {
+		var high decomp.CheckSize
+		for w := range ge.workers {
+			high = high.Max(ge.workers[w].high)
+		}
+		for w := range ge.workers {
+			gw := &ge.workers[w]
+			gw.high = high
+			gw.seed.Reserve(ge.wu, high)
+			gw.checker.Reserve(high)
+			gw.one = slices.Grow(gw.one[:0], high.Tris)
+		}
+	}
+	for w := range ge.workers {
+		ge.workers[w].seed.Release()
+	}
+	ge.cands, ge.wu = nil, nil
+	ge.live = ge.live[:0]
 }
 
 // startRun binds the estimator to the plan's candidates at level k, every
@@ -610,12 +643,14 @@ func (ge *globalEstimator) scoreCandidate(worker, i int) {
 }
 
 // seedCandidate binds worker's seed to the candidate grown as closure (its
-// sorted root triangle ids), cut from the union tables, and returns the
-// candidate view's triangle count.
+// sorted root triangle ids), cut from the union tables, records its size in
+// the worker's high-water size, and returns the candidate view's triangle
+// count.
 func (ge *globalEstimator) seedCandidate(worker int, closure []int32, k int) int {
-	seed := &ge.workers[worker].seed
-	seed.Seed(ge.wu, closure, k)
-	return seed.Len()
+	gw := &ge.workers[worker]
+	gw.seed.Seed(ge.wu, closure, k)
+	gw.high = gw.high.Max(gw.seed.Size())
+	return gw.seed.Len()
 }
 
 // The θ-prune drops a candidate that must fail with `remaining` worlds

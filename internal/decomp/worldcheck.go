@@ -260,19 +260,8 @@ type WorldCheckSeed struct {
 // size.
 func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 	s.u, s.k = u, k
-	if ne := len(u.edgeEnd) / 2; len(s.edgeStamp) < ne {
-		s.edgeStamp = make([]int32, ne)
-	}
-	if nv := len(u.vert); len(s.vertStamp) < nv {
-		s.vertStamp = make([]int32, nv)
-		s.local = make([]int32, nv)
-	}
-	if len(s.viewID) < u.Len() {
-		s.viewID = make([]int32, u.Len())
-		s.triStamp = make([]int32, u.Len())
-	}
-	s.gen++
-	gen := s.gen
+	s.growStamps(u)
+	gen := nextGen(&s.gen, s.edgeStamp, s.vertStamp, s.triStamp)
 	marked := func(e int32) bool { return s.edgeStamp[e] == gen }
 
 	// The seeding triangles are view triangles: stamp them and take their
@@ -375,6 +364,97 @@ func (s *WorldCheckSeed) Seed(u *WorldCheckUnion, tris []int32, k int) {
 		cursor[b]++
 	}
 }
+
+// growStamps grows the seed's union-indexed scratch to u's size.
+func (s *WorldCheckSeed) growStamps(u *WorldCheckUnion) {
+	if ne := len(u.edgeEnd) / 2; len(s.edgeStamp) < ne {
+		s.edgeStamp = make([]int32, ne)
+	}
+	if nv := len(u.vert); len(s.vertStamp) < nv {
+		s.vertStamp = make([]int32, nv)
+		s.local = make([]int32, nv)
+	}
+	if len(s.viewID) < u.Len() {
+		s.viewID = make([]int32, u.Len())
+		s.triStamp = make([]int32, u.Len())
+	}
+}
+
+// nextGen advances the generation counter *gen, whose stamps mark
+// membership by equality with it, and returns the new generation. When the
+// counter would wrap it clears the stamp arrays and restarts at 1, so
+// neither a stamp of an earlier generation nor a never-set zero can equal
+// the current one, however many generations a long-lived seed runs.
+func nextGen(gen *int32, stamps ...[]int32) int32 {
+	if *gen++; *gen <= 0 {
+		for _, s := range stamps {
+			clear(s)
+		}
+		*gen = 1
+	}
+	return *gen
+}
+
+// CheckSize measures a candidate by the storage its WorldCheckSeed, and a
+// WorldChecker scanning it, need: its view triangles, surviving 4-clique
+// completions, vertices, edges and extra triangles (see Extras). Max of
+// the sizes of a set of candidates bounds them all, field by field.
+type CheckSize struct {
+	Tris, Comps, Verts, Edges, Extras int
+}
+
+// Max returns the field-by-field maximum of z and o.
+func (z CheckSize) Max(o CheckSize) CheckSize {
+	return CheckSize{
+		Tris:   max(z.Tris, o.Tris),
+		Comps:  max(z.Comps, o.Comps),
+		Verts:  max(z.Verts, o.Verts),
+		Edges:  max(z.Edges, o.Edges),
+		Extras: max(z.Extras, o.Extras),
+	}
+}
+
+// Size returns the size of the candidate the seed is bound to.
+func (s *WorldCheckSeed) Size() CheckSize {
+	return CheckSize{
+		Tris:   len(s.triUID),
+		Comps:  len(s.compOther) / 3,
+		Verts:  len(s.verts),
+		Edges:  len(s.edges),
+		Extras: len(s.extra),
+	}
+}
+
+// Reserve grows the seed's storage to bind any candidate of u no larger
+// than z, so that Seed allocates nothing for one: a seed reserved for the
+// largest candidates of a set then stays the same size whichever of them it
+// is bound to. The candidate the seed is bound to stays bound.
+func (s *WorldCheckSeed) Reserve(u *WorldCheckUnion, z CheckSize) {
+	s.growStamps(u)
+	s.triUID = reserve(s.triUID, z.Tris)
+	s.compOff = reserve(s.compOff, z.Tris+1)
+	s.compOther = reserve(s.compOther, 3*z.Comps)
+	s.verts = reserve(s.verts, z.Verts)
+	s.adjOff = reserve(s.adjOff, z.Verts+1)
+	s.cursor = reserve(s.cursor, z.Verts)
+	s.edges = reserve(s.edges, z.Edges)
+	s.adjVert = reserve(s.adjVert, 2*z.Edges)
+	s.adjBit = reserve(s.adjBit, 2*z.Edges)
+	s.extra = reserve(s.extra, z.Extras)
+}
+
+// reserve returns s, its contents kept, with a capacity of at least n.
+func reserve[S ~[]E, E any](s S, n int) S {
+	if n > len(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s
+}
+
+// Release drops the seed's reference to the union tables it was last cut
+// from, so that a seed kept between calls does not keep them alive. The
+// seed must be bound again by Seed before it is read.
+func (s *WorldCheckSeed) Release() { s.u = nil }
 
 // Len returns the candidate view's triangle count: view ids are 0..Len()-1.
 func (s *WorldCheckSeed) Len() int { return len(s.triUID) }
@@ -619,6 +699,20 @@ func (wc *WorldChecker) cliqueConnectedLanes(seed *WorldCheckSeed, tri []uint64,
 	return q
 }
 
+// Reserve grows the checker's scratch to scan any seed no larger than z, so
+// that ScanLanes allocates nothing for one.
+func (wc *WorldChecker) Reserve(z CheckSize) {
+	n := max(z.Tris, z.Verts)
+	if cap(wc.reach) < n {
+		wc.reach = make([]uint64, n)
+		wc.queued = make([]bool, n)
+	}
+	if cap(wc.tri) < z.Tris {
+		wc.tri = make([]uint64, z.Tris)
+	}
+	wc.work = reserve(wc.work, n)
+}
+
 // laneScratch returns the checker's reach words cleared to length n and its
 // worklist flags (all false) of the same length, growing both together.
 func (wc *WorldChecker) laneScratch(n int) ([]uint64, []bool) {
@@ -746,8 +840,7 @@ func (s *WorldPeelSeed) Seed(ti *graph.TriangleIndex, inc *TriIncidence, tris []
 		s.triStamp = make([]int32, nt)
 		s.viewID = make([]int32, nt)
 	}
-	s.gen++
-	gen := s.gen
+	gen := nextGen(&s.gen, s.edgeStamp, s.triStamp)
 	edges := s.edges[:0]
 	for _, t := range tris {
 		for _, e := range inc.triEdge[3*t : 3*t+3] {

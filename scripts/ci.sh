@@ -107,14 +107,16 @@ echo "==> go vet + go test (perfbench module)"
 # root incidence against the view-and-lookup construction, the worker-count
 # and window differentials of the whole global kernel, the heavy-prune
 # differential on the served global-dblp shape (1, 2 and 8 workers, three
-# window sizes, a call cancelled mid-round) and the one-round-per-window
-# count get a repeated -race pass of their own. The window differential's
+# window sizes, a call cancelled mid-round), the one-round-per-window
+# count and the check that a call, answered or cancelled, leaves its shard
+# holding nothing of the plan get a repeated -race pass of their own. The
+# window differential's
 # early-prune case drops closures before they are seeded on the first
 # window and on later ones, so this pass also covers the multi-window path
 # of the closure-first prune.
-echo "==> go test -race global window round (lane, union, worker, window and heavy-prune differentials, rounds per window)"
+echo "==> go test -race global window round (lane, union, worker, window and heavy-prune differentials, rounds per window, plan release)"
 race_pass 'TestScanLanesMatchesReference|TestWorldCheckUnionMatchesReference' ./internal/decomp
-race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential|TestGlobalHeavyPruneDifferential|TestGlobalPoolRoundsPerWindow' ./internal/core
+race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential|TestGlobalHeavyPruneDifferential|TestGlobalPoolRoundsPerWindow|TestGlobalCallReleasesPlan' ./internal/core
 
 # Both kernels run from candidate plans published on the local result by
 # the first call at each k, which any number of shards then read at once:
