@@ -112,6 +112,7 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"Global", globalRows},
 		{"Weak", weakRows},
 		{"GlobalServed", globalServedRows},
+		{"WeakServed", weakServedRows},
 		{"EngineContended", engineContendedRows},
 	} {
 		for _, r := range set.rows {
@@ -180,7 +181,8 @@ func localDPRow(name string, theta, ns, allocs float64) gatedRow {
 // measured at commit 5affd80 (-benchtime 2x), immediately before the
 // memory-shaped validation kernels — except the allocsPerOp of globalRows,
 // weakRows and engineContendedRows, which are today's counts (see
-// globalRows), and globalServedRows, whose baselines are both today's.
+// globalRows), and globalServedRows and weakServedRows, whose baselines are
+// both today's.
 var fig4LocalDPRows = []gatedRow{
 	localDPRow("krogan", 0.1, 18152633, 1468),
 	localDPRow("krogan", 0.4, 15937006, 1437),
@@ -288,9 +290,9 @@ var globalRows = []gatedRow{
 }
 
 var weakRows = []gatedRow{
-	{name: "krogan", shape: nucleiShape("krogan", 1, pn.WeaklyGlobalNuclei), nsPerOp: 18662049, allocsPerOp: 198},
-	{name: "dblp", shape: nucleiShape("dblp", 1, pn.WeaklyGlobalNuclei), nsPerOp: 113875021, allocsPerOp: 328},
-	{name: "flickr", shape: nucleiShape("flickr", 1, pn.WeaklyGlobalNuclei), nsPerOp: 1592818490, allocsPerOp: 215},
+	{name: "krogan", shape: nucleiShape("krogan", 1, pn.WeaklyGlobalNuclei), nsPerOp: 18662049, allocsPerOp: 119},
+	{name: "dblp", shape: nucleiShape("dblp", 1, pn.WeaklyGlobalNuclei), nsPerOp: 113875021, allocsPerOp: 202},
+	{name: "flickr", shape: nucleiShape("flickr", 1, pn.WeaklyGlobalNuclei), nsPerOp: 1592818490, allocsPerOp: 66},
 }
 
 func BenchmarkGlobal(b *testing.B) { benchGated(b, globalRows) }
@@ -299,34 +301,49 @@ func BenchmarkWeak(b *testing.B) { benchGated(b, weakRows) }
 
 // BenchmarkWeakServed times the w-NuDecomp request shape that serves most
 // of a mixed workload — dblp at scale 0.04, k = 1, θ = 0.1 — the way a
-// server runs it: through a Registry on one warm single-worker Engine, so
-// the prepared artifact and the cached local result are reused and the
-// shard's weak scratch is warm. With 1 sample the row is nearly all
-// sample-independent setup (candidate seeding); with 100 it adds the world
-// draw and the lane scoring.
-func BenchmarkWeakServed(b *testing.B) {
-	g := benchGraph("dblp", 0.04)
-	ctx := context.Background()
-	for _, samples := range []int{1, 100} {
-		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
-			eng := pn.NewEngine(1, 1)
-			defer eng.Close()
-			reg := pn.NewRegistry(eng)
-			if _, err := reg.Put(ctx, "dblp", g); err != nil {
-				b.Fatal(err)
-			}
-			req := pn.NucleiRequest{K: 1, Theta: 0.1, Samples: samples, Seed: 1}
-			if _, err := reg.Weak(ctx, "dblp", req); err != nil { // warm the cache and the shard
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := reg.Weak(ctx, "dblp", req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// server runs it: through a Registry on one warm Engine shard, of one
+// worker as the mixed workload serves it and of two, so the prepared
+// artifact, the cached local result with its candidate plan and the shard's
+// weak scratch are all reused. With 1 sample the row is nearly all
+// sample-independent work (the scratch bind, the judge and the nucleus
+// assembly); with 100 it adds the world draw and the lane scoring. The
+// rows are gated like globalServedRows: allocsPerOp are the counts
+// TestBenchmarkAllocs reads, the same at GOMAXPROCS 1 and 2, and nsPerOp
+// the median of three runs on a 2-CPU Intel Xeon (-benchtime 40x). Cutting
+// every candidate's peel seed on each op, as the kernel did before the
+// seeds moved onto the plan, took 3.2–4.0 ms/op at 1 sample on that
+// machine and fails the 2× wall-clock gate.
+func BenchmarkWeakServed(b *testing.B) { benchGated(b, weakServedRows) }
+
+var weakServedRows = []gatedRow{
+	{name: "samples=1", shape: weakServedShape(1, 1), nsPerOp: 1544420, allocsPerOp: 139},
+	{name: "samples=100", shape: weakServedShape(1, 100), nsPerOp: 4447730, allocsPerOp: 275},
+	{name: "samples=1,workers=2", shape: weakServedShape(2, 1), nsPerOp: 858618, allocsPerOp: 139},
+	{name: "samples=100,workers=2", shape: weakServedShape(2, 100), nsPerOp: 2945220, allocsPerOp: 275},
+}
+
+// weakServedShape is one served w-NuDecomp request at the given sample
+// count, at seed 1, on a registry whose one shard has the given number of
+// workers, after a first request has cached the local result and warmed
+// the shard.
+func weakServedShape(workers, samples int) func(testing.TB) func() error {
+	return func(tb testing.TB) func() error {
+		eng := pn.NewEngine(1, workers)
+		tb.Cleanup(eng.Close)
+		reg := pn.NewRegistry(eng)
+		ctx := context.Background()
+		if _, err := reg.Put(ctx, "dblp", benchGraph("dblp", 0.04)); err != nil {
+			tb.Fatal(err)
+		}
+		req := pn.NucleiRequest{K: 1, Theta: 0.1, Samples: samples, Seed: 1}
+		op := func() error {
+			_, err := reg.Weak(ctx, "dblp", req)
+			return err
+		}
+		if err := op(); err != nil {
+			tb.Fatal(err)
+		}
+		return op
 	}
 }
 

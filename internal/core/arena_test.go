@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -157,15 +158,38 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	}
 }
 
+// leastAllocated runs setup and then op, r times over, reading the
+// process's heap counters around each run of op, and returns the fewest
+// allocations and the fewest bytes any one run was charged. The counters
+// are process-wide, so an allocation a runtime goroutine makes while op
+// runs — the background scavenger arming its timer, say — is charged to
+// op. Such allocations come now and then; op's own come on every run, so
+// the minimum keeps every one of op's and sheds the others. setup must put
+// the state op is measured from back in place each time.
+func leastAllocated(r int, setup, op func()) (allocs, bytes uint64) {
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < r; i++ {
+		setup()
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
+}
+
 // TestGlobalReservedScratchAllocationFree: the end of a call evens every
 // worker's seed, checker and totals out to the largest candidate any worker
 // has seeded, so on the next call a worker that scored none of the plan's
-// candidates seeds and scans every one of them without growing anything:
-// what a warm shard allocates does not depend on which worker scores which
-// candidate. Worker 0 seeds every candidate in the first call; worker 1
-// takes them all in the second. The count is read around the loop itself,
-// not by testing.AllocsPerRun, whose warm-up run would grow the scratch
-// before it counts.
+// candidates prunes, seeds, scans and judges every one of them without
+// growing anything: what a warm shard allocates does not depend on which
+// worker scores which candidate. Worker 0 scores every candidate in the
+// first call; worker 1 takes them all in the second. The count is read
+// around the second call's loop by leastAllocated, which rebuilds the
+// estimator before each run, not by testing.AllocsPerRun, whose warm-up
+// run would grow the scratch before it counts.
 func TestGlobalReservedScratchAllocationFree(t *testing.T) {
 	local := sharedKroganLocal(t)
 	plan, err := local.globalPlan(1, nil)
@@ -174,27 +198,31 @@ func TestGlobalReservedScratchAllocationFree(t *testing.T) {
 	}
 	pool := par.NewPool(2)
 	defer pool.Close()
-	const n = 64
+	const n, theta = 64, 0.001
 	masks, _ := new(mc.Bank).WorldMasksWindow(pool, plan.upg, n, 0, n, 1)
-	est := planEstimator(t, pool, local, 1, n, 0.001)
+	var est *globalEstimator
+	// startCall binds est to the plan and the one window, as a call does.
+	startCall := func() {
+		est.bind(pool, plan, n, theta)
+		est.startRun(&plan.cands, 1, false)
+		est.setWindow(masks, n)
+		est.lo, est.hi = 0, n
+	}
 	scoreAll := func(worker int) {
-		for c := int32(0); int(c) < plan.cands.len(); c++ {
-			m := est.seedCandidate(worker, plan.cands.set(c), 1)
-			tot := resizeCleared(est.workers[worker].one, m)
-			est.scanInto(worker, tot)
+		for i := range est.live {
+			est.scoreCandidate(worker, i)
 		}
 	}
-	est.setWindow(masks, n)
-	scoreAll(0)
-	est.release()
-	est.bind(pool, plan, n, 0.001)
-	est.setWindow(masks, n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	scoreAll(1)
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		t.Errorf("worker 1 seeding and scanning the plan's %d candidates after worker 0 did allocates %d times, want 0",
+	setup := func() {
+		est = new(globalEstimator)
+		startCall()
+		scoreAll(0)
+		est.release()
+		startCall()
+	}
+	allocs, _ := leastAllocated(5, setup, func() { scoreAll(1) })
+	if allocs != 0 {
+		t.Errorf("worker 1 scoring the plan's %d candidates after worker 0 did allocates %d times, want 0",
 			plan.cands.len(), allocs)
 	}
 }
@@ -307,42 +335,39 @@ func TestAlivenessRebindAllocationFree(t *testing.T) {
 }
 
 // TestSharedWorldWeakScoringAllocationFree: the weak-path steady state —
-// cutting the peel seed for the next candidate from the root incidence
-// (view, clique layout, k-core fixpoint, lanes), reading each 64-world
-// block's lane columns and scoring the block with the word-parallel kernel
-// — must not allocate either, across candidates of different sizes. The
-// window's transposition is per window, not per candidate, and is gated
-// separately (mc's TestLanesTransposeReuseAllocationFree).
+// reading each 64-world block's lane columns and scoring the block against
+// the next candidate's published peel seed with the word-parallel kernel —
+// must not allocate, across candidates of different sizes. The seeds are
+// cut once, when the plan is built; the window's transposition is per
+// window, not per candidate, and is gated separately (mc's
+// TestLanesTransposeReuseAllocationFree).
 func TestSharedWorldWeakScoringAllocationFree(t *testing.T) {
 	local := sharedKroganLocal(t)
-	pg := local.PG
-	cands := local.NucleiForK(1)
-	if len(cands) < 2 {
-		t.Fatalf("fixture too small: %d candidates", len(cands))
+	plan, err := local.weakPlan(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.seeds) < 2 {
+		t.Fatalf("fixture too small: %d candidates", len(plan.seeds))
 	}
 	pool := par.NewPool(1)
 	defer pool.Close()
-	union := unionEdges(cands)
 	const n = 100 // two blocks, the second partial
-	masks, words := new(mc.Bank).WorldMasksWindow(pool, pg.SubgraphOfEdges(union), n, 0, n, 1)
+	masks, words := new(mc.Bank).WorldMasksWindow(pool, plan.upg, n, 0, n, 1)
 	var lanes mc.Lanes
 	lanes.Transpose(masks, n, words)
-	inc := local.incidence()
-	laneOf := decomp.LaneIndex(nil, pg.G, union)
-	var seed decomp.WorldPeelSeed
 	var scorer decomp.WorldMembershipScorer
 	var losses []int32
 	scoreCand := func(i int) {
-		seed.Seed(local.TI, inc, cands[i].TriIDs, laneOf, 1)
-		losses = resizeCleared(losses, seed.Len())
-		scoreLanesSerial(&scorer, &seed, &lanes, losses)
+		losses = resizeCleared(losses, plan.seeds[i].Len())
+		scoreLanesSerial(&scorer, &plan.seeds[i], &lanes, losses)
 	}
-	for i := range cands { // warm every scratch buffer
+	for i := range plan.seeds { // warm every scratch buffer
 		scoreCand(i)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		scoreCand(i % len(cands))
+		scoreCand(i % len(plan.seeds))
 		i++
 	})
 	if allocs != 0 {
@@ -487,22 +512,21 @@ func TestLocalWarmPeelAllocatesLittle(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := LocalRequest{Theta: 0.1}
-	bytes := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	peel := func() {
 		if _, err := eng.LocalPrepared(ctx, pre, req); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	bytes() // derives the incidence
-	// Prepare releases the shard's scratch, so the next peel starts fresh.
-	if _, err := eng.Prepare(ctx, pg); err != nil {
-		t.Fatal(err)
+	peel() // derives the incidence
+	// Prepare releases the shard's scratch, so the peel after it starts
+	// fresh; a peel after a peel starts warm.
+	prepare := func() {
+		if _, err := eng.Prepare(ctx, pg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	first := bytes()
-	warm := bytes()
+	_, first := leastAllocated(3, prepare, peel)
+	_, warm := leastAllocated(3, peel, peel)
 	if warm*4 > first {
 		t.Errorf("a warm peel allocates %s, a peel on a shard without scratch %s; want under a quarter", mb(warm), mb(first))
 	}
@@ -562,21 +586,30 @@ func TestShardDropsLocalScratch(t *testing.T) {
 
 // TestShardReusesWeakScratch: a shard keeps its weak working memory from one
 // weak request to the next — the second request re-grows none of it, so
-// the seed's root-indexed stamps and the lane table keep their backing
-// arrays — across a global request in between, and a local peel or a
-// prepare drops it.
+// every worker's scorer and the candidates' loss arena keep their backing
+// arrays — across a global request in between, holds no plan between
+// requests, and a local peel or a prepare drops it.
 func TestShardReusesWeakScratch(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.05)))
 	ctx := context.Background()
 	eng := NewEngine(1, 2)
 	defer eng.Close()
-	held := func() *int32 {
+	// arenas returns the first element of the loss arena and of every
+	// worker's scorer scratch, or nil when the shard holds none.
+	arenas := func() []any {
 		s := <-eng.free
 		defer func() { eng.free <- s }()
-		if len(s.weak.laneOf) == 0 || len(s.weak.losses) == 0 {
+		if s.weak.plan != nil || s.weak.ti != nil {
+			t.Error("the shard holds a w-NuDecomp plan between requests")
+		}
+		if len(s.weak.lost) == 0 || len(s.weak.workers) == 0 {
 			return nil
 		}
-		return &s.weak.laneOf[0]
+		held := []any{&s.weak.lost[0]}
+		for w := range s.weak.workers {
+			held = append(held, scorerArena(&s.weak.workers[w].scorer))
+		}
+		return held
 	}
 	pre, err := eng.Prepare(ctx, pg)
 	if err != nil {
@@ -590,15 +623,15 @@ func TestShardReusesWeakScratch(t *testing.T) {
 		}
 	}
 	weak()
-	first := held()
-	if first == nil {
-		t.Fatal("a weak request left no scratch on its shard")
+	first := arenas()
+	if first == nil || slices.Contains(first, nil) {
+		t.Fatalf("a weak request left its shard scratch %v, want the loss arena and every worker's scorer", first)
 	}
 	if _, err := eng.GlobalPrepared(ctx, pre, req); err != nil {
 		t.Fatal(err)
 	}
 	weak()
-	if got := held(); got != first {
+	if got := arenas(); !reflect.DeepEqual(got, first) {
 		t.Error("a warm shard re-grew its weak scratch instead of reusing it")
 	}
 	for _, other := range []struct {
@@ -612,10 +645,20 @@ func TestShardReusesWeakScratch(t *testing.T) {
 		if err := other.run(); err != nil {
 			t.Fatal(err)
 		}
-		if held() != nil {
+		if arenas() != nil {
 			t.Errorf("the shard still holds weak scratch after a %s request", other.name)
 		}
 	}
+}
+
+// scorerArena returns the backing array of a scorer's per-triangle lane
+// words, or nil before it has scored a candidate.
+func scorerArena(ws *decomp.WorldMembershipScorer) any {
+	alive := reflect.ValueOf(ws).Elem().FieldByName("alive")
+	if alive.Cap() == 0 {
+		return nil
+	}
+	return alive.Pointer()
 }
 
 func mb(b uint64) string { return fmt.Sprintf("%.2f MB", float64(b)/1e6) }

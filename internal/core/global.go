@@ -28,8 +28,9 @@ type MCOptions struct {
 	// Local was decomposed on and samples its worlds from Local.PG, so it
 	// enumerates nothing. Repeated calls with one Local reuse the candidate
 	// plans the first call at each k published on it (candidates, edge
-	// union, union tables), whatever their Seed, Samples, Window, MemBudget
-	// or Workers; the plans live as long as Local does.
+	// union, and the union tables or peel seeds), whatever their Seed,
+	// Samples, Window, MemBudget or Workers; the plans live as long as Local
+	// does.
 	Local *LocalResult
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds

@@ -120,7 +120,8 @@ func TestPlanCandidateEventsPerRequest(t *testing.T) {
 			if _, err := query(ctx, local.prepared(), NucleiRequest{K: 1, Theta: 0.1, Samples: 32, Seed: i, Local: local}); err != nil {
 				t.Fatal(err)
 			}
-			want := len(local.weakPlan(1).tris)
+			wp, _ := local.weakPlan(1, nil)
+			want := len(wp.tris)
 			if !weak {
 				p, _ := local.globalPlan(1, nil)
 				want = p.cands.len()
@@ -132,61 +133,79 @@ func TestPlanCandidateEventsPerRequest(t *testing.T) {
 	}
 }
 
-// TestPlanCancelledBuildPublishesNothing: an enumeration its pool's
-// cancelled context ends returns the context's error and leaves no plan on
-// the result, and the next call builds one and answers as a cold call does.
+// TestPlanCancelledBuildPublishesNothing: for g- and w-NuDecomp, a plan
+// build its pool's cancelled context ends returns the context's error and
+// leaves no plan on the result, as does one whose stop hook fails part-way
+// (on the third seed of g-NuDecomp's enumeration, at the third candidate
+// of w-NuDecomp's seed cut), and the next call builds one and answers as a
+// cold call does.
 func TestPlanCancelledBuildPublishesNothing(t *testing.T) {
 	local := sharedKroganLocal(t)
-	fresh := planless(local)
-	pool := par.NewPool(1)
-	defer pool.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pool.Bind(ctx)
-	if _, err := fresh.globalPlan(1, pool.Err); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled plan build returned %v, want context.Canceled", err)
+	if p, _ := local.weakPlan(1, nil); len(p.tris) < 3 {
+		t.Fatalf("fixture too small: %d w-NuDecomp candidates, want 3 or more", len(p.tris))
 	}
-	pool.Bind(nil)
-	if p := publishedPlan(fresh, false, 1); p != nil {
-		t.Fatal("a cancelled build published a plan")
-	}
-	// Cancelled part-way: the stop hook fails on the third seed.
-	seeds := 0
-	stop := func() error {
-		if seeds++; seeds == 3 {
-			return context.Canceled
+	for _, weak := range []bool{false, true} {
+		kernel, sem := GlobalNuclei, "global"
+		build := func(r *LocalResult, stop func() error) (any, error) { return r.globalPlan(1, stop) }
+		if weak {
+			kernel, sem = WeaklyGlobalNuclei, "weak"
+			build = func(r *LocalResult, stop func() error) (any, error) { return r.weakPlan(1, stop) }
 		}
-		return nil
-	}
-	if _, err := fresh.globalPlan(1, stop); !errors.Is(err, context.Canceled) {
-		t.Fatalf("plan build cancelled mid-enumeration returned %v, want context.Canceled", err)
-	}
-	if p := publishedPlan(fresh, false, 1); p != nil {
-		t.Fatal("a build cancelled mid-enumeration published a plan")
-	}
-	o := MCOptions{Samples: 64, Seed: 2, Workers: 1}
-	o.Local = fresh
-	got, err := GlobalNuclei(local.PG, 1, 0.1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if publishedPlan(fresh, false, 1) == nil {
-		t.Fatal("the call after a cancelled build published no plan")
-	}
-	o.Local = planless(local)
-	want, err := GlobalNuclei(local.PG, 1, 0.1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("the call after a cancelled build differs from a cold call")
+		fresh := planless(local)
+		pool := par.NewPool(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		pool.Bind(ctx)
+		if _, err := build(fresh, pool.Err); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled plan build returned %v, want context.Canceled", sem, err)
+		}
+		pool.Close()
+		if p := publishedPlan(fresh, weak, 1); p != nil {
+			t.Fatalf("%s: a cancelled build published a plan", sem)
+		}
+		// Cancelled part-way: the stop hook fails on its third call.
+		calls := 0
+		stop := func() error {
+			if calls++; calls == 3 {
+				return context.Canceled
+			}
+			return nil
+		}
+		if _, err := build(fresh, stop); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: plan build cancelled part-way returned %v, want context.Canceled", sem, err)
+		}
+		if p := publishedPlan(fresh, weak, 1); p != nil {
+			t.Fatalf("%s: a build cancelled part-way published a plan", sem)
+		}
+		o := MCOptions{Samples: 64, Seed: 2, Workers: 1}
+		o.Local = fresh
+		got, err := kernel(local.PG, 1, 0.1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if publishedPlan(fresh, weak, 1) == nil {
+			t.Fatalf("%s: the call after a cancelled build published no plan", sem)
+		}
+		o.Local = planless(local)
+		want, err := kernel(local.PG, 1, 0.1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: the cold call finds no nucleus; the comparison is vacuous", sem)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the call after a cancelled build differs from a cold call", sem)
+		}
 	}
 }
 
-// TestPlanConcurrentFirstCallers: callers racing to build the first plan
-// of a result all get the one plan that was published, directly and
-// through concurrent requests on a two-shard engine, whose answers equal a
-// cold call's.
+// TestPlanConcurrentFirstCallers: callers racing to build the first plans
+// of a result all get the one g- and the one w-NuDecomp plan that were
+// published, directly and through concurrent requests on a two-shard
+// engine, whose answers equal a cold call's. Every other direct caller's
+// build is cancelled from its first stop check: it gets either the
+// context's error or, when another caller has published first, that plan.
 func TestPlanConcurrentFirstCallers(t *testing.T) {
 	local := sharedKroganLocal(t)
 	const callers = 6
@@ -194,24 +213,42 @@ func TestPlanConcurrentFirstCallers(t *testing.T) {
 	var wg sync.WaitGroup
 	got := make([][2]any, callers)
 	start := make(chan struct{})
+	cancelled := func() error { return context.Canceled }
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			gp, err := fresh.globalPlan(1, nil)
-			if err != nil {
-				t.Error(err)
+			var stop func() error
+			if c%2 == 1 {
+				stop = cancelled
 			}
-			got[c] = [2]any{gp, fresh.weakPlan(1)}
+			gp, gerr := fresh.globalPlan(1, stop)
+			wp, werr := fresh.weakPlan(1, stop)
+			for _, err := range []error{gerr, werr} {
+				if err != nil && (stop == nil || !errors.Is(err, context.Canceled)) {
+					t.Errorf("caller %d: %v", c, err)
+				}
+			}
+			got[c] = [2]any{gp, wp}
+			if gerr != nil {
+				got[c][0] = nil
+			}
+			if werr != nil {
+				got[c][1] = nil
+			}
 		}(c)
 	}
 	close(start)
 	wg.Wait()
 	for c, ps := range got {
-		if ps[0] != publishedPlan(fresh, false, 1) || ps[1] != publishedPlan(fresh, true, 1) {
-			t.Fatalf("caller %d got plans %p/%p, the published ones are %p/%p", c, ps[0], ps[1],
-				publishedPlan(fresh, false, 1), publishedPlan(fresh, true, 1))
+		for i, weak := range []bool{false, true} {
+			if ps[i] == nil && c%2 == 1 {
+				continue // cancelled before a plan was published
+			}
+			if ps[i] != publishedPlan(fresh, weak, 1) {
+				t.Fatalf("caller %d weak=%v got plan %p, the published one is %p", c, weak, ps[i], publishedPlan(fresh, weak, 1))
+			}
 		}
 	}
 
@@ -275,7 +312,10 @@ func TestPlanBytes(t *testing.T) {
 		var plan any
 		var cands int
 		if c.weak {
-			p := local.weakPlan(1)
+			p, err := local.weakPlan(1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			plan, cands = p, len(p.tris)
 		} else {
 			p, err := local.globalPlan(1, nil)

@@ -6,6 +6,7 @@ import (
 	"probnucleus/internal/decomp"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
+	"probnucleus/internal/par"
 	"probnucleus/internal/probgraph"
 	"probnucleus/internal/uf"
 )
@@ -31,14 +32,22 @@ import (
 // decomp.WorldMembershipScorer.ScoreLanes runs that k-core fixpoint on
 // 64-bit words, one bit lane per world, for every 64-world block.
 //
-// The candidate pipeline works from the local decomposition's root index
-// and its edge→triangle incidence throughout, in time proportional to the
-// candidate: each candidate's peel seed is cut from the incidence by
-// marking the candidate's edges (no per-candidate graph, index restriction
-// or triangle-id lookup), its level-k core is a k-core deletion fixpoint
-// over the candidate's 4-cliques rather than a full peel, per-block losses
-// are counted into flat per-triangle slots by reusable per-worker scorers,
-// and scores are recovered as worlds-minus-losses over the candidate core.
+// The candidates, their edge union and their peel seeds depend only on the
+// pruning local result and k, so they form a candidate plan that the first
+// call builds and publishes on the local result: each seed is cut once, from
+// the result's root index and edge→triangle incidence, by marking the
+// candidate's edges (no per-candidate graph, index restriction or
+// triangle-id lookup), its level-k core found by a k-core deletion fixpoint
+// over the candidate's 4-cliques rather than a full peel. Repeated calls
+// with one MCOptions.Local, at any seed, sample count or window, reuse it
+// and only draw, score and assemble.
+//
+// The unit of parallel work is the candidate: each window's candidates are
+// scored in one worker-pool round, a worker scoring every 64-world block of
+// a whole candidate on its own scorer into the candidate's own loss totals,
+// and on the last window judging it and assembling its nuclei into the
+// candidate's own slot. The slots are concatenated in enumeration order, so
+// the result does not depend on the worker count.
 //
 // The call serves the request on a one-shot one-shard Engine (see
 // MCOptions.Local for the artifact it runs from), so the package-level path
@@ -50,135 +59,187 @@ func WeaklyGlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOption
 // weaklyGlobalNuclei is the WeaklyGlobalNuclei kernel for a validated
 // request; it runs entirely on r's pool. Cancellation of the pool's bound
 // context is observed between pool chunks, between Monte-Carlo world
-// batches, and at every candidate, returning ctx.Err().
+// batches, at every candidate, and at every candidate of a plan's build,
+// returning ctx.Err(); a cancelled build publishes no plan.
+//
+// It takes the candidates and their peel seeds from the local result's plan
+// at k (building it on first use), then draws one shared world stream over
+// the union of all candidate edges (every candidate is a subgraph of it) as
+// a flat bank of edge bitmasks — in one window by default, or streamed
+// through fixed-size windows when the request's Window or MemBudget bounds
+// the bank's peak memory. Each window is transposed once and scored in one
+// pool round over the candidates (weakScratch.scoreWindow). A
+// candidate's per-triangle loss totals are sums of the same integers the
+// one-window run sums, so the scores — and the assembled nuclei — are
+// byte-identical at every window size and worker count.
 func weaklyGlobalNuclei(r *run, req NucleiRequest) ([]ProbNucleus, error) {
 	k, theta, pool := req.K, req.Theta, r.pool
 	local, err := r.localResult(req)
 	if err != nil {
 		return nil, err
 	}
-	// The candidates and their edge union depend only on local and k: they
-	// come from the result's plan, built by the first call at k.
-	plan := local.weakPlan(k)
-	cands := plan.tris
-	if len(cands) == 0 {
+	plan, err := local.weakPlan(k, pool.Err)
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.tris) == 0 {
 		return nil, nil
 	}
-	n := req.sampleCount()
-	workers := pool.Workers()
-	sx := r.weak
-
-	// One shared world stream over the union of all candidate edges (every
-	// candidate is a subgraph of it), sampled as one flat bank of edge
-	// bitmasks — in one window by default, or streamed through fixed-size
-	// windows when the request's Window or MemBudget bounds the bank's peak
-	// memory. Each window's per-triangle loss counts are accumulated into
-	// persistent per-candidate totals; the totals are sums of the same
-	// integers the one-window run sums, so the scores — and the assembled
-	// nuclei — are byte-identical at every window size.
-	window := req.windowSize(n, len(plan.union))
-	inc := local.incidence()
-	sx.laneOf = decomp.LaneIndex(sx.laneOf, local.PG.G, plan.union)
-
-	var out []ProbNucleus
-	// losses[w][t]: number of window worlds in which candidate triangle t
-	// fell out of the candidate's level-k core, accumulated by worker w over
-	// the 64-world blocks it scored. The merge is a commutative integer sum,
-	// so the totals match the serial run for every worker count. The slices
-	// are reused and cleared between candidates.
-	sx.losses = resize(sx.losses, workers)
-	sx.scorers = resize(sx.scorers, workers)
-	seed, lanes, losses, scorers := &sx.seed, &sx.lanes, sx.losses, sx.scorers
-	var qual []float64
-	var nb nucleusBuilder
-	// One closure for the whole run, not one per candidate or window.
-	blockFn := func(worker, b int) {
-		scorers[worker].ScoreLanes(seed, lanes.Block(b), lanes.Valid(b), losses[worker])
+	if r.obs != nil {
+		for c := range plan.seeds {
+			r.obs.Candidate(plan.seeds[c].Len())
+		}
 	}
-	// lostFlat[lostOff[c]:lostOff[c+1]]: candidate c's per-triangle loss
-	// totals, accumulated across windows (laid out on the first window).
-	lostOff := make([]int32, 1, len(cands)+1)
-	var lostFlat []int32
+	n := req.sampleCount()
+	window := req.windowSize(n, len(plan.union))
+	wx := r.weak
+	wx.bind(pool, plan, local.TI, n, k, theta)
+	defer wx.release()
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
 		masks, words := r.bank.WorldMasksWindow(pool, plan.upg, n, lo, hi, req.Seed)
 		if err := pool.Err(); err != nil {
 			return nil, err
 		}
-		lanes.Transpose(masks, hi-lo, words)
-		for ci := range cands {
-			if err := pool.Err(); err != nil {
-				return nil, err
-			}
-			tris := cands[ci]
-			seed.Seed(local.TI, inc, tris, sx.laneOf, k)
-			m := seed.Len()
-			if lo == 0 {
-				if r.obs != nil {
-					r.obs.Candidate(m)
-				}
-				for i := 0; i < m; i++ {
-					lostFlat = append(lostFlat, 0)
-				}
-				lostOff = append(lostOff, lostOff[ci]+int32(m))
-			}
-			for w := range losses {
-				losses[w] = resizeCleared(losses[w], m)
-			}
-			pool.ForWorker(lanes.Blocks(), blockFn)
-			tot := lostFlat[lostOff[ci]:lostOff[ci+1]]
-			for w := range losses {
-				for j, c := range losses[w] {
-					tot[j] += c
-				}
-			}
-			if hi < n {
-				continue
-			}
-			// Last window: the totals are complete and the seed is bound to
-			// the candidate — score and assemble now. qual[v] holds the
-			// estimated probability for view id v, or -1 when below θ. Only
-			// the local nucleus's own triangles are scored (the candidate
-			// edge set may span extra triangles, which Algorithm 3 never
-			// considers), and a triangle outside the candidate's level-k
-			// core qualifies in no world, so its score is 0 without
-			// consulting the losses. Every one of the nucleus's root ids
-			// lies in the view, since the candidate spans its own
-			// triangles' edges.
-			qual = resizeFilled(qual, m, -1)
-			for _, pid := range tris {
-				id := seed.ViewID(pid)
-				if !seed.InCore(id) {
-					continue
-				}
-				if p := float64(int32(n)-tot[id]) / float64(n); p >= theta {
-					qual[id] = p
-				}
-			}
-			out = append(out, assembleWeakNuclei(&nb, local.TI, seed, qual, k, theta)...)
+		wx.scoreWindow(masks, hi-lo, words, hi == n)
+		// A cancelled round leaves some candidates unscored.
+		if err := pool.Err(); err != nil {
+			return nil, err
 		}
 	}
-	// The last candidate may have been scored against a half-filled world
-	// batch; one final check keeps cancelled calls from returning it.
-	if err := pool.Err(); err != nil {
-		return nil, err
-	}
-	sortNuclei(out)
-	return out, nil
+	return wx.nuclei(), nil
 }
 
-// weakScratch is the working memory of a w-NuDecomp call: the candidate
-// peel seed with its root-indexed stamps, the per-worker scorers and loss
-// slices, the window's lane words, and the root edge → union lane table of
-// the plan's union. An engine shard keeps one from one w-NuDecomp request
-// to the next (see engineShard), so a run of such queries re-grows none of
-// it. Every call re-initialises all of it that it reads.
+// weakScratch is the working memory of a w-NuDecomp call: the window's lane
+// words, the candidates' loss totals, one nuclei slot per candidate, and one
+// scorer, estimate and nucleus-builder scratch per pool worker. An engine
+// shard keeps one from one w-NuDecomp request to the next (see
+// engineShard), so a run of such queries re-grows none of it; every call
+// re-initialises all of it that it reads. Each call binds it to its plan and
+// releases the plan when it returns, so between calls a shard keeps no plan
+// alive.
 type weakScratch struct {
-	seed    decomp.WorldPeelSeed
-	scorers []decomp.WorldMembershipScorer
-	losses  [][]int32
-	lanes   mc.Lanes
-	laneOf  []int32
+	pool  *par.Pool
+	plan  *weakPlan
+	ti    *graph.TriangleIndex
+	n, k  int
+	theta float64
+	// lanes holds the current window, transposed; last reports that it is
+	// the call's last window.
+	lanes mc.Lanes
+	last  bool
+	// lost[plan.lossOff[c]:plan.lossOff[c+1]]: the worlds, over every window
+	// scored so far, in which each of candidate c's view triangles fell out
+	// of its level-k core, indexed by view id.
+	lost []int32
+	// slots[c] holds candidate c's nuclei once the last window is scored.
+	slots   [][]ProbNucleus
+	workers []weakWorker
+	// The hoisted round body (one per scratch, not one per window or
+	// request).
+	candFn func(worker, c int)
+}
+
+// weakWorker is one pool worker's scratch for scoring and assembling whole
+// candidates: the word-parallel scorer, the per-view-id estimates of the
+// candidate being judged, and the nucleus builder.
+type weakWorker struct {
+	scorer decomp.WorldMembershipScorer
+	qual   []float64
+	nb     nucleusBuilder
+}
+
+// bind readies the scratch for a call of n sampled worlds at level k and θ
+// on pool, over plan, whose nuclei are built from the root index ti. Every
+// worker's scorer and estimates are grown to the plan's largest candidate,
+// so what a warm shard allocates does not depend on which worker scores
+// which candidate.
+func (wx *weakScratch) bind(pool *par.Pool, plan *weakPlan, ti *graph.TriangleIndex, n, k int, theta float64) {
+	wx.pool, wx.plan, wx.ti = pool, plan, ti
+	wx.n, wx.k, wx.theta = n, k, theta
+	wx.lost = resizeCleared(wx.lost, int(plan.lossOff[len(plan.seeds)]))
+	wx.slots = resize(wx.slots, len(plan.seeds))
+	wx.workers = resize(wx.workers, pool.Workers())
+	for w := range wx.workers {
+		ww := &wx.workers[w]
+		ww.scorer.Reserve(plan.maxView)
+		ww.qual = slices.Grow(ww.qual[:0], plan.maxView)
+	}
+	if wx.candFn == nil {
+		wx.candFn = wx.scoreCandidate
+	}
+}
+
+// release ends a call: it drops the references into the plan and the
+// result's index, and the nuclei the slots hold, so that a shard keeps
+// neither alive after the call.
+func (wx *weakScratch) release() {
+	wx.plan, wx.ti = nil, nil
+	clear(wx.slots)
+}
+
+// scoreWindow scores every candidate against the next window of the shared
+// bank — masks holds `worlds` consecutive world rows of `words` words each —
+// in one pool round, after transposing the window into lane blocks once;
+// last marks the call's last window, on which the candidates are judged and
+// assembled. A one-worker pool runs the round inline, as one serial loop
+// over the candidates.
+func (wx *weakScratch) scoreWindow(masks []uint64, worlds, words int, last bool) {
+	wx.lanes.Transpose(masks, worlds, words)
+	wx.last = last
+	wx.pool.ForWorker(len(wx.plan.seeds), wx.candFn)
+}
+
+// scoreCandidate is the round body of a window: worker scores candidate c's
+// peel seed against every 64-world block of the window into the candidate's
+// loss totals, and on the last window turns the totals into estimates and
+// assembles the candidate's nuclei into its slot. Only the nucleus's own
+// triangles are scored (the candidate edge set may span extra triangles,
+// which Algorithm 3 never considers), and a triangle outside the
+// candidate's level-k core qualifies in no world, so its estimate is 0
+// without consulting the losses.
+func (wx *weakScratch) scoreCandidate(worker, c int) {
+	if wx.pool.Err() != nil {
+		return
+	}
+	p, ww := wx.plan, &wx.workers[worker]
+	seed := &p.seeds[c]
+	lost := wx.lost[p.lossOff[c]:p.lossOff[c+1]]
+	for b := 0; b < wx.lanes.Blocks(); b++ {
+		ww.scorer.ScoreLanes(seed, wx.lanes.Block(b), wx.lanes.Valid(b), lost)
+	}
+	if !wx.last {
+		return
+	}
+	// qual[v] holds the estimate for view id v, or -1 when below θ.
+	ww.qual = resizeFilled(ww.qual, seed.Len(), -1)
+	for _, v := range p.tview[c] {
+		if !seed.InCore(v) {
+			continue
+		}
+		if est := float64(int32(wx.n)-lost[v]) / float64(wx.n); est >= wx.theta {
+			ww.qual[v] = est
+		}
+	}
+	wx.slots[c] = assembleWeakNuclei(&ww.nb, wx.ti, seed, ww.qual, wx.k, wx.theta)
+}
+
+// nuclei concatenates the candidates' slots in enumeration order and sorts
+// the result; it is nil when no candidate has a nucleus.
+func (wx *weakScratch) nuclei() []ProbNucleus {
+	total := 0
+	for _, s := range wx.slots {
+		total += len(s)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]ProbNucleus, 0, total)
+	for _, s := range wx.slots {
+		out = append(out, s...)
+	}
+	sortNuclei(out)
+	return out
 }
 
 // unionEdges merges the sorted canonical edge lists of the candidates into

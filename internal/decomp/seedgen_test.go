@@ -130,3 +130,65 @@ func TestWorldPeelSeedGenerationWrap(t *testing.T) {
 		t.Fatalf("only %d bindings checked", checked)
 	}
 }
+
+// TestWorldPeelSeedClone: a clone of a seed's binding, taken before the
+// seed binds the next candidate, still equals a fresh binding of its own
+// candidate after the seed has bound every other one, holds none of the
+// cut scratch, and scores random lane blocks to the same losses as the
+// fresh binding, over the nuclei of krogan at k = 0..2.
+func TestWorldPeelSeedClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	g := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04))).G
+	root := newIndex(g)
+	inc := NewTriIncidence(root, g)
+	nu := refNucleusPeel(root)
+	checked := 0
+	for k := 0; k <= 2; k++ {
+		cands := KNuclei(root, inc, nu, k)
+		if len(cands) < 2 {
+			continue
+		}
+		var union []graph.Edge
+		for _, c := range cands {
+			union = append(union, c.Edges...)
+		}
+		slices.SortFunc(union, compareEdges)
+		union = slices.Compact(union)
+		laneOf := LaneIndex(nil, g, union)
+		var s WorldPeelSeed
+		clones := make([]WorldPeelSeed, len(cands))
+		for i, c := range cands {
+			s.Seed(root, inc, c.TriIDs, laneOf, k)
+			clones[i] = s.Clone()
+		}
+		lanes := make([]uint64, len(union))
+		var ws WorldMembershipScorer
+		for i, c := range cands {
+			var fresh WorldPeelSeed
+			fresh.Seed(root, inc, c.TriIDs, laneOf, k)
+			cl := &clones[i]
+			if got, want := peelSeedState(cl), peelSeedState(&fresh); !sameState(got, want) || !slices.Equal(cl.inCore, fresh.inCore) || cl.k != k {
+				t.Fatalf("k=%d nucleus %d: clone differs from a fresh binding:\n got %v\nwant %v", k, i, got, want)
+			}
+			if cl.gen != 0 || cl.edgeStamp != nil || cl.triStamp != nil || cl.viewID != nil || cl.edges != nil || cl.sup != nil || cl.clDead != nil || cl.work != nil {
+				t.Fatalf("k=%d nucleus %d: clone holds cut scratch", k, i)
+			}
+			for b := 0; b < 4; b++ {
+				for e := range lanes {
+					lanes[e] = rng.Uint64() | rng.Uint64() // edges kept in about 3/4 of the worlds
+				}
+				valid := rng.Uint64()
+				got, want := make([]int32, cl.Len()), make([]int32, fresh.Len())
+				ws.ScoreLanes(cl, lanes, valid, got)
+				ws.ScoreLanes(&fresh, lanes, valid, want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d nucleus %d block %d: clone scores %v, fresh binding %v", k, i, b, got, want)
+				}
+			}
+			checked++
+		}
+	}
+	if checked < 5 {
+		t.Fatalf("only %d clones checked", checked)
+	}
+}

@@ -754,8 +754,9 @@ type WorldMembershipScorer struct {
 //
 // Seed cuts the seed from the root triangle index and its edge→triangle
 // incidence, in time proportional to the candidate and reusing all storage
-// across candidates of any size; the seed is then shared read-only by
-// per-worker scorers.
+// across candidates of any size. Clone keeps a cut binding without the
+// root-indexed cut scratch, and any number of scorers then share it
+// read-only.
 type WorldPeelSeed struct {
 	k int
 	// root[v] is view triangle v's root id. The view is every root triangle
@@ -809,6 +810,25 @@ func (s *WorldPeelSeed) InCore(v int32) bool { return s.inCore[v] }
 // core (for k = 0, every 4-clique of the view). The slice aliases the seed
 // and is valid until the next Seed call.
 func (s *WorldPeelSeed) Cliques() [][4]int32 { return s.cliques }
+
+// Clone returns the candidate binding of s — its view, level-k core, core
+// edge lanes and clique layout — in storage of its own, sized to fit, and
+// none of the scratch Seed cuts with: Len, Root, InCore and Cliques answer
+// as on s, ScoreLanes scores it as it scores s, and ViewID, whose table is
+// root-indexed scratch, must not be called on it. A clone is never seeded
+// again, so any number of scorers may read it at once.
+func (s *WorldPeelSeed) Clone() WorldPeelSeed {
+	return WorldPeelSeed{
+		k:        s.k,
+		root:     slices.Clone(s.root),
+		core:     slices.Clone(s.core),
+		inCore:   slices.Clone(s.inCore),
+		coreEdge: slices.Clone(s.coreEdge),
+		cliques:  slices.Clone(s.cliques),
+		clOff:    slices.Clone(s.clOff),
+		clIDs:    slices.Clone(s.clIDs),
+	}
+}
 
 // Seed binds the seed to the candidate spanned by the root triangles tris
 // (ids in ti, in any order) at nucleus level k. inc is ti's incidence, and
@@ -1037,10 +1057,7 @@ func resizeCleared32(s []int32, n int) []int32 {
 // the whole predicate.
 func (ws *WorldMembershipScorer) ScoreLanes(seed *WorldPeelSeed, lanes []uint64, valid uint64, loss []int32) {
 	m := seed.Len()
-	if cap(ws.alive) < m {
-		ws.alive = make([]uint64, m)
-		ws.queued = make([]bool, m)
-	}
+	ws.Reserve(m)
 	alive := ws.alive[:m]
 	for i, t := range seed.core {
 		e := seed.coreEdge[3*i : 3*i+3 : 3*i+3]
@@ -1052,6 +1069,17 @@ func (ws *WorldMembershipScorer) ScoreLanes(seed *WorldPeelSeed, lanes []uint64,
 	for _, t := range seed.core {
 		loss[t] += int32(bits.OnesCount64(valid &^ alive[t]))
 	}
+}
+
+// Reserve grows the scorer's scratch to fit candidates of up to m view
+// triangles, so that scoring one allocates nothing.
+func (ws *WorldMembershipScorer) Reserve(m int) {
+	if cap(ws.alive) < m {
+		ws.alive = make([]uint64, m)
+		ws.queued = make([]bool, m)
+	}
+	// The fixpoint's worklist holds each triangle at most once.
+	ws.work = slices.Grow(ws.work[:0], m)
 }
 
 // fixpoint drives alive to the per-lane k-core (see ScoreLanes). The

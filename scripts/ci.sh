@@ -6,10 +6,10 @@
 # package and the full test suite under the race detector. The differential
 # tests in internal/core, internal/decomp, internal/graph, and internal/mc
 # run the worker pools at 1/2/8 workers, so `go test -race` drives every
-# concurrent path, including the g-NuDecomp window round, whose workers each
-# score whole candidates on their own seeds and write only those
-# candidates' slots; dedicated -race passes then re-run that round's
-# differentials, the weak seed and kernel differentials, the world-mask
+# concurrent path, including the g- and w-NuDecomp window rounds, whose
+# workers each score whole candidates on their own seeds or scorers and
+# write only those candidates' slots; dedicated -race passes then re-run
+# both rounds' differentials, the weak seed differentials, the world-mask
 # bank's pool and window differentials (internal/mc, the one world sampler),
 # the level-synchronous local peel's batch differential and scratch tests
 # (its sub-rounds kill cliques into per-part buffers and re-score triangles
@@ -19,19 +19,20 @@
 # goroutine-leak gate).
 #
 # The test suite includes the shared-world steady-state allocation gates
-# (internal/core/arena_test.go: validating one more candidate — closure
-# growth, seeding from the plan's union tables, the per-window transpose,
-# lane scan, verdict, weak seed cut from the root incidence + lane scoring —
-# must allocate nothing) and the benchmark allocation gates (the root
-# package's TestBenchmarkAllocs holds the BenchmarkFig4LocalDP,
-# BenchmarkGlobal, BenchmarkWeak and BenchmarkEngineContended rows to 1.25×
-# their recorded allocs/op; it skips under -race), so a single
-# `go test ./...` run asserts them. The wall-clock gates live in the
-# benchmarks themselves (2× the recorded ns/op in those four, and
-# BenchmarkColdStart's flickr artifact load ≥ 10× faster than prepare) and
-# fire only on multi-iteration runs, so CI does not run them; run them by
-# hand with
-#   go test -run '^$' -bench '^(BenchmarkFig4LocalDP|BenchmarkGlobal|BenchmarkWeak|BenchmarkEngineReuse|BenchmarkEngineContended|BenchmarkColdStart)$' -benchmem -benchtime 3x .
+# (internal/core/arena_test.go and weakround_test.go: validating one more
+# candidate — closure growth, seeding from the plan's union tables, the
+# per-window transpose, lane scan, verdict, weak lane scoring against the
+# plan's published peel seed, a whole weak window round — must allocate
+# nothing) and the benchmark allocation gates (the root package's
+# TestBenchmarkAllocs holds the BenchmarkFig4LocalDP, BenchmarkGlobal,
+# BenchmarkWeak, BenchmarkGlobalServed, BenchmarkWeakServed and
+# BenchmarkEngineContended rows to 1.25× their recorded allocs/op; it skips
+# under -race), so a single `go test ./...` run asserts them. The wall-clock
+# gates live in the benchmarks themselves (2× the recorded ns/op in those
+# six, and BenchmarkColdStart's flickr artifact load ≥ 10× faster than
+# prepare) and fire only on multi-iteration runs, so CI does not run them;
+# run them by hand with
+#   go test -run '^$' -bench '^(BenchmarkFig4LocalDP|BenchmarkGlobal|BenchmarkWeak|BenchmarkGlobalServed|BenchmarkWeakServed|BenchmarkEngineReuse|BenchmarkEngineContended|BenchmarkColdStart)$' -benchmem -benchtime 3x .
 # `goldendump -check` then verifies the global/weak golden snapshot through
 # the same command that regenerates it (drop -check after an intentional
 # semantic change).
@@ -125,15 +126,22 @@ race_pass 'TestGlobalNucleiDifferential|TestGlobalNucleiWindowedDifferential|Tes
 echo "==> go test -race candidate plans (concurrent first callers, cancelled build)"
 race_pass 'TestPlanConcurrentFirstCallers|TestPlanCancelledBuildPublishesNothing' ./internal/core
 
-# The w-NuDecomp kernel cuts each candidate's peel seed from the shared root
-# incidence and scores 64-world blocks on per-worker scorers from shard-held
-# scratch, so the seed's differential against the reference that restricts
-# the root index to the candidate and resolves cliques by triangle-id lookup,
-# and the weak kernel's worker-count and window differentials get the same
+# The w-NuDecomp kernel scores each window's candidates in one pool round
+# too: a worker scores a whole candidate on its own scorer against the peel
+# seed the plan published — cut once per (result, k) from the shared root
+# incidence — into that candidate's own loss totals, and on the last window
+# assembles its nuclei into the candidate's own slot. So the seed's
+# differential against the reference that restricts the root index to the
+# candidate and resolves cliques by triangle-id lookup, the published
+# clone's, the weak kernel's worker-count and window differentials, the
+# differential of the round against the serial per-call-cut reference (1, 2
+# and 8 workers, three window sizes, a call cancelled mid-round), the
+# one-round-per-window count, the published seeds against a fresh cut, and
+# two two-worker shards reading one published plan at once get the same
 # repeated -race pass.
-echo "==> go test -race weak seed and kernel (seed differential, worker and window differentials)"
-race_pass 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference' ./internal/decomp
-race_pass 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential' ./internal/core
+echo "==> go test -race weak seed and window round (seed and clone differentials, worker, window and round differentials, rounds per window, shared plan)"
+race_pass 'TestWorldPeelSeedMatchesReference|TestKNucleiMatchesReference|TestWorldPeelSeedClone' ./internal/decomp
+race_pass 'TestWeaklyGlobalNucleiDifferential|TestWeaklyGlobalNucleiWindowedDifferential|TestWeakRoundDifferential|TestWeakPoolRoundsPerWindow|TestWeakPlanSeedsMatchCut|TestWeakSharedPlanTwoShards' ./internal/core
 
 # Every g- and w-NuDecomp world is drawn by mc.Bank.WorldMasksWindow, the
 # one world sampler. Its pool workers reseed per-worker PRNGs in place, and
